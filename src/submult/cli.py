@@ -82,7 +82,8 @@ def _spec_from_args(args: argparse.Namespace) -> GroupFamilySpec:
         params = {"m": args.m, "vectors": [_parse_int_list(v) for v in args.vector]}
     elif family == "induced_rep":
         params = {"p": args.p, "c": args.c, "e": args.e,
-                  "character": _parse_int_list(args.character)}
+                  "character": None if args.character is None
+                  else _parse_int_list(args.character)}
     elif family == "direct_product":
         if not args.factor or len(args.factor) < 2:
             raise ValueError("direct_product needs at least two --factor files")
@@ -90,6 +91,9 @@ def _spec_from_args(args: argparse.Namespace) -> GroupFamilySpec:
         params = {"factors": factors}
     else:
         raise ValueError(f"unknown family {family!r}")
+    missing = [f"--{key}" for key, value in params.items() if value is None]
+    if missing:
+        raise ValueError(f"construct {family} needs {', '.join(missing)}")
     return GroupFamilySpec(family, params)
 
 

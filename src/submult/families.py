@@ -364,7 +364,11 @@ class GroupFamilySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupFamilySpec":
-        return cls(str(data["family"]), dict(data["params"]))
+        try:
+            return cls(str(data["family"]), dict(data["params"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError("malformed group recipe: needs \"family\" and "
+                             f"\"params\" ({type(exc).__name__}: {exc})") from exc
 
 
 def _require(params: dict, keys: tuple[str, ...]) -> None:

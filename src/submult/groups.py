@@ -6,6 +6,13 @@ affine pairs, index tuples (direct products) or coset representatives
 (quotients) all work, as long as elements expose ``__mul__``,
 ``identity_like``/explicit identity, a hashable ``key()`` and a JSON form.
 
+Two multiplication paths share one row cache.  ``mul`` is the lazy path:
+it fills a single entry with one carrier product, which suits section
+scans over many small groups that touch few entries.  ``full_table``
+builds the whole Cayley table for pair scans from |gens| carrier products
+per element (one right-multiplication permutation per generator) and then
+pure integer lookups along a breadth-first spanning tree.
+
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
 platforms; every witness in a report cites indices plus serialized
@@ -110,18 +117,52 @@ class FiniteGroup:
         return v
 
     def full_table(self) -> list[list[int]]:
-        """Materialize every row; intended for whole-group pair scans."""
+        """Materialize every row; intended for whole-group pair scans.
+
+        Only the |gens| right-multiplication permutations x -> x*g use
+        carrier products.  A breadth-first spanning tree from the identity
+        writes each element j as parent[j] * gens[via[j]], so by
+        associativity i*j = (i*parent[j]) * gens[via[j]] and every row is
+        filled by integer lookups in tree order (a Schreier vector, Holt,
+        Eick and O'Brien, Handbook of Computational Group Theory, ch. 4).
+        """
         n = len(self.elements)
         if n > FULL_TABLE_LIMIT:
             raise ValueError(
                 f"refusing to materialize a {n}x{n} table (> {FULL_TABLE_LIMIT})")
+        rows = self._rows
+        if all(row is not None and -1 not in row for row in rows):
+            return rows  # type: ignore[return-value]
+        elements, key, index, mul_raw = (self.elements, self._key, self.index,
+                                         self._mul_raw)
+        identity = self.identity
+        right = {g: [index[key(mul_raw(x, elements[g]))] for x in elements]
+                 for g in dict.fromkeys(self.gens)}
+        # steps[t] = (j, parent[j], right[gens[via[j]]]) in BFS order
+        steps: list[tuple[int, int, list[int]]] = []
+        seen = [False] * n
+        seen[identity] = True
+        frontier = [identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for perm in right.values():
+                    y = perm[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        steps.append((y, x, perm))
+                        nxt.append(y)
+            frontier = nxt
+        if len(steps) + 1 != n:
+            raise ValueError(f"generators of {self.name or 'group'} reach only "
+                             f"{len(steps) + 1} of {n} elements")
         for i in range(n):
-            row = self._rows[i]
-            if row is None or -1 in row:
-                mul = self.mul
-                for j in range(n):
-                    mul(i, j)
-        return self._rows  # type: ignore[return-value]
+            row = [0] * n
+            row[identity] = i
+            for j, parent, perm in steps:
+                row[j] = perm[row[parent]]
+            rows[i] = row
+        return rows  # type: ignore[return-value]
 
     def conjugate(self, i: int, g: int) -> int:
         """g**-1 * i * g."""

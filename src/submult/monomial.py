@@ -183,8 +183,12 @@ class MonomialMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialMatrix":
-        return cls(int(data["n"]), tuple(int(x) for x in data["perm"]),
-                   tuple(CyclotomicUnit.from_json(e) for e in data["entries"]))
+        try:
+            return cls(int(data["n"]), tuple(int(x) for x in data["perm"]),
+                       tuple(CyclotomicUnit.from_json(e) for e in data["entries"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError("malformed matrix: needs \"n\", \"perm\" and "
+                             f"\"entries\" ({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass(frozen=True)

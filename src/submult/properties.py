@@ -132,13 +132,20 @@ def has_property_s(gens: Sequence[MonomialMatrix], *,
                    workers: int = 1) -> PropertyReport:
     """Every eigenvalue of A*B is a product of an eigenvalue of A and one
     of B, for every ordered pair in the closure of the generators."""
+    return _property_s(gens, cap, workers)[0]
+
+
+def _property_s(gens: Sequence[MonomialMatrix], cap: int,
+                workers: int) -> tuple[PropertyReport, _SpectralClosure]:
+    """The property (S) report plus the closure it scanned, so deciders
+    gated on (S) reuse that closure and its table."""
     sc = _SpectralClosure(gens, cap)
     g = sc.group
     n = len(g)
     fail, count = _scan_pairs(n, sc.pair_ok, workers)
     counters = {"pairs_checked": count, "elements_checked": n}
     if fail is None:
-        return PropertyReport("s", True, counters=counters)
+        return PropertyReport("s", True, counters=counters), sc
     i, j = fail
     k = sc.table[i][j]
     prod = sc.product_spectrum(sc.sid[i], sc.sid[j])
@@ -154,7 +161,7 @@ def has_property_s(gens: Sequence[MonomialMatrix], *,
         "explanation": "eigenvalue of the product lies outside the set of "
                        "pairwise eigenvalue products",
     }
-    return PropertyReport("s", False, witness=witness, counters=counters)
+    return PropertyReport("s", False, witness=witness, counters=counters), sc
 
 
 def has_property_s_hat_from_reps(reps: Sequence[Sequence[MonomialMatrix]], *,
@@ -214,12 +221,11 @@ def has_property_s_hat_single(gens: Sequence[MonomialMatrix], *,
     supplied representation and its subgroup restrictions, so the verdict
     is capped; a failure is conclusive either way.
     """
-    base = has_property_s(gens, cap=cap, workers=workers)
+    base, sc = _property_s(gens, cap, workers)
     if base.holds is False:
         return PropertyReport("s-hat", False, witness=base.witness,
                               counters=base.counters)
-    g = close(list(gens), cap)
-    if g.is_abelian():
+    if sc.group.is_abelian():
         # conclusive: every irreducible subrepresentation of an abelian
         # closure has degree 1 and degree-1 spectra multiply exactly
         return PropertyReport("s-hat", True, counters=base.counters)
@@ -507,16 +513,15 @@ def order_submultiplicativity(gens: Sequence[MonomialMatrix], *,
                               workers: int = 1) -> PropertyReport:
     """On a closure with property (S), |AB| divides max(|A|, |B|) for all
     pairs.  If the closure fails (S) nothing is asserted (vacuous pass)."""
-    gate = has_property_s(gens, cap=cap, workers=workers)
+    gate, sc = _property_s(gens, cap, workers)
     if gate.holds is False:
         return PropertyReport(
             "order-divisibility", True,
             counters={"pairs_checked": 0},
             caps=["vacuous: the closure fails property s, so the "
                   "divisibility is not asserted"])
-    g = close(list(gens), cap)
+    g, table = sc.group, sc.table
     n = len(g)
-    table = g.full_table()
     orders = [g.element_order(i) for i in range(n)]
 
     def check(i: int, j: int) -> bool:

@@ -191,3 +191,43 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "T99"]) == 2
+
+
+class TestMalformedInput:
+    """Input errors exit 2 with a one-line message, never a traceback."""
+
+    def assert_input_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def assert_check_input_error(self, path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert self.assert_input_error(
+            ["check", "s", str(path), "--format", "structured",
+             "-o", str(out)], capsys) == ""
+        error = json.loads(out.read_text())["error"]
+        assert error.startswith("malformed group recipe") and "\n" not in error
+
+    def test_matrix_file_without_n(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"perm": [0], "entries": [{"num": 0, "den": 1}]}))
+        err = self.assert_input_error(["spectrum", str(path)], capsys)
+        assert err.startswith("error: malformed matrix") and err.count("\n") == 1
+
+    def test_group_file_without_family(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"params": {}, "generators": []}))
+        self.assert_check_input_error(path, tmp_path, capsys)
+
+    def test_group_file_top_level_list(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps([{"family": "heisenberg"}]))
+        self.assert_check_input_error(path, tmp_path, capsys)
+
+    def test_construct_basic_without_c(self, tmp_path, capsys):
+        err = self.assert_input_error(["construct", "basic", "--p", "3",
+                                       "--e", "1", "-o", str(tmp_path / "b.json")],
+                                      capsys)
+        assert err == "error: construct basic needs --c\n"

@@ -4,12 +4,15 @@ and the power-structure subgroups."""
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from submult.cyclotomic import ONE, CyclotomicUnit
-from submult.families import (big_cycle, cyclic_generator,
-                              diagonal_abelian_generators, wreath_generators)
-from submult.groups import (ClosureCapExceeded, close, direct_power,
-                            direct_product)
+from submult.families import (basic_group, big_cycle, cyclic_generator,
+                              diagonal_abelian_generators,
+                              heisenberg_generators, wreath_generators)
+from submult.groups import (ClosureCapExceeded, FiniteGroup, close,
+                            direct_power, direct_product)
 from submult.monomial import MonomialMatrix
 
 
@@ -320,3 +323,97 @@ class TestIntegrity:
     def test_inverse_array(self, w3):
         for i in range(len(w3)):
             assert w3.mul(i, w3.inv(i)) == w3.identity
+
+
+# -- the Cayley-table kernel against raw carrier products ---------------------------
+
+def assert_table_matches_raw_products(g):
+    """full_table() agrees with index(key(mul_raw(x, y))) on every pair."""
+    table = g.full_table()
+    n = len(g)
+    assert len(table) == n
+    for i, x in enumerate(g.elements):
+        raw = [g.index_of(g._mul_raw(x, y)) for y in g.elements]
+        assert table[i] == raw, f"row {i} differs from the raw products"
+
+
+@st.composite
+def monomial_groups(draw, max_order=200):
+    """Closures of 1-3 random monomial matrices of degree <= 4 whose entries
+    are roots of unity of order dividing 4 or 9."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from((4, 9)))
+    matrix = st.builds(
+        lambda perm, nums: MonomialMatrix(
+            n, tuple(perm), tuple(CyclotomicUnit(a, m) for a in nums)),
+        st.permutations(range(n)),
+        st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    gens = draw(st.lists(matrix, min_size=1, max_size=3))
+    try:
+        return close(gens, cap=max_order)
+    except ClosureCapExceeded:
+        assume(False)
+
+
+KERNEL_SETTINGS = settings(max_examples=25, deadline=None,
+                           suppress_health_check=[HealthCheck.filter_too_much,
+                                                  HealthCheck.too_slow])
+
+
+class TestFullTableKernel:
+    @KERNEL_SETTINGS
+    @given(monomial_groups())
+    def test_monomial_closures(self, g):
+        assert_table_matches_raw_products(g)
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(), st.data())
+    def test_quotients(self, g, data):
+        normal = data.draw(st.sampled_from(
+            (g.center(), g.derived_subgroup(), g.whole_subgroup())))
+        assert_table_matches_raw_products(g.quotient(normal))
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(), st.data())
+    def test_subgroups(self, g, data):
+        seeds = data.draw(st.lists(st.integers(0, len(g) - 1), max_size=2))
+        assert_table_matches_raw_products(g.subgroup(seeds).as_group())
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=40), monomial_groups(max_order=30))
+    def test_direct_products(self, g1, g2):
+        assert_table_matches_raw_products(direct_product(g1, g2))
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=24), st.integers(1, 2))
+    def test_direct_powers(self, g, m):
+        assert_table_matches_raw_products(direct_power(g, m))
+
+    @pytest.mark.parametrize("pce", [(2, 1, 1), (2, 2, 1), (2, 1, 2),
+                                     (3, 1, 1), (3, 2, 1), (3, 3, 1),
+                                     (5, 2, 1)])
+    def test_affine_basic_groups(self, pce):
+        assert_table_matches_raw_products(basic_group(*pce))
+
+    def test_non_generating_gens_raise(self, h3):
+        g = FiniteGroup(h3.elements, lambda a, b: a * b, h3.identity,
+                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
+                        gens=h3.gens[:1])
+        with pytest.raises(ValueError, match="reach only 3 of 27"):
+            g.full_table()
+
+    def test_carrier_products_per_generator_only(self):
+        g = close(heisenberg_generators(5))
+        raw = g._mul_raw
+        calls = [0]
+
+        def counting(a, b):
+            calls[0] += 1
+            return raw(a, b)
+
+        g._mul_raw = counting
+        g.full_table()
+        assert calls[0] == len(g.gens) * 125
+        calls[0] = 0
+        g.full_table()
+        assert calls[0] == 0
