@@ -206,6 +206,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     data = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.file} is neither a matrix nor a group file")
     if "perm" in data:
         matrix = MonomialMatrix.from_json(data)
         payload = {"n": matrix.n, "order": matrix.order(),

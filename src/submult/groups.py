@@ -7,11 +7,16 @@ affine pairs, index tuples (direct products) or coset representatives
 ``identity_like``/explicit identity, a hashable ``key()`` and a JSON form.
 
 Two multiplication paths share one row cache.  ``mul`` is the lazy path:
-it fills a single entry with one carrier product, which suits section
-scans over many small groups that touch few entries.  ``full_table``
-builds the whole Cayley table for pair scans from |gens| carrier products
-per element (one right-multiplication permutation per generator) and then
-pure integer lookups along a breadth-first spanning tree.
+it fills a single entry with one carrier product.  ``full_table`` builds
+the whole Cayley table from |gens| carrier products per element (one
+right-multiplication permutation per generator) and then pure integer
+lookups along a breadth-first spanning tree.
+
+Whole-group queries (pair scans, ``sections``, ``lower_central_series``)
+build the table first, and the subgroup lattice then runs on integer
+indices over it: a subgroup grows one coset at a time from the subgroup
+already built (Dimino), and a subgroup taken as a group multiplies through
+its parent's indices.  No carrier is multiplied once the table exists.
 
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
@@ -41,17 +46,19 @@ class ClosureCapExceeded(RuntimeError):
         self.cap = cap
 
 
+def least_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2."""
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    return p if n % p == 0 else n
+
+
 def prime_power_base(n: int) -> tuple[int, int] | None:
     """Return (p, e) with n = p**e, or None if n is not a prime power."""
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
+    p = least_prime_factor(n)
     e = 0
     while n % p == 0:
         n //= p
@@ -164,6 +171,13 @@ class FiniteGroup:
             rows[i] = row
         return rows  # type: ignore[return-value]
 
+    def tabulate(self) -> None:
+        """Build the Cayley table when the group is small enough for one
+        (|G| <= FULL_TABLE_LIMIT): whole-group queries call this first, so
+        the products they go on to ask for are integer lookups."""
+        if len(self.elements) <= FULL_TABLE_LIMIT:
+            self.full_table()
+
     def conjugate(self, i: int, g: int) -> int:
         """g**-1 * i * g."""
         return self.mul(self.mul(self.inv(g), i), g)
@@ -224,31 +238,51 @@ class FiniteGroup:
 
     # -- subgroup machinery -----------------------------------------------------
 
-    def _bfs_closure(self, gen_indices: Sequence[int]) -> tuple[int, ...]:
-        """Members of the subgroup generated by the given indices."""
-        seen = {self.identity}
-        frontier = [self.identity]
+    def _adjoin(self, members: list[int], member_set: set[int],
+                gens: list[int], g: int, limit: int | None = None) -> None:
+        """Grow the closed subgroup ``members``, generated by ``gens``, to
+        <members, g> in place, one right coset H*r at a time (Dimino; Butler,
+        Fundamental Algorithms for Permutation Groups, 1991).
+
+        The old subgroup H is a block: a new coset is found as a product r*s
+        of a coset representative and a generator that lands outside H's
+        cosets so far, and is then added whole as H*(r*s).  Each new element
+        costs one product; H itself is never closed again.  With ``limit``
+        the growth stops as soon as more than ``limit`` elements are in.
+        """
         mul = self.mul
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gen_indices:
-                    y = mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
+        block = list(members)
+        gens.append(g)
+        reps = [g]
+        members.extend(mul(h, g) for h in block)
+        member_set.update(members[-len(block):])
+        for r in reps:
+            for s in gens:
+                t = mul(r, s)
+                if t not in member_set:
+                    coset = [mul(h, t) for h in block]
+                    members.extend(coset)
+                    member_set.update(coset)
+                    reps.append(t)
+                    if limit is not None and len(members) > limit:
+                        return
+
+    def _grow(self, sub: "Subgroup", seeds: Sequence[int]) -> "Subgroup":
+        """<sub, seeds>, adjoining in order each seed not already inside;
+        ``sub.gens`` must generate ``sub``.  The generator set is
+        ``sub.gens`` plus the seeds that added something."""
+        members, member_set = list(sub.members), set(sub.members)
+        gens = list(sub.gens)
+        for s in seeds:
+            if s not in member_set:
+                self._adjoin(members, member_set, gens, s)
+        if len(gens) == len(sub.gens):
+            return sub
+        return Subgroup(self, tuple(sorted(members)), tuple(gens))
 
     def subgroup(self, seed_indices: Sequence[int]) -> "Subgroup":
         """Subgroup generated by the seeds, with a greedy reduced generator set."""
-        gens: list[int] = []
-        members: set[int] = {self.identity}
-        for s in seed_indices:
-            if s not in members:
-                gens.append(s)
-                members = set(self._bfs_closure(gens))
-        return Subgroup(self, tuple(sorted(members)), tuple(gens))
+        return self._grow(self.trivial_subgroup(), seed_indices)
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,), ())
@@ -262,16 +296,14 @@ class FiniteGroup:
         ambient generators (defaults: the group's own generators)."""
         if ambient_gens is None:
             ambient_gens = self.gens
-        seeds = list(dict.fromkeys(seeds))
         sub = self.subgroup(seeds)
         while True:
-            new = [self.conjugate(k, g)
-                   for k in sub.members for g in ambient_gens
-                   if self.conjugate(k, g) not in sub.member_set]
+            conjugates = (self.conjugate(k, g)
+                          for k in sub.members for g in ambient_gens)
+            new = [c for c in conjugates if c not in sub.member_set]
             if not new:
                 return sub
-            seeds.extend(dict.fromkeys(new))
-            sub = self.subgroup(seeds)
+            sub = self._grow(sub, new)
 
     def commutator_subgroup(self, a: "Subgroup", b: "Subgroup") -> "Subgroup":
         """[A, B], the subgroup generated by all commutators [x, y] with
@@ -296,6 +328,7 @@ class FiniteGroup:
 
     def lower_central_series(self) -> list["Subgroup"]:
         """[G, [G,G], [[G,G],G], ...] down to the trivial subgroup."""
+        self.tabulate()
         series = [self.whole_subgroup()]
         whole = series[0]
         while len(series[-1].members) > 1:
@@ -382,42 +415,70 @@ class FiniteGroup:
         known = dict(base)
         trivial = self.trivial_subgroup()
         known.setdefault(trivial.members, trivial)
-        frontier = list(known.values())
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in list(known.values()):
-                    join = self.subgroup(tuple(a.gens) + tuple(b.gens))
-                    if join.members not in known:
-                        known[join.members] = join
-                        fresh.append(join)
-            frontier = fresh
+        # Every subgroup here is normal, so <a, b> = ab has order
+        # |a||b|/|a & b|; a known subgroup of that order holding a and b is
+        # the join, and then it is not computed.
+        by_order: dict[int, list[frozenset[int]]] = {}
+        for sub in known.values():
+            by_order.setdefault(len(sub.members), []).append(sub.member_set)
+        subs = list(known.values())
+        for a in subs:  # subs grows while it is walked
+            a_set = a.member_set
+            for b in list(subs):
+                b_set = b.member_set
+                order = len(a_set) * len(b_set) // len(a_set & b_set)
+                if any(a_set <= k and b_set <= k for k in by_order.get(order, ())):
+                    continue
+                join = self._grow(a, b.gens)
+                known[join.members] = join
+                by_order.setdefault(order, []).append(join.member_set)
+                subs.append(join)
         return sorted(known.values(), key=lambda s: (len(s.members), s.members))
 
     def all_subgroups(self, cap: int = 256) -> list["Subgroup"]:
-        """Every subgroup, grown from cyclic subgroups by adjoining elements."""
-        if len(self.elements) > cap:
-            raise ClosureCapExceeded(len(self.elements), cap)
-        known: dict[tuple[int, ...], Subgroup] = {}
+        """Every subgroup, grown from the trivial one by adjoining elements;
+        each subgroup, in discovery order, is extended once.
+
+        All elements of a right coset sub*g give the same <sub, g>, so only
+        the least element of each coset outside sub is adjoined.  Lagrange
+        saves the rest of the work:
+          * when <sub, g> has prime index over sub, every element of it
+            outside sub gives it again, so all of it is skipped;
+          * <sub, g> lies in G and in every overgroup <sub, g'> already
+            found that holds g; once its closure has more than |K|/q
+            elements for such a K (q the least prime dividing |K|), it is
+            K, since no proper subgroup of K is that large.
+        """
+        n = len(self.elements)
+        if n > cap:
+            raise ClosureCapExceeded(n, cap)
+        mul = self.mul
+        whole = self.whole_subgroup()
         trivial = self.trivial_subgroup()
-        known[trivial.members] = trivial
-        frontier = [trivial]
-        for g in range(len(self.elements)):
-            sub = self.subgroup((g,))
-            if sub.members not in known:
-                known[sub.members] = sub
-                frontier.append(sub)
-        while frontier:
-            fresh = []
-            for sub in frontier:
-                for g in range(len(self.elements)):
-                    if g in sub.member_set:
-                        continue
-                    grown = self.subgroup(tuple(sub.gens) + (g,))
-                    if grown.members not in known:
-                        known[grown.members] = grown
-                        fresh.append(grown)
-            frontier = fresh
+        known: dict[tuple[int, ...], Subgroup] = {trivial.members: trivial}
+        subs = [trivial]
+        for sub in subs:  # subs grows while it is walked
+            covered = set(sub.members)
+            overgroups = [whole]
+            for g in range(n):
+                if g in covered:
+                    continue
+                covered.update(mul(h, g) for h in sub.members)
+                within = min((k for k in overgroups if g in k), key=len)
+                limit = len(within) // least_prime_factor(len(within))
+                members, member_set = list(sub.members), set(sub.members)
+                gens = list(sub.gens)
+                self._adjoin(members, member_set, gens, g, limit)
+                key = within.members if len(members) > limit else tuple(sorted(members))
+                grown = known.get(key)
+                if grown is None:
+                    grown = known[key] = Subgroup(self, key, tuple(gens))
+                    subs.append(grown)
+                index = len(key) // len(sub)
+                if least_prime_factor(index) == index:
+                    covered.update(key)
+                else:
+                    overgroups.append(grown)
         return sorted(known.values(), key=lambda s: (len(s.members), s.members))
 
     def quotient(self, n: "Subgroup") -> "FiniteGroup":
@@ -454,10 +515,23 @@ class FiniteGroup:
 
     def sections(self, section_cap: int = 256) -> Iterator[tuple["Subgroup", "Subgroup", "FiniteGroup"]]:
         """All sections H/K: H over all subgroups (largest first), K over the
-        normal subgroups of H (smallest first), so the whole group appears
-        as the first section.  Requires |G| <= section_cap."""
+        normal subgroups of H (smallest first).  Requires |G| <= section_cap.
+
+        The whole group is the unique largest subgroup, so its quotients
+        come first and are yielded before the lattice is enumerated: a scan
+        that stops at G/K never pays for the lattice.  The lattice then runs
+        on integer indices over G's Cayley table, and each H is a group on
+        G's indices, so no carrier is multiplied after the table is built.
+        """
+        n = len(self.elements)
+        if n > section_cap:
+            raise ClosureCapExceeded(n, section_cap)
+        self.tabulate()
+        whole = self.whole_subgroup()
+        for k in self.normal_subgroups():
+            yield whole, k, self.quotient(k)
         subs = self.all_subgroups(section_cap)
-        for h in sorted(subs, key=lambda s: (-len(s.members), s.members)):
+        for h in sorted(subs, key=lambda s: (-len(s.members), s.members))[1:]:
             h_grp = h.as_group()
             for k in h_grp.normal_subgroups():
                 yield h, k, h_grp.quotient(k)
@@ -514,14 +588,15 @@ class Subgroup:
         return self.parent.subgroup(self.members).gens
 
     def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup on the parent's carrier."""
+        """The subgroup as a standalone FiniteGroup whose elements are the
+        parent's indices: it multiplies with ``parent.mul`` (integer lookups
+        once the parent's table exists) and describes with the parent."""
         parent = self.parent
-        elements = [parent.elements[i] for i in self.members]
         gens = self.reduced_gens()
         pos = {i: t for t, i in enumerate(self.members)}
         gen_pos = tuple(dict.fromkeys(pos[g] for g in gens)) or (pos[parent.identity],)
-        return FiniteGroup(elements, parent._mul_raw, pos[parent.identity],
-                           key=parent._key, describe=parent._describe,
+        return FiniteGroup(list(self.members), parent.mul, pos[parent.identity],
+                           key=lambda i: i, describe=parent.describe,
                            gens=gen_pos, name=f"{parent.name}|sub{len(self.members)}")
 
 

@@ -264,6 +264,7 @@ def _wp2_failure(g: FiniteGroup) -> tuple[int, int] | None:
 def has_wp2(g: FiniteGroup) -> PropertyReport:
     """For each k, the set of elements of order dividing p**k already forms
     the subgroup it generates."""
+    g.tabulate()
     fail = _wp2_failure(g)
     counters = {"elements_checked": len(g)}
     if fail is None:
@@ -294,6 +295,7 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
                   ) -> PropertyReport:
     """Run a per-group failure probe over every section H/K of g."""
     if len(g) > section_cap:
+        g.tabulate()
         base_fail = failure(g)
         if base_fail is not None:
             k, idx = base_fail

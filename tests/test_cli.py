@@ -216,6 +216,13 @@ class TestMalformedInput:
         err = self.assert_input_error(["spectrum", str(path)], capsys)
         assert err.startswith("error: malformed matrix") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("top_level", [5, True, None, "perm"])
+    def test_spectrum_file_not_an_object(self, top_level, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(top_level))
+        err = self.assert_input_error(["spectrum", str(path)], capsys)
+        assert err == f"error: {path} is neither a matrix nor a group file\n"
+
     def test_group_file_without_family(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"params": {}, "generators": []}))

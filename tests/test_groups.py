@@ -1,6 +1,7 @@
 """Finite-group kernel: closure determinism, series, quotients, products
 and the power-structure subgroups."""
 
+import functools
 import random
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from submult.cyclotomic import ONE, CyclotomicUnit
-from submult.families import (basic_group, big_cycle, cyclic_generator,
-                              diagonal_abelian_generators,
-                              heisenberg_generators, wreath_generators)
+from submult.families import (AffinePair, basic_group, big_cycle,
+                              cyclic_generator, diagonal_abelian_generators,
+                              dihedral_generators, heisenberg_generators,
+                              quaternion_generators, wreath_generators)
 from submult.groups import (ClosureCapExceeded, FiniteGroup, close,
                             direct_power, direct_product)
 from submult.monomial import MonomialMatrix
+from submult.properties import has_p1, has_p2
 
 
 def brute_commutator_members(g, a_members, b_members):
@@ -212,7 +215,6 @@ class TestSubgroupsAndQuotients:
         assert len(q8.all_subgroups()) == 6
 
     def test_subgroup_counts_known_lattices(self, h3):
-        from submult.families import dihedral_generators
         d8 = close(dihedral_generators())
         assert len(d8.all_subgroups()) == 10
         assert len(d8.normal_subgroups()) == 6
@@ -417,3 +419,184 @@ class TestFullTableKernel:
         calls[0] = 0
         g.full_table()
         assert calls[0] == 0
+
+
+# -- the subgroup lattice against from-scratch references ---------------------------
+#
+# The references are the lattice algorithms the coset-by-coset closure
+# replaced: every subgroup is closed again from the identity by breadth-first
+# search over the lazy ``mul``, and a subgroup as a group multiplies carriers.
+
+def reference_closure(g, gens):
+    seen = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = g.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def reference_subgroup(g, seeds):
+    """(members, greedy gens) of the subgroup generated by the seeds."""
+    gens, members = [], (g.identity,)
+    for s in seeds:
+        if s not in members:
+            gens.append(s)
+            members = reference_closure(g, gens)
+    return members, tuple(gens)
+
+
+def reference_all_subgroups(g):
+    known = {(g.identity,): ()}
+    frontier = [(g.identity,)]
+    for x in range(len(g)):
+        members, gens = reference_subgroup(g, (x,))
+        if members not in known:
+            known[members] = gens
+            frontier.append(members)
+    while frontier:
+        fresh = []
+        for sub in frontier:
+            for x in range(len(g)):
+                if x in sub:
+                    continue
+                members, gens = reference_subgroup(g, known[sub] + (x,))
+                if members not in known:
+                    known[members] = gens
+                    fresh.append(members)
+        frontier = fresh
+    return sorted(known.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def reference_normal_subgroups(g):
+    known = {}
+    for cls in g.conjugacy_classes():
+        members, gens = reference_subgroup(g, cls)
+        known.setdefault(members, gens)
+    known.setdefault((g.identity,), ())
+    frontier = list(known)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(known):
+                members, gens = reference_subgroup(g, known[a] + known[b])
+                if members not in known:
+                    known[members] = gens
+                    fresh.append(members)
+        frontier = fresh
+    return sorted(known.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def reference_as_group(g, members, gens):
+    pos = {i: t for t, i in enumerate(members)}
+    return FiniteGroup([g.elements[i] for i in members], g._mul_raw,
+                       pos[g.identity], key=g._key, describe=g._describe,
+                       gens=tuple(pos[x] for x in gens) or (pos[g.identity],))
+
+
+def reference_sections(g):
+    """(H members, K members, |H/K|) in section order."""
+    subs = sorted(reference_all_subgroups(g), key=lambda kv: (-len(kv[0]), kv[0]))
+    out = []
+    for h, h_gens in subs:
+        h_grp = reference_as_group(g, h, h_gens)
+        for k, _ in reference_normal_subgroups(h_grp):
+            out.append((h, k, len(h) // len(k)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_group(name):
+    if name == "q8":
+        return close(quaternion_generators())
+    if name == "d8":
+        return close(dihedral_generators())
+    if name == "h3":
+        return close(heisenberg_generators(3))
+    if name == "w3":
+        return close(wreath_generators(3))
+    if name == "b321":
+        return basic_group(3, 2, 1)
+    if name == "b521":
+        return basic_group(5, 2, 1)
+    if name == "c3^3":
+        return close(diagonal_abelian_generators(
+            3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    if name == "q8xc3":
+        return direct_product(lattice_group("q8"), close(cyclic_generator(3)))
+    raise KeyError(name)
+
+
+LATTICE_GROUPS = ("q8", "d8", "h3", "w3", "b321", "c3^3")
+
+
+class TestSubgroupLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("h3", "w3", "q8", "b521", "q8xc3")), st.data())
+    def test_subgroup_matches_reference(self, name, data):
+        g = lattice_group(name)
+        seeds = data.draw(st.lists(st.integers(0, len(g) - 1), max_size=5))
+        sub = g.subgroup(seeds)
+        assert (sub.members, sub.gens) == reference_subgroup(g, seeds)
+
+    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    def test_all_subgroups_match_reference(self, name):
+        g = lattice_group(name)
+        assert [(s.members, s.gens) for s in g.all_subgroups()] == \
+            reference_all_subgroups(g)
+
+    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    def test_normal_subgroups_match_reference(self, name):
+        g = lattice_group(name)
+        assert [(s.members, s.gens) for s in g.normal_subgroups()] == \
+            reference_normal_subgroups(g)
+
+    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    def test_sections_match_reference(self, name):
+        g = lattice_group(name)
+        got = [(h.members, k.members, len(section))
+               for h, k, section in g.sections()]
+        assert got == reference_sections(g)
+
+
+class TestLatticeWork:
+    """The lattice multiplies no carrier after the Cayley table exists."""
+
+    @staticmethod
+    def count_products(monkeypatch, cls):
+        calls = [0]
+        original = cls.__mul__
+
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        return calls
+
+    def test_p1_section_scan_products(self, monkeypatch):
+        g = basic_group(5, 2, 1)
+        calls = self.count_products(monkeypatch, AffinePair)
+        assert has_p1(g).holds is True
+        assert calls[0] == len(g.gens) * 125
+
+    def test_lower_central_series_products(self, monkeypatch):
+        g = close(heisenberg_generators(5))
+        calls = self.count_products(monkeypatch, MonomialMatrix)
+        assert [len(t) for t in g.lower_central_series()] == [125, 5, 1]
+        assert calls[0] == len(g.gens) * 125 == 250
+
+    def test_whole_group_failure_skips_the_lattice(self, monkeypatch):
+        def no_lattice(self, cap=256):
+            raise AssertionError("all_subgroups called")
+
+        monkeypatch.setattr(FiniteGroup, "all_subgroups", no_lattice)
+        report = has_p2(close(wreath_generators(3)))
+        assert report.holds is False
+        assert report.counters == {"sections_checked": 1}
