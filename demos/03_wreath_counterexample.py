@@ -25,6 +25,6 @@ print("\nregular        :", regular.holds)
 print("witness pair   :", regular.witness["left_index"],
       regular.witness["right_index"])
 
-spectral = has_property_s(wreath_generators(3))
+spectral = has_property_s(g)
 print("\nproperty (s)   :", spectral.holds)
 print("eigenvalue     :", spectral.witness["eigenvalue"], "(a ninth root)")

@@ -25,7 +25,7 @@ for chi in all_characters(3, 2, 1):
     gens = induced_rep_generators(3, 2, 1, chi)
     image = close(gens)
     print(f"  chi={chi}: image order {len(image):3d}, "
-          f"irreducible={is_irreducible(gens)}")
+          f"irreducible={is_irreducible(image)}")
 
 report = has_property_s_hat_basic(3, 2, 1)
 print("\nevery induced representation is spectrally submultiplicative:",

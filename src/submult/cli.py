@@ -146,27 +146,22 @@ def _run_check(args: argparse.Namespace, config: RunConfig) -> PropertyReport:
     if monomial_only and spec.carrier != "monomial":
         raise ValueError(f"property {prop!r} needs a monomial carrier; "
                          f"{spec.family} is {spec.carrier}")
+    if prop == "s-hat" and spec.family == "basic":
+        ps = spec.params
+        return has_property_s_hat_basic(int(ps["p"]), int(ps["c"]), int(ps["e"]),
+                                        cap=config.closure_cap)
+    g = build_group(spec, cap=config.closure_cap)
     if prop == "s":
-        return has_property_s(build_generators(spec), cap=config.closure_cap,
-                              workers=config.workers)
+        return has_property_s(g)
     if prop == "s-hat":
-        if spec.family == "basic":
-            ps = spec.params
-            return has_property_s_hat_basic(
-                int(ps["p"]), int(ps["c"]), int(ps["e"]),
-                cap=config.closure_cap, workers=config.workers)
-        return has_property_s_hat_single(build_generators(spec),
-                                         cap=config.closure_cap,
-                                         workers=config.workers)
+        return has_property_s_hat_single(g)
     if prop == "chi-containment":
-        return chi_containment(build_generators(spec), args.j,
-                               cap=config.closure_cap)
+        return chi_containment(g, args.j)
     if prop == "irreducible":
-        verdict = is_irreducible(build_generators(spec), cap=config.closure_cap)
+        verdict = is_irreducible(g)
         return PropertyReport("irreducible", verdict,
                               witness=None if verdict else
                               {"explanation": "character norm differs from 1"})
-    g = build_group(spec, cap=config.closure_cap)
     if prop == "wp2":
         return has_wp2(g)
     if prop == "p1":
@@ -178,17 +173,16 @@ def _run_check(args: argparse.Namespace, config: RunConfig) -> PropertyReport:
     if prop == "v-regular":
         return is_v_regular_bounded(g, config.power_cap, cap=config.closure_cap)
     if prop == "p-abelian":
-        return is_p_abelian(g, workers=config.workers)
+        return is_p_abelian(g)
     if prop == "engel":
         depth = args.k if args.k is not None else g.p_group_base()[0] - 1
-        return is_engel(g, depth, workers=config.workers)
+        return is_engel(g, depth)
     raise ValueError(f"unknown property {prop!r}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = RunConfig(closure_cap=args.cap, section_cap=args.section_cap,
-                       power_cap=args.powers, workers=args.workers,
-                       output=args.format, seed=args.seed)
+                       power_cap=args.powers, output=args.format, seed=args.seed)
     try:
         report = _run_check(args, config)
     except (ClosureCapExceeded, ValueError) as exc:
@@ -229,8 +223,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig(closure_cap=args.cap, section_cap=args.section_cap,
-                       power_cap=args.powers, workers=args.workers,
-                       output=args.format, seed=args.seed)
+                       power_cap=args.powers, output=args.format, seed=args.seed)
     names = None if not args.suite or args.suite == ["all"] else args.suite
     results = run_suites(names, config)
     if args.format == "structured":
@@ -256,8 +249,6 @@ def _add_common(parser: argparse.ArgumentParser, *, output_default: str | None =
                         help="section enumeration cap (default 256)")
     parser.add_argument("--powers", type=int, default=2,
                         help="direct powers for v-regular evidence (default 2)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for pair scans (default 1)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the sampling oracles (default 0)")
     parser.add_argument("--format", choices=("text", "structured"),

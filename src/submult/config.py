@@ -17,12 +17,11 @@ class RunConfig:
     closure_cap: int = 4096
     section_cap: int = 256
     power_cap: int = 2
-    workers: int = 1
     output: str = "text"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("closure_cap", "section_cap", "power_cap", "workers"):
+        for name in ("closure_cap", "section_cap", "power_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.output not in ("text", "structured"):

@@ -85,6 +85,7 @@ class FiniteGroup:
             raise ValueError("duplicate elements in group table")
         n = len(self.elements)
         self._rows: list[list[int] | None] = [None] * n
+        self._table_built = False  # set by full_table only, never by mul
         self._inv: list[int] = [-1] * n
         self._orders: list[int] = [0] * n
         self._pow_cache: dict[int, list[int]] = {}
@@ -138,7 +139,7 @@ class FiniteGroup:
             raise ValueError(
                 f"refusing to materialize a {n}x{n} table (> {FULL_TABLE_LIMIT})")
         rows = self._rows
-        if all(row is not None and -1 not in row for row in rows):
+        if self._table_built:
             return rows  # type: ignore[return-value]
         elements, key, index, mul_raw = (self.elements, self._key, self.index,
                                          self._mul_raw)
@@ -169,6 +170,7 @@ class FiniteGroup:
             for j, parent, perm in steps:
                 row[j] = perm[row[parent]]
             rows[i] = row
+        self._table_built = True
         return rows  # type: ignore[return-value]
 
     def tabulate(self) -> None:

@@ -1,11 +1,17 @@
 """Decision procedures for the spectral and power-structure properties.
 
+Every decider takes a closed ``FiniteGroup``: closing generators, and
+choosing the cap for that, is the caller's job (``has_property_s(close(gens))``),
+so one closure and its Cayley table serve every question asked of it.
+Only ``has_property_s_hat_basic``, which builds its own representations,
+and ``is_v_regular_bounded``, which builds direct powers, take a cap.
+
 Every check returns a ``PropertyReport``: a verdict (True, False, or
 "holds-capped" when a cap prevented deciding an unbounded quantifier),
 a replayable witness on failure, and work counters.  Witnesses cite
-deterministic element indices plus serialized elements; pair scans run in
-ascending index order, so a reported witness is the lexicographically
-least failing pair.
+deterministic element indices plus serialized elements; pair scans are
+serial and run in ascending index order, so a reported witness is the
+lexicographically least failing pair.
 
 Verdict conventions:
   * property (S) is checked on ordered pairs over the full closure, never
@@ -17,9 +23,8 @@ Verdict conventions:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .cyclotomic import ONE, Spectrum, is_prime
 from .families import all_characters, big_cycle, induced_rep_generators
@@ -29,6 +34,7 @@ from .monomial import (MonomialMatrix, diagonal_exponents, in_row_span,
                        rotation_difference_image)
 
 HOLDS_CAPPED = "holds-capped"
+IRREDUCIBLE_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -64,45 +70,31 @@ class PropertyReport:
                    caps=list(data.get("caps", [])))
 
 
-def _scan_pairs(n: int, check: Callable[[int, int], bool],
-                workers: int = 1) -> tuple[tuple[int, int] | None, int]:
-    """Ascending scan of ordered pairs; returns the least failing pair.
-
-    With several workers the row range is chunked and each chunk's first
-    failure is merged by minimum, which reproduces the serial witness.
-    """
-    def scan_range(lo: int, hi: int) -> tuple[tuple[int, int] | None, int]:
-        count = 0
-        for i in range(lo, hi):
-            for j in range(n):
-                count += 1
-                if not check(i, j):
-                    return (i, j), count
-        return None, count
-
-    if workers <= 1 or n < 64:
-        return scan_range(0, n)
-    bounds = [(t * n) // workers for t in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda span: scan_range(*span),
-                                zip(bounds, bounds[1:])))
-    failures = [fail for fail, _ in results if fail is not None]
-    total = sum(count for _, count in results)
-    return (min(failures) if failures else None), total
+def _scan_pairs(n: int, check: Callable[[int, int], bool]
+                ) -> tuple[tuple[int, int] | None, int]:
+    """Ascending scan of ordered pairs; returns the least failing pair and
+    the number of pairs checked."""
+    count = 0
+    for i in range(n):
+        for j in range(n):
+            count += 1
+            if not check(i, j):
+                return (i, j), count
+    return None, count
 
 
 # -- property (S): submultiplicative spectra -------------------------------------
 
 class _SpectralClosure:
-    """Closure of monomial generators with interned per-element spectra."""
+    """A closed monomial group's Cayley table with interned per-element
+    spectra."""
 
-    def __init__(self, gens: Sequence[MonomialMatrix], cap: int):
-        self.group = close(list(gens), cap)
-        self.table = self.group.full_table()
+    def __init__(self, g: FiniteGroup):
+        self.table = g.full_table()
         interned: dict[tuple, int] = {}
         self.unique: list[Spectrum] = []
         self.sid: list[int] = []
-        for el in self.group.elements:
+        for el in g.elements:
             s = el.spectrum()
             k = s.key()
             if k not in interned:
@@ -127,25 +119,15 @@ class _SpectralClosure:
         return v
 
 
-def has_property_s(gens: Sequence[MonomialMatrix], *,
-                   cap: int = DEFAULT_CLOSURE_CAP,
-                   workers: int = 1) -> PropertyReport:
+def has_property_s(g: FiniteGroup) -> PropertyReport:
     """Every eigenvalue of A*B is a product of an eigenvalue of A and one
-    of B, for every ordered pair in the closure of the generators."""
-    return _property_s(gens, cap, workers)[0]
-
-
-def _property_s(gens: Sequence[MonomialMatrix], cap: int,
-                workers: int) -> tuple[PropertyReport, _SpectralClosure]:
-    """The property (S) report plus the closure it scanned, so deciders
-    gated on (S) reuse that closure and its table."""
-    sc = _SpectralClosure(gens, cap)
-    g = sc.group
+    of B, for every ordered pair in the monomial group g."""
+    sc = _SpectralClosure(g)
     n = len(g)
-    fail, count = _scan_pairs(n, sc.pair_ok, workers)
+    fail, count = _scan_pairs(n, sc.pair_ok)
     counters = {"pairs_checked": count, "elements_checked": n}
     if fail is None:
-        return PropertyReport("s", True, counters=counters), sc
+        return PropertyReport("s", True, counters=counters)
     i, j = fail
     k = sc.table[i][j]
     prod = sc.product_spectrum(sc.sid[i], sc.sid[j])
@@ -161,41 +143,11 @@ def _property_s(gens: Sequence[MonomialMatrix], cap: int,
         "explanation": "eigenvalue of the product lies outside the set of "
                        "pairwise eigenvalue products",
     }
-    return PropertyReport("s", False, witness=witness, counters=counters), sc
-
-
-def has_property_s_hat_from_reps(reps: Sequence[Sequence[MonomialMatrix]], *,
-                                 exhaustive: bool,
-                                 cap: int = DEFAULT_CLOSURE_CAP,
-                                 workers: int = 1,
-                                 note: str = "") -> PropertyReport:
-    """Check property (S) on each supplied representation closure.
-
-    Failures are genuine (a representation without (S) rules the property
-    out); a clean pass is conclusive only when the representation list is
-    provably exhaustive, otherwise the verdict is capped.
-    """
-    total_pairs = 0
-    for idx, rep in enumerate(reps):
-        sub = has_property_s(rep, cap=cap, workers=workers)
-        total_pairs += sub.counters.get("pairs_checked", 0)
-        if sub.holds is False:
-            witness = dict(sub.witness or {})
-            witness["representation_index"] = idx
-            return PropertyReport("s-hat", False, witness=witness,
-                                  counters={"pairs_checked": total_pairs,
-                                            "reps_checked": idx + 1})
-    counters = {"pairs_checked": total_pairs, "reps_checked": len(reps)}
-    if exhaustive:
-        return PropertyReport("s-hat", True, counters=counters)
-    caps = [note] if note else []
-    caps.append("representation enumeration not provably exhaustive")
-    return PropertyReport("s-hat", HOLDS_CAPPED, counters=counters, caps=caps)
+    return PropertyReport("s", False, witness=witness, counters=counters)
 
 
 def has_property_s_hat_basic(p: int, c: int, e: int, *,
-                             cap: int = DEFAULT_CLOSURE_CAP,
-                             workers: int = 1) -> PropertyReport:
+                             cap: int = DEFAULT_CLOSURE_CAP) -> PropertyReport:
     """Property (S) over the full induced-representation family of the
     basic split-extension group.
 
@@ -203,29 +155,38 @@ def has_property_s_hat_basic(p: int, c: int, e: int, *,
     induced from a character of the abelian base, and degree-1
     representations are submultiplicative outright, so the enumeration is
     exhaustive.  Reducible induced images are checked too, which is sound:
-    the property must hold on every subrepresentation.
+    the property must hold on every subrepresentation.  A representation
+    failing (S) rules the property out.
     """
     reps = [induced_rep_generators(p, c, e, chi)
             for chi in all_characters(p, c, e)]
-    return has_property_s_hat_from_reps(reps, exhaustive=True, cap=cap,
-                                        workers=workers)
+    total_pairs = 0
+    for idx, rep in enumerate(reps):
+        sub = has_property_s(close(rep, cap))
+        total_pairs += sub.counters.get("pairs_checked", 0)
+        if sub.holds is False:
+            witness = dict(sub.witness or {})
+            witness["representation_index"] = idx
+            return PropertyReport("s-hat", False, witness=witness,
+                                  counters={"pairs_checked": total_pairs,
+                                            "reps_checked": idx + 1})
+    return PropertyReport("s-hat", True, counters={"pairs_checked": total_pairs,
+                                                   "reps_checked": len(reps)})
 
 
-def has_property_s_hat_single(gens: Sequence[MonomialMatrix], *,
-                              cap: int = DEFAULT_CLOSURE_CAP,
-                              workers: int = 1) -> PropertyReport:
+def has_property_s_hat_single(g: FiniteGroup) -> PropertyReport:
     """Evidence-grade check from one supplied matrix representation.
 
-    An abelian closure passes conclusively (all irreducible constituents
+    An abelian group passes conclusively (all irreducible constituents
     of every subgroup have degree 1).  Otherwise a pass covers only the
     supplied representation and its subgroup restrictions, so the verdict
     is capped; a failure is conclusive either way.
     """
-    base, sc = _property_s(gens, cap, workers)
+    base = has_property_s(g)
     if base.holds is False:
         return PropertyReport("s-hat", False, witness=base.witness,
                               counters=base.counters)
-    if sc.group.is_abelian():
+    if g.is_abelian():
         # conclusive: every irreducible subrepresentation of an abelian
         # closure has degree 1 and degree-1 spectra multiply exactly
         return PropertyReport("s-hat", True, counters=base.counters)
@@ -246,16 +207,21 @@ def _exponent_levels(g: FiniteGroup) -> tuple[int, int]:
     return p, e
 
 
-def _wp2_failure(g: FiniteGroup) -> tuple[int, int] | None:
-    """First (k, witness_index) where the order-dividing set differs from
-    the subgroup it generates, else None."""
+PowerSet = Callable[[FiniteGroup, int], tuple[int, ...]]
+
+
+def _power_failure(g: FiniteGroup, power_set: PowerSet
+                   ) -> tuple[int, int] | None:
+    """First (k, witness_index) where ``power_set(g, k)`` differs from the
+    subgroup it generates, else None.  With ``order_dividing_set`` that
+    subgroup is omega_k, with ``power_image_set`` it is agemo_k."""
     if len(g) == 1:
         return None
     _, e = _exponent_levels(g)
     for k in range(1, e + 1):
-        delta = set(g.order_dividing_set(k))
-        omega = g.omega_subgroup(k)
-        extra = [m for m in omega.members if m not in delta]
+        elements = power_set(g, k)
+        inside = set(elements)
+        extra = [m for m in g.subgroup(elements).members if m not in inside]
         if extra:
             return k, min(extra)
     return None
@@ -265,7 +231,7 @@ def has_wp2(g: FiniteGroup) -> PropertyReport:
     """For each k, the set of elements of order dividing p**k already forms
     the subgroup it generates."""
     g.tabulate()
-    fail = _wp2_failure(g)
+    fail = _power_failure(g, FiniteGroup.order_dividing_set)
     counters = {"elements_checked": len(g)}
     if fail is None:
         return PropertyReport("wp2", True, counters=counters)
@@ -277,26 +243,12 @@ def has_wp2(g: FiniteGroup) -> PropertyReport:
     return PropertyReport("wp2", False, witness=witness, counters=counters)
 
 
-def _p1_failure(g: FiniteGroup) -> tuple[int, int] | None:
-    if len(g) == 1:
-        return None
-    _, e = _exponent_levels(g)
-    for k in range(1, e + 1):
-        nabla = set(g.power_image_set(k))
-        mho = g.agemo_subgroup(k)
-        extra = [m for m in mho.members if m not in nabla]
-        if extra:
-            return k, min(extra)
-    return None
-
-
 def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
-                  failure: Callable[[FiniteGroup], tuple[int, int] | None]
-                  ) -> PropertyReport:
-    """Run a per-group failure probe over every section H/K of g."""
+                  power_set: PowerSet) -> PropertyReport:
+    """Run the power probe over every section H/K of g."""
     if len(g) > section_cap:
         g.tabulate()
-        base_fail = failure(g)
+        base_fail = _power_failure(g, power_set)
         if base_fail is not None:
             k, idx = base_fail
             witness = {"k": k, "element_index": idx, "element": g.describe(idx),
@@ -311,7 +263,7 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
     checked = 0
     for h, kernel, section in g.sections(section_cap):
         checked += 1
-        fail = failure(section)
+        fail = _power_failure(section, power_set)
         if fail is not None:
             k, idx = fail
             witness = {"k": k, "element_index": idx,
@@ -328,54 +280,37 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
 def has_p2(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
     """Every section satisfies the wp2 equality (order-dividing sets are
     subgroups); exhaustive below the section cap, capped above it."""
-    return _section_scan(g, section_cap, "p2", _wp2_failure)
+    return _section_scan(g, section_cap, "p2", FiniteGroup.order_dividing_set)
 
 
 def has_p1(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
     """Every section has its p**k-th power set equal to the subgroup those
     powers generate."""
-    return _section_scan(g, section_cap, "p1", _p1_failure)
+    return _section_scan(g, section_cap, "p1", FiniteGroup.power_image_set)
 
 
 # -- regularity ------------------------------------------------------------------
 
-def _closure_from(table: list[list[int]], identity: int,
-                  gens: Sequence[int]) -> tuple[int, ...]:
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = table[x]
-            for gen in gens:
-                y = row[gen]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
 def _pair_derived(table: list[list[int]], inv: list[int], identity: int,
                   x: int, y: int) -> tuple[int, ...]:
-    """Derived subgroup of the pair-generated subgroup: the normal closure
-    of the single commutator [x, y] under conjugation by x and y."""
+    """Derived subgroup of <x, y>, the normal closure of c = [x, y] there,
+    found in one breadth-first search.
+
+    It is the least set S holding the identity that is closed under
+    m -> m*c and conjugation by x and by y.  N is such a set, so S <= N.
+    Conjugation maps the finite S onto itself, so {w : S*w = S} is a
+    subgroup holding c and normalized by x and y; it holds N, so N <= S.
+    """
     c = table[table[inv[x]][inv[y]]][table[x][y]]
-    seeds = [c]
-    members = _closure_from(table, identity, seeds)
-    member_set = set(members)
-    while True:
-        new = []
-        for k in members:
-            for g in (x, y):
-                conj = table[table[inv[g]][k]][g]
-                if conj not in member_set:
-                    new.append(conj)
-        if not new:
-            return members
-        seeds.extend(new)
-        members = _closure_from(table, identity, seeds)
-        member_set = set(members)
+    row_xi, row_yi = table[inv[x]], table[inv[y]]
+    seen = {identity}
+    members = [identity]
+    for m in members:  # members grows while it is walked
+        for t in (table[m][c], table[row_xi[m]][x], table[row_yi[m]][y]):
+            if t not in seen:
+                seen.add(t)
+                members.append(t)
+    return tuple(sorted(members))
 
 
 def is_regular(g: FiniteGroup) -> PropertyReport:
@@ -469,7 +404,7 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
 
 # -- elementwise pair identities ----------------------------------------------------
 
-def is_p_abelian(g: FiniteGroup, *, workers: int = 1) -> PropertyReport:
+def is_p_abelian(g: FiniteGroup) -> PropertyReport:
     """(xy)**p = x**p y**p for all pairs."""
     p, _ = g.p_group_base()
     n = len(g)
@@ -477,7 +412,7 @@ def is_p_abelian(g: FiniteGroup, *, workers: int = 1) -> PropertyReport:
     pw = g.power_map(p)
 
     fail, count = _scan_pairs(
-        n, lambda i, j: pw[table[i][j]] == table[pw[i]][pw[j]], workers)
+        n, lambda i, j: pw[table[i][j]] == table[pw[i]][pw[j]])
     counters = {"pairs_checked": count}
     if fail is None:
         return PropertyReport("p-abelian", True, counters=counters)
@@ -488,7 +423,7 @@ def is_p_abelian(g: FiniteGroup, *, workers: int = 1) -> PropertyReport:
     return PropertyReport("p-abelian", False, witness=witness, counters=counters)
 
 
-def is_engel(g: FiniteGroup, k: int, *, workers: int = 1) -> PropertyReport:
+def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
     """The k-fold iterated commutator [x, y, y, ..., y] is trivial for all
     pairs."""
     if k < 1:
@@ -498,7 +433,7 @@ def is_engel(g: FiniteGroup, k: int, *, workers: int = 1) -> PropertyReport:
     identity = g.identity
 
     fail, count = _scan_pairs(
-        n, lambda i, j: g.engel_bracket(i, j, k) == identity, workers)
+        n, lambda i, j: g.engel_bracket(i, j, k) == identity)
     counters = {"pairs_checked": count}
     if fail is None:
         return PropertyReport("engel", True, counters=counters)
@@ -510,26 +445,24 @@ def is_engel(g: FiniteGroup, k: int, *, workers: int = 1) -> PropertyReport:
     return PropertyReport("engel", False, witness=witness, counters=counters)
 
 
-def order_submultiplicativity(gens: Sequence[MonomialMatrix], *,
-                              cap: int = DEFAULT_CLOSURE_CAP,
-                              workers: int = 1) -> PropertyReport:
-    """On a closure with property (S), |AB| divides max(|A|, |B|) for all
-    pairs.  If the closure fails (S) nothing is asserted (vacuous pass)."""
-    gate, sc = _property_s(gens, cap, workers)
-    if gate.holds is False:
+def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
+    """On a monomial group with property (S), |AB| divides max(|A|, |B|)
+    for all pairs.  If the group fails (S) nothing is asserted (vacuous
+    pass)."""
+    if has_property_s(g).holds is False:
         return PropertyReport(
             "order-divisibility", True,
             counters={"pairs_checked": 0},
             caps=["vacuous: the closure fails property s, so the "
                   "divisibility is not asserted"])
-    g, table = sc.group, sc.table
+    table = g.full_table()
     n = len(g)
     orders = [g.element_order(i) for i in range(n)]
 
     def check(i: int, j: int) -> bool:
         return max(orders[i], orders[j]) % orders[table[i][j]] == 0
 
-    fail, count = _scan_pairs(n, check, workers)
+    fail, count = _scan_pairs(n, check)
     counters = {"pairs_checked": count}
     if fail is None:
         return PropertyReport("order-divisibility", True, counters=counters)
@@ -544,27 +477,21 @@ def order_submultiplicativity(gens: Sequence[MonomialMatrix], *,
 
 # -- exponent-vector containment for degree-p groups ----------------------------------
 
-def character_norm(gens: Sequence[MonomialMatrix], *,
-                   cap: int = DEFAULT_CLOSURE_CAP) -> float:
-    """Mean squared absolute character value over the closure (float
-    bridge); 1.0 characterizes irreducibility."""
-    g = close(list(gens), cap)
+def character_norm(g: FiniteGroup) -> float:
+    """Mean squared absolute character value over the monomial group g
+    (float bridge); 1.0 characterizes irreducibility."""
     return sum(abs(el.trace()) ** 2 for el in g.elements) / len(g)
 
 
-def is_irreducible(gens: Sequence[MonomialMatrix], *,
-                   cap: int = DEFAULT_CLOSURE_CAP,
-                   tolerance: float = 1e-6) -> bool:
-    return abs(character_norm(gens, cap=cap) - 1.0) < tolerance
+def is_irreducible(g: FiniteGroup) -> bool:
+    return abs(character_norm(g) - 1.0) < IRREDUCIBLE_TOLERANCE
 
 
-def _normalize_cycle_to_standard(gens: Sequence[MonomialMatrix],
-                                 cap: int) -> FiniteGroup:
-    """Return the closure conjugated (diagonally) so that the plain cycle
-    is a group element; requires some element with the standard cycle
-    permutation and entry product 1."""
-    g = close(list(gens), cap)
-    n = gens[0].n
+def _normalize_cycle_to_standard(g: FiniteGroup) -> FiniteGroup:
+    """Return g conjugated (diagonally) so that the plain cycle is a group
+    element; requires some element with the standard cycle permutation and
+    entry product 1."""
+    n = g.elements[0].n
     standard = big_cycle(n, 1)
     if standard.key() in g.index:
         return g
@@ -582,12 +509,11 @@ def _normalize_cycle_to_standard(gens: Sequence[MonomialMatrix],
             continue
         e_mat = MonomialMatrix.diagonal(diag)
         e_inv = e_mat.inverse()
-        return close([e_inv * x * e_mat for x in gens], cap)
+        return close([e_inv * g.elements[i] * e_mat for i in g.gens], len(g))
     raise ValueError("no element is diagonally similar to the standard cycle")
 
 
-def chi_containment(gens: Sequence[MonomialMatrix], j: int | None = None, *,
-                    cap: int = DEFAULT_CLOSURE_CAP) -> PropertyReport:
+def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
     """For an irreducible exponent-p monomial group of prime degree p that
     contains the standard cycle (up to diagonal similarity): the diagonal
     exponent vectors of the j-th lower central term lie in the image of
@@ -595,17 +521,17 @@ def chi_containment(gens: Sequence[MonomialMatrix], j: int | None = None, *,
 
     ``j = None`` checks every level up to the nilpotency class.
     """
-    p = gens[0].n
+    p = g.elements[0].n
     if not is_prime(p):
         raise ValueError(f"degree {p} is not prime")
-    g = _normalize_cycle_to_standard(gens, cap)
-    if g.p_group_base()[0] != p:
+    std = _normalize_cycle_to_standard(g)
+    if std.p_group_base()[0] != p:
         raise ValueError("closure is not a p-group for the matrix degree")
-    if g.exponent() != p:
-        raise ValueError(f"closure has exponent {g.exponent()}, expected {p}")
-    if not is_irreducible(list(gens), cap=cap):
+    if std.exponent() != p:
+        raise ValueError(f"closure has exponent {std.exponent()}, expected {p}")
+    if not is_irreducible(g):
         raise ValueError("closure is not irreducible")
-    series = g.lower_central_series()
+    series = std.lower_central_series()
     klass = len(series) - 1
     levels = [j] if j is not None else list(range(1, klass + 1))
     elements_checked = 0
@@ -616,7 +542,7 @@ def chi_containment(gens: Sequence[MonomialMatrix], j: int | None = None, *,
             continue
         basis = rotation_difference_image(p, min(level, p))
         for idx in series[level].members:
-            el = g.elements[idx]
+            el = std.elements[idx]
             if not el.is_diagonal():
                 raise ValueError(
                     f"lower central term {level} contains a non-diagonal element")
@@ -624,7 +550,7 @@ def chi_containment(gens: Sequence[MonomialMatrix], j: int | None = None, *,
             elements_checked += 1
             if not in_row_span(basis, vec.coords, p):
                 witness = {"level": level, "element_index": idx,
-                           "element": g.describe(idx),
+                           "element": std.describe(idx),
                            "exponents": list(vec.coords),
                            "basis": [list(r) for r in basis],
                            "explanation": "exponent vector escapes the "

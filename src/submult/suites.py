@@ -58,7 +58,7 @@ class CorpusEntry:
 
     def s_report(self) -> PropertyReport:
         if self._s_report is None:
-            self._s_report = has_property_s(self.gens())
+            self._s_report = has_property_s(self.group())
         return self._s_report
 
     def degree(self) -> int:
@@ -282,7 +282,7 @@ def suite_t5(config: RunConfig) -> list[CriterionResult]:
     the (p-1)-fold Engel identity, and the class is at most p - 1."""
     suite = _Suite()
     for p, name in ((3, "basic_b321"), (5, "basic_b521")):
-        report = has_property_s_hat_basic(p, 2, 1, workers=config.workers)
+        report = has_property_s_hat_basic(p, 2, 1)
         suite.check(f"all induced representations of B_{p}(2,1) pass s",
                     report.holds is True,
                     f"reps={report.counters.get('reps_checked')}")
@@ -302,7 +302,7 @@ def suite_t6(config: RunConfig) -> list[CriterionResult]:
     rotation-difference images, whose dimensions step down by one."""
     suite = _Suite()
     for p, name in ((3, "heisenberg3"), (5, "heisenberg5")):
-        report = chi_containment(corpus()[name].gens())
+        report = chi_containment(corpus()[name].group())
         suite.check(f"{name}: containment at every level up to the class",
                     report.holds is True,
                     f"levels={report.counters.get('levels_checked')}")
@@ -338,8 +338,7 @@ def suite_t7(config: RunConfig) -> list[CriterionResult]:
         if entry.s_report().holds is True:
             suite.check(f"s => wp2 for {entry.name}",
                         has_wp2(entry.group()).holds is True)
-            divisibility = order_submultiplicativity(
-                entry.gens(), workers=config.workers)
+            divisibility = order_submultiplicativity(entry.group())
             suite.check(f"s => |AB| divides max(|A|,|B|) for {entry.name}",
                         divisibility.holds is True
                         and divisibility.counters.get("pairs_checked", 0) > 0)
@@ -350,19 +349,19 @@ def suite_t7(config: RunConfig) -> list[CriterionResult]:
     sample = rng.sample(eligible, min(5, len(eligible)))
     for a, b in sample:
         gens = _tensor_generators(a.gens(), b.gens())
-        report = has_property_s(gens, workers=config.workers)
+        report = has_property_s(close(gens))
         suite.check(f"tensor of {a.name} and {b.name} keeps property s",
                     report.holds is True,
                     f"order={report.counters.get('elements_checked')}")
     hat_passers = [e for e in monomial
-                   if has_property_s_hat_single(e.gens()).passed]
+                   if has_property_s_hat_single(e.group()).passed]
     product_pairs = [(a, b) for a in hat_passers for b in hat_passers
                      if a.degree() * b.degree() <= 36
                      and len(a.group()) * len(b.group()) <= 1024]
     product_sample = rng.sample(product_pairs, min(3, len(product_pairs)))
     for a, b in product_sample:
         gens = _tensor_generators(a.gens(), b.gens())
-        report = has_property_s(gens, workers=config.workers)
+        report = has_property_s(close(gens))
         suite.check(
             f"direct product {a.name} x {b.name}: sampled representation keeps s",
             report.holds is True)
@@ -385,7 +384,7 @@ def suite_t8(config: RunConfig) -> list[CriterionResult]:
         g = entry.group()
         if any(el.det() != ONE for el in g.elements):
             continue
-        if not is_irreducible(entry.gens()):
+        if not is_irreducible(g):
             continue
         if entry.s_report().holds is not True:
             continue

@@ -109,8 +109,8 @@ class TestHeisenbergFamily:
         assert h3.nilpotency_class() == 2
 
     def test_irreducible(self):
-        assert is_irreducible(heisenberg_generators(3))
-        assert is_irreducible(heisenberg_generators(5))
+        assert is_irreducible(close(heisenberg_generators(3)))
+        assert is_irreducible(close(heisenberg_generators(5)))
 
     def test_rejects_two(self):
         with pytest.raises(ValueError):
@@ -177,7 +177,7 @@ class TestInducedRepresentations:
 
     def test_faithful_character_irreducible(self):
         gens = induced_rep_generators(3, 2, 1, (1, 1))
-        assert is_irreducible(gens)
+        assert is_irreducible(close(gens))
         assert len(close(gens)) == 27
 
     def test_image_order_divides_group_order(self):

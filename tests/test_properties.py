@@ -3,6 +3,7 @@ implications between them on the named examples."""
 
 import pytest
 
+from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
 from submult.families import (basic_group, big_cycle, cyclic_generator,
                               diagonal_abelian_generators, dihedral_generators,
@@ -10,7 +11,7 @@ from submult.families import (basic_group, big_cycle, cyclic_generator,
                               wreath_generators)
 from submult.groups import close
 from submult.monomial import MonomialMatrix
-from submult.properties import (PropertyReport, character_norm,
+from submult.properties import (PropertyReport, _pair_derived, character_norm,
                                 chi_containment, has_p1, has_p2,
                                 has_property_s, has_property_s_hat_basic,
                                 has_property_s_hat_single, has_wp2, is_engel,
@@ -30,7 +31,7 @@ class TestReportContract:
             PropertyReport("s", False)
 
     def test_round_trip(self):
-        report = has_property_s(quaternion_generators())
+        report = has_property_s(close(quaternion_generators()))
         again = PropertyReport.from_json(report.to_json())
         assert again.to_json() == report.to_json()
 
@@ -43,10 +44,10 @@ class TestReportContract:
 class TestPropertyS:
     def test_commuting_diagonals_pass(self):
         gens = diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]])
-        assert has_property_s(gens).holds is True
+        assert has_property_s(close(gens)).holds is True
 
     def test_quaternion_fails_with_expected_pair(self):
-        report = has_property_s(quaternion_generators())
+        report = has_property_s(close(quaternion_generators()))
         assert report.holds is False
         # the stated failing pair: A = diag(i, -i), B = signed swap
         a = MonomialMatrix.diagonal([I4, I4.inverse()])
@@ -57,10 +58,10 @@ class TestPropertyS:
         assert not (a * b).spectrum().issubset(prod)
 
     def test_heisenberg_passes(self):
-        assert has_property_s(heisenberg_generators(3)).holds is True
+        assert has_property_s(close(heisenberg_generators(3))).holds is True
 
     def test_wreath_fails_with_ninth_root(self):
-        report = has_property_s(wreath_generators(3))
+        report = has_property_s(close(wreath_generators(3)))
         assert report.holds is False
         assert CyclotomicUnit.from_json(report.witness["eigenvalue"]).den == 9
         # the stated pair: A = diag(w,1,1), B = the cycle
@@ -72,7 +73,7 @@ class TestPropertyS:
     def test_witness_replays_bit_exact(self):
         for gens in (quaternion_generators(), dihedral_generators(),
                      wreath_generators(3)):
-            report = has_property_s(gens)
+            report = has_property_s(close(gens))
             w = report.witness
             left = MonomialMatrix.from_json(w["left"])
             right = MonomialMatrix.from_json(w["right"])
@@ -83,7 +84,7 @@ class TestPropertyS:
             assert spectrum.to_json() == w["product_spectrum"]
 
     def test_witness_is_lexicographically_least(self):
-        report = has_property_s(quaternion_generators())
+        report = has_property_s(close(quaternion_generators()))
         g = close(quaternion_generators())
         i0, j0 = report.witness["left_index"], report.witness["right_index"]
         for i in range(len(g)):
@@ -94,18 +95,11 @@ class TestPropertyS:
                 assert (a * b).spectrum().issubset(
                     a.spectrum().product(b.spectrum()))
 
-    def test_worker_scan_matches_serial(self):
-        serial = has_property_s(wreath_generators(3), workers=1)
-        threaded = has_property_s(wreath_generators(3), workers=4)
-        assert serial.holds == threaded.holds
-        assert (serial.witness["left_index"], serial.witness["right_index"]) == \
-            (threaded.witness["left_index"], threaded.witness["right_index"])
-
 
 class TestPropertySHat:
     def test_abelian_conclusive(self):
         report = has_property_s_hat_single(
-            diagonal_abelian_generators(4, [[1, 0], [0, 1]]))
+            close(diagonal_abelian_generators(4, [[1, 0], [0, 1]])))
         assert report.holds is True
 
     def test_basic_family_conclusive(self):
@@ -114,11 +108,11 @@ class TestPropertySHat:
         assert report.counters["reps_checked"] == 9
 
     def test_wreath_fails(self):
-        report = has_property_s_hat_single(wreath_generators(3))
+        report = has_property_s_hat_single(close(wreath_generators(3)))
         assert report.holds is False
 
     def test_nonabelian_pass_is_capped(self):
-        report = has_property_s_hat_single(heisenberg_generators(3))
+        report = has_property_s_hat_single(close(heisenberg_generators(3)))
         assert report.holds == "holds-capped"
 
 
@@ -213,6 +207,44 @@ class TestRegularity:
             is_v_regular_bounded(h3, 2, cap=10)
 
 
+def reference_pair_derived(table, identity, x, y):
+    """Derived subgroup of <x, y> from scratch: the word closure of every
+    pairwise commutator of the word closure of (x, y)."""
+    def word_closure(gens):
+        members, frontier = {identity}, [identity]
+        while frontier:
+            frontier = [table[m][s] for m in frontier for s in gens]
+            frontier = [m for m in dict.fromkeys(frontier) if m not in members]
+            members.update(frontier)
+        return tuple(sorted(members))
+
+    inv = [row.index(identity) for row in table]
+    pair = word_closure((x, y))
+    return word_closure({table[table[inv[a]][inv[b]]][table[a][b]]
+                         for a in pair for b in pair})
+
+
+class TestPairDerived:
+    @pytest.mark.parametrize("make", [
+        lambda: close(quaternion_generators()),
+        lambda: close(dihedral_generators()),
+        lambda: close(heisenberg_generators(3)),
+        lambda: close(wreath_generators(3)),
+        lambda: basic_group(3, 2, 1)], ids=["q8", "d8", "h3", "w3", "b321"])
+    def test_matches_word_closure_of_commutators(self, make):
+        g = make()
+        table = g.full_table()
+        inv = [g.inv(i) for i in range(len(g))]
+        memo = {}
+        for x in range(len(g)):
+            for y in range(len(g)):
+                pair = g.subgroup((x, y)).members
+                if pair not in memo:
+                    memo[pair] = reference_pair_derived(table, g.identity, x, y)
+                got = _pair_derived(table, inv, g.identity, x, y)
+                assert got == memo[pair], (x, y)
+
+
 class TestPAbelian:
     def test_abelian(self):
         g = close(diagonal_abelian_generators(4, [[1, 0], [0, 1]]))
@@ -242,16 +274,16 @@ class TestEngel:
 
 class TestOrderDivisibility:
     def test_heisenberg(self):
-        report = order_submultiplicativity(heisenberg_generators(3))
+        report = order_submultiplicativity(close(heisenberg_generators(3)))
         assert report.holds is True
         assert report.counters["pairs_checked"] == 729
 
     def test_abelian(self):
-        report = order_submultiplicativity(cyclic_generator(8))
+        report = order_submultiplicativity(close(cyclic_generator(8)))
         assert report.holds is True
 
     def test_vacuous_on_s_failure(self):
-        report = order_submultiplicativity(quaternion_generators())
+        report = order_submultiplicativity(close(quaternion_generators()))
         assert report.holds is True
         assert report.counters["pairs_checked"] == 0
         assert any("vacuous" in cap for cap in report.caps)
@@ -259,16 +291,16 @@ class TestOrderDivisibility:
 
 class TestChiContainment:
     def test_heisenberg_all_levels(self):
-        report = chi_containment(heisenberg_generators(3))
+        report = chi_containment(close(heisenberg_generators(3)))
         assert report.holds is True
         assert report.counters["class"] == 2
 
     def test_single_level(self):
-        report = chi_containment(heisenberg_generators(5), 2)
+        report = chi_containment(close(heisenberg_generators(5)), 2)
         assert report.holds is True
 
     def test_level_zero_trivial(self):
-        report = chi_containment(heisenberg_generators(3), 0)
+        report = chi_containment(close(heisenberg_generators(3)), 0)
         assert report.holds is True
 
     def test_normalization_from_twisted_cycle(self):
@@ -277,44 +309,61 @@ class TestChiContainment:
         w = W3
         twisted = MonomialMatrix(3, (1, 2, 0), (w, w, w))
         diag = MonomialMatrix.diagonal([ONE, w, w * w])
-        report = chi_containment([twisted, diag])
+        report = chi_containment(close([twisted, diag]))
         assert report.holds is True
 
     def test_rejects_wrong_exponent(self):
         with pytest.raises(ValueError):
-            chi_containment(wreath_generators(3))
+            chi_containment(close(wreath_generators(3)))
 
     def test_rejects_reducible(self):
         # the cycle alone closes to an abelian degree-3 group: exponent 3
         # and cycle present, but reducible
         with pytest.raises(ValueError):
-            chi_containment([big_cycle(3, 1)])
+            chi_containment(close([big_cycle(3, 1)]))
 
 
 class TestIrreducibility:
     def test_degree_one(self):
-        assert is_irreducible(cyclic_generator(9))
+        assert is_irreducible(close(cyclic_generator(9)))
 
     def test_heisenberg(self):
-        assert is_irreducible(heisenberg_generators(3))
-        assert abs(character_norm(heisenberg_generators(3)) - 1.0) < 1e-9
+        assert is_irreducible(close(heisenberg_generators(3)))
+        assert abs(character_norm(close(heisenberg_generators(3))) - 1.0) < 1e-9
 
     def test_diagonal_group_reducible(self):
         assert not is_irreducible(
-            diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]]))
+            close(diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]])))
+
+
+class TestDecidersTakeClosedGroups:
+    @pytest.mark.parametrize("name", ["h3", "h5"])
+    def test_deciders_close_nothing(self, name, request, monkeypatch):
+        g = request.getfixturevalue(name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decider closed generators")
+
+        monkeypatch.setattr(properties, "close", refuse)
+        assert has_property_s(g).holds is True
+        assert has_property_s_hat_single(g).holds == "holds-capped"
+        assert order_submultiplicativity(g).holds is True
+        assert is_irreducible(g)
+        assert abs(character_norm(g) - 1.0) < 1e-9
+        assert chi_containment(g).holds is True
 
 
 class TestImplicationChain:
     def test_regular_failure_forces_s_hat_failure(self, w3):
         # contrapositive on the wreath witness chain
         assert is_regular(w3).holds is False
-        assert has_property_s_hat_single(wreath_generators(3)).holds is False
+        assert has_property_s_hat_single(close(wreath_generators(3))).holds is False
 
     def test_irregular_order8_groups_lack_s_hat(self, q8):
         for gens in (quaternion_generators(), dihedral_generators(),
                      wreath_generators(2)):
             assert is_regular(close(gens)).holds is False
-            assert has_property_s_hat_single(gens).holds is False
+            assert has_property_s_hat_single(close(gens)).holds is False
 
     def test_no_irreducible_degree2_2group_has_s(self):
         # a 2-group with submultiplicative spectra is abelian, and abelian
@@ -324,13 +373,13 @@ class TestImplicationChain:
                      wreath_generators(2)):
             g = close(gens)
             assert g.p_group_base()[0] == 2
-            if is_irreducible(gens):
-                assert has_property_s(gens).holds is False
+            if is_irreducible(close(gens)):
+                assert has_property_s(close(gens)).holds is False
 
     def test_s_passers_satisfy_wp2(self, h3, h5):
         for gens, group in ((heisenberg_generators(3), h3),
                             (heisenberg_generators(5), h5)):
-            assert has_property_s(gens).holds is True
+            assert has_property_s(close(gens)).holds is True
             assert has_wp2(group).holds is True
 
     def test_3groups_with_s_hat_evidence_are_metabelian(self, h3):
@@ -338,5 +387,5 @@ class TestImplicationChain:
                             (cyclic_generator(9), close(cyclic_generator(9))),
                             (diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]]),
                              close(diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]])))):
-            if has_property_s_hat_single(gens).passed:
+            if has_property_s_hat_single(close(gens)).passed:
                 assert group.is_metabelian()
