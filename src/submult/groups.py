@@ -230,9 +230,10 @@ class FiniteGroup:
         return math.lcm(*(self.element_order(i) for i in range(len(self.elements))))
 
     def p_group_base(self) -> tuple[int, int]:
-        """(p, e) with |G| = p**e; raises for non-p-groups."""
+        """(p, e) with |G| = p**e; raises for non-p-groups.  The trivial
+        group is a p-group for every prime and reports the least, (2, 0)."""
         if len(self.elements) == 1:
-            raise ValueError("trivial group has no defining prime")
+            return 2, 0
         base = prime_power_base(len(self.elements))
         if base is None:
             raise ValueError(f"group of order {len(self.elements)} is not a p-group")

@@ -17,8 +17,9 @@ Verdict conventions:
   * property (S) is checked on ordered pairs over the full closure, never
     just on generators;
   * spectra compare as sets (multiplicity ignored);
-  * bounded direct-power regularity never reports an unqualified True,
-    since the underlying quantifier ranges over all finite powers.
+  * bounded direct-power regularity reports an unqualified True only on
+    the trivial group, since the underlying quantifier ranges over all
+    finite powers.
 """
 
 from __future__ import annotations
@@ -314,48 +315,42 @@ def _pair_derived(table: list[list[int]], inv: list[int], identity: int,
 
 
 def is_regular(g: FiniteGroup) -> PropertyReport:
-    """For every ordered pair (x, y) there is z in the derived subgroup of
+    """For every ordered pair (x, y) there is z in the derived subgroup D of
     the pair-generated subgroup with (xy)**p = x**p * y**p * z**p.
 
-    Commuting pairs reduce to (xy)**p = x**p * y**p since the derived
-    subgroup is trivial.  For the rest, z**p ranges over the p-th powers
-    of that derived subgroup, cached per distinct subgroup.
+    Each ordered pair is first tested with z = 1, i.e. (xy)**p = x**p * y**p.
+    The identity lies in every D, so a pair passing that test is settled
+    without D; commuting pairs and pairs (x, x) always pass it.  D is built
+    only for an unordered pair {x, y} with an orientation failing the test,
+    and then z**p ranges over the p-th powers of D, cached per distinct D.
     """
     p, _ = g.p_group_base()
     n = len(g)
     table = g.full_table()
-    identity = g.identity
     pw = g.power_map(p)
     inv = [g.inv(i) for i in range(n)]
     zp_cache: dict[tuple[int, ...], frozenset[int]] = {}
     best: tuple[int, int] | None = None
-    pairs = 0
-
-    def ordered_fails(a: int, b: int, zp: frozenset[int] | None) -> bool:
-        ab_p = pw[table[a][b]]
-        rhs = table[pw[a]][pw[b]]
-        if zp is None:
-            return ab_p != rhs
-        return table[inv[rhs]][ab_p] not in zp
 
     for x in range(n):
-        row_x = table[x]
-        for y in range(x, n):
-            commuting = row_x[y] == table[y][x]
-            if commuting:
-                zp = None
-            else:
-                derived = _pair_derived(table, inv, identity, x, y)
-                zp = zp_cache.get(derived)
-                if zp is None:
-                    zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
-            for a, b in ((x, y),) if x == y else ((x, y), (y, x)):
-                pairs += 1
-                if ordered_fails(a, b, zp):
-                    cand = (a, b)
-                    if best is None or cand < best:
-                        best = cand
-    counters = {"pairs_checked": pairs,
+        px = pw[x]
+        row_x, row_xp = table[x], table[px]
+        for y in range(x + 1, n):
+            py = pw[y]
+            forward = pw[row_x[y]] != row_xp[py]
+            backward = pw[table[y][x]] != table[py][px]
+            if not (forward or backward):
+                continue
+            derived = _pair_derived(table, inv, g.identity, x, y)
+            zp = zp_cache.get(derived)
+            if zp is None:
+                zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
+            for a, b, z1_fails in ((x, y, forward), (y, x, backward)):
+                rhs = table[pw[a]][pw[b]]
+                if z1_fails and table[inv[rhs]][pw[table[a][b]]] not in zp:
+                    if best is None or (a, b) < best:
+                        best = (a, b)
+    counters = {"pairs_checked": n * n,
                 "pair_subgroups_analyzed": len(zp_cache)}
     if best is None:
         return PropertyReport("regular", True, counters=counters)
@@ -371,9 +366,9 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
 
 def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
                          cap: int = DEFAULT_CLOSURE_CAP) -> PropertyReport:
-    """Regularity of G, G^2, ..., G^powers.  Success is always reported as
-    capped evidence: the genuine property quantifies over all finite
-    direct powers."""
+    """Regularity of G, G^2, ..., G^powers.  Success is reported as capped
+    evidence, since the genuine property quantifies over all finite direct
+    powers, except on the trivial group: every power of it is trivial."""
     checked = []
     caps: list[str] = []
     total_pairs = 0
@@ -392,6 +387,10 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
                                   counters={"pairs_checked": total_pairs,
                                             "powers_checked": m})
         checked.append(m)
+        if len(g) == 1:
+            return PropertyReport("v-regular", True,
+                                  counters={"pairs_checked": total_pairs,
+                                            "powers_checked": m})
     if not checked:
         raise ClosureCapExceeded(len(g), cap)
     caps.append(f"direct powers checked: {checked}; the full property "

@@ -411,6 +411,8 @@ def regular_first_failure_by_definition(g: FiniteGroup
     groups finish.  Returns the least failing ordered pair, else None.
     """
     n = len(g)
+    if n == 1:
+        return None
     table = g.full_table()
     e = g.identity
     order = n

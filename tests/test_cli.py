@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from submult import cli
 from submult.cli import main
-from submult.properties import PropertyReport
+from submult.properties import PropertyReport, is_engel
 
 
 @pytest.fixture()
@@ -191,6 +192,43 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "T99"]) == 2
+
+
+class TestTrivialGroup:
+    """The order-1 group is a p-group for every prime: every power and
+    pair identity holds on it."""
+
+    @pytest.fixture()
+    def trivial_file(self, tmp_path):
+        path = tmp_path / "trivial.json"
+        assert main(["construct", "diagonal_abelian", "--m", "3",
+                     "--vector", "0,0", "-o", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("prop", ["regular", "v-regular", "p-abelian",
+                                      "engel", "wp2", "p1", "p2"])
+    def test_check_holds(self, prop, trivial_file, capsys):
+        assert main(["check", prop, str(trivial_file),
+                     "--format", "structured"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["holds"] is True and report["caps"] == []
+
+    def test_engel_default_depth_one(self, trivial_file, monkeypatch):
+        depths = []
+
+        def recording(g, k):
+            depths.append(k)
+            return is_engel(g, k)
+
+        monkeypatch.setattr(cli, "is_engel", recording)
+        assert main(["check", "engel", str(trivial_file)]) == 0
+        assert depths == [1]
+
+    def test_analyze(self, trivial_file, capsys):
+        assert main(["analyze", str(trivial_file), "--format", "structured"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["order"], data["exponent"], data["class"]) == (1, 1, 0)
+        assert data["power_structure"] == []
 
 
 class TestMalformedInput:

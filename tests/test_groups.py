@@ -82,6 +82,8 @@ class TestOrdersAndExponent:
         g = close(cyclic_generator(6))
         with pytest.raises(ValueError):
             g.p_group_base()
+        # the trivial group is a p-group for every p and reports the least
+        assert close(diagonal_abelian_generators(3, [[0, 0]])).p_group_base() == (2, 0)
 
 
 class TestCommutators:

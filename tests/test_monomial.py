@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum, prime_power_roots
 from submult.families import big_cycle
@@ -22,6 +24,19 @@ def random_monomial(rng, n=None, dens=(1, 2, 3, 4, 6, 8, 9)):
     for _ in range(n):
         den = rng.choice(dens)
         entries.append(CyclotomicUnit(rng.randrange(den), den))
+    return MonomialMatrix(n, tuple(perm), tuple(entries))
+
+
+@st.composite
+def monomial_matrices(draw):
+    """A monomial matrix of degree <= 6 whose entries are roots of unity of
+    the orders ``random_monomial`` draws from."""
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(n)))
+    entries = draw(st.lists(
+        st.sampled_from((1, 2, 3, 4, 6, 8, 9)).flatmap(
+            lambda d: st.builds(CyclotomicUnit, st.integers(0, d - 1), st.just(d))),
+        min_size=n, max_size=n))
     return MonomialMatrix(n, tuple(perm), tuple(entries))
 
 
@@ -135,6 +150,12 @@ class TestSpectrum:
             m = random_monomial(rng, rng.randint(1, 8))
             order = m.order()
             assert all(order % u.order == 0 for u in m.spectrum())
+
+    @settings(max_examples=100, deadline=None)
+    @given(monomial_matrices(), st.data())
+    def test_spectrum_of_power(self, m, data):
+        k = data.draw(st.integers(-m.order(), m.order()))
+        assert (m ** k).spectrum() == Spectrum(u ** k for u in m.spectrum())
 
 
 class TestDeterminant:

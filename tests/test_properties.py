@@ -2,6 +2,8 @@
 implications between them on the named examples."""
 
 import pytest
+from hypothesis import assume, given
+from test_groups import KERNEL_SETTINGS, monomial_groups
 
 from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
@@ -9,7 +11,7 @@ from submult.families import (basic_group, big_cycle, cyclic_generator,
                               diagonal_abelian_generators, dihedral_generators,
                               heisenberg_generators, quaternion_generators,
                               wreath_generators)
-from submult.groups import close
+from submult.groups import close, direct_power, direct_product, prime_power_base
 from submult.monomial import MonomialMatrix
 from submult.properties import (PropertyReport, _pair_derived, character_norm,
                                 chi_containment, has_p1, has_p2,
@@ -18,6 +20,7 @@ from submult.properties import (PropertyReport, _pair_derived, character_norm,
                                 is_irreducible, is_p_abelian, is_regular,
                                 is_v_regular_bounded,
                                 order_submultiplicativity)
+from submult.suites import regular_first_failure_by_definition
 
 W3 = CyclotomicUnit(1, 3)
 I4 = CyclotomicUnit(1, 4)
@@ -243,6 +246,71 @@ class TestPairDerived:
                     memo[pair] = reference_pair_derived(table, g.identity, x, y)
                 got = _pair_derived(table, inv, g.identity, x, y)
                 assert got == memo[pair], (x, y)
+
+
+def assert_regular_matches_oracle(g):
+    """Verdict, least witness and pair count of is_regular against the
+    by-definition oracle."""
+    report = is_regular(g)
+    oracle = regular_first_failure_by_definition(g)
+    assert report.counters["pairs_checked"] == len(g) ** 2
+    if oracle is None:
+        assert report.holds is True
+    else:
+        assert report.holds is False
+        w = report.witness
+        assert (w["left_index"], w["right_index"]) == oracle
+    return report
+
+
+class TestRegularityShortcut:
+    """is_regular settles a pair by z = 1 and builds the pair's derived
+    subgroup only when that test fails."""
+
+    @pytest.mark.parametrize("make, subgroups_built", [
+        (lambda: basic_group(3, 3, 1), 1),
+        (lambda: direct_product(close(quaternion_generators()),
+                                close(cyclic_generator(4))), 1),
+        (lambda: direct_product(close(dihedral_generators()),
+                                close(cyclic_generator(2))), 1),
+        (lambda: direct_product(close(heisenberg_generators(3)),
+                                close(cyclic_generator(3))), 0),
+        (lambda: close(diagonal_abelian_generators(3, [[0, 0]])), 0),
+    ], ids=["b331", "q8xc4", "d8xc2", "h3xc3", "trivial"])
+    def test_matches_oracle(self, make, subgroups_built):
+        report = assert_regular_matches_oracle(make())
+        assert report.counters["pair_subgroups_analyzed"] == subgroups_built
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    def test_random_p_groups_match_oracle(self, g):
+        assume(len(g) == 1 or prime_power_base(len(g)) is not None)
+        assert_regular_matches_oracle(g)
+
+    def test_derived_subgroup_settles_what_z1_does_not(self):
+        # B_3(2,2) is not 3-abelian, but its derived subgroup is cyclic of
+        # order 9, so it is regular (p odd): every pair failing z = 1 must
+        # be settled by some z**p from its pair's derived subgroup
+        g = basic_group(3, 2, 2)
+        derived = g.derived_subgroup().members
+        assert len(derived) == 9
+        assert max(g.element_order(z) for z in derived) == 9
+        assert is_p_abelian(g).holds is False
+        report = is_regular(g)
+        assert report.holds is True
+        assert report.counters["pair_subgroups_analyzed"] == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: direct_power(basic_group(3, 2, 1), 2),
+        lambda: basic_group(5, 2, 1)], ids=["b321^2", "b521"])
+    def test_no_derived_subgroup_when_z1_settles(self, make, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("derived subgroup built")
+
+        monkeypatch.setattr(properties, "_pair_derived", refuse)
+        report = is_regular(make())
+        assert report.holds is True
+        assert report.counters["pair_subgroups_analyzed"] == 0
 
 
 class TestPAbelian:
