@@ -48,80 +48,6 @@ def binomial_diagonal(p: int, k: int, i: int, eta: CyclotomicUnit) -> MonomialMa
     return MonomialMatrix.diagonal([eta ** math.comb(j, i) for j in range(n)])
 
 
-def block_reorder_permutation(p: int, k: int) -> MonomialMatrix:
-    """Basis reordering that groups the coordinates 0..p**k-1 by residue
-    class mod p (class b at block b, ordered inside by the quotient t, so
-    new position b*p**(k-1) + t holds old coordinate b + t*p).
-
-    Under conjugation by this permutation the p-th power of the big cycle
-    becomes a block diagonal of p copies of the (k-1)-level big cycle.
-    """
-    n = p ** k
-    m = p ** (k - 1)
-    perm = [0] * n
-    for b in range(p):
-        for t in range(m):
-            # column (new position) -> row (old coordinate)
-            perm[b * m + t] = b + t * p
-    return MonomialMatrix.from_perm(perm)
-
-
-def binomial_diagonal_block_split(p: int, k: int, i: int, eta: CyclotomicUnit
-                                  ) -> tuple[bool, dict]:
-    """Reorder ``binomial_diagonal(p, k, i, eta)`` by residue classes mod p
-    and try to factor each diagonal block as a scalar from the p**k-th
-    roots times a product of level-(k-1) binomial diagonals.
-
-    Returns (verdict, details); the details carry the factorization found
-    (per block: the scalar exponent and the factor list (u, theta)), or the
-    first obstruction.  A False verdict is a checkable failure, not an error.
-    """
-    if k < 2:
-        raise ValueError("block splitting needs k >= 2")
-    d = binomial_diagonal(p, k, i, eta)
-    n, m = p ** k, p ** (k - 1)
-    base = p ** k
-    omega = CyclotomicUnit(1, base)
-    # exponent of eta against the primitive p**k-th root
-    x = eta.num * (base // eta.den)
-    blocks = []
-    for b in range(p):
-        seq = [(math.comb(b + t * p, i) * x) % base for t in range(m)]
-        alpha_exp = seq[0]
-        rel = [(s - alpha_exp) % base for s in seq]
-        # Newton forward differences give the integer coefficients of the
-        # block exponents in the binomial basis binom(t, u).
-        coeffs = []
-        diff = rel[:]
-        while diff:
-            coeffs.append(diff[0] % base)
-            diff = [(diff[t + 1] - diff[t]) % base for t in range(len(diff) - 1)]
-            if all(c == 0 for c in diff):
-                break
-        factors = []
-        for u, c in enumerate(coeffs):
-            if u == 0 or c == 0:
-                continue
-            if u > i:
-                return False, {"block": b, "reason": f"degree {u} exceeds {i}"}
-            theta = omega ** c
-            if (p ** (k - 1)) % theta.order != 0:
-                return False, {"block": b, "coefficient": c,
-                               "reason": "factor scalar is not a p**(k-1)-th root"}
-            factors.append((u, theta))
-        rebuilt = MonomialMatrix.identity(m)
-        for u, theta in factors:
-            rebuilt = rebuilt * binomial_diagonal(p, k - 1, u, theta)
-        expected = MonomialMatrix.diagonal([omega ** r for r in rel])
-        if rebuilt != expected:
-            return False, {"block": b, "reason": "factor product mismatch"}
-        if rebuilt.det() != ONE:
-            return False, {"block": b, "reason": "block determinant is not 1"}
-        blocks.append({"alpha_exp": alpha_exp,
-                       "factors": [(u, theta.to_json()) for u, theta in factors]})
-    return True, {"blocks": blocks, "modulus": base}
-
-
 def heisenberg_generators(p: int) -> list[MonomialMatrix]:
     """Generators of the degree-p irreducible monomial group of order p**3,
     exponent p and class 2 (p odd): the p-cycle and diag(1, w, ..., w**(p-1))."""

@@ -539,21 +539,6 @@ class FiniteGroup:
             for k in h_grp.normal_subgroups():
                 yield h, k, h_grp.quotient(k)
 
-    # -- integrity checks ----------------------------------------------------------
-
-    def spot_check(self, rng, triples: int = 200) -> None:
-        """Sampled associativity and Latin-square checks; raises on failure."""
-        n = len(self.elements)
-        for _ in range(triples):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise AssertionError(f"associativity fails at {(a, b, c)}")
-        rows = [rng.randrange(n) for _ in range(min(n, 8))]
-        for r in rows:
-            seen = {self.mul(r, j) for j in range(n)}
-            if len(seen) != n:
-                raise AssertionError(f"row {r} is not a permutation")
-
 
 @dataclass(frozen=True)
 class Subgroup:

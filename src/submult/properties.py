@@ -9,17 +9,26 @@ and ``is_v_regular_bounded``, which builds direct powers, take a cap.
 Every check returns a ``PropertyReport``: a verdict (True, False, or
 "holds-capped" when a cap prevented deciding an unbounded quantifier),
 a replayable witness on failure, and work counters.  Witnesses cite
-deterministic element indices plus serialized elements; pair scans are
-serial and run in ascending index order, so a reported witness is the
-lexicographically least failing pair.
+deterministic element indices plus serialized elements.
+
+Pair scans run over conjugacy-class representatives.  The pair predicates
+of (S), p-abelianness, the Engel identity and order divisibility are all
+unchanged by simultaneous conjugation (x, y) -> (x**g, y**g): spectra and
+element orders are class functions and (xy)**g = x**g y**g, and the other
+two are words in x and y.  Every ordered pair is conjugate to one whose
+first entry is the least member of its class, so only those k * n pairs
+(k classes) are evaluated, representatives in ascending order.  A row
+below the first failing representative belongs to a class whose
+representative passed, so a reported witness is still the
+lexicographically least failing pair of all n**2.
 
 Verdict conventions:
-  * property (S) is checked on ordered pairs over the full closure, never
-    just on generators;
+  * property (S) is decided on all ordered pairs over the full closure,
+    never just on generators;
   * spectra compare as sets (multiplicity ignored);
   * bounded direct-power regularity reports an unqualified True only on
-    the trivial group, since the underlying quantifier ranges over all
-    finite powers.
+    abelian groups, whose direct powers are all abelian; otherwise the
+    underlying quantifier ranges over all finite powers.
 """
 
 from __future__ import annotations
@@ -71,17 +80,27 @@ class PropertyReport:
                    caps=list(data.get("caps", [])))
 
 
-def _scan_pairs(n: int, check: Callable[[int, int], bool]
-                ) -> tuple[tuple[int, int] | None, int]:
-    """Ascending scan of ordered pairs; returns the least failing pair and
-    the number of pairs checked."""
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            count += 1
-            if not check(i, j):
-                return (i, j), count
-    return None, count
+def _scan_pairs(g: FiniteGroup, check: Callable[[int, int], bool]
+                ) -> tuple[tuple[int, int] | None, dict[str, int]]:
+    """Decide ``check``, which must be unchanged by simultaneous
+    conjugation, on every ordered pair of g.
+
+    Only the rows of class representatives r (least class members) are
+    evaluated, in ascending order.  The first failure (r, y) found is the
+    least failing pair: each x < r shares its class with a representative
+    below r, whose row passed, so x's row passes too.  Returns that pair
+    and the counters ``pairs_checked`` (n**2 on a pass, the ascending count
+    up to the witness on a failure) and ``pairs_evaluated`` (calls of
+    ``check``).
+    """
+    n = len(g)
+    reps = [cls[0] for cls in g.conjugacy_classes()]
+    for t, r in enumerate(reps):
+        for y in range(n):
+            if not check(r, y):
+                return (r, y), {"pairs_checked": r * n + y + 1,
+                                "pairs_evaluated": t * n + y + 1}
+    return None, {"pairs_checked": n * n, "pairs_evaluated": len(reps) * n}
 
 
 # -- property (S): submultiplicative spectra -------------------------------------
@@ -122,11 +141,19 @@ class _SpectralClosure:
 
 def has_property_s(g: FiniteGroup) -> PropertyReport:
     """Every eigenvalue of A*B is a product of an eigenvalue of A and one
-    of B, for every ordered pair in the monomial group g."""
-    sc = _SpectralClosure(g)
+    of B, for every ordered pair in the monomial group g.
+
+    An abelian g passes without a spectrum computed: commuting matrices of
+    finite order are simultaneously diagonalisable, so each eigenvalue of
+    A*B is a product of eigenvalues of A and B on a common eigenvector.
+    """
     n = len(g)
-    fail, count = _scan_pairs(n, sc.pair_ok)
-    counters = {"pairs_checked": count, "elements_checked": n}
+    if g.is_abelian():
+        return PropertyReport("s", True, counters={
+            "pairs_checked": n * n, "pairs_evaluated": 0, "elements_checked": n})
+    sc = _SpectralClosure(g)
+    fail, counters = _scan_pairs(g, sc.pair_ok)
+    counters["elements_checked"] = n
     if fail is None:
         return PropertyReport("s", True, counters=counters)
     i, j = fail
@@ -161,18 +188,18 @@ def has_property_s_hat_basic(p: int, c: int, e: int, *,
     """
     reps = [induced_rep_generators(p, c, e, chi)
             for chi in all_characters(p, c, e)]
-    total_pairs = 0
+    totals = {"pairs_checked": 0, "pairs_evaluated": 0}
     for idx, rep in enumerate(reps):
         sub = has_property_s(close(rep, cap))
-        total_pairs += sub.counters.get("pairs_checked", 0)
+        for key in totals:
+            totals[key] += sub.counters[key]
         if sub.holds is False:
             witness = dict(sub.witness or {})
             witness["representation_index"] = idx
             return PropertyReport("s-hat", False, witness=witness,
-                                  counters={"pairs_checked": total_pairs,
-                                            "reps_checked": idx + 1})
-    return PropertyReport("s-hat", True, counters={"pairs_checked": total_pairs,
-                                                   "reps_checked": len(reps)})
+                                  counters={**totals, "reps_checked": idx + 1})
+    return PropertyReport("s-hat", True,
+                          counters={**totals, "reps_checked": len(reps)})
 
 
 def has_property_s_hat_single(g: FiniteGroup) -> PropertyReport:
@@ -368,7 +395,8 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
                          cap: int = DEFAULT_CLOSURE_CAP) -> PropertyReport:
     """Regularity of G, G^2, ..., G^powers.  Success is reported as capped
     evidence, since the genuine property quantifies over all finite direct
-    powers, except on the trivial group: every power of it is trivial."""
+    powers, except on an abelian group: every power of it is abelian, hence
+    regular, so G passing settles them all."""
     checked = []
     caps: list[str] = []
     total_pairs = 0
@@ -387,7 +415,7 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
                                   counters={"pairs_checked": total_pairs,
                                             "powers_checked": m})
         checked.append(m)
-        if len(g) == 1:
+        if g.is_abelian():
             return PropertyReport("v-regular", True,
                                   counters={"pairs_checked": total_pairs,
                                             "powers_checked": m})
@@ -406,13 +434,11 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
 def is_p_abelian(g: FiniteGroup) -> PropertyReport:
     """(xy)**p = x**p y**p for all pairs."""
     p, _ = g.p_group_base()
-    n = len(g)
     table = g.full_table()
     pw = g.power_map(p)
 
-    fail, count = _scan_pairs(
-        n, lambda i, j: pw[table[i][j]] == table[pw[i]][pw[j]])
-    counters = {"pairs_checked": count}
+    fail, counters = _scan_pairs(
+        g, lambda i, j: pw[table[i][j]] == table[pw[i]][pw[j]])
     if fail is None:
         return PropertyReport("p-abelian", True, counters=counters)
     i, j = fail
@@ -427,13 +453,11 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
     pairs."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(g)
     g.full_table()
     identity = g.identity
 
-    fail, count = _scan_pairs(
-        n, lambda i, j: g.engel_bracket(i, j, k) == identity)
-    counters = {"pairs_checked": count}
+    fail, counters = _scan_pairs(
+        g, lambda i, j: g.engel_bracket(i, j, k) == identity)
     if fail is None:
         return PropertyReport("engel", True, counters=counters)
     i, j = fail
@@ -451,18 +475,16 @@ def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
     if has_property_s(g).holds is False:
         return PropertyReport(
             "order-divisibility", True,
-            counters={"pairs_checked": 0},
+            counters={"pairs_checked": 0, "pairs_evaluated": 0},
             caps=["vacuous: the closure fails property s, so the "
                   "divisibility is not asserted"])
     table = g.full_table()
-    n = len(g)
-    orders = [g.element_order(i) for i in range(n)]
+    orders = [g.element_order(i) for i in range(len(g))]
 
     def check(i: int, j: int) -> bool:
         return max(orders[i], orders[j]) % orders[table[i][j]] == 0
 
-    fail, count = _scan_pairs(n, check)
-    counters = {"pairs_checked": count}
+    fail, counters = _scan_pairs(g, check)
     if fail is None:
         return PropertyReport("order-divisibility", True, counters=counters)
     i, j = fail

@@ -244,8 +244,8 @@ def suite_t2(config: RunConfig) -> list[CriterionResult]:
 # -- T3: exponent-p groups of degree p pass exhaustively ------------------------------
 
 def suite_t3(config: RunConfig) -> list[CriterionResult]:
-    """The order-27 and order-125 exponent-p monomial groups pass the full
-    ordered-pair scan."""
+    """The order-27 and order-125 exponent-p monomial groups pass property
+    (s) on every ordered pair."""
     suite = _Suite()
     for name, order in (("heisenberg3", 27), ("heisenberg5", 125)):
         entry = corpus()[name]
@@ -408,7 +408,13 @@ def regular_first_failure_by_definition(g: FiniteGroup
     derived subgroups are generated from all pairwise commutators computed
     inline, p-th powers are repeated multiplication, and z is scanned
     exhaustively.  Only per-subgroup memoization is added so corpus-sized
-    groups finish.  Returns the least failing ordered pair, else None.
+    groups finish.
+
+    <x, y> = <y, x>, so pairs are walked with x <= y: each subgroup is
+    closed once and both orientations (x, y) and (y, x) are tested, with
+    no symmetry assumed between them.  Once x exceeds the first entry of
+    the least failure found, every ordered pair that could be smaller has
+    been tested.  Returns the least failing ordered pair, else None.
     """
     n = len(g)
     if n == 1:
@@ -455,15 +461,19 @@ def regular_first_failure_by_definition(g: FiniteGroup
             got = zp_sets[members] = frozenset(pth[z] for z in derived)
         return got
 
+    least: tuple[int, int] | None = None
     for x in range(n):
-        for y in range(n):
-            members = word_closure((x, y))
-            zp = zp_of(members)
-            target = pth[table[x][y]]
-            base = table[pth[x]][pth[y]]
-            if not any(table[base][z] == target for z in zp):
-                return (x, y)
-    return None
+        if least is not None and least[0] < x:
+            break
+        for y in range(x, n):
+            zp = zp_of(word_closure((x, y)))
+            for a, b in {(x, y), (y, x)}:
+                target = pth[table[a][b]]
+                base = table[pth[a]][pth[b]]
+                if not any(table[base][z] == target for z in zp):
+                    if least is None or (a, b) < least:
+                        least = (a, b)
+    return least
 
 
 def suite_t9(config: RunConfig) -> list[CriterionResult]:

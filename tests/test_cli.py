@@ -118,6 +118,15 @@ class TestCheck:
     def test_capped_exit_two(self, b321_file):
         assert main(["check", "v-regular", str(b321_file)]) == 2
 
+    def test_v_regular_abelian_exit_zero(self, tmp_path, capsys):
+        # every direct power of an abelian group is abelian, hence regular
+        path = tmp_path / "c2.json"
+        assert main(["construct", "cyclic", "--m", "2", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", "v-regular", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "holds: true" in out and "powers_checked: 1" in out
+
     def test_section_cap_exit_two(self, h3_file, capsys):
         assert main(["check", "p2", str(h3_file), "--section-cap", "16"]) == 2
         assert "holds-capped" in capsys.readouterr().out

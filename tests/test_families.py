@@ -1,5 +1,5 @@
 """Family constructors: deterministic recipes, defining relations, induced
-representations, and the binomial-diagonal block refinement."""
+representations and group files."""
 
 import json
 
@@ -8,9 +8,7 @@ import pytest
 from submult.cyclotomic import ONE, CyclotomicUnit, prime_power_roots
 from submult.families import (AffineContext, GroupFamilySpec, all_characters,
                               basic_group, big_cycle, binomial_diagonal,
-                              binomial_diagonal_block_split,
-                              block_reorder_permutation, build_generators,
-                              build_group, cyclic_generator,
+                              build_generators, build_group, cyclic_generator,
                               dihedral_generators, group_file_payload,
                               heisenberg_generators, induced_rep_generators,
                               load_group_file, wreath_generators,
@@ -63,43 +61,6 @@ class TestBinomialDiagonal:
         w = CyclotomicUnit(1, 9)
         lhs = binomial_diagonal(3, 2, 1, w) * binomial_diagonal(3, 2, 1, w * w)
         assert lhs == binomial_diagonal(3, 2, 1, w ** 3)
-
-
-class TestBlockSplit:
-    def test_level_two(self):
-        ok, detail = binomial_diagonal_block_split(3, 2, 1, CyclotomicUnit(1, 9))
-        assert ok
-        assert len(detail["blocks"]) == 3
-
-    def test_identity_trivial(self):
-        ok, _ = binomial_diagonal_block_split(3, 2, 1, ONE)
-        assert ok
-
-    def test_higher_index(self):
-        ok, detail = binomial_diagonal_block_split(5, 2, 2, CyclotomicUnit(1, 25))
-        assert ok
-        # the factor search lands inside the level-1 family
-        for block in detail["blocks"]:
-            for _, theta in block["factors"]:
-                assert 5 % CyclotomicUnit.from_json(theta).order == 0
-
-    def test_level_three(self):
-        ok, _ = binomial_diagonal_block_split(3, 3, 1, CyclotomicUnit(1, 27))
-        assert ok
-
-    def test_reorder_turns_cycle_power_into_blocks(self):
-        for p, k in ((3, 2), (3, 3), (5, 2)):
-            reorder = block_reorder_permutation(p, k)
-            lhs = reorder.inverse() * (big_cycle(p, k) ** p) * reorder
-            block = big_cycle(p, k - 1)
-            expected = block
-            for _ in range(p - 1):
-                expected = expected.direct_sum(block)
-            assert lhs == expected
-
-    def test_requires_level_two(self):
-        with pytest.raises(ValueError):
-            binomial_diagonal_block_split(3, 1, 1, CyclotomicUnit(1, 3))
 
 
 class TestHeisenbergFamily:

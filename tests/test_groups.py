@@ -311,11 +311,6 @@ class TestEngelBracket:
 
 
 class TestIntegrity:
-    def test_spot_checks(self, h3, w3, q8):
-        rng = random.Random(20)
-        for g in (h3, w3, q8):
-            g.spot_check(rng, triples=1000)
-
     def test_full_table_is_latin_square(self, h3):
         table = h3.full_table()
         n = len(h3)

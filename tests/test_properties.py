@@ -11,7 +11,8 @@ from submult.families import (basic_group, big_cycle, cyclic_generator,
                               diagonal_abelian_generators, dihedral_generators,
                               heisenberg_generators, quaternion_generators,
                               wreath_generators)
-from submult.groups import close, direct_power, direct_product, prime_power_base
+from submult.groups import (FiniteGroup, close, direct_power, direct_product,
+                            least_prime_factor, prime_power_base)
 from submult.monomial import MonomialMatrix
 from submult.properties import (PropertyReport, _pair_derived, character_norm,
                                 chi_containment, has_p1, has_p2,
@@ -20,7 +21,7 @@ from submult.properties import (PropertyReport, _pair_derived, character_norm,
                                 is_irreducible, is_p_abelian, is_regular,
                                 is_v_regular_bounded,
                                 order_submultiplicativity)
-from submult.suites import regular_first_failure_by_definition
+from submult.suites import corpus, regular_first_failure_by_definition
 
 W3 = CyclotomicUnit(1, 3)
 I4 = CyclotomicUnit(1, 4)
@@ -38,8 +39,8 @@ class TestReportContract:
         again = PropertyReport.from_json(report.to_json())
         assert again.to_json() == report.to_json()
 
-    def test_capped_round_trip(self):
-        report = is_v_regular_bounded(close(cyclic_generator(3)), 2)
+    def test_capped_round_trip(self, h3):
+        report = is_v_regular_bounded(h3, 2)
         assert report.holds == "holds-capped"
         assert PropertyReport.from_json(report.to_json()).holds == "holds-capped"
 
@@ -189,10 +190,12 @@ class TestRegularity:
         assert is_regular(q8).holds is False
 
     def test_v_regular_abelian_three_powers(self):
+        # every direct power of an abelian group is abelian, hence regular,
+        # so G itself passing decides all of them
         g = close(diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]]))
         report = is_v_regular_bounded(g, 3)
-        assert report.holds == "holds-capped"
-        assert report.counters["powers_checked"] == 3
+        assert report.holds is True and not report.caps
+        assert report.counters["powers_checked"] == 1
 
     def test_v_regular_heisenberg_square(self, h3):
         report = is_v_regular_bounded(h3, 2)
@@ -210,21 +213,62 @@ class TestRegularity:
             is_v_regular_bounded(h3, 2, cap=10)
 
 
+def reference_word_closure(table, identity, gens):
+    members, frontier = {identity}, [identity]
+    while frontier:
+        grown = []
+        for m in frontier:
+            for s in gens:
+                t = table[m][s]
+                if t not in members:
+                    members.add(t)
+                    grown.append(t)
+        frontier = grown
+    return tuple(sorted(members))
+
+
+def reference_derived(table, identity, members):
+    """Word closure of every pairwise commutator of ``members``."""
+    inv = [row.index(identity) for row in table]
+    return reference_word_closure(
+        table, identity, {table[table[inv[a]][inv[b]]][table[a][b]]
+                          for a in members for b in members})
+
+
 def reference_pair_derived(table, identity, x, y):
     """Derived subgroup of <x, y> from scratch: the word closure of every
     pairwise commutator of the word closure of (x, y)."""
-    def word_closure(gens):
-        members, frontier = {identity}, [identity]
-        while frontier:
-            frontier = [table[m][s] for m in frontier for s in gens]
-            frontier = [m for m in dict.fromkeys(frontier) if m not in members]
-            members.update(frontier)
-        return tuple(sorted(members))
+    return reference_derived(
+        table, identity, reference_word_closure(table, identity, (x, y)))
 
-    inv = [row.index(identity) for row in table]
-    pair = word_closure((x, y))
-    return word_closure({table[table[inv[a]][inv[b]]][table[a][b]]
-                         for a in pair for b in pair})
+
+def reference_regular_failure(g):
+    """Least ordered pair (x, y) with no z in the derived subgroup D of
+    <x, y> giving (xy)**p = x**p y**p z**p, one ordered pair at a time in
+    ascending order; the p-th powers of D are memoized per pair subgroup."""
+    n = len(g)
+    if n == 1:
+        return None
+    table, e = g.full_table(), g.identity
+    p = least_prime_factor(n)
+
+    def ppow(x):
+        r = e
+        for _ in range(p):
+            r = table[r][x]
+        return r
+
+    pth = [ppow(x) for x in range(n)]
+    zp_of = {}
+    for x in range(n):
+        for y in range(n):
+            pair = reference_word_closure(table, e, (x, y))
+            if pair not in zp_of:
+                zp_of[pair] = {pth[z] for z in reference_derived(table, e, pair)}
+            target, base = pth[table[x][y]], table[pth[x]][pth[y]]
+            if all(table[base][zp] != target for zp in zp_of[pair]):
+                return (x, y)
+    return None
 
 
 class TestPairDerived:
@@ -311,6 +355,205 @@ class TestRegularityShortcut:
         report = is_regular(make())
         assert report.holds is True
         assert report.counters["pair_subgroups_analyzed"] == 0
+
+
+def reference_scan(n, check):
+    """Full ascending scan of all ordered pairs: the least failing pair and
+    the number of pairs up to it."""
+    count = 0
+    for i in range(n):
+        for j in range(n):
+            count += 1
+            if not check(i, j):
+                return (i, j), count
+    return None, count
+
+
+def reference_s(g):
+    """(S) on a pair, from g's table and its elements' spectra."""
+    table = g.full_table()
+    spectra = [el.spectrum() for el in g.elements]
+    products = {}
+
+    def check(i, j):
+        key = (spectra[i].key(), spectra[j].key())
+        if key not in products:
+            products[key] = spectra[i].product(spectra[j])
+        return spectra[table[i][j]].issubset(products[key])
+    return check
+
+
+def reference_p_abelian(g):
+    """(xy)**p = x**p y**p, by repeated multiplication in g's table."""
+    table, e = g.full_table(), g.identity
+    p = g.p_group_base()[0]
+
+    def ppow(x):
+        r = e
+        for _ in range(p):
+            r = table[r][x]
+        return r
+    return lambda i, j: ppow(table[i][j]) == table[ppow(i)][ppow(j)]
+
+
+def reference_engel(g, k):
+    """[x, y, ..., y] (k copies of y) is trivial, from g's table."""
+    table, e = g.full_table(), g.identity
+    inv = [row.index(e) for row in table]
+
+    def check(x, y):
+        for _ in range(k):
+            x = table[table[inv[x]][inv[y]]][table[x][y]]
+        return x == e
+    return check
+
+
+def assert_matches_scan(report, reference):
+    fail, count = reference
+    assert report.counters["pairs_checked"] == count
+    if fail is None:
+        assert report.holds is True
+    else:
+        assert report.holds is False
+        w = report.witness
+        assert (w["left_index"], w["right_index"]) == fail
+
+
+class TestOrbitScan:
+    """Pair deciders evaluate only the rows of conjugacy-class
+    representatives, and report what a full ascending scan reports."""
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    def test_random_groups_match_full_scan(self, g):
+        n = len(g)
+        table = g.full_table()
+        s_ref = reference_scan(n, reference_s(g))
+        assert_matches_scan(has_property_s(g), s_ref)
+        orders = [g.element_order(i) for i in range(n)]
+        assert_matches_scan(
+            order_submultiplicativity(g),
+            (None, 0) if s_ref[0] is not None else reference_scan(
+                n, lambda i, j: max(orders[i], orders[j])
+                % orders[table[i][j]] == 0))
+        if n > 1 and prime_power_base(n) is None:
+            return
+        assert_matches_scan(is_p_abelian(g),
+                            reference_scan(n, reference_p_abelian(g)))
+        for k in (1, 2, 3):
+            assert_matches_scan(is_engel(g, k),
+                                reference_scan(n, reference_engel(g, k)))
+
+    def test_heisenberg5_evaluates_class_representatives(self, h5):
+        assert len(h5.conjugacy_classes()) == 29
+        report = has_property_s(h5)
+        assert report.holds is True
+        assert report.counters["pairs_checked"] == 125 * 125
+        assert report.counters["pairs_evaluated"] == 29 * 125
+
+    @pytest.mark.parametrize("make", [
+        lambda: close(diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]])),
+        lambda: close(diagonal_abelian_generators(4, [[1, 0], [0, 2]])),
+        lambda: close(cyclic_generator(8)),
+        lambda: close(cyclic_generator(9))], ids=["c3xc3", "c4xc2", "c8", "c9"])
+    def test_abelian_closures_need_no_spectra(self, make, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("spectra computed")
+
+        g = make()
+        monkeypatch.setattr(properties, "_SpectralClosure", refuse)
+        report = has_property_s(g)
+        assert report.holds is True
+        assert report.counters["pairs_checked"] == len(g) ** 2
+        assert report.counters["pairs_evaluated"] == 0
+
+    def test_witness_above_skipped_rows(self, w3):
+        # wreath3 has a class of three non-central elements whose rows pass
+        # (S), 3-abelianness and the 2-Engel identity.  Listed right after
+        # the identity, two of them lie below the first failing row but are
+        # not class representatives, so their rows are never evaluated.
+        n, e = len(w3), w3.identity
+        engel2 = reference_engel(w3, 2)
+        cls = next(c for c in w3.conjugacy_classes()
+                   if len(c) == 3 and all(engel2(c[0], y) for y in range(n)))
+        order = [e, *cls] + [i for i in range(n) if i != e and i not in cls]
+        g = FiniteGroup([w3.elements[i] for i in order], lambda a, b: a * b, 0,
+                        key=lambda m: m.key(), describe=lambda m: m.to_json(),
+                        gens=tuple(order.index(i) for i in w3.gens))
+        for report, check in ((has_property_s(g), reference_s(g)),
+                              (is_p_abelian(g), reference_p_abelian(g)),
+                              (is_engel(g, 2), reference_engel(g, 2))):
+            assert_matches_scan(report, reference_scan(n, check))
+            counters = report.counters
+            assert counters["pairs_evaluated"] == counters["pairs_checked"] - 2 * n
+
+    @pytest.mark.parametrize("make, pairs_checked", [
+        (quaternion_generators, 11), (dihedral_generators, 11),
+        (lambda: wreath_generators(3), 84)], ids=["q8", "d8", "w3"])
+    def test_least_witness_unchanged(self, make, pairs_checked):
+        # the least failing pair and its ascending count, as a scan of all
+        # n**2 pairs reports them
+        g = close(make())
+        for report in (has_property_s(g), is_p_abelian(g), is_engel(g, 1)):
+            assert report.holds is False
+            w = report.witness
+            assert (w["left_index"], w["right_index"]) == (1, 2)
+            assert report.counters["pairs_checked"] == pairs_checked
+
+
+class _TableOnly:
+    """Just what the regularity oracle reads: a Cayley table with identity 0."""
+
+    identity = 0
+
+    def __init__(self, table):
+        self.table = table
+
+    def __len__(self):
+        return len(self.table)
+
+    def full_table(self):
+        return self.table
+
+
+# Cayley table of an order-8 loop: a Latin square with identity 0 that is
+# not associative.  The regularity formula read off it holds at (1, 2) and
+# fails at (2, 1), the least failure, which no group tried shows.
+LOOP8 = [[0, 1, 2, 3, 4, 5, 6, 7], [1, 5, 6, 4, 0, 3, 7, 2],
+         [2, 0, 4, 7, 6, 1, 3, 5], [3, 7, 5, 1, 2, 6, 4, 0],
+         [4, 2, 0, 5, 3, 7, 1, 6], [5, 3, 7, 6, 1, 0, 2, 4],
+         [6, 4, 3, 0, 7, 2, 5, 1], [7, 6, 1, 2, 5, 4, 0, 3]]
+
+
+class TestRegularityOracle:
+    """The T9 oracle walks unordered pairs and returns what a literal
+    ordered-pair scan returns."""
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_corpus(self, name):
+        g = corpus()[name].group()
+        if len(g) > 243:
+            pytest.skip("T9 checks corpus groups of order <= 243")
+        assert (regular_first_failure_by_definition(g)
+                == reference_regular_failure(g))
+
+    @pytest.mark.parametrize("make", [
+        lambda: direct_product(close(quaternion_generators()),
+                               close(cyclic_generator(4))),
+        lambda: direct_product(close(dihedral_generators()),
+                               close(cyclic_generator(2))),
+        lambda: basic_group(3, 3, 1),
+        lambda: close(diagonal_abelian_generators(3, [[0, 0]]))],
+        ids=["q8xc4", "d8xc2", "b331", "trivial"])
+    def test_more_groups(self, make):
+        g = make()
+        assert (regular_first_failure_by_definition(g)
+                == reference_regular_failure(g))
+
+    def test_both_orientations(self):
+        loop = _TableOnly(LOOP8)
+        assert reference_regular_failure(loop) == (2, 1)
+        assert regular_first_failure_by_definition(loop) == (2, 1)
 
 
 class TestPAbelian:
