@@ -292,7 +292,7 @@ class GroupFamilySpec:
     def from_json(cls, data: dict) -> "GroupFamilySpec":
         try:
             return cls(str(data["family"]), dict(data["params"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError("malformed group recipe: needs \"family\" and "
                              f"\"params\" ({type(exc).__name__}: {exc})") from exc
 
@@ -308,12 +308,13 @@ def _check_prime(params: dict, key: str = "p") -> None:
         raise ValueError(f"{key} must be prime, got {params[key]}")
 
 
-def _check_basic(params: dict) -> None:
+def _check_basic(params: dict, min_c: int = 1) -> None:
+    """The basic group's parameters; induced_rep also allows c = 0."""
     _require(params, ("p", "c", "e"))
     _check_prime(params)
     p, c, e = int(params["p"]), int(params["c"]), int(params["e"])
-    if c < 1 or e < 1:
-        raise ValueError("c and e must be >= 1")
+    if c < min_c or e < 1:
+        raise ValueError(f"need c >= {min_c} and e >= 1 (c={c}, e={e})")
     if c > p:
         raise ValueError(f"need c <= p for an order-p**e extension (c={c}, p={p})")
 
@@ -328,7 +329,7 @@ _VALIDATORS = {
     "diagonal_abelian": lambda ps: _require(ps, ("m", "vectors")),
     "direct_product": lambda ps: _require(ps, ("factors",)),
     "induced_rep": lambda ps: (_require(ps, ("p", "c", "e", "character")),
-                               _check_prime(ps)),
+                               _check_basic(ps, min_c=0)),
 }
 
 
@@ -399,7 +400,11 @@ def load_group_file(path: str | Path) -> GroupFamilySpec:
     """Load a recipe and confirm the stored generators match it."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     spec = GroupFamilySpec.from_json(data)
-    expected = group_file_payload(spec)["generators"]
+    try:
+        expected = group_file_payload(spec)["generators"]
+    except (LookupError, TypeError, OverflowError) as exc:  # "vectors": 5
+        raise ValueError(f"malformed group recipe: bad {spec.family} parameters "
+                         f"({type(exc).__name__}: {exc})") from exc
     if data.get("generators") != expected:
         raise ValueError(f"{path}: stored generators do not match the recipe")
     return spec

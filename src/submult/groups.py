@@ -8,9 +8,13 @@ affine pairs, index tuples (direct products) or coset representatives
 
 Two multiplication paths share one row cache.  ``mul`` is the lazy path:
 it fills a single entry with one carrier product.  ``full_table`` builds
-the whole Cayley table from |gens| carrier products per element (one
-right-multiplication permutation per generator) and then pure integer
-lookups along a breadth-first spanning tree.
+the whole Cayley table from one right-multiplication permutation per
+generator.  ``close`` records these while closing, so a closed group's
+table costs no carrier product beyond the closure; any other group
+(quotients, subgroups as groups, direct products and powers) computes its
+|gens| permutations with |gens| * n carrier products.  Rows are then
+gathered whole along a breadth-first spanning tree, not filled entry by
+entry.
 
 Whole-group queries (pair scans, ``sections``, ``lower_central_series``)
 build the table first, and the subgroup lattice then runs on integer
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
@@ -72,7 +77,7 @@ class FiniteGroup:
     def __init__(self, elements: list, mul_raw: Callable[[Any, Any], Any],
                  identity: int, *, key: Callable[[Any], Any],
                  describe: Callable[[Any], Any], gens: tuple[int, ...],
-                 name: str = ""):
+                 name: str = "", right: dict[int, list[int]] | None = None):
         self.elements = list(elements)
         self._mul_raw = mul_raw
         self.identity = identity
@@ -80,6 +85,7 @@ class FiniteGroup:
         self._describe = describe
         self.gens = tuple(gens)
         self.name = name
+        self._right = right  # generator index -> x -> x*g, recorded by close
         self.index = {key(e): i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements in group table")
@@ -127,12 +133,18 @@ class FiniteGroup:
     def full_table(self) -> list[list[int]]:
         """Materialize every row; intended for whole-group pair scans.
 
-        Only the |gens| right-multiplication permutations x -> x*g use
-        carrier products.  A breadth-first spanning tree from the identity
-        writes each element j as parent[j] * gens[via[j]], so by
-        associativity i*j = (i*parent[j]) * gens[via[j]] and every row is
-        filled by integer lookups in tree order (a Schreier vector, Holt,
-        Eick and O'Brien, Handbook of Computational Group Theory, ch. 4).
+        The table rests on the |gens| right-multiplication permutations
+        x -> x*g.  A group built by ``close`` recorded them while closing,
+        so its table costs no carrier product beyond the closure; any other
+        group computes them here, |gens| * n carrier products.
+
+        A breadth-first spanning tree from the identity writes each element
+        y as x * g for its parent x and a generator g (a Schreier vector;
+        Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+        ch. 4).  Row g, the left multiplication j -> g*j, is filled along
+        the tree by integer lookups, since g*(x*h) = (g*x)*h.  Every other
+        row is then gathered whole, not filled entry by entry: y*j = x*(g*j),
+        so row y is row x read through row g.
         """
         n = len(self.elements)
         if n > FULL_TABLE_LIMIT:
@@ -144,32 +156,37 @@ class FiniteGroup:
         elements, key, index, mul_raw = (self.elements, self._key, self.index,
                                          self._mul_raw)
         identity = self.identity
-        right = {g: [index[key(mul_raw(x, elements[g]))] for x in elements]
-                 for g in dict.fromkeys(self.gens)}
-        # steps[t] = (j, parent[j], right[gens[via[j]]]) in BFS order
-        steps: list[tuple[int, int, list[int]]] = []
+        right = self._right or {
+            g: [index[key(mul_raw(x, elements[g]))] for x in elements]
+            for g in dict.fromkeys(self.gens)}
+        # steps[t] = (y, x, g) with y = x*g, in BFS order
+        steps: list[tuple[int, int, int]] = []
         seen = [False] * n
         seen[identity] = True
         frontier = [identity]
         while frontier:
             nxt = []
             for x in frontier:
-                for perm in right.values():
+                for g, perm in right.items():
                     y = perm[x]
                     if not seen[y]:
                         seen[y] = True
-                        steps.append((y, x, perm))
+                        steps.append((y, x, g))
                         nxt.append(y)
             frontier = nxt
         if len(steps) + 1 != n:
             raise ValueError(f"generators of {self.name or 'group'} reach only "
                              f"{len(steps) + 1} of {n} elements")
-        for i in range(n):
-            row = [0] * n
-            row[identity] = i
-            for j, parent, perm in steps:
-                row[j] = perm[row[parent]]
-            rows[i] = row
+        gather = {}
+        for g in right:
+            col = [0] * n
+            col[identity] = g
+            for y, x, h in steps:
+                col[y] = right[h][col[x]]
+            gather[g] = operator.itemgetter(*col)
+        rows[identity] = list(range(n))
+        for y, x, g in steps:
+            rows[y] = list(gather[g](rows[x]))
         self._table_built = True
         return rows  # type: ignore[return-value]
 
@@ -594,6 +611,11 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
 
     Element order is deterministic: identity first, then each BFS layer
     sorted by canonical key.  Raises ClosureCapExceeded past the cap.
+
+    The closure computes x*g for every element x and generator g anyway;
+    it records their indices, resolving a new product's key as soon as its
+    layer is indexed, and hands these right-multiplication permutations to
+    the group, so its ``full_table`` multiplies no carrier.
     """
     gens = list(generators)
     if not gens:
@@ -603,13 +625,16 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
     identity = gens[0].identity_like()
     elements = [identity]
     index = {identity.key(): 0}
+    right: list[list[int]] = [[] for _ in gens]  # right[t][x]: x * gens[t]
     layer = [identity]
     while layer:
         found: dict[Any, Any] = {}
+        products = []  # keys of x*g, x over the layer, g over gens
         for x in layer:
             for g in gens:
                 y = x * g
                 k = y.key()
+                products.append(k)
                 if k not in index and k not in found:
                     found[k] = y
         layer = [found[k] for k in sorted(found)]
@@ -618,9 +643,13 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
             elements.append(y)
             if len(elements) > cap:
                 raise ClosureCapExceeded(len(elements), cap)
+        for t, perm in enumerate(right):
+            perm.extend(index[k] for k in products[t::len(gens)])
+    gen_index = tuple(index[g.key()] for g in gens)
     return FiniteGroup(elements, lambda a, b: a * b, 0,
                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
-                       gens=tuple(index[g.key()] for g in gens), name=name)
+                       gens=gen_index, name=name,
+                       right=dict(zip(gen_index, right)))
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup,

@@ -186,7 +186,7 @@ class MonomialMatrix:
         try:
             return cls(int(data["n"]), tuple(int(x) for x in data["perm"]),
                        tuple(CyclotomicUnit.from_json(e) for e in data["entries"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError("malformed matrix: needs \"n\", \"perm\" and "
                              f"\"entries\" ({type(exc).__name__}: {exc})") from exc
 

@@ -401,8 +401,8 @@ class TestFullTableKernel:
         with pytest.raises(ValueError, match="reach only 3 of 27"):
             g.full_table()
 
-    def test_carrier_products_per_generator_only(self):
-        g = close(heisenberg_generators(5))
+    @staticmethod
+    def count_raw_products(g):
         raw = g._mul_raw
         calls = [0]
 
@@ -411,11 +411,48 @@ class TestFullTableKernel:
             return raw(a, b)
 
         g._mul_raw = counting
-        g.full_table()
-        assert calls[0] == len(g.gens) * 125
-        calls[0] = 0
+        return calls
+
+    def test_carrier_products_per_generator_only(self):
+        # close recorded x*g for every generator: the table multiplies nothing
+        g = close(heisenberg_generators(5))
+        calls = self.count_raw_products(g)
         g.full_table()
         assert calls[0] == 0
+        g.full_table()
+        assert calls[0] == 0
+
+    def test_unrecorded_group_computes_generator_permutations(self, h5):
+        # a group built without close pays |gens| * n carrier products once
+        g = FiniteGroup(h5.elements, lambda a, b: a * b, h5.identity,
+                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
+                        gens=h5.gens)
+        calls = self.count_raw_products(g)
+        g.full_table()
+        assert calls[0] == len(g.gens) * 125
+        g.full_table()
+        assert calls[0] == len(g.gens) * 125
+        assert g.full_table() == h5.full_table()
+
+    @pytest.mark.parametrize("make", [
+        lambda: [MonomialMatrix.identity(2)], lambda: cyclic_generator(1),
+        lambda: cyclic_generator(2), lambda: [big_cycle(2, 1)]],
+        ids=["identity", "c1", "c2", "swap"])
+    def test_orders_one_and_two(self, make):
+        # a one-index gather would return a scalar, not a row
+        g = close(make())
+        assert len(g) in (1, 2)
+        assert_table_matches_raw_products(g)
+        assert all(type(row) is list for row in g.full_table())
+
+    def test_repeated_and_identity_generators(self):
+        a, b = heisenberg_generators(3)
+        one = a.identity_like()
+        for gens in ([a, a, b], [a, b, a, b], [one, a, b], [a, one, b, one]):
+            g = close(gens)
+            assert len(g) == 27
+            assert len(g.gens) == len(gens)
+            assert_table_matches_raw_products(g)
 
     def test_rows_filled_by_mul_first(self):
         # lazy products fill rows but do not mark the table built: every
@@ -426,6 +463,18 @@ class TestFullTableKernel:
             for j in range(n - 1 if i == n - 1 else n):
                 g.mul(i, j)
         assert_table_matches_raw_products(g)
+
+    def test_half_filled_rows_then_table(self):
+        # lazy products on every other row, half of each, before the table
+        g = close(wreath_generators(3))
+        n = len(g)
+        for i in range(0, n, 2):
+            for j in range(i % 4, n, 2):
+                g.mul(i, j)
+        assert any(row is None for row in g._rows)
+        assert_table_matches_raw_products(g)
+        assert all(g.mul(i, j) == g.full_table()[i][j]
+                   for i in range(n) for j in range(n))
 
 
 # -- the subgroup lattice against from-scratch references ---------------------------
@@ -573,7 +622,8 @@ class TestSubgroupLattice:
 
 
 class TestLatticeWork:
-    """The lattice multiplies no carrier after the Cayley table exists."""
+    """The lattice multiplies no carrier after the Cayley table exists, and
+    the table of a closed group multiplies none either."""
 
     @staticmethod
     def count_products(monkeypatch, cls):
@@ -591,13 +641,13 @@ class TestLatticeWork:
         g = basic_group(5, 2, 1)
         calls = self.count_products(monkeypatch, AffinePair)
         assert has_p1(g).holds is True
-        assert calls[0] == len(g.gens) * 125
+        assert calls[0] == 0
 
     def test_lower_central_series_products(self, monkeypatch):
         g = close(heisenberg_generators(5))
         calls = self.count_products(monkeypatch, MonomialMatrix)
         assert [len(t) for t in g.lower_central_series()] == [125, 5, 1]
-        assert calls[0] == len(g.gens) * 125 == 250
+        assert calls[0] == 0
 
     def test_whole_group_failure_skips_the_lattice(self, monkeypatch):
         def no_lattice(self, cap=256):

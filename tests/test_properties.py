@@ -467,6 +467,26 @@ class TestOrbitScan:
         assert report.counters["pairs_checked"] == len(g) ** 2
         assert report.counters["pairs_evaluated"] == 0
 
+    @pytest.mark.parametrize("make", [
+        lambda: close(diagonal_abelian_generators(9, [[1, 0], [0, 1]])),
+        lambda: close(diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]])),
+        lambda: close(cyclic_generator(8))], ids=["c9xc9", "c3xc3", "c8"])
+    def test_abelian_closures_evaluate_no_pair(self, make, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair evaluated")
+
+        g = make()
+        monkeypatch.setattr(FiniteGroup, "engel_bracket", refuse)
+        monkeypatch.setattr(FiniteGroup, "power_map", refuse)
+        for report in (is_p_abelian(g), is_engel(g, 1), is_engel(g, 2)):
+            assert report.holds is True
+            assert report.counters == {"pairs_checked": len(g) ** 2,
+                                       "pairs_evaluated": 0}
+
+    def test_abelian_non_p_group_still_rejected(self):
+        with pytest.raises(ValueError, match="not a p-group"):
+            is_p_abelian(close(cyclic_generator(6)))
+
     def test_witness_above_skipped_rows(self, w3):
         # wreath3 has a class of three non-central elements whose rows pass
         # (S), 3-abelianness and the 2-Engel identity.  Listed right after

@@ -1,0 +1,242 @@
+"""JSON boundaries: round trips of matrices, group files and reports, and
+fuzzed input files, on which the CLI exits 0, 1 or 2 and never raises."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_groups import KERNEL_SETTINGS, monomial_groups
+
+from submult.cli import main
+from submult.cyclotomic import CyclotomicUnit
+from submult.families import (GroupFamilySpec, group_file_payload,
+                              load_group_file, write_group_file)
+from submult.monomial import MonomialMatrix
+from submult.properties import HOLDS_CAPPED, PropertyReport, has_property_s
+
+FUZZ_SETTINGS = settings(max_examples=60, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(n)))
+    units = st.builds(CyclotomicUnit, st.integers(-20, 20), st.integers(1, 12))
+    entries = draw(st.lists(units, min_size=n, max_size=n))
+    return MonomialMatrix(n, tuple(perm), tuple(entries))
+
+
+def simple_specs():
+    """Valid recipes of every family but direct_product, all small."""
+    small_prime = st.sampled_from((2, 3))
+    vectors = st.integers(1, 3).flatmap(lambda w: st.lists(
+        st.lists(st.integers(0, 5), min_size=w, max_size=w),
+        min_size=1, max_size=2))
+    basic = small_prime.flatmap(lambda p: st.fixed_dictionaries(
+        {"p": st.just(p), "c": st.integers(1, p), "e": st.integers(1, 2)}))
+    induced = small_prime.flatmap(lambda p: st.integers(0, p).flatmap(
+        lambda c: st.fixed_dictionaries({
+            "p": st.just(p), "c": st.just(c), "e": st.just(1),
+            "character": st.lists(st.integers(0, p - 1),
+                                  min_size=c, max_size=c)})))
+    return st.one_of(
+        st.builds(GroupFamilySpec, st.just("cyclic"),
+                  st.fixed_dictionaries({"m": st.integers(1, 12)})),
+        st.builds(GroupFamilySpec, st.sampled_from(("heisenberg", "wreath_cp_cp")),
+                  st.fixed_dictionaries({"p": st.sampled_from((3, 5))})),
+        st.builds(GroupFamilySpec, st.sampled_from(("quaternion8", "dihedral8")),
+                  st.just({})),
+        st.builds(GroupFamilySpec, st.just("diagonal_abelian"),
+                  st.fixed_dictionaries({"m": st.integers(1, 6),
+                                         "vectors": vectors})),
+        st.builds(GroupFamilySpec, st.just("basic"), basic),
+        st.builds(GroupFamilySpec, st.just("induced_rep"), induced))
+
+
+def specs():
+    monomial = simple_specs().filter(lambda s: s.carrier == "monomial")
+    product = st.lists(monomial, min_size=2, max_size=2).map(
+        lambda fs: GroupFamilySpec("direct_product",
+                                   {"factors": [f.to_json() for f in fs]}))
+    return st.one_of(simple_specs(), product)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 5)
+                | st.floats(-10, 10) | st.just(float("inf"))
+                | st.text(max_size=3))
+JSON_KEYS = st.sampled_from(("n", "perm", "entries", "num", "den", "family",
+                             "params", "generators", "m", "p", "c", "e",
+                             "vectors", "character", "factors")) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(JSON_KEYS, inner, max_size=3),
+    max_leaves=6)
+
+
+class TestRoundTrips:
+    @settings(max_examples=50, deadline=None)
+    @given(matrices())
+    def test_matrix(self, m):
+        again = MonomialMatrix.from_json(json.loads(json.dumps(m.to_json())))
+        assert again == m and again.key() == m.key()
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(specs())
+    def test_group_file(self, tmp_path_factory, spec):
+        path = tmp_path_factory.mktemp("spec") / "g.json"
+        write_group_file(spec, path)
+        text = path.read_text()
+        loaded = load_group_file(path)
+        assert loaded == spec
+        assert loaded.carrier == spec.carrier
+        write_group_file(loaded, path)
+        assert path.read_text() == text
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from((True, False, HOLDS_CAPPED)),
+           st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=4),
+           st.dictionaries(st.text(max_size=8), st.integers(0, 10 ** 9),
+                           max_size=4),
+           st.lists(st.text(max_size=8), max_size=3))
+    def test_report(self, holds, witness, counters, caps):
+        report = PropertyReport("p", holds,
+                                witness=witness if holds is False else None,
+                                counters=counters, caps=caps)
+        data = json.loads(json.dumps(report.to_json()))
+        assert PropertyReport.from_json(data).to_json() == report.to_json()
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    def test_decider_report(self, g):
+        report = has_property_s(g)
+        again = PropertyReport.from_json(json.loads(json.dumps(report.to_json())))
+        assert again == report
+
+
+# -- fuzzed input files ---------------------------------------------------------------
+
+def base_documents():
+    docs = [group_file_payload(GroupFamilySpec(family, params)) for family, params in (
+        ("cyclic", {"m": 9}), ("heisenberg", {"p": 3}), ("quaternion8", {}),
+        ("basic", {"p": 3, "c": 2, "e": 1}),
+        ("diagonal_abelian", {"m": 3, "vectors": [[1, 2, 0], [0, 1, 2]]}),
+        ("induced_rep", {"p": 3, "c": 2, "e": 1, "character": [1, 2]}),
+        ("direct_product", {"factors": [{"family": "cyclic", "params": {"m": 2}},
+                                        {"family": "quaternion8", "params": {}}]}))]
+    matrix = MonomialMatrix(3, (1, 2, 0), (CyclotomicUnit(1, 3), CyclotomicUnit(0),
+                                           CyclotomicUnit(2, 9)))
+    return docs + [matrix.to_json()]
+
+
+def paths(doc, prefix=()):
+    """Every path to a value inside a JSON document, the root included.
+    A group file's stored generators count as one value: the recipe, not
+    the generators it is compared with, is what gets parsed."""
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in children:
+        if k == "generators":
+            yield prefix + (k,)
+        else:
+            yield from paths(v, prefix + (k,))
+
+
+def set_at(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return doc
+
+
+def delete_at(doc, path):
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    del parent[path[-1]]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(base_documents()))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(paths(doc))))
+        if path and draw(st.booleans()):
+            doc = delete_at(doc, path)
+        else:
+            doc = set_at(doc, path, draw(JSON_VALUES))
+    return doc
+
+
+def assert_exit_code(path):
+    for argv in (["spectrum", str(path)], ["check", "s", str(path)]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2), argv
+
+
+class TestFuzzedFiles:
+    @FUZZ_SETTINGS
+    @given(mutated_documents())
+    def test_mutated_documents(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "f.json"
+        path.write_text(json.dumps(doc))
+        assert_exit_code(path)
+
+    @FUZZ_SETTINGS
+    @given(st.binary(max_size=40) | JSON_VALUES.map(
+        lambda v: json.dumps(v).encode()))
+    def test_random_files(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "f.json"
+        path.write_bytes(raw)
+        assert_exit_code(path)
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"family": "cyclic", "params": {"m": [3]}}, id="m-list"),
+        pytest.param({"family": "cyclic", "params": {"m": None}}, id="m-null"),
+        pytest.param({"family": "diagonal_abelian",
+                      "params": {"m": 3, "vectors": 5}}, id="vectors-int"),
+        pytest.param({"family": "diagonal_abelian",
+                      "params": {"m": 3, "vectors": [[[1]]]}}, id="vectors-nested"),
+        pytest.param({"family": "diagonal_abelian",
+                      "params": {"m": 3, "vectors": {"n": 1}}}, id="vectors-dict"),
+        pytest.param({"family": "direct_product", "params": {"factors": 5}},
+                     id="factors-int"),
+        pytest.param({"family": "induced_rep", "params": {
+            "p": 3, "c": 1, "e": 1, "character": 5}}, id="character-int"),
+        pytest.param({"family": "induced_rep", "params": {
+            "p": 2, "c": 3, "e": 1, "character": [1, 1, 1]}}, id="induced-c-above-p"),
+        pytest.param({"family": "induced_rep", "params": {
+            "p": 3, "c": 1, "e": -1, "character": [1]}}, id="induced-e-negative"),
+        pytest.param({"family": "heisenberg", "params": {"p": 4}}, id="p-not-prime"),
+        pytest.param({"family": "heisenberg", "params": {"p": float("inf")}},
+                     id="p-infinite"),
+        pytest.param({"family": "basic", "params": {"p": 3, "c": 2}}, id="basic-no-e"),
+        pytest.param({"n": 1, "perm": [0], "entries": [
+            {"num": 1, "den": float("inf")}]}, id="den-infinite"),
+        pytest.param({"n": 2, "perm": [0, 0], "entries": [{"num": 0, "den": 1}] * 2},
+                     id="perm-not-bijective"),
+        pytest.param({"n": 1, "perm": [0], "entries": [{"num": 1, "den": 0}]},
+                     id="den-zero"),
+        pytest.param({"n": 1, "perm": [0], "entries": [{"num": 1, "den": -3}]},
+                     id="den-negative"),
+        pytest.param({"n": 1, "perm": [0], "entries": [5]}, id="entry-int"),
+        pytest.param([1, 2], id="top-list"), pytest.param(7, id="top-int"),
+        pytest.param("perm", id="top-string"), pytest.param(None, id="top-null"),
+    ])
+    def test_known_malformed_files_exit_two(self, doc, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["spectrum", str(path)], ["check", "s", str(path)]):
+            assert main(argv) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
