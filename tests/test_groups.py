@@ -473,8 +473,6 @@ class TestFullTableKernel:
                 g.mul(i, j)
         assert any(row is None for row in g._rows)
         assert_table_matches_raw_products(g)
-        assert all(g.mul(i, j) == g.full_table()[i][j]
-                   for i in range(n) for j in range(n))
 
 
 # -- the subgroup lattice against from-scratch references ---------------------------
