@@ -304,8 +304,23 @@ def _require(params: dict, keys: tuple[str, ...]) -> None:
 
 
 def _check_prime(params: dict, key: str = "p") -> None:
-    if not is_prime(int(params[key])):
+    # every family taking p builds a group of order at least p, so a p
+    # above the closure cap cannot close; rejecting it before is_prime
+    # bounds that function's trial division
+    p = int(params[key])
+    if p > DEFAULT_CLOSURE_CAP:
+        raise ValueError(f"{key} must be at most {DEFAULT_CLOSURE_CAP}, "
+                         f"got {params[key]}")
+    if not is_prime(p):
         raise ValueError(f"{key} must be prime, got {params[key]}")
+
+
+def _check_factors(params: dict) -> None:
+    _require(params, ("factors",))
+    factors = params["factors"]
+    if not isinstance(factors, list) or len(factors) < 2:
+        raise ValueError("direct_product needs a list of at least two "
+                         f"factors, got {factors!r}")
 
 
 def _check_basic(params: dict, min_c: int = 1) -> None:
@@ -327,7 +342,7 @@ _VALIDATORS = {
     "quaternion8": lambda ps: None,
     "dihedral8": lambda ps: None,
     "diagonal_abelian": lambda ps: _require(ps, ("m", "vectors")),
-    "direct_product": lambda ps: _require(ps, ("factors",)),
+    "direct_product": _check_factors,
     "induced_rep": lambda ps: (_require(ps, ("p", "c", "e", "character")),
                                _check_basic(ps, min_c=0)),
 }

@@ -407,14 +407,23 @@ def regular_first_failure_by_definition(g: FiniteGroup
     from row scans, subgroup generation is word closure from the pair,
     derived subgroups are generated from all pairwise commutators computed
     inline, p-th powers are repeated multiplication, and z is scanned
-    exhaustively.  Only per-subgroup memoization is added so corpus-sized
-    groups finish.
+    exhaustively.  Nothing is shared with ``is_regular``: no conjugacy
+    classes, no z = 1 test, no derived-subgroup search from ``properties``.
+    Only memoization is added so corpus-sized groups finish.
 
-    <x, y> = <y, x>, so pairs are walked with x <= y: each subgroup is
-    closed once and both orientations (x, y) and (y, x) are tested, with
-    no symmetry assumed between them.  Once x exceeds the first entry of
-    the least failure found, every ordered pair that could be smaller has
-    been tested.  Returns the least failing ordered pair, else None.
+    <x, y> = <y, x>, so pairs are walked with x <= y and both orientations
+    (x, y) and (y, x) are tested, with no symmetry assumed between them.
+    Once x exceeds the first entry of the least failure found, every
+    ordered pair that could be smaller has been tested.  Returns the least
+    failing ordered pair, else None.
+
+    For a fixed x, <x, x^i y x^j> = <x, y> for all i, j >= 0: the element
+    x^i y x^j lies in <x, y>, and y = x^-i (x^i y x^j) x^-j with x^-1 a
+    power of x in a finite group.  Only the group axioms and finiteness
+    are used, nothing about the group at hand.  So <x, y> is closed once
+    per double coset <x> y <x>, and every element of that double coset is
+    recorded with the p-th powers of the closure's derived subgroup before
+    any further y is closed.
     """
     n = len(g)
     if n == 1:
@@ -465,8 +474,20 @@ def regular_first_failure_by_definition(g: FiniteGroup
     for x in range(n):
         if least is not None and least[0] < x:
             break
+        known: dict[int, frozenset[int]] = {}
         for y in range(x, n):
-            zp = zp_of(word_closure((x, y)))
+            zp = known.get(y)
+            if zp is None:
+                zp = zp_of(word_closure((x, y)))
+                # mark the double coset <x> y <x>, reached from y by
+                # multiplying with x on the left and on the right
+                known[y] = zp
+                coset = [y]
+                for m in coset:  # coset grows while it is walked
+                    for t in (table[x][m], table[m][x]):
+                        if t not in known:
+                            known[t] = zp
+                            coset.append(t)
             for a, b in {(x, y), (y, x)}:
                 target = pth[table[a][b]]
                 base = table[pth[a]][pth[b]]

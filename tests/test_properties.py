@@ -2,7 +2,7 @@
 implications between them on the named examples."""
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, event, example, given
 from test_groups import KERNEL_SETTINGS, monomial_groups
 
 from submult import properties
@@ -342,6 +342,35 @@ class TestRegularityShortcut:
         assert is_p_abelian(g).holds is False
         report = is_regular(g)
         assert report.holds is True
+        assert report.counters["pair_subgroups_analyzed"] == 0
+
+    def test_commutator_powers_settle_b322(self, monkeypatch):
+        # every pair of B_3(2,2) failing z = 1 is settled by a z from the
+        # cyclic group <[x, y]>, so no derived subgroup is built
+        def refuse(*args):
+            raise AssertionError("derived subgroup built")
+
+        monkeypatch.setattr(properties, "_pair_derived", refuse)
+        assert is_regular(basic_group(3, 2, 2)).holds is True
+
+    @pytest.mark.parametrize("make", [
+        lambda: close(wreath_generators(3)),
+        lambda: basic_group(3, 3, 1)], ids=["w3", "b331"])
+    def test_derived_subgroup_when_commutator_powers_do_not_settle(
+            self, make, monkeypatch):
+        calls = []
+        built = properties._pair_derived
+
+        def counting(*args):
+            calls.append(args)
+            return built(*args)
+
+        monkeypatch.setattr(properties, "_pair_derived", counting)
+        report = is_regular(make())
+        assert calls
+        assert report.holds is False
+        w = report.witness
+        assert (w["left_index"], w["right_index"]) == (1, 2)
         assert report.counters["pair_subgroups_analyzed"] == 1
 
     @pytest.mark.parametrize("make", [
@@ -569,6 +598,17 @@ class TestRegularityOracle:
         g = make()
         assert (regular_first_failure_by_definition(g)
                 == reference_regular_failure(g))
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    @example(close(quaternion_generators()))
+    @example(close(wreath_generators(2)))
+    def test_random_p_groups(self, g):
+        # failing groups stay in: q8 and wreath2 fail at (1, 2)
+        assume(len(g) == 1 or prime_power_base(len(g)) is not None)
+        oracle = regular_first_failure_by_definition(g)
+        event("irregular" if oracle else "regular")
+        assert oracle == reference_regular_failure(g)
 
     def test_both_orientations(self):
         loop = _TableOnly(LOOP8)

@@ -10,10 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_groups import KERNEL_SETTINGS, monomial_groups
 
+from submult import families
 from submult.cli import main
 from submult.cyclotomic import CyclotomicUnit
-from submult.families import (GroupFamilySpec, group_file_payload,
-                              load_group_file, write_group_file)
+from submult.families import (GroupFamilySpec, cyclic_generator,
+                              group_file_payload, load_group_file,
+                              write_group_file)
 from submult.monomial import MonomialMatrix
 from submult.properties import HOLDS_CAPPED, PropertyReport, has_property_s
 
@@ -212,6 +214,12 @@ class TestFuzzedFiles:
                       "params": {"m": 3, "vectors": {"n": 1}}}, id="vectors-dict"),
         pytest.param({"family": "direct_product", "params": {"factors": 5}},
                      id="factors-int"),
+        pytest.param({"family": "direct_product", "params": {"factors": []},
+                      "generators": []}, id="factors-empty"),
+        pytest.param({"family": "direct_product", "params": {"factors": [
+            {"family": "cyclic", "params": {"m": 2}}]},
+            "generators": [g.to_json() for g in cyclic_generator(2)]},
+            id="factors-one"),
         pytest.param({"family": "induced_rep", "params": {
             "p": 3, "c": 1, "e": 1, "character": 5}}, id="character-int"),
         pytest.param({"family": "induced_rep", "params": {
@@ -240,3 +248,15 @@ class TestFuzzedFiles:
         for argv in (["spectrum", str(path)], ["check", "s", str(path)]):
             assert main(argv) == 2, argv
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_huge_prime_rejected_before_primality_test(self, tmp_path,
+                                                        monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) ran")
+
+        monkeypatch.setattr(families, "is_prime", refuse)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"family": "heisenberg",
+                                    "params": {"p": 100000000000031}}))
+        for argv in (["spectrum", str(path)], ["check", "s", str(path)]):
+            assert main(argv) == 2, argv
