@@ -85,9 +85,8 @@ def _spec_from_args(args: argparse.Namespace) -> GroupFamilySpec:
                   "character": None if args.character is None
                   else _parse_int_list(args.character)}
     elif family == "direct_product":
-        if not args.factor or len(args.factor) < 2:
-            raise ValueError("direct_product needs at least two --factor files")
-        factors = [load_group_file(path).to_json() for path in args.factor]
+        factors = [load_group_file(path).to_json()
+                   for path in args.factor or []]
         params = {"factors": factors}
     else:
         raise ValueError(f"unknown family {family!r}")

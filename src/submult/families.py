@@ -304,12 +304,11 @@ def _require(params: dict, keys: tuple[str, ...]) -> None:
 
 
 def _check_prime(params: dict, key: str = "p") -> None:
-    # every family taking p builds a group of order at least p, so a p
-    # above the closure cap cannot close; rejecting it before is_prime
-    # bounds that function's trial division
+    # recipes take p <= DEFAULT_CLOSURE_CAP, a fixed limit checked before
+    # is_prime so that its trial division stays bounded
     p = int(params[key])
     if p > DEFAULT_CLOSURE_CAP:
-        raise ValueError(f"{key} must be at most {DEFAULT_CLOSURE_CAP}, "
+        raise ValueError(f"recipes take {key} <= {DEFAULT_CLOSURE_CAP}, "
                          f"got {params[key]}")
     if not is_prime(p):
         raise ValueError(f"{key} must be prime, got {params[key]}")

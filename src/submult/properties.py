@@ -354,19 +354,15 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
 
     Each ordered pair is first tested with z = 1, i.e. (xy)**p = x**p * y**p.
     The identity lies in every D, so a pair passing that test is settled
-    without D; commuting pairs and pairs (x, x) always pass it.  A failing
-    orientation is next tested against the p-th powers of the cyclic group
-    <c>, c = [x, y], cached per c: <c> lies in D, so a z found there
-    settles it.  D is built only for an unordered pair {x, y} with an
-    orientation that <c> does not settle, and then z**p ranges over the
-    p-th powers of D, cached per distinct D.
+    without D; commuting pairs and pairs (x, x) always pass it.  D is built
+    only for an unordered pair {x, y} with an orientation failing the test,
+    and then z**p ranges over the p-th powers of D, cached per distinct D.
     """
     p, _ = g.p_group_base()
     n = len(g)
     table = g.full_table()
     pw = g.power_map(p)
     inv = [g.inv(i) for i in range(n)]
-    cyclic_cache: dict[int, frozenset[int]] = {}
     zp_cache: dict[tuple[int, ...], frozenset[int]] = {}
     best: tuple[int, int] | None = None
 
@@ -379,25 +375,13 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
             backward = pw[table[y][x]] != table[py][px]
             if not (forward or backward):
                 continue
-            c = table[table[inv[x]][inv[y]]][row_x[y]]
-            cyclic = cyclic_cache.get(c)
-            if cyclic is None:
-                powers = [c]
-                while powers[-1] != g.identity:
-                    powers.append(table[powers[-1]][c])
-                cyclic = cyclic_cache[c] = frozenset(pw[z] for z in powers)
-            zp = None
-            for a, b in ((x, y), (y, x)):
-                # an orientation passing z = 1 needs the identity, in <c>
-                needed = table[inv[table[pw[a]][pw[b]]]][pw[table[a][b]]]
-                if needed in cyclic:
-                    continue
-                if zp is None:
-                    derived = _pair_derived(table, inv, g.identity, x, y)
-                    zp = zp_cache.get(derived)
-                    if zp is None:
-                        zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
-                if needed not in zp:
+            derived = _pair_derived(table, inv, g.identity, x, y)
+            zp = zp_cache.get(derived)
+            if zp is None:
+                zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
+            for a, b, z1_fails in ((x, y, forward), (y, x, backward)):
+                rhs = table[pw[a]][pw[b]]
+                if z1_fails and table[inv[rhs]][pw[table[a][b]]] not in zp:
                     if best is None or (a, b) < best:
                         best = (a, b)
     counters = {"pairs_checked": n * n,

@@ -419,8 +419,9 @@ def regular_first_failure_by_definition(g: FiniteGroup
 
     For a fixed x, <x, x^i y x^j> = <x, y> for all i, j >= 0: the element
     x^i y x^j lies in <x, y>, and y = x^-i (x^i y x^j) x^-j with x^-1 a
-    power of x in a finite group.  Only the group axioms and finiteness
-    are used, nothing about the group at hand.  So <x, y> is closed once
+    power of x in a finite group.  This uses associativity and finiteness
+    but nothing about the group at hand, so the marking is sound on any
+    finite group and not on a non-associative table.  <x, y> is closed once
     per double coset <x> y <x>, and every element of that double coset is
     recorded with the p-th powers of the closure's derived subgroup before
     any further y is closed.

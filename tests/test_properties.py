@@ -342,35 +342,6 @@ class TestRegularityShortcut:
         assert is_p_abelian(g).holds is False
         report = is_regular(g)
         assert report.holds is True
-        assert report.counters["pair_subgroups_analyzed"] == 0
-
-    def test_commutator_powers_settle_b322(self, monkeypatch):
-        # every pair of B_3(2,2) failing z = 1 is settled by a z from the
-        # cyclic group <[x, y]>, so no derived subgroup is built
-        def refuse(*args):
-            raise AssertionError("derived subgroup built")
-
-        monkeypatch.setattr(properties, "_pair_derived", refuse)
-        assert is_regular(basic_group(3, 2, 2)).holds is True
-
-    @pytest.mark.parametrize("make", [
-        lambda: close(wreath_generators(3)),
-        lambda: basic_group(3, 3, 1)], ids=["w3", "b331"])
-    def test_derived_subgroup_when_commutator_powers_do_not_settle(
-            self, make, monkeypatch):
-        calls = []
-        built = properties._pair_derived
-
-        def counting(*args):
-            calls.append(args)
-            return built(*args)
-
-        monkeypatch.setattr(properties, "_pair_derived", counting)
-        report = is_regular(make())
-        assert calls
-        assert report.holds is False
-        w = report.witness
-        assert (w["left_index"], w["right_index"]) == (1, 2)
         assert report.counters["pair_subgroups_analyzed"] == 1
 
     @pytest.mark.parametrize("make", [
@@ -611,6 +582,8 @@ class TestRegularityOracle:
         assert oracle == reference_regular_failure(g)
 
     def test_both_orientations(self):
+        # LOOP8 checks orientation handling only: the double-coset marking
+        # assumes associativity, which a loop need not have
         loop = _TableOnly(LOOP8)
         assert reference_regular_failure(loop) == (2, 1)
         assert regular_first_failure_by_definition(loop) == (2, 1)
