@@ -12,12 +12,14 @@ a replayable witness on failure, and work counters.  Witnesses cite
 deterministic element indices plus serialized elements.
 
 Pair scans run over conjugacy-class representatives.  The pair predicates
-of (S), p-abelianness, the Engel identity and order divisibility are all
-unchanged by simultaneous conjugation (x, y) -> (x**g, y**g): spectra and
-element orders are class functions and (xy)**g = x**g y**g, and the other
-two are words in x and y.  Every ordered pair is conjugate to one whose
-first entry is the least member of its class, so only those k * n pairs
-(k classes) are evaluated, representatives in ascending order.  A row
+of (S), p-abelianness, the Engel identity, order divisibility and
+regularity are all unchanged by simultaneous conjugation
+(x, y) -> (x**g, y**g): spectra and element orders are class functions and
+(xy)**g = x**g y**g, p-abelianness and the Engel identity are words in x
+and y, and the derived subgroup of a pair's subgroup moves with the pair,
+D(<x**g, y**g>) = D(<x, y>)**g.  Every ordered pair is conjugate to one
+whose first entry is the least member of its class, so only those k * n
+pairs (k classes) are evaluated, representatives in ascending order.  A row
 below the first failing representative belongs to a class whose
 representative passed, so a reported witness is still the
 lexicographically least failing pair of all n**2.
@@ -103,6 +105,19 @@ def _scan_pairs(g: FiniteGroup, check: Callable[[int, int], bool]
     return None, {"pairs_checked": n * n, "pairs_evaluated": len(reps) * n}
 
 
+def _pair_report(prop: str, g: FiniteGroup, check: Callable[[int, int], bool],
+                 details: Callable[[int, int], dict]) -> PropertyReport:
+    """Report of ``_scan_pairs(g, check)``: True, or False with the least
+    failing pair as witness, extended by ``details(i, j)``."""
+    fail, counters = _scan_pairs(g, check)
+    if fail is None:
+        return PropertyReport(prop, True, counters=counters)
+    i, j = fail
+    witness = {"left_index": i, "right_index": j,
+               "left": g.describe(i), "right": g.describe(j), **details(i, j)}
+    return PropertyReport(prop, False, witness=witness, counters=counters)
+
+
 def _all_pairs_pass(g: FiniteGroup) -> dict[str, int]:
     """The counters of ``_scan_pairs`` for a predicate that every pair of g
     is known to pass, so none is evaluated.  Not a shortcut inside
@@ -159,26 +174,23 @@ def has_property_s(g: FiniteGroup) -> PropertyReport:
         return PropertyReport("s", True, counters={
             **_all_pairs_pass(g), "elements_checked": n})
     sc = _SpectralClosure(g)
-    fail, counters = _scan_pairs(g, sc.pair_ok)
-    counters["elements_checked"] = n
-    if fail is None:
-        return PropertyReport("s", True, counters=counters)
-    i, j = fail
-    k = sc.table[i][j]
-    prod = sc.product_spectrum(sc.sid[i], sc.sid[j])
-    offending = next(u for u in sc.unique[sc.sid[k]] if u not in prod)
-    witness = {
-        "left_index": i, "right_index": j,
-        "left": g.describe(i), "right": g.describe(j),
-        "product_index": k,
-        "eigenvalue": offending.to_json(),
-        "left_spectrum": sc.unique[sc.sid[i]].to_json(),
-        "right_spectrum": sc.unique[sc.sid[j]].to_json(),
-        "product_spectrum": sc.unique[sc.sid[k]].to_json(),
-        "explanation": "eigenvalue of the product lies outside the set of "
-                       "pairwise eigenvalue products",
-    }
-    return PropertyReport("s", False, witness=witness, counters=counters)
+
+    def details(i: int, j: int) -> dict:
+        k = sc.table[i][j]
+        prod = sc.product_spectrum(sc.sid[i], sc.sid[j])
+        return {
+            "product_index": k,
+            "eigenvalue": next(u for u in sc.unique[sc.sid[k]]
+                               if u not in prod).to_json(),
+            "left_spectrum": sc.unique[sc.sid[i]].to_json(),
+            "right_spectrum": sc.unique[sc.sid[j]].to_json(),
+            "product_spectrum": sc.unique[sc.sid[k]].to_json(),
+            "explanation": "eigenvalue of the product lies outside the set "
+                           "of pairwise eigenvalue products"}
+
+    report = _pair_report("s", g, sc.pair_ok, details)
+    report.counters["elements_checked"] = n
+    return report
 
 
 def has_property_s_hat_basic(p: int, c: int, e: int, *,
@@ -352,50 +364,34 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
     """For every ordered pair (x, y) there is z in the derived subgroup D of
     the pair-generated subgroup with (xy)**p = x**p * y**p * z**p.
 
-    Each ordered pair is first tested with z = 1, i.e. (xy)**p = x**p * y**p.
-    The identity lies in every D, so a pair passing that test is settled
-    without D; commuting pairs and pairs (x, x) always pass it.  D is built
-    only for an unordered pair {x, y} with an orientation failing the test,
-    and then z**p ranges over the p-th powers of D, cached per distinct D.
+    Each pair is first tested with z = 1, i.e. (xy)**p = x**p * y**p.  The
+    identity lies in every D, so a pair passing that test is settled
+    without D; commuting pairs and pairs (x, x) always pass it.  Only a
+    pair failing it builds D, and z**p then ranges over the p-th powers of
+    D, cached per distinct D.
     """
     p, _ = g.p_group_base()
-    n = len(g)
     table = g.full_table()
     pw = g.power_map(p)
-    inv = [g.inv(i) for i in range(n)]
+    inv = [g.inv(i) for i in range(len(g))]
     zp_cache: dict[tuple[int, ...], frozenset[int]] = {}
-    best: tuple[int, int] | None = None
 
-    for x in range(n):
-        px = pw[x]
-        row_x, row_xp = table[x], table[px]
-        for y in range(x + 1, n):
-            py = pw[y]
-            forward = pw[row_x[y]] != row_xp[py]
-            backward = pw[table[y][x]] != table[py][px]
-            if not (forward or backward):
-                continue
-            derived = _pair_derived(table, inv, g.identity, x, y)
-            zp = zp_cache.get(derived)
-            if zp is None:
-                zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
-            for a, b, z1_fails in ((x, y, forward), (y, x, backward)):
-                rhs = table[pw[a]][pw[b]]
-                if z1_fails and table[inv[rhs]][pw[table[a][b]]] not in zp:
-                    if best is None or (a, b) < best:
-                        best = (a, b)
-    counters = {"pairs_checked": n * n,
-                "pair_subgroups_analyzed": len(zp_cache)}
-    if best is None:
-        return PropertyReport("regular", True, counters=counters)
-    x, y = best
-    witness = {"left_index": x, "right_index": y,
-               "left": g.describe(x), "right": g.describe(y),
-               "prime": p,
-               "explanation": "no element z of the derived subgroup of the "
-                              "pair-generated subgroup satisfies "
-                              "(xy)^p = x^p y^p z^p"}
-    return PropertyReport("regular", False, witness=witness, counters=counters)
+    def check(x: int, y: int) -> bool:
+        lhs, rhs = pw[table[x][y]], table[pw[x]][pw[y]]
+        if lhs == rhs:
+            return True
+        derived = _pair_derived(table, inv, g.identity, x, y)
+        zp = zp_cache.get(derived)
+        if zp is None:
+            zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
+        return table[inv[rhs]][lhs] in zp
+
+    report = _pair_report("regular", g, check, lambda i, j: {
+        "prime": p,
+        "explanation": "no element z of the derived subgroup of the "
+                       "pair-generated subgroup satisfies (xy)^p = x^p y^p z^p"})
+    report.counters["pair_subgroups_analyzed"] = len(zp_cache)
+    return report
 
 
 def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
@@ -404,9 +400,11 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
     evidence, since the genuine property quantifies over all finite direct
     powers, except on an abelian group: every power of it is abelian, hence
     regular, so G passing settles them all."""
+    if powers < 1:
+        raise ValueError("powers must be >= 1")
     checked = []
     caps: list[str] = []
-    total_pairs = 0
+    totals = {"pairs_checked": 0, "pairs_evaluated": 0}
     for m in range(1, powers + 1):
         if len(g) ** m > cap:
             caps.append(f"power {m} would have order {len(g) ** m} > cap {cap}; "
@@ -414,25 +412,23 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
             break
         power_group = g if m == 1 else direct_power(g, m, cap)
         rep = is_regular(power_group)
-        total_pairs += rep.counters.get("pairs_checked", 0)
+        for key in totals:
+            totals[key] += rep.counters[key]
         if rep.holds is False:
             witness = dict(rep.witness or {})
             witness["power"] = m
             return PropertyReport("v-regular", False, witness=witness,
-                                  counters={"pairs_checked": total_pairs,
-                                            "powers_checked": m})
+                                  counters={**totals, "powers_checked": m})
         checked.append(m)
         if g.is_abelian():
             return PropertyReport("v-regular", True,
-                                  counters={"pairs_checked": total_pairs,
-                                            "powers_checked": m})
+                                  counters={**totals, "powers_checked": m})
     if not checked:
         raise ClosureCapExceeded(len(g), cap)
     caps.append(f"direct powers checked: {checked}; the full property "
                 "quantifies over all finite powers")
     return PropertyReport("v-regular", HOLDS_CAPPED,
-                          counters={"pairs_checked": total_pairs,
-                                    "powers_checked": len(checked)},
+                          counters={**totals, "powers_checked": len(checked)},
                           caps=caps)
 
 
@@ -446,16 +442,9 @@ def is_p_abelian(g: FiniteGroup) -> PropertyReport:
         return PropertyReport("p-abelian", True, counters=_all_pairs_pass(g))
     table = g.full_table()
     pw = g.power_map(p)
-
-    fail, counters = _scan_pairs(
-        g, lambda i, j: pw[table[i][j]] == table[pw[i]][pw[j]])
-    if fail is None:
-        return PropertyReport("p-abelian", True, counters=counters)
-    i, j = fail
-    witness = {"left_index": i, "right_index": j, "prime": p,
-               "left": g.describe(i), "right": g.describe(j),
-               "explanation": "(xy)^p differs from x^p y^p"}
-    return PropertyReport("p-abelian", False, witness=witness, counters=counters)
+    return _pair_report(
+        "p-abelian", g, lambda i, j: pw[table[i][j]] == table[pw[i]][pw[j]],
+        lambda i, j: {"prime": p, "explanation": "(xy)^p differs from x^p y^p"})
 
 
 def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
@@ -468,17 +457,11 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
         return PropertyReport("engel", True, counters=_all_pairs_pass(g))
     g.full_table()
     identity = g.identity
-
-    fail, counters = _scan_pairs(
-        g, lambda i, j: g.engel_bracket(i, j, k) == identity)
-    if fail is None:
-        return PropertyReport("engel", True, counters=counters)
-    i, j = fail
-    witness = {"left_index": i, "right_index": j, "depth": k,
-               "left": g.describe(i), "right": g.describe(j),
-               "bracket": g.describe(g.engel_bracket(i, j, k)),
-               "explanation": "iterated commutator does not vanish"}
-    return PropertyReport("engel", False, witness=witness, counters=counters)
+    return _pair_report(
+        "engel", g, lambda i, j: g.engel_bracket(i, j, k) == identity,
+        lambda i, j: {"depth": k,
+                      "bracket": g.describe(g.engel_bracket(i, j, k)),
+                      "explanation": "iterated commutator does not vanish"})
 
 
 def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
@@ -493,20 +476,11 @@ def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
                   "divisibility is not asserted"])
     table = g.full_table()
     orders = [g.element_order(i) for i in range(len(g))]
-
-    def check(i: int, j: int) -> bool:
-        return max(orders[i], orders[j]) % orders[table[i][j]] == 0
-
-    fail, counters = _scan_pairs(g, check)
-    if fail is None:
-        return PropertyReport("order-divisibility", True, counters=counters)
-    i, j = fail
-    witness = {"left_index": i, "right_index": j,
-               "left": g.describe(i), "right": g.describe(j),
-               "orders": [orders[i], orders[j], orders[table[i][j]]],
-               "explanation": "|AB| does not divide max(|A|, |B|)"}
-    return PropertyReport("order-divisibility", False, witness=witness,
-                          counters=counters)
+    return _pair_report(
+        "order-divisibility", g,
+        lambda i, j: max(orders[i], orders[j]) % orders[table[i][j]] == 0,
+        lambda i, j: {"orders": [orders[i], orders[j], orders[table[i][j]]],
+                      "explanation": "|AB| does not divide max(|A|, |B|)"})
 
 
 # -- exponent-vector containment for degree-p groups ----------------------------------

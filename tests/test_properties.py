@@ -3,6 +3,7 @@ implications between them on the named examples."""
 
 import pytest
 from hypothesis import assume, event, example, given
+from hypothesis import strategies as st
 from test_groups import KERNEL_SETTINGS, monomial_groups
 
 from submult import properties
@@ -201,6 +202,10 @@ class TestRegularity:
         report = is_v_regular_bounded(h3, 2)
         assert report.holds == "holds-capped"
         assert report.counters["powers_checked"] == 2
+        # the counters sum those of G and G^2
+        parts = (is_regular(h3), is_regular(direct_power(h3, 2)))
+        for key in ("pairs_checked", "pairs_evaluated"):
+            assert report.counters[key] == sum(r.counters[key] for r in parts)
 
     def test_v_regular_wreath_fails_immediately(self, w3):
         report = is_v_regular_bounded(w3, 1)
@@ -211,6 +216,12 @@ class TestRegularity:
         from submult.groups import ClosureCapExceeded
         with pytest.raises(ClosureCapExceeded):
             is_v_regular_bounded(h3, 2, cap=10)
+
+    @pytest.mark.parametrize("powers", [0, -1])
+    def test_v_regular_needs_a_power(self, powers):
+        # no power checked is not a closure-cap failure
+        with pytest.raises(ValueError, match="powers must be >= 1"):
+            is_v_regular_bounded(basic_group(3, 2, 1), powers)
 
 
 def reference_word_closure(table, identity, gens):
@@ -244,13 +255,12 @@ def reference_pair_derived(table, identity, x, y):
 
 def reference_regular_failure(g):
     """Least ordered pair (x, y) with no z in the derived subgroup D of
-    <x, y> giving (xy)**p = x**p y**p z**p, one ordered pair at a time in
-    ascending order; the p-th powers of D are memoized per pair subgroup."""
+    <x, y> giving (xy)**p = x**p y**p z**p, and the number of pairs up to
+    it, one ordered pair at a time in ascending order (``reference_scan``);
+    the p-th powers of D are memoized per pair subgroup."""
     n = len(g)
-    if n == 1:
-        return None
     table, e = g.full_table(), g.identity
-    p = least_prime_factor(n)
+    p = least_prime_factor(n) if n > 1 else 2
 
     def ppow(x):
         r = e
@@ -260,15 +270,14 @@ def reference_regular_failure(g):
 
     pth = [ppow(x) for x in range(n)]
     zp_of = {}
-    for x in range(n):
-        for y in range(n):
-            pair = reference_word_closure(table, e, (x, y))
-            if pair not in zp_of:
-                zp_of[pair] = {pth[z] for z in reference_derived(table, e, pair)}
-            target, base = pth[table[x][y]], table[pth[x]][pth[y]]
-            if all(table[base][zp] != target for zp in zp_of[pair]):
-                return (x, y)
-    return None
+
+    def check(x, y):
+        pair = reference_word_closure(table, e, (x, y))
+        if pair not in zp_of:
+            zp_of[pair] = {pth[z] for z in reference_derived(table, e, pair)}
+        target, base = pth[table[x][y]], table[pth[x]][pth[y]]
+        return any(table[base][zp] == target for zp in zp_of[pair])
+    return reference_scan(n, check)
 
 
 class TestPairDerived:
@@ -294,17 +303,38 @@ class TestPairDerived:
 
 def assert_regular_matches_oracle(g):
     """Verdict, least witness and pair count of is_regular against the
-    by-definition oracle."""
+    by-definition oracle: n**2 pairs on a pass, the ascending count up to
+    the witness on a failure."""
     report = is_regular(g)
     oracle = regular_first_failure_by_definition(g)
-    assert report.counters["pairs_checked"] == len(g) ** 2
-    if oracle is None:
-        assert report.holds is True
-    else:
-        assert report.holds is False
-        w = report.witness
-        assert (w["left_index"], w["right_index"]) == oracle
+    n = len(g)
+    assert_matches_scan(report, (oracle, n * n if oracle is None
+                                 else oracle[0] * n + oracle[1] + 1))
     return report
+
+
+# Non-abelian groups of order 8; a 2-group with one of them as a factor is
+# non-abelian, hence irregular.
+ORDER8_NONABELIAN = (quaternion_generators, dihedral_generators,
+                     lambda: wreath_generators(2))
+
+
+@st.composite
+def regularity_groups(draw):
+    """A draw of ``monomial_groups(max_order=64)``, or a direct product of
+    Q8, D8 or wreath2 with a cyclic or monomial 2-group of order 2-8, so
+    that non-abelian orders 16-64, and with them irregular groups, are
+    common."""
+    if draw(st.booleans()):
+        return draw(monomial_groups(max_order=64))
+    left = close(draw(st.sampled_from(ORDER8_NONABELIAN))())
+    right = draw(st.one_of(
+        st.sampled_from((2, 4, 8)).map(lambda m: close(cyclic_generator(m))),
+        monomial_groups(max_order=8)))
+    assume(len(right) in (2, 4, 8))
+    if draw(st.booleans()):
+        left, right = right, left
+    return direct_product(left, right)
 
 
 class TestRegularityShortcut:
@@ -326,7 +356,7 @@ class TestRegularityShortcut:
         assert report.counters["pair_subgroups_analyzed"] == subgroups_built
 
     @KERNEL_SETTINGS
-    @given(monomial_groups(max_order=64))
+    @given(regularity_groups())
     def test_random_p_groups_match_oracle(self, g):
         assume(len(g) == 1 or prime_power_base(len(g)) is not None)
         assert_regular_matches_oracle(g)
@@ -440,6 +470,7 @@ class TestOrbitScan:
             return
         assert_matches_scan(is_p_abelian(g),
                             reference_scan(n, reference_p_abelian(g)))
+        assert_matches_scan(is_regular(g), reference_regular_failure(g))
         for k in (1, 2, 3):
             assert_matches_scan(is_engel(g, k),
                                 reference_scan(n, reference_engel(g, k)))
@@ -489,9 +520,10 @@ class TestOrbitScan:
 
     def test_witness_above_skipped_rows(self, w3):
         # wreath3 has a class of three non-central elements whose rows pass
-        # (S), 3-abelianness and the 2-Engel identity.  Listed right after
-        # the identity, two of them lie below the first failing row but are
-        # not class representatives, so their rows are never evaluated.
+        # (S), 3-abelianness (hence regularity) and the 2-Engel identity.
+        # Listed right after the identity, two of them lie below the first
+        # failing row but are not class representatives, so their rows are
+        # never evaluated.
         n, e = len(w3), w3.identity
         engel2 = reference_engel(w3, 2)
         cls = next(c for c in w3.conjugacy_classes()
@@ -500,10 +532,15 @@ class TestOrbitScan:
         g = FiniteGroup([w3.elements[i] for i in order], lambda a, b: a * b, 0,
                         key=lambda m: m.key(), describe=lambda m: m.to_json(),
                         gens=tuple(order.index(i) for i in w3.gens))
-        for report, check in ((has_property_s(g), reference_s(g)),
-                              (is_p_abelian(g), reference_p_abelian(g)),
-                              (is_engel(g, 2), reference_engel(g, 2))):
-            assert_matches_scan(report, reference_scan(n, check))
+        regular = is_regular(g)
+        w = regular.witness
+        assert (w["left_index"], w["right_index"]) == (4, 5)
+        for report, reference in (
+                (has_property_s(g), reference_scan(n, reference_s(g))),
+                (is_p_abelian(g), reference_scan(n, reference_p_abelian(g))),
+                (is_engel(g, 2), reference_scan(n, reference_engel(g, 2))),
+                (regular, reference_regular_failure(g))):
+            assert_matches_scan(report, reference)
             counters = report.counters
             assert counters["pairs_evaluated"] == counters["pairs_checked"] - 2 * n
 
@@ -514,7 +551,8 @@ class TestOrbitScan:
         # the least failing pair and its ascending count, as a scan of all
         # n**2 pairs reports them
         g = close(make())
-        for report in (has_property_s(g), is_p_abelian(g), is_engel(g, 1)):
+        for report in (has_property_s(g), is_p_abelian(g), is_engel(g, 1),
+                       is_regular(g)):
             assert report.holds is False
             w = report.witness
             assert (w["left_index"], w["right_index"]) == (1, 2)
@@ -555,7 +593,7 @@ class TestRegularityOracle:
         if len(g) > 243:
             pytest.skip("T9 checks corpus groups of order <= 243")
         assert (regular_first_failure_by_definition(g)
-                == reference_regular_failure(g))
+                == reference_regular_failure(g)[0])
 
     @pytest.mark.parametrize("make", [
         lambda: direct_product(close(quaternion_generators()),
@@ -568,10 +606,10 @@ class TestRegularityOracle:
     def test_more_groups(self, make):
         g = make()
         assert (regular_first_failure_by_definition(g)
-                == reference_regular_failure(g))
+                == reference_regular_failure(g)[0])
 
     @KERNEL_SETTINGS
-    @given(monomial_groups(max_order=64))
+    @given(regularity_groups())
     @example(close(quaternion_generators()))
     @example(close(wreath_generators(2)))
     def test_random_p_groups(self, g):
@@ -579,13 +617,13 @@ class TestRegularityOracle:
         assume(len(g) == 1 or prime_power_base(len(g)) is not None)
         oracle = regular_first_failure_by_definition(g)
         event("irregular" if oracle else "regular")
-        assert oracle == reference_regular_failure(g)
+        assert oracle == reference_regular_failure(g)[0]
 
     def test_both_orientations(self):
         # LOOP8 checks orientation handling only: the double-coset marking
         # assumes associativity, which a loop need not have
         loop = _TableOnly(LOOP8)
-        assert reference_regular_failure(loop) == (2, 1)
+        assert reference_regular_failure(loop)[0] == (2, 1)
         assert regular_first_failure_by_definition(loop) == (2, 1)
 
 
