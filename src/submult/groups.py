@@ -6,21 +6,20 @@ affine pairs, index tuples (direct products) or coset representatives
 (quotients) all work, as long as elements expose ``__mul__``,
 ``identity_like``/explicit identity, a hashable ``key()`` and a JSON form.
 
-Two multiplication paths share one row cache.  ``mul`` is the lazy path:
-it fills a single entry with one carrier product.  ``full_table`` builds
-the whole Cayley table from one right-multiplication permutation per
-generator.  ``close`` records these while closing, so a closed group's
-table costs no carrier product beyond the closure; any other group
-(quotients, subgroups as groups, direct products and powers) computes its
-|gens| permutations with |gens| * n carrier products.  Rows are then
-gathered whole along a breadth-first spanning tree, not filled entry by
-entry.
+Every product is a lookup in the group's integer Cayley table, which the
+first product asked for builds.  ``full_table`` builds it from one
+right-multiplication permutation per generator.  ``close`` records these
+while closing, so a closed group's table costs no carrier product beyond
+the closure; any other group (quotients, subgroups as groups, direct
+products and powers) computes its |gens| permutations with |gens| * n
+carrier products.  Rows are then gathered whole along a breadth-first
+spanning tree, not filled entry by entry.  A group's size, and so its
+table's, is bounded by the cap its builder used.
 
-Whole-group queries (pair scans, ``sections``, ``lower_central_series``)
-build the table first, and the subgroup lattice then runs on integer
-indices over it: a subgroup grows one coset at a time from the subgroup
-already built (Dimino), and a subgroup taken as a group multiplies through
-its parent's indices.  No carrier is multiplied once the table exists.
+The subgroup lattice runs on integer indices over the table: a subgroup
+grows one coset at a time from the subgroup already built (Dimino), and a
+subgroup taken as a group multiplies through its parent's indices.  No
+carrier is multiplied once the table exists.
 
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
@@ -37,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 4096
-FULL_TABLE_LIMIT = 1500
-ALL_PAIRS_COMMUTATOR_LIMIT = 65536
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -90,8 +87,7 @@ class FiniteGroup:
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements in group table")
         n = len(self.elements)
-        self._rows: list[list[int] | None] = [None] * n
-        self._table_built = False  # set by full_table only, never by mul
+        self._rows: list[list[int]] | None = None  # built by full_table
         self._inv: list[int] = [-1] * n
         self._orders: list[int] = [0] * n
         self._pow_cache: dict[int, list[int]] = {}
@@ -112,14 +108,7 @@ class FiniteGroup:
         return self._describe(self.elements[i])
 
     def mul(self, i: int, j: int) -> int:
-        row = self._rows[i]
-        if row is None:
-            row = self._rows[i] = [-1] * len(self.elements)
-        v = row[j]
-        if v < 0:
-            v = row[j] = self.index[
-                self._key(self._mul_raw(self.elements[i], self.elements[j]))]
-        return v
+        return (self._rows or self.full_table())[i][j]
 
     def inv(self, i: int) -> int:
         v = self._inv[i]
@@ -131,7 +120,8 @@ class FiniteGroup:
         return v
 
     def full_table(self) -> list[list[int]]:
-        """Materialize every row; intended for whole-group pair scans.
+        """The Cayley table: row i holds the index of i*j at position j.
+        Built on first use and cached; ``mul`` reads it.
 
         The table rests on the |gens| right-multiplication permutations
         x -> x*g.  A group built by ``close`` recorded them while closing,
@@ -146,13 +136,9 @@ class FiniteGroup:
         row is then gathered whole, not filled entry by entry: y*j = x*(g*j),
         so row y is row x read through row g.
         """
+        if self._rows is not None:
+            return self._rows
         n = len(self.elements)
-        if n > FULL_TABLE_LIMIT:
-            raise ValueError(
-                f"refusing to materialize a {n}x{n} table (> {FULL_TABLE_LIMIT})")
-        rows = self._rows
-        if self._table_built:
-            return rows  # type: ignore[return-value]
         elements, key, index, mul_raw = (self.elements, self._key, self.index,
                                          self._mul_raw)
         identity = self.identity
@@ -184,18 +170,12 @@ class FiniteGroup:
             for y, x, h in steps:
                 col[y] = right[h][col[x]]
             gather[g] = operator.itemgetter(*col)
+        rows: list[list[int]] = [[]] * n
         rows[identity] = list(range(n))
         for y, x, g in steps:
             rows[y] = list(gather[g](rows[x]))
-        self._table_built = True
-        return rows  # type: ignore[return-value]
-
-    def tabulate(self) -> None:
-        """Build the Cayley table when the group is small enough for one
-        (|G| <= FULL_TABLE_LIMIT): whole-group queries call this first, so
-        the products they go on to ask for are integer lookups."""
-        if len(self.elements) <= FULL_TABLE_LIMIT:
-            self.full_table()
+        self._rows = rows
+        return rows
 
     def conjugate(self, i: int, g: int) -> int:
         """g**-1 * i * g."""
@@ -330,17 +310,13 @@ class FiniteGroup:
         x in A, y in B.
 
         Computed as the normal closure, inside <A, B>, of the commutators
-        of the reduced generator sets; for small |A| * |B| the definitional
-        all-pairs generation is used directly.
+        of the reduced generator sets.
         """
         if a.parent is not self or b.parent is not self:
             raise ValueError("subgroups belong to a different parent")
-        if len(a.members) * len(b.members) <= ALL_PAIRS_COMMUTATOR_LIMIT:
-            seeds = sorted({self.commutator(x, y)
-                            for x in a.members for y in b.members})
-            return self.subgroup(seeds)
-        ambient = self.subgroup(tuple(a.gens) + tuple(b.gens))
-        seeds = sorted({self.commutator(x, y) for x in a.gens for y in b.gens})
+        a_gens, b_gens = a.reduced_gens(), b.reduced_gens()
+        ambient = self.subgroup(a_gens + b_gens)
+        seeds = sorted({self.commutator(x, y) for x in a_gens for y in b_gens})
         return self.normal_closure(seeds, ambient_gens=ambient.gens)
 
     def derived_subgroup(self) -> "Subgroup":
@@ -348,7 +324,6 @@ class FiniteGroup:
 
     def lower_central_series(self) -> list["Subgroup"]:
         """[G, [G,G], [[G,G],G], ...] down to the trivial subgroup."""
-        self.tabulate()
         series = [self.whole_subgroup()]
         whole = series[0]
         while len(series[-1].members) > 1:
@@ -546,7 +521,6 @@ class FiniteGroup:
         n = len(self.elements)
         if n > section_cap:
             raise ClosureCapExceeded(n, section_cap)
-        self.tabulate()
         whole = self.whole_subgroup()
         for k in self.normal_subgroups():
             yield whole, k, self.quotient(k)
@@ -594,8 +568,8 @@ class Subgroup:
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup whose elements are the
-        parent's indices: it multiplies with ``parent.mul`` (integer lookups
-        once the parent's table exists) and describes with the parent."""
+        parent's indices: it multiplies with ``parent.mul`` (lookups in the
+        parent's table) and describes with the parent."""
         parent = self.parent
         gens = self.reduced_gens()
         pos = {i: t for t, i in enumerate(self.members)}

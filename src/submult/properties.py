@@ -277,7 +277,6 @@ def _power_failure(g: FiniteGroup, power_set: PowerSet
 def has_wp2(g: FiniteGroup) -> PropertyReport:
     """For each k, the set of elements of order dividing p**k already forms
     the subgroup it generates."""
-    g.tabulate()
     fail = _power_failure(g, FiniteGroup.order_dividing_set)
     counters = {"elements_checked": len(g)}
     if fail is None:
@@ -294,7 +293,6 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
                   power_set: PowerSet) -> PropertyReport:
     """Run the power probe over every section H/K of g."""
     if len(g) > section_cap:
-        g.tabulate()
         base_fail = _power_failure(g, power_set)
         if base_fail is not None:
             k, idx = base_fail
@@ -455,7 +453,6 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
         raise ValueError("k must be >= 1")
     if g.is_abelian():
         return PropertyReport("engel", True, counters=_all_pairs_pass(g))
-    g.full_table()
     identity = g.identity
     return _pair_report(
         "engel", g, lambda i, j: g.engel_bracket(i, j, k) == identity,

@@ -158,6 +158,21 @@ class TestCheck:
         for counter, value in structured["report"]["counters"].items():
             assert f"report.counters.{counter}: {value}" in text
 
+    @pytest.mark.parametrize("prop", ["p-abelian", "regular", "wp2"])
+    def test_order_2187_fails_with_witness(self, w3_file, tmp_path, capsys,
+                                           prop):
+        # wreath3 x C27: a 2187 x 2187 Cayley table
+        c27 = tmp_path / "c27.json"
+        assert main(["construct", "cyclic", "--m", "27", "-o", str(c27)]) == 0
+        path = tmp_path / "w3xc27.json"
+        assert main(["construct", "direct_product", "--factor", str(w3_file),
+                     "--factor", str(c27), "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", prop, str(path), "--format", "structured"]) == 1
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["holds"] is False
+        assert report["witness"]
+
     def test_missing_file(self, capsys):
         assert main(["check", "s", "/nonexistent/g.json"]) == 2
 

@@ -13,7 +13,7 @@ from submult.families import (AffinePair, basic_group, big_cycle,
                               cyclic_generator, diagonal_abelian_generators,
                               dihedral_generators, heisenberg_generators,
                               quaternion_generators, wreath_generators)
-from submult.groups import (ClosureCapExceeded, FiniteGroup, close,
+from submult.groups import (ClosureCapExceeded, FiniteGroup, Subgroup, close,
                             direct_power, direct_product)
 from submult.monomial import MonomialMatrix
 from submult.properties import has_p1, has_p2
@@ -103,12 +103,9 @@ class TestCommutators:
             assert g.derived_subgroup().members == \
                 brute_commutator_members(g, whole, whole)
 
-    def test_generator_commutator_path_matches_all_pairs(self, h3, w3, q8,
-                                                         monkeypatch):
-        # force the normal-closure-of-generator-commutators route and
-        # compare it with the literal all-pairs definition
-        from submult import groups as groups_mod
-        monkeypatch.setattr(groups_mod, "ALL_PAIRS_COMMUTATOR_LIMIT", 0)
+    def test_generator_commutator_path_matches_all_pairs(self, h3, w3, q8):
+        # the normal closure of generator commutators against the literal
+        # all-pairs definition
         for g in (h3, w3, q8):
             whole = tuple(range(len(g)))
             assert g.derived_subgroup().members == \
@@ -123,6 +120,16 @@ class TestCommutators:
         whole = w3.whole_subgroup()
         sub = w3.commutator_subgroup(center, whole)
         assert len(sub) == 1
+
+    def test_subgroup_without_recorded_gens(self):
+        # a Subgroup built from members alone (as center() builds them) is
+        # seeded from its reduced generators, not its empty gens
+        g = basic_group(3, 2, 2)
+        whole = g.whole_subgroup()
+        bare = Subgroup(g, whole.members, ())
+        sub = g.commutator_subgroup(bare, whole)
+        assert len(sub) == 9
+        assert sub.members == g.derived_subgroup().members
 
 
 class TestSeries:
@@ -434,6 +441,20 @@ class TestFullTableKernel:
         assert calls[0] == len(g.gens) * 125
         assert g.full_table() == h5.full_table()
 
+    def test_first_mul_builds_table(self, h5):
+        # the first product builds the whole table; later products and
+        # full_table are lookups in it
+        g = FiniteGroup(h5.elements, lambda a, b: a * b, h5.identity,
+                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
+                        gens=h5.gens)
+        calls = self.count_raw_products(g)
+        assert g.mul(3, 7) == h5.mul(3, 7)
+        assert calls[0] == len(g.gens) * 125
+        assert all(g.mul(i, j) == h5.mul(i, j)
+                   for i in range(125) for j in range(125))
+        assert g.full_table() == h5.full_table()
+        assert calls[0] == len(g.gens) * 125
+
     @pytest.mark.parametrize("make", [
         lambda: [MonomialMatrix.identity(2)], lambda: cyclic_generator(1),
         lambda: cyclic_generator(2), lambda: [big_cycle(2, 1)]],
@@ -454,32 +475,12 @@ class TestFullTableKernel:
             assert len(g.gens) == len(gens)
             assert_table_matches_raw_products(g)
 
-    def test_rows_filled_by_mul_first(self):
-        # lazy products fill rows but do not mark the table built: every
-        # row but the last is complete and the last lacks one entry
-        g = close(heisenberg_generators(3))
-        n = len(g)
-        for i in range(n):
-            for j in range(n - 1 if i == n - 1 else n):
-                g.mul(i, j)
-        assert_table_matches_raw_products(g)
-
-    def test_half_filled_rows_then_table(self):
-        # lazy products on every other row, half of each, before the table
-        g = close(wreath_generators(3))
-        n = len(g)
-        for i in range(0, n, 2):
-            for j in range(i % 4, n, 2):
-                g.mul(i, j)
-        assert any(row is None for row in g._rows)
-        assert_table_matches_raw_products(g)
-
 
 # -- the subgroup lattice against from-scratch references ---------------------------
 #
 # The references are the lattice algorithms the coset-by-coset closure
 # replaced: every subgroup is closed again from the identity by breadth-first
-# search over the lazy ``mul``, and a subgroup as a group multiplies carriers.
+# search over ``mul``, and a subgroup as a group multiplies carriers.
 
 def reference_closure(g, gens):
     seen = {g.identity}

@@ -449,6 +449,18 @@ def assert_matches_scan(report, reference):
         assert (w["left_index"], w["right_index"]) == fail
 
 
+def assert_p_group_scans_match(g):
+    """p-abelianness, regularity and the k-Engel identity (k = 1..3) of a
+    p-group against full ascending scans."""
+    n = len(g)
+    assert_matches_scan(is_p_abelian(g),
+                        reference_scan(n, reference_p_abelian(g)))
+    assert_matches_scan(is_regular(g), reference_regular_failure(g))
+    for k in (1, 2, 3):
+        assert_matches_scan(is_engel(g, k),
+                            reference_scan(n, reference_engel(g, k)))
+
+
 class TestOrbitScan:
     """Pair deciders evaluate only the rows of conjugacy-class
     representatives, and report what a full ascending scan reports."""
@@ -466,14 +478,16 @@ class TestOrbitScan:
             (None, 0) if s_ref[0] is not None else reference_scan(
                 n, lambda i, j: max(orders[i], orders[j])
                 % orders[table[i][j]] == 0))
-        if n > 1 and prime_power_base(n) is None:
-            return
-        assert_matches_scan(is_p_abelian(g),
-                            reference_scan(n, reference_p_abelian(g)))
-        assert_matches_scan(is_regular(g), reference_regular_failure(g))
-        for k in (1, 2, 3):
-            assert_matches_scan(is_engel(g, k),
-                                reference_scan(n, reference_engel(g, k)))
+        if n == 1 or prime_power_base(n) is not None:
+            assert_p_group_scans_match(g)
+
+    @KERNEL_SETTINGS
+    @given(regularity_groups())
+    def test_random_p_groups_match_full_scan(self, g):
+        # regularity_groups yields irregular groups often; it also yields
+        # non-monomial direct products, so (S) stays on the draw above
+        assume(len(g) == 1 or prime_power_base(len(g)) is not None)
+        assert_p_group_scans_match(g)
 
     def test_heisenberg5_evaluates_class_representatives(self, h5):
         assert len(h5.conjugacy_classes()) == 29
