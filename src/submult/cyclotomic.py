@@ -7,7 +7,9 @@ whole unit-circle group is exact; floating point appears only in
 
 Fractions (rather than exponents against a fixed modulus) are used because
 eigenvalues of an l-cycle over p**k-th roots of unity live among
-(l * p**k)-th roots: no single ambient modulus is convenient.
+(l * p**k)-th roots: no single ambient modulus is convenient.  Within one
+closure the lcm M of the generators' denominators serves: ``MonomialCodec``
+closes on exponents mod M and interns spectra by cycle length and sum.
 """
 
 from __future__ import annotations
@@ -117,10 +119,6 @@ class Spectrum:
 
     def __hash__(self) -> int:
         return hash(self.elems)
-
-    def key(self) -> tuple[tuple[int, int], ...]:
-        """Hashable canonical form, used for interning in pair scans."""
-        return tuple((u.num, u.den) for u in self.elems)
 
     def issubset(self, other: "Spectrum") -> bool:
         return set(self.elems) <= set(other.elems)

@@ -9,8 +9,9 @@ affine pairs, index tuples (direct products) or coset representatives
 Every product is a lookup in the group's integer Cayley table, which the
 first product asked for builds.  ``full_table`` builds it from one
 right-multiplication permutation per generator.  ``close`` records these
-while closing, so a closed group's table costs no carrier product beyond
-the closure; any other group (quotients, subgroups as groups, direct
+while closing, on integer codes where the carrier offers a codec
+(monomial matrices: ``MonomialCodec``), so a closed group's table costs no
+carrier product; any other group (quotients, subgroups as groups, direct
 products and powers) computes its |gens| permutations with |gens| * n
 carrier products.  Rows are then gathered whole along a breadth-first
 spanning tree, not filled entry by entry.  A group's size, and so its
@@ -88,8 +89,9 @@ class FiniteGroup:
             raise ValueError("duplicate elements in group table")
         n = len(self.elements)
         self._rows: list[list[int]] | None = None  # built by full_table
-        self._inv: list[int] = [-1] * n
+        self._inv: list[int] | None = None  # built by inverses
         self._orders: list[int] = [0] * n
+        self.codec = self.codes = None  # set by close: its codec and codes
         self._pow_cache: dict[int, list[int]] = {}
 
     # -- basics ---------------------------------------------------------------
@@ -111,13 +113,13 @@ class FiniteGroup:
         return (self._rows or self.full_table())[i][j]
 
     def inv(self, i: int) -> int:
-        v = self._inv[i]
-        if v < 0:
-            e, t, prev = self.identity, i, i
-            while t != e:
-                prev, t = t, self.mul(t, i)
-            v = self._inv[i] = prev if i != e else e
-        return v
+        return (self._inv or self.inverses())[i]
+
+    def inverses(self) -> list[int]:
+        """x -> x**-1 for every element: row x holds the identity at x**-1."""
+        if self._inv is None:
+            self._inv = [row.index(self.identity) for row in (self._rows or self.full_table())]
+        return self._inv
 
     def full_table(self) -> list[list[int]]:
         """The Cayley table: row i holds the index of i*j at position j.
@@ -496,17 +498,14 @@ class FiniteGroup:
         def q_describe(rep: int) -> Any:
             return {"coset_rep": describe(self.elements[rep])}
 
-        group: FiniteGroup | None = None
-
         def q_mul(a: int, b: int) -> int:
             return rep_of[self.mul(a, b)]
 
         gens = tuple(dict.fromkeys(rep_of[g] for g in self.gens)) or (rep_of[self.identity],)
-        group = FiniteGroup(reps, q_mul, reps.index(rep_of[self.identity]),
-                            key=lambda r: r, describe=q_describe,
-                            gens=tuple(reps.index(r) for r in gens),
-                            name=f"{self.name}/N{len(n.members)}")
-        return group
+        return FiniteGroup(reps, q_mul, reps.index(rep_of[self.identity]),
+                           key=lambda r: r, describe=q_describe,
+                           gens=tuple(reps.index(r) for r in gens),
+                           name=f"{self.name}/N{len(n.members)}")
 
     def sections(self, section_cap: int = 256) -> Iterator[tuple["Subgroup", "Subgroup", "FiniteGroup"]]:
         """All sections H/K: H over all subgroups (largest first), K over the
@@ -579,6 +578,14 @@ class Subgroup:
                            gens=gen_pos, name=f"{parent.name}|sub{len(self.members)}")
 
 
+class _CarrierCodec:
+    """Each element is its own code, multiplied with ``*``, keyed by ``key()``."""
+
+    encode = decode = staticmethod(lambda x: x)
+    right = staticmethod(lambda g: lambda x: x * g)
+    key = staticmethod(lambda x: x.key())
+
+
 def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
           name: str = "") -> FiniteGroup:
     """Breadth-first closure of carrier elements under multiplication.
@@ -586,48 +593,45 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
     Element order is deterministic: identity first, then each BFS layer
     sorted by canonical key.  Raises ClosureCapExceeded past the cap.
 
-    The closure computes x*g for every element x and generator g anyway;
-    it records their indices, resolving a new product's key as soon as its
-    layer is indexed, and hands these right-multiplication permutations to
-    the group, so its ``full_table`` multiplies no carrier.
+    The loop multiplies codes: a carrier's ``closure_codec(gens)``
+    (``MonomialMatrix``: integer tuples, ``MonomialCodec``), else the
+    carriers themselves, which must then hash as their keys.  Only new
+    codes are keyed, and elements are decoded at the end.  The index of x*g
+    is recorded for every x and generator g, and these right-multiplication
+    permutations go to the group: its ``full_table`` multiplies no carrier.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
     if any(type(g) is not type(gens[0]) for g in gens):
         raise ValueError("incompatible generators: mixed carriers")
-    identity = gens[0].identity_like()
-    elements = [identity]
-    index = {identity.key(): 0}
+    codec = (gens[0].closure_codec(gens) if hasattr(gens[0], "closure_codec")
+             else _CarrierCodec)
+    steps = [codec.right(codec.encode(g)) for g in gens]
+    codes = [codec.encode(gens[0].identity_like())]
+    index, layer = {codes[0]: 0}, list(codes)
     right: list[list[int]] = [[] for _ in gens]  # right[t][x]: x * gens[t]
-    layer = [identity]
     while layer:
-        found: dict[Any, Any] = {}
-        products = []  # keys of x*g, x over the layer, g over gens
-        for x in layer:
-            for g in gens:
-                y = x * g
-                k = y.key()
-                products.append(k)
-                if k not in index and k not in found:
-                    found[k] = y
-        layer = [found[k] for k in sorted(found)]
+        products = [step(x) for x in layer for step in steps]
+        layer = sorted({y for y in products if y not in index}, key=codec.key)
         for y in layer:
-            index[y.key()] = len(elements)
-            elements.append(y)
-            if len(elements) > cap:
-                raise ClosureCapExceeded(len(elements), cap)
+            index[y] = len(codes)
+            codes.append(y)
+            if len(codes) > cap:
+                raise ClosureCapExceeded(len(codes), cap)
         for t, perm in enumerate(right):
-            perm.extend(index[k] for k in products[t::len(gens)])
-    gen_index = tuple(index[g.key()] for g in gens)
-    return FiniteGroup(elements, lambda a, b: a * b, 0,
-                       key=lambda e: e.key(), describe=lambda e: e.to_json(),
-                       gens=gen_index, name=name,
-                       right=dict(zip(gen_index, right)))
+            perm.extend(map(index.__getitem__, products[t::len(gens)]))
+    gen_index = tuple(index[codec.encode(g)] for g in gens)
+    group = FiniteGroup([codec.decode(c) for c in codes], lambda a, b: a * b, 0,
+                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
+                        gens=gen_index, name=name,
+                        right=dict(zip(gen_index, right)))
+    group.codec, group.codes = codec, codes
+    return group
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup,
-                   cap: int = 1 << 20, *, name: str = "") -> FiniteGroup:
+                   cap: int = DEFAULT_CLOSURE_CAP, *, name: str = "") -> FiniteGroup:
     """Componentwise product on index pairs, elements in lexicographic order."""
     if len(g1) * len(g2) > cap:
         raise ClosureCapExceeded(len(g1) * len(g2), cap)
@@ -647,7 +651,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
                        name=name or f"({g1.name})x({g2.name})")
 
 
-def direct_power(g: FiniteGroup, m: int, cap: int = 1 << 20, *,
+def direct_power(g: FiniteGroup, m: int, cap: int = DEFAULT_CLOSURE_CAP, *,
                  name: str = "") -> FiniteGroup:
     """m-fold componentwise power on flat index tuples."""
     if m < 1:

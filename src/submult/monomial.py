@@ -14,10 +14,28 @@ i.e. the reduced fractions (a + b*t) / (b*l).  No floats enter this path;
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .cyclotomic import ONE, CyclotomicUnit, Spectrum
+
+
+def _perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    """Cycles of j -> perm[j], each starting at its least member, in that order."""
+    seen: set[int] = set()
+    out = []
+    for start in range(len(perm)):
+        if start not in seen:
+            cyc = [start]
+            while (j := perm[cyc[-1]]) != start:
+                cyc.append(j)
+            seen.update(cyc)
+            out.append(cyc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,58 +107,34 @@ class MonomialMatrix:
     def identity_like(self) -> "MonomialMatrix":
         return MonomialMatrix.identity(self.n)
 
+    # close() carries monomial matrices as integer codes
+    closure_codec = staticmethod(lambda gens: MonomialCodec(gens))
+
     # -- cycle data ----------------------------------------------------------
 
     def cycles(self) -> list[list[int]]:
-        """Cycles of the permutation j -> perm[j], each starting at its
-        least member, listed by that member."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.perm[j]
-            out.append(cyc)
-        return out
+        return _perm_cycles(self.perm)
+
+    def _cycle_data(self) -> tuple["MonomialCodec", tuple[tuple[int, int], ...]]:
+        codec = MonomialCodec([self])
+        return codec, codec.cycle_key(codec.encode(self))
 
     def order(self) -> int:
-        """Least k >= 1 with self**k = identity.
-
-        Per cycle of length l with entry product c, the block satisfies
-        M**l = c * I, so the block order is l * order(c); the matrix order
-        is the lcm over cycles.
-        """
-        result = 1
-        for cyc in self.cycles():
-            c = ONE
-            for j in cyc:
-                c = c * self.entries[j]
-            result = math.lcm(result, len(cyc) * c.order)
-        return result
+        """Least k >= 1 with self**k = identity: the lcm over cycles of
+        l * order(c), since an l-cycle with entry product c has B**l = c*I."""
+        codec, cycle_key = self._cycle_data()
+        m = codec.modulus
+        return math.lcm(*(l * (m // math.gcd(s, m)) for l, s in cycle_key))
 
     def spectrum(self) -> Spectrum:
-        values = []
-        for cyc in self.cycles():
-            c = ONE
-            for j in cyc:
-                c = c * self.entries[j]
-            l = len(cyc)
-            values.extend(CyclotomicUnit(c.num + c.den * t, c.den * l)
-                          for t in range(l))
-        return Spectrum(values)
+        codec, cycle_key = self._cycle_data()
+        return codec.spectrum(cycle_key)
 
     def det(self) -> CyclotomicUnit:
-        cycles = self.cycles()
-        sign_odd = (self.n - len(cycles)) % 2 == 1
-        d = CyclotomicUnit(1, 2) if sign_odd else ONE
-        for e in self.entries:
-            d = d * e
-        return d
+        """Each l-cycle gives its sign (-1)**(l - 1) times its entry product."""
+        codec, cycle_key = self._cycle_data()
+        m = codec.modulus
+        return CyclotomicUnit(sum(2 * s + (l - 1) * m for l, s in cycle_key), 2 * m)
 
     def trace(self) -> complex:
         """Float bridge; exact code never calls this."""
@@ -189,6 +183,51 @@ class MonomialMatrix:
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError("malformed matrix: needs \"n\", \"perm\" and "
                              f"\"entries\" ({type(exc).__name__}: {exc})") from exc
+
+
+class MonomialCodec:
+    """Integer codes for the monomial matrices that ``gens`` generate: their
+    entries are M-th roots of unity, M the lcm of the generators' entry
+    denominators, so a matrix is ``(perm, exps)``, entry j exp(2*pi*i*exps[j]/M).
+    An l-cycle with exponent sum s has eigenvalues (s + M*t) / (M*l), so
+    ``cycle_key``, the sorted (l, s mod M), fixes the spectrum."""
+
+    def __init__(self, gens: Sequence[MonomialMatrix]):
+        n = self.n = gens[0].n
+        if any(g.n != n for g in gens):
+            raise ValueError(f"dimension mismatch: {sorted({g.n for g in gens})}")
+        m = self.modulus = math.lcm(*(e.den for g in gens for e in g.entries))
+        self.unit = functools.cache(lambda e: CyclotomicUnit(e, m))  # one per exponent
+        self._num_den = operator.attrgetter("num", "den")
+        self._cycles: dict[tuple[int, ...], list[list[int]]] = {}
+
+    def encode(self, g: MonomialMatrix) -> tuple:
+        return g.perm, tuple(e.num * (self.modulus // e.den) for e in g.entries)
+
+    def right(self, code: tuple) -> Callable[[tuple], tuple]:
+        """x -> x*g on codes, g given by its code."""
+        perm, exps = code
+        # a one-index itemgetter returns a scalar, a one-entry slice a tuple
+        gather = operator.itemgetter(*perm) if self.n > 1 else operator.itemgetter(slice(1))
+        add, mod, m = operator.add, operator.mod, itertools.repeat(self.modulus)
+        return lambda x: (gather(x[0]), tuple(map(mod, map(add, gather(x[1]), exps), m)))
+
+    def key(self, code: tuple) -> tuple:
+        return self.n, code[0], tuple(map(self._num_den, map(self.unit, code[1])))
+
+    def decode(self, code: tuple) -> MonomialMatrix:
+        return MonomialMatrix(self.n, code[0], tuple(map(self.unit, code[1])))
+
+    def cycle_key(self, code: tuple) -> tuple[tuple[int, int], ...]:
+        perm, exps = code
+        cycles = self._cycles.get(perm) or self._cycles.setdefault(perm, _perm_cycles(perm))
+        return tuple(sorted((len(c), sum(map(exps.__getitem__, c)) % self.modulus)
+                            for c in cycles))
+
+    def spectrum(self, cycle_key: tuple[tuple[int, int], ...]) -> Spectrum:
+        m = self.modulus
+        return Spectrum(CyclotomicUnit(s + m * t, m * l)
+                        for l, s in cycle_key for t in range(l))
 
 
 @dataclass(frozen=True)

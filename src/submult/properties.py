@@ -42,8 +42,8 @@ from .cyclotomic import ONE, Spectrum, is_prime
 from .families import all_characters, big_cycle, induced_rep_generators
 from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
                      close, direct_power)
-from .monomial import (MonomialMatrix, diagonal_exponents, in_row_span,
-                       rotation_difference_image)
+from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
+                       in_row_span, rotation_difference_image)
 
 HOLDS_CAPPED = "holds-capped"
 IRREDUCIBLE_TOLERANCE = 1e-6
@@ -128,21 +128,20 @@ def _all_pairs_pass(g: FiniteGroup) -> dict[str, int]:
 # -- property (S): submultiplicative spectra -------------------------------------
 
 class _SpectralClosure:
-    """A closed monomial group's Cayley table with interned per-element
-    spectra."""
+    """A closed monomial group's Cayley table with per-element spectra,
+    interned on the cycle keys of the codes ``close`` kept: one ``Spectrum``
+    per distinct key (``MonomialCodec.cycle_key``), one id per spectrum."""
 
     def __init__(self, g: FiniteGroup):
         self.table = g.full_table()
-        interned: dict[tuple, int] = {}
-        self.unique: list[Spectrum] = []
-        self.sid: list[int] = []
-        for el in g.elements:
-            s = el.spectrum()
-            k = s.key()
-            if k not in interned:
-                interned[k] = len(self.unique)
-                self.unique.append(s)
-            self.sid.append(interned[k])
+        codec = g.codec if isinstance(g.codec, MonomialCodec) else MonomialCodec(g.elements)
+        codes = g.codes if codec is g.codec else [codec.encode(e) for e in g.elements]
+        keys = [codec.cycle_key(c) for c in codes]
+        spectra = {k: codec.spectrum(k) for k in dict.fromkeys(keys)}
+        ids = {s: i for i, s in enumerate(dict.fromkeys(spectra.values()))}
+        sid = {k: ids[s] for k, s in spectra.items()}
+        self.unique: list[Spectrum] = list(ids)
+        self.sid = [sid[k] for k in keys]
         self._prod: dict[tuple[int, int], Spectrum] = {}
         self._ok: dict[tuple[int, int, int], bool] = {}
 
@@ -371,7 +370,7 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
     p, _ = g.p_group_base()
     table = g.full_table()
     pw = g.power_map(p)
-    inv = [g.inv(i) for i in range(len(g))]
+    inv = g.inverses()
     zp_cache: dict[tuple[int, ...], frozenset[int]] = {}
 
     def check(x: int, y: int) -> bool:

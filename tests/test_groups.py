@@ -8,15 +8,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from submult.cyclotomic import ONE, CyclotomicUnit
+from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
 from submult.families import (AffinePair, basic_group, big_cycle,
                               cyclic_generator, diagonal_abelian_generators,
                               dihedral_generators, heisenberg_generators,
                               quaternion_generators, wreath_generators)
-from submult.groups import (ClosureCapExceeded, FiniteGroup, Subgroup, close,
-                            direct_power, direct_product)
-from submult.monomial import MonomialMatrix
-from submult.properties import has_p1, has_p2
+from submult.groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded,
+                            FiniteGroup, Subgroup, close, direct_power,
+                            direct_product)
+from submult.monomial import MonomialCodec, MonomialMatrix
+from submult.properties import _SpectralClosure, has_p1, has_p2, has_property_s
 
 
 def brute_commutator_members(g, a_members, b_members):
@@ -295,6 +296,27 @@ class TestProducts:
         with pytest.raises(ClosureCapExceeded):
             direct_power(h3, 3, cap=4096)
 
+    @staticmethod
+    def forbid_tables(monkeypatch):
+        def no_table(self):
+            raise AssertionError("a Cayley table was built")
+        monkeypatch.setattr(FiniteGroup, "full_table", no_table)
+
+    def test_direct_power_default_cap(self, monkeypatch):
+        # 9**4 = 6561 elements: refused before any table is built
+        c9 = close(cyclic_generator(9))
+        self.forbid_tables(monkeypatch)
+        with pytest.raises(ClosureCapExceeded) as err:
+            direct_power(c9, 4)
+        assert (err.value.partial_size, err.value.cap) == (9 ** 4, DEFAULT_CLOSURE_CAP)
+
+    def test_direct_product_default_cap(self, monkeypatch):
+        c81 = close(cyclic_generator(81))
+        self.forbid_tables(monkeypatch)
+        with pytest.raises(ClosureCapExceeded) as err:
+            direct_product(c81, c81)
+        assert (err.value.partial_size, err.value.cap) == (81 ** 2, DEFAULT_CLOSURE_CAP)
+
     def test_componentwise_orders(self, h3, q8):
         g = direct_product(h3, q8)
         assert len(g) == 27 * 8
@@ -329,6 +351,19 @@ class TestIntegrity:
     def test_inverse_array(self, w3):
         for i in range(len(w3)):
             assert w3.mul(i, w3.inv(i)) == w3.identity
+
+    @pytest.mark.parametrize("make", [
+        lambda: close([MonomialMatrix.identity(2)]), lambda: close(cyclic_generator(2)),
+        lambda: close(wreath_generators(3)), lambda: basic_group(3, 2, 1)],
+        ids=["trivial", "c2", "wreath3", "b321"])
+    def test_inverses_read_off_the_table(self, make):
+        g = make()
+        inv = g.inverses()
+        assert len(inv) == len(g)
+        for i, j in enumerate(inv):
+            assert g.mul(i, j) == g.mul(j, i) == g.identity
+            assert g.elements[i] * g.elements[j] == g.elements[g.identity]
+        assert g.inverses() is inv
 
 
 # -- the Cayley-table kernel against raw carrier products ---------------------------
@@ -656,3 +691,137 @@ class TestLatticeWork:
         report = has_p2(close(wreath_generators(3)))
         assert report.holds is False
         assert report.counters == {"sections_checked": 1}
+
+
+# -- integer codes against the generic closure path -------------------------------
+#
+# ``close`` runs monomial matrices on integer codes (MonomialCodec) and every
+# other carrier on the carriers themselves.  Wrapping a matrix in a carrier
+# without a codec forces the generic path on the same group.
+
+class Wrapped:
+    """A monomial matrix behind a carrier that offers no codec."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m):
+        self.m = m
+
+    def __mul__(self, other):
+        return Wrapped(self.m * other.m)
+
+    def identity_like(self):
+        return Wrapped(self.m.identity_like())
+
+    def key(self):
+        return self.m.key()
+
+    def to_json(self):
+        return self.m.to_json()
+
+    def __eq__(self, other):
+        return isinstance(other, Wrapped) and self.m.key() == other.m.key()
+
+    def __hash__(self):
+        return hash(self.m.key())
+
+
+def reference_spectrum(m):
+    """Per cycle, the l-th roots of the cycle's entry product, multiplied
+    out in CyclotomicUnit arithmetic."""
+    values = []
+    for cyc in m.cycles():
+        c = ONE
+        for j in cyc:
+            c = c * m.entries[j]
+        values += [CyclotomicUnit(c.num + c.den * t, c.den * len(cyc))
+                   for t in range(len(cyc))]
+    return Spectrum(values)
+
+
+@st.composite
+def monomial_generator_sets(draw):
+    """1-3 monomial matrices of degree 1-3 (1x1 included), with entries
+    over mixed denominators such as 3 and 9, sometimes with the identity
+    or a repeated generator among them."""
+    n = draw(st.integers(1, 3))
+    dens = draw(st.sampled_from(((3, 9), (9,), (2, 4), (2, 3))))
+    unit = st.builds(CyclotomicUnit, st.integers(0, 8), st.sampled_from(dens))
+    matrix = st.builds(
+        lambda perm, entries: MonomialMatrix(n, tuple(perm), tuple(entries)),
+        st.permutations(range(n)), st.lists(unit, min_size=n, max_size=n))
+    gens = draw(st.lists(matrix, min_size=1, max_size=3))
+    extra = draw(st.sampled_from(("none", "identity", "repeat")))
+    if extra == "identity":
+        gens.insert(draw(st.integers(0, len(gens))), MonomialMatrix.identity(n))
+    elif extra == "repeat":
+        gens.append(draw(st.sampled_from(gens)))
+    return gens
+
+
+CODEC_SETTINGS = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestMonomialCodec:
+    @staticmethod
+    def assert_paths_agree(gens, cap=300):
+        try:
+            coded = close(gens, cap)
+        except ClosureCapExceeded as exc:
+            with pytest.raises(ClosureCapExceeded) as err:
+                close([Wrapped(m) for m in gens], cap)
+            assert err.value.partial_size == exc.partial_size
+            return None
+        generic = close([Wrapped(m) for m in gens], cap)
+        assert isinstance(coded.codec, MonomialCodec)
+        assert not isinstance(generic.codec, MonomialCodec)
+        assert [w.m for w in generic.elements] == coded.elements
+        assert [w.key() for w in generic.elements] == [m.key() for m in coded.elements]
+        assert generic.index == coded.index
+        assert generic._right == coded._right
+        assert generic.gens == coded.gens
+        return coded
+
+    @CODEC_SETTINGS
+    @given(monomial_generator_sets())
+    def test_integer_path_matches_generic_path(self, gens):
+        self.assert_paths_agree(gens)
+
+    @CODEC_SETTINGS
+    @given(monomial_generator_sets())
+    def test_interned_spectra(self, gens):
+        g = self.assert_paths_agree(gens)
+        assume(g is not None)
+        sc = _SpectralClosure(g)
+        for i, el in enumerate(g.elements):
+            assert sc.unique[sc.sid[i]] == el.spectrum() == reference_spectrum(el)
+        assert len(set(sc.unique)) == len(sc.unique)
+
+    def test_canonical_order_is_not_exponent_order(self):
+        # with M = 9, e = 3 is 1/3, which sorts before e = 1, which is 1/9
+        one_by_one = [MonomialMatrix(1, (0,), (CyclotomicUnit(1, 9),)),
+                      MonomialMatrix(1, (0,), (CyclotomicUnit(1, 3),))]
+        g = self.assert_paths_agree(one_by_one)
+        assert g.codec.modulus == 9
+        assert [e.entries[0] for e in g.elements[:3]] == [
+            ONE, CyclotomicUnit(1, 3), CyclotomicUnit(1, 9)]
+        assert g.codes[1][1] == (3,) and g.codes[2][1] == (1,)
+
+    def test_decoded_entries_share_units(self, w3):
+        units = {id(u) for el in w3.elements for u in el.entries}
+        assert len(units) <= w3.codec.modulus
+
+    @pytest.mark.parametrize("wrap", [lambda m: m, Wrapped], ids=["coded", "generic"])
+    def test_dimension_mismatch(self, wrap):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            close([wrap(MonomialMatrix.identity(2)), wrap(big_cycle(3, 1))])
+
+    def test_group_built_without_close(self, h3, w3):
+        # no codes kept: the spectra are interned from the elements
+        for g in (h3, w3):
+            bare = FiniteGroup(g.elements, lambda a, b: a * b, g.identity,
+                               key=lambda e: e.key(), describe=lambda e: e.to_json(),
+                               gens=g.gens)
+            assert bare.codec is None
+            assert has_property_s(bare).to_json() == has_property_s(g).to_json()

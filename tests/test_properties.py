@@ -406,7 +406,7 @@ def reference_s(g):
     products = {}
 
     def check(i, j):
-        key = (spectra[i].key(), spectra[j].key())
+        key = (spectra[i], spectra[j])
         if key not in products:
             products[key] = spectra[i].product(spectra[j])
         return spectra[table[i][j]].issubset(products[key])
