@@ -16,8 +16,9 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .config import RunConfig
-from .families import (GroupFamilySpec, build_generators, build_group,
-                       load_group_file, write_group_file)
+from .families import (FAMILIES, GroupFamilySpec, build_generators,
+                       build_group, load_group_file, read_json,
+                       write_group_file)
 from .groups import ClosureCapExceeded
 from .monomial import MonomialMatrix
 from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
@@ -27,6 +28,7 @@ from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
                          is_v_regular_bounded)
 from .suites import SUITES, run_suites
 
+DEFAULTS = RunConfig()
 CHECK_PROPERTIES = ("s", "s-hat", "wp2", "p1", "p2", "regular", "v-regular",
                     "p-abelian", "engel", "chi-containment", "irreducible")
 
@@ -198,7 +200,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    data = read_json(args.file)
     if not isinstance(data, dict):
         raise ValueError(f"{args.file} is neither a matrix nor a group file")
     if "perm" in data:
@@ -242,14 +244,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, output_default: str | None = None) -> None:
-    parser.add_argument("--cap", type=int, default=4096,
-                        help="closure size cap (default 4096)")
-    parser.add_argument("--section-cap", type=int, default=256,
-                        help="section enumeration cap (default 256)")
-    parser.add_argument("--powers", type=int, default=2,
-                        help="direct powers for v-regular evidence (default 2)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the sampling oracles (default 0)")
+    parser.add_argument("--cap", type=int, default=DEFAULTS.closure_cap,
+                        help=f"closure size cap (default {DEFAULTS.closure_cap})")
+    parser.add_argument("--section-cap", type=int, default=DEFAULTS.section_cap,
+                        help=f"section enumeration cap (default {DEFAULTS.section_cap})")
+    parser.add_argument("--powers", type=int, default=DEFAULTS.power_cap,
+                        help="direct powers for v-regular evidence "
+                             f"(default {DEFAULTS.power_cap})")
+    parser.add_argument("--seed", type=int, default=DEFAULTS.seed,
+                        help=f"seed for the sampling oracles (default {DEFAULTS.seed})")
     parser.add_argument("--format", choices=("text", "structured"),
                         default="text", help="output format")
     parser.add_argument("-o", "--output", default=output_default,
@@ -264,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="write a group file")
-    p_construct.add_argument("family", choices=(
-        "cyclic", "heisenberg", "wreath_cp_cp", "basic", "quaternion8",
-        "dihedral8", "diagonal_abelian", "induced_rep", "direct_product"))
+    p_construct.add_argument("family", choices=FAMILIES)
     p_construct.add_argument("--m", type=int, help="cyclic order / diagonal modulus")
     p_construct.add_argument("--p", type=int, help="prime")
     p_construct.add_argument("--c", type=int, help="base rank")
@@ -276,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--character", help="character exponents 'x1,x2,...'")
     p_construct.add_argument("--factor", action="append",
                              help="factor group file (repeatable)")
-    p_construct.add_argument("--cap", type=int, default=4096)
+    p_construct.add_argument("--cap", type=int, default=DEFAULTS.closure_cap)
     p_construct.add_argument("-o", "--output", required=True)
     p_construct.set_defaults(func=cmd_construct)
 
     p_analyze = sub.add_parser("analyze", help="structure report for a group file")
     p_analyze.add_argument("group")
-    p_analyze.add_argument("--cap", type=int, default=4096)
+    p_analyze.add_argument("--cap", type=int, default=DEFAULTS.closure_cap)
     p_analyze.add_argument("--format", choices=("text", "structured"),
                            default="text")
     p_analyze.add_argument("-o", "--output", default=None)

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .cyclotomic import ONE, CyclotomicUnit, is_prime
 from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, close
@@ -410,9 +410,19 @@ def write_group_file(spec: GroupFamilySpec, path: str | Path) -> None:
                           encoding="utf-8")
 
 
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; a document nested too deeply to parse is a
+    ValueError, like any other malformed input."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from exc
+
+
 def load_group_file(path: str | Path) -> GroupFamilySpec:
     """Load a recipe and confirm the stored generators match it."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     spec = GroupFamilySpec.from_json(data)
     try:
         expected = group_file_payload(spec)["generators"]

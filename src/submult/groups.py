@@ -1,26 +1,23 @@
 """Generic finite-group kernel on canonically indexed element tables.
 
-A ``FiniteGroup`` owns a closed element list plus multiplication and
-inverse oracles on indices.  Carriers are opaque: monomial matrices,
-affine pairs, index tuples (direct products) or coset representatives
-(quotients) all work, as long as elements expose ``__mul__``,
-``identity_like``/explicit identity, a hashable ``key()`` and a JSON form.
+A ``FiniteGroup`` is a closed element list, an identity index and, for
+each generator index g, the right-multiplication permutation x -> x*g on
+indices.  Carriers are opaque to it: monomial matrices, affine pairs,
+index tuples (direct products) or parent indices (quotients, subgroups as
+groups) all work; the group only describes them through ``describe``.
 
-Every product is a lookup in the group's integer Cayley table, which the
-first product asked for builds.  ``full_table`` builds it from one
-right-multiplication permutation per generator.  ``close`` records these
-while closing, on integer codes where the carrier offers a codec
-(monomial matrices: ``MonomialCodec``), so a closed group's table costs no
-carrier product; any other group (quotients, subgroups as groups, direct
-products and powers) computes its |gens| permutations with |gens| * n
-carrier products.  Rows are then gathered whole along a breadth-first
-spanning tree, not filled entry by entry.  A group's size, and so its
-table's, is bounded by the cap its builder used.
+Every builder hands over those permutations.  ``close`` records them while
+closing, on integer codes where the carrier offers a codec (monomial
+matrices: ``MonomialCodec``); quotients, subgroups as groups and direct
+products read them off their parents' Cayley tables.  Every product is a
+lookup in the group's integer Cayley table, which the first product asked
+for builds from the permutations alone: rows are gathered whole along a
+breadth-first spanning tree, and no carrier is multiplied.  A group's
+size, and so its table's, is bounded by the cap its builder used.
 
 The subgroup lattice runs on integer indices over the table: a subgroup
 grows one coset at a time from the subgroup already built (Dimino), and a
-subgroup taken as a group multiplies through its parent's indices.  No
-carrier is multiplied once the table exists.
+subgroup taken as a group multiplies through its parent's indices.
 
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
@@ -72,21 +69,15 @@ def prime_power_base(n: int) -> tuple[int, int] | None:
 class FiniteGroup:
     """Closed, canonically indexed finite group."""
 
-    def __init__(self, elements: list, mul_raw: Callable[[Any, Any], Any],
-                 identity: int, *, key: Callable[[Any], Any],
-                 describe: Callable[[Any], Any], gens: tuple[int, ...],
-                 name: str = "", right: dict[int, list[int]] | None = None):
+    def __init__(self, elements: list, right: dict[int, list[int]],
+                 identity: int, *, describe: Callable[[Any], Any],
+                 gens: tuple[int, ...], name: str = ""):
         self.elements = list(elements)
-        self._mul_raw = mul_raw
+        self._right = right  # generator index -> the list x -> x*g
         self.identity = identity
-        self._key = key
         self._describe = describe
         self.gens = tuple(gens)
         self.name = name
-        self._right = right  # generator index -> x -> x*g, recorded by close
-        self.index = {key(e): i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate elements in group table")
         n = len(self.elements)
         self._rows: list[list[int]] | None = None  # built by full_table
         self._inv: list[int] | None = None  # built by inverses
@@ -102,9 +93,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index_of(self, element: Any) -> int:
-        return self.index[self._key(element)]
 
     def describe(self, i: int) -> Any:
         return self._describe(self.elements[i])
@@ -125,10 +113,9 @@ class FiniteGroup:
         """The Cayley table: row i holds the index of i*j at position j.
         Built on first use and cached; ``mul`` reads it.
 
-        The table rests on the |gens| right-multiplication permutations
-        x -> x*g.  A group built by ``close`` recorded them while closing,
-        so its table costs no carrier product beyond the closure; any other
-        group computes them here, |gens| * n carrier products.
+        The table rests on the right-multiplication permutations x -> x*g
+        that the group's builder handed over, one per distinct generator;
+        no carrier is multiplied.
 
         A breadth-first spanning tree from the identity writes each element
         y as x * g for its parent x and a generator g (a Schreier vector;
@@ -141,12 +128,7 @@ class FiniteGroup:
         if self._rows is not None:
             return self._rows
         n = len(self.elements)
-        elements, key, index, mul_raw = (self.elements, self._key, self.index,
-                                         self._mul_raw)
-        identity = self.identity
-        right = self._right or {
-            g: [index[key(mul_raw(x, elements[g]))] for x in elements]
-            for g in dict.fromkeys(self.gens)}
+        identity, right = self.identity, self._right
         # steps[t] = (y, x, g) with y = x*g, in BFS order
         steps: list[tuple[int, int, int]] = []
         seen = [False] * n
@@ -493,18 +475,16 @@ class FiniteGroup:
             for x in coset:
                 rep_of[x] = rep
         reps = sorted(set(rep_of))
+        pos = {r: t for t, r in enumerate(reps)}
         describe = self._describe
 
         def q_describe(rep: int) -> Any:
             return {"coset_rep": describe(self.elements[rep])}
 
-        def q_mul(a: int, b: int) -> int:
-            return rep_of[self.mul(a, b)]
-
         gens = tuple(dict.fromkeys(rep_of[g] for g in self.gens)) or (rep_of[self.identity],)
-        return FiniteGroup(reps, q_mul, reps.index(rep_of[self.identity]),
-                           key=lambda r: r, describe=q_describe,
-                           gens=tuple(reps.index(r) for r in gens),
+        right = {pos[g]: [pos[rep_of[self.mul(r, g)]] for r in reps] for g in gens}
+        return FiniteGroup(reps, right, pos[rep_of[self.identity]],
+                           describe=q_describe, gens=tuple(right),
                            name=f"{self.name}/N{len(n.members)}")
 
     def sections(self, section_cap: int = 256) -> Iterator[tuple["Subgroup", "Subgroup", "FiniteGroup"]]:
@@ -567,15 +547,17 @@ class Subgroup:
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup whose elements are the
-        parent's indices: it multiplies with ``parent.mul`` (lookups in the
-        parent's table) and describes with the parent."""
+        parent's indices: its right-multiplication permutations are read off
+        the parent's table, and it describes with the parent."""
         parent = self.parent
-        gens = self.reduced_gens()
-        pos = {i: t for t, i in enumerate(self.members)}
-        gen_pos = tuple(dict.fromkeys(pos[g] for g in gens)) or (pos[parent.identity],)
-        return FiniteGroup(list(self.members), parent.mul, pos[parent.identity],
-                           key=lambda i: i, describe=parent.describe,
-                           gens=gen_pos, name=f"{parent.name}|sub{len(self.members)}")
+        members = self.members
+        pos = {i: t for t, i in enumerate(members)}
+        gens = self.reduced_gens() or (parent.identity,)
+        right = {pos[g]: [pos[parent.mul(m, g)] for m in members]
+                 for g in dict.fromkeys(gens)}
+        return FiniteGroup(list(members), right, pos[parent.identity],
+                           describe=parent.describe, gens=tuple(right),
+                           name=f"{parent.name}|sub{len(members)}")
 
 
 class _CarrierCodec:
@@ -622,57 +604,48 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
         for t, perm in enumerate(right):
             perm.extend(map(index.__getitem__, products[t::len(gens)]))
     gen_index = tuple(index[codec.encode(g)] for g in gens)
-    group = FiniteGroup([codec.decode(c) for c in codes], lambda a, b: a * b, 0,
-                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
-                        gens=gen_index, name=name,
-                        right=dict(zip(gen_index, right)))
+    group = FiniteGroup([codec.decode(c) for c in codes], dict(zip(gen_index, right)),
+                        0, describe=lambda e: e.to_json(), gens=gen_index, name=name)
     group.codec, group.codes = codec, codes
     return group
 
 
-def direct_product(g1: FiniteGroup, g2: FiniteGroup,
-                   cap: int = DEFAULT_CLOSURE_CAP, *, name: str = "") -> FiniteGroup:
-    """Componentwise product on index pairs, elements in lexicographic order."""
-    if len(g1) * len(g2) > cap:
-        raise ClosureCapExceeded(len(g1) * len(g2), cap)
-    elements = [(i, j) for i in range(len(g1)) for j in range(len(g2))]
+def direct_product(*factors: FiniteGroup, cap: int = DEFAULT_CLOSURE_CAP,
+                   name: str = "") -> FiniteGroup:
+    """Componentwise product on flat index tuples, elements in lexicographic
+    order; the generators are each factor's, in factor order.
 
-    def mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        return (g1.mul(a[0], b[0]), g2.mul(a[1], b[1]))
+    Index x of tuple e is the sum of e[t] * stride_t, so a generator h of
+    factor t moves x to x + (f_t.mul(e[t], h) - e[t]) * stride_t."""
+    sizes = [len(f) for f in factors]
+    order = math.prod(sizes)
+    if order > cap:
+        raise ClosureCapExceeded(order, cap)
+    elements = list(itertools.product(*map(range, sizes)))
+    strides = [math.prod(sizes[t + 1:]) for t in range(len(factors))]
+    identity = sum(f.identity * stride for f, stride in zip(factors, strides))
+    gens, right = [], {}
+    for t, (f, stride) in enumerate(zip(factors, strides)):
+        for h in f.gens:
+            x = identity + (h - f.identity) * stride
+            gens.append(x)
+            if x not in right:
+                shift = [(f.mul(i, h) - i) * stride for i in range(len(f))]
+                right[x] = [y + shift[e[t]] for y, e in enumerate(elements)]
 
-    def describe(e: tuple[int, int]) -> Any:
-        return {"pair": [g1.describe(e[0]), g2.describe(e[1])]}
+    def describe(e: tuple[int, ...]) -> Any:
+        return {"tuple": [f.describe(i) for f, i in zip(factors, e)]}
 
-    identity = elements.index((g1.identity, g2.identity))
-    gens = tuple(elements.index((g, g2.identity)) for g in g1.gens) + \
-        tuple(elements.index((g1.identity, h)) for h in g2.gens)
-    return FiniteGroup(elements, mul, identity, key=lambda e: e,
-                       describe=describe, gens=gens,
-                       name=name or f"({g1.name})x({g2.name})")
+    return FiniteGroup(elements, right, identity, describe=describe,
+                       gens=tuple(gens),
+                       name=name or "x".join(f"({f.name})" for f in factors))
 
 
 def direct_power(g: FiniteGroup, m: int, cap: int = DEFAULT_CLOSURE_CAP, *,
                  name: str = "") -> FiniteGroup:
-    """m-fold componentwise power on flat index tuples."""
+    """The m-fold direct product of g with itself."""
     if m < 1:
         raise ValueError("power must be >= 1")
     if len(g) ** m > cap:
         raise ClosureCapExceeded(len(g) ** m, cap)
-    elements = list(itertools.product(range(len(g)), repeat=m))
-
-    def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(g.mul(x, y) for x, y in zip(a, b))
-
-    def describe(e: tuple[int, ...]) -> Any:
-        return {"tuple": [g.describe(x) for x in e]}
-
-    identity_elem = (g.identity,) * m
-    gens = []
-    for slot in range(m):
-        for gen in g.gens:
-            e = list(identity_elem)
-            e[slot] = gen
-            gens.append(elements.index(tuple(e)))
-    return FiniteGroup(elements, mul, elements.index(identity_elem),
-                       key=lambda e: e, describe=describe, gens=tuple(gens),
-                       name=name or f"({g.name})^{m}")
+    return direct_product(*[g] * m, cap=cap, name=name or f"({g.name})^{m}")

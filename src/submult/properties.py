@@ -497,7 +497,7 @@ def _normalize_cycle_to_standard(g: FiniteGroup) -> FiniteGroup:
     entry product 1."""
     n = g.elements[0].n
     standard = big_cycle(n, 1)
-    if standard.key() in g.index:
+    if standard in g.elements:
         return g
     cycle_perm = standard.perm
     for el in g.elements:

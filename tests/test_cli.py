@@ -6,6 +6,7 @@ import pytest
 
 from submult import cli
 from submult.cli import main
+from submult.config import RunConfig
 from submult.properties import PropertyReport, is_engel
 
 
@@ -183,6 +184,15 @@ class TestCheck:
         assert json.loads(out.read_text())["report"]["holds"] is True
 
 
+def test_parser_defaults_are_run_config_defaults():
+    args = cli.build_parser().parse_args(["check", "s", "g.json"])
+    assert RunConfig(closure_cap=args.cap, section_cap=args.section_cap,
+                     power_cap=args.powers, output=args.format,
+                     seed=args.seed) == RunConfig()
+    for command in (["construct", "cyclic", "-o", "g.json"], ["analyze", "g.json"]):
+        assert cli.build_parser().parse_args(command).cap == RunConfig().closure_cap
+
+
 class TestSpectrum:
     def test_matrix_file(self, tmp_path, capsys):
         from submult.families import big_cycle
@@ -271,6 +281,22 @@ class TestMalformedInput:
              "-o", str(out)], capsys) == ""
         error = json.loads(out.read_text())["error"]
         assert error.startswith("malformed group recipe") and "\n" not in error
+
+    @pytest.mark.parametrize("command", [
+        ["check", "s"], ["check", "regular"], ["spectrum"], ["analyze"],
+        ["construct", "direct_product", "-o", "{tmp}/out.json", "--factor"]],
+        ids=["check-s", "check-regular", "spectrum", "analyze", "construct"])
+    def test_deeply_nested_json(self, command, tmp_path, capsys):
+        # too deep for the JSON parser's recursion: an input error, not a
+        # RecursionError traceback with exit 1 ("fails with a witness")
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        argv = [arg.format(tmp=tmp_path) for arg in command] + [str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "nested too deeply" in out + err
+        assert not (tmp_path / "out.json").exists()
 
     def test_matrix_file_without_n(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -118,7 +118,7 @@ class TestBasicFamily:
 
     def test_extension_generator_order(self):
         g = basic_group(3, 2, 2)
-        b = g.index_of(AffineContext(3, 2, 2).extension_generator())
+        b = g.elements.index(AffineContext(3, 2, 2).extension_generator())
         assert g.element_order(b) == 9
 
     def test_rejects_oversized_shift(self):

@@ -2,6 +2,7 @@
 and the power-structure subgroups."""
 
 import functools
+import operator
 import random
 
 import pytest
@@ -253,7 +254,7 @@ class TestSubgroupsAndQuotients:
         rep_of = {}
         for i in range(len(w3)):
             coset = min(w3.mul(i, m) for m in n.members)
-            rep_of[i] = q.index_of(coset)
+            rep_of[i] = q.elements.index(coset)
         for _ in range(200):
             a, b = rng.randrange(len(w3)), rng.randrange(len(w3))
             assert rep_of[w3.mul(a, b)] == q.mul(rep_of[a], rep_of[b])
@@ -366,16 +367,32 @@ class TestIntegrity:
         assert g.inverses() is inv
 
 
-# -- the Cayley-table kernel against raw carrier products ---------------------------
+# -- the Cayley-table kernel against independent products ---------------------------
 
-def assert_table_matches_raw_products(g):
-    """full_table() agrees with index(key(mul_raw(x, y))) on every pair."""
+def assert_table_matches_raw_products(g, product):
+    """full_table() agrees on every pair with ``product``, an independent
+    multiplication of the group's elements."""
     table = g.full_table()
     n = len(g)
-    assert len(table) == n
+    pos = {e: i for i, e in enumerate(g.elements)}
+    assert len(table) == len(pos) == n
     for i, x in enumerate(g.elements):
-        raw = [g.index_of(g._mul_raw(x, y)) for y in g.elements]
+        raw = [pos[product(x, y)] for y in g.elements]
         assert table[i] == raw, f"row {i} differs from the raw products"
+
+
+def componentwise(*factors):
+    """The product of index tuples over the factors' own tables."""
+    return lambda a, b: tuple(f.mul(x, y) for f, x, y in zip(factors, a, b))
+
+
+def group_from_carriers(elements, identity, gens):
+    """A FiniteGroup on carrier elements in the given order, its
+    right-multiplication permutations computed by carrier products."""
+    right = {g: [elements.index(x * elements[g]) for x in elements]
+             for g in dict.fromkeys(gens)}
+    return FiniteGroup(elements, right, identity,
+                       describe=lambda e: e.to_json(), gens=tuple(gens))
 
 
 @st.composite
@@ -405,90 +422,75 @@ class TestFullTableKernel:
     @KERNEL_SETTINGS
     @given(monomial_groups())
     def test_monomial_closures(self, g):
-        assert_table_matches_raw_products(g)
+        assert_table_matches_raw_products(g, operator.mul)
 
     @KERNEL_SETTINGS
     @given(monomial_groups(), st.data())
     def test_quotients(self, g, data):
         normal = data.draw(st.sampled_from(
             (g.center(), g.derived_subgroup(), g.whole_subgroup())))
-        assert_table_matches_raw_products(g.quotient(normal))
+        # a coset's representative is its least element
+        assert_table_matches_raw_products(
+            g.quotient(normal),
+            lambda a, b: min(g.mul(g.mul(a, b), m) for m in normal.members))
 
     @KERNEL_SETTINGS
     @given(monomial_groups(), st.data())
     def test_subgroups(self, g, data):
         seeds = data.draw(st.lists(st.integers(0, len(g) - 1), max_size=2))
-        assert_table_matches_raw_products(g.subgroup(seeds).as_group())
+        assert_table_matches_raw_products(g.subgroup(seeds).as_group(), g.mul)
 
     @KERNEL_SETTINGS
     @given(monomial_groups(max_order=40), monomial_groups(max_order=30))
     def test_direct_products(self, g1, g2):
-        assert_table_matches_raw_products(direct_product(g1, g2))
+        assert_table_matches_raw_products(direct_product(g1, g2),
+                                          componentwise(g1, g2))
 
     @KERNEL_SETTINGS
     @given(monomial_groups(max_order=24), st.integers(1, 2))
     def test_direct_powers(self, g, m):
-        assert_table_matches_raw_products(direct_power(g, m))
+        power = direct_power(g, m)
+        assert_table_matches_raw_products(power, componentwise(*[g] * m))
+        product = direct_product(*[g] * m)
+        assert power.elements == product.elements
+        assert power.full_table() == product.full_table()
+        assert (power.identity, power.gens) == (product.identity, product.gens)
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=12), monomial_groups(max_order=8),
+           monomial_groups(max_order=8))
+    def test_ternary_product_matches_nested(self, a, b, c):
+        flat = direct_product(a, b, c)
+        nested = direct_product(direct_product(a, b), c)
+        assert_table_matches_raw_products(flat, componentwise(a, b, c))
+        assert flat.full_table() == nested.full_table()
+        assert (flat.identity, flat.gens) == (nested.identity, nested.gens)
+        i, j, k = flat.elements[-1]
+        assert flat.describe(len(flat) - 1) == {
+            "tuple": [a.describe(i), b.describe(j), c.describe(k)]}
 
     @pytest.mark.parametrize("pce", [(2, 1, 1), (2, 2, 1), (2, 1, 2),
                                      (3, 1, 1), (3, 2, 1), (3, 3, 1),
                                      (5, 2, 1)])
     def test_affine_basic_groups(self, pce):
-        assert_table_matches_raw_products(basic_group(*pce))
+        assert_table_matches_raw_products(basic_group(*pce), operator.mul)
 
     def test_non_generating_gens_raise(self, h3):
-        g = FiniteGroup(h3.elements, lambda a, b: a * b, h3.identity,
-                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
-                        gens=h3.gens[:1])
+        g = group_from_carriers(h3.elements, h3.identity, h3.gens[:1])
         with pytest.raises(ValueError, match="reach only 3 of 27"):
             g.full_table()
-
-    @staticmethod
-    def count_raw_products(g):
-        raw = g._mul_raw
-        calls = [0]
-
-        def counting(a, b):
-            calls[0] += 1
-            return raw(a, b)
-
-        g._mul_raw = counting
-        return calls
-
-    def test_carrier_products_per_generator_only(self):
-        # close recorded x*g for every generator: the table multiplies nothing
-        g = close(heisenberg_generators(5))
-        calls = self.count_raw_products(g)
-        g.full_table()
-        assert calls[0] == 0
-        g.full_table()
-        assert calls[0] == 0
-
-    def test_unrecorded_group_computes_generator_permutations(self, h5):
-        # a group built without close pays |gens| * n carrier products once
-        g = FiniteGroup(h5.elements, lambda a, b: a * b, h5.identity,
-                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
-                        gens=h5.gens)
-        calls = self.count_raw_products(g)
-        g.full_table()
-        assert calls[0] == len(g.gens) * 125
-        g.full_table()
-        assert calls[0] == len(g.gens) * 125
-        assert g.full_table() == h5.full_table()
 
     def test_first_mul_builds_table(self, h5):
         # the first product builds the whole table; later products and
         # full_table are lookups in it
-        g = FiniteGroup(h5.elements, lambda a, b: a * b, h5.identity,
-                        key=lambda e: e.key(), describe=lambda e: e.to_json(),
-                        gens=h5.gens)
-        calls = self.count_raw_products(g)
+        g = group_from_carriers(h5.elements, h5.identity, h5.gens)
+        assert g._rows is None
         assert g.mul(3, 7) == h5.mul(3, 7)
-        assert calls[0] == len(g.gens) * 125
+        table = g._rows
+        assert table == h5.full_table()
         assert all(g.mul(i, j) == h5.mul(i, j)
                    for i in range(125) for j in range(125))
-        assert g.full_table() == h5.full_table()
-        assert calls[0] == len(g.gens) * 125
+        assert g.full_table() is table
 
     @pytest.mark.parametrize("make", [
         lambda: [MonomialMatrix.identity(2)], lambda: cyclic_generator(1),
@@ -498,7 +500,7 @@ class TestFullTableKernel:
         # a one-index gather would return a scalar, not a row
         g = close(make())
         assert len(g) in (1, 2)
-        assert_table_matches_raw_products(g)
+        assert_table_matches_raw_products(g, operator.mul)
         assert all(type(row) is list for row in g.full_table())
 
     def test_repeated_and_identity_generators(self):
@@ -508,7 +510,7 @@ class TestFullTableKernel:
             g = close(gens)
             assert len(g) == 27
             assert len(g.gens) == len(gens)
-            assert_table_matches_raw_products(g)
+            assert_table_matches_raw_products(g, operator.mul)
 
 
 # -- the subgroup lattice against from-scratch references ---------------------------
@@ -585,9 +587,8 @@ def reference_normal_subgroups(g):
 
 def reference_as_group(g, members, gens):
     pos = {i: t for t, i in enumerate(members)}
-    return FiniteGroup([g.elements[i] for i in members], g._mul_raw,
-                       pos[g.identity], key=g._key, describe=g._describe,
-                       gens=tuple(pos[x] for x in gens) or (pos[g.identity],))
+    return group_from_carriers([g.elements[i] for i in members], pos[g.identity],
+                               tuple(pos[x] for x in gens) or (pos[g.identity],))
 
 
 def reference_sections(g):
@@ -778,7 +779,6 @@ class TestMonomialCodec:
         assert not isinstance(generic.codec, MonomialCodec)
         assert [w.m for w in generic.elements] == coded.elements
         assert [w.key() for w in generic.elements] == [m.key() for m in coded.elements]
-        assert generic.index == coded.index
         assert generic._right == coded._right
         assert generic.gens == coded.gens
         return coded
@@ -820,8 +820,6 @@ class TestMonomialCodec:
     def test_group_built_without_close(self, h3, w3):
         # no codes kept: the spectra are interned from the elements
         for g in (h3, w3):
-            bare = FiniteGroup(g.elements, lambda a, b: a * b, g.identity,
-                               key=lambda e: e.key(), describe=lambda e: e.to_json(),
-                               gens=g.gens)
+            bare = group_from_carriers(g.elements, g.identity, g.gens)
             assert bare.codec is None
             assert has_property_s(bare).to_json() == has_property_s(g).to_json()

@@ -4,7 +4,7 @@ implications between them on the named examples."""
 import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
-from test_groups import KERNEL_SETTINGS, monomial_groups
+from test_groups import KERNEL_SETTINGS, group_from_carriers, monomial_groups
 
 from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
@@ -543,9 +543,8 @@ class TestOrbitScan:
         cls = next(c for c in w3.conjugacy_classes()
                    if len(c) == 3 and all(engel2(c[0], y) for y in range(n)))
         order = [e, *cls] + [i for i in range(n) if i != e and i not in cls]
-        g = FiniteGroup([w3.elements[i] for i in order], lambda a, b: a * b, 0,
-                        key=lambda m: m.key(), describe=lambda m: m.to_json(),
-                        gens=tuple(order.index(i) for i in w3.gens))
+        g = group_from_carriers([w3.elements[i] for i in order], 0,
+                                tuple(order.index(i) for i in w3.gens))
         regular = is_regular(g)
         w = regular.witness
         assert (w["left_index"], w["right_index"]) == (4, 5)
