@@ -16,8 +16,10 @@ breadth-first spanning tree, and no carrier is multiplied.  A group's
 size, and so its table's, is bounded by the cap its builder used.
 
 The subgroup lattice runs on integer indices over the table: a subgroup
-grows one coset at a time from the subgroup already built (Dimino), and a
-subgroup taken as a group multiplies through its parent's indices.
+grows one coset at a time from the subgroup already built (Dimino).
+Sections H/K are pairs of subgroups of the group itself, the normal
+subgroups of each H read off the group's own lattice, so a section scan
+builds no quotient group and no subgroup as a group.
 
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
@@ -487,27 +489,38 @@ class FiniteGroup:
                            describe=q_describe, gens=tuple(right),
                            name=f"{self.name}/N{len(n.members)}")
 
-    def sections(self, section_cap: int = 256) -> Iterator[tuple["Subgroup", "Subgroup", "FiniteGroup"]]:
-        """All sections H/K: H over all subgroups (largest first), K over the
-        normal subgroups of H (smallest first).  Requires |G| <= section_cap.
+    def sections(self, section_cap: int = 256) -> Iterator[
+            tuple["Subgroup", "Subgroup", set[tuple[int, ...]] | None]]:
+        """All sections H/K as (H, K, lattice): H over all subgroups
+        (largest first), K over the normal subgroups of H (smallest first),
+        both subgroups of G.  Requires |G| <= section_cap.
 
         The whole group is the unique largest subgroup, so its quotients
-        come first and are yielded before the lattice is enumerated: a scan
-        that stops at G/K never pays for the lattice.  The lattice then runs
-        on integer indices over G's Cayley table, and each H is a group on
-        G's indices, so no carrier is multiplied after the table is built.
+        come first and are yielded, with lattice None, before the lattice is
+        enumerated: a scan that stops at G/K never pays for it.  After that,
+        lattice is the set of member tuples of every subgroup of G, and the
+        normal subgroups of each H are read from it: K lies in H and k**h
+        is in K for every generator k of K and h of H.  No section is built
+        as a group; everything runs on G's indices and Cayley table.
         """
         n = len(self.elements)
         if n > section_cap:
             raise ClosureCapExceeded(n, section_cap)
         whole = self.whole_subgroup()
-        for k in self.normal_subgroups():
-            yield whole, k, self.quotient(k)
+        for k in self.normal_subgroups(section_cap):
+            yield whole, k, None
         subs = self.all_subgroups(section_cap)
+        lattice = {s.members for s in subs}
+        conjugate = self.conjugate
         for h in sorted(subs, key=lambda s: (-len(s.members), s.members))[1:]:
-            h_grp = h.as_group()
-            for k in h_grp.normal_subgroups():
-                yield h, k, h_grp.quotient(k)
+            h_set = h.member_set
+            for k in subs:  # sorted by order, then members
+                if len(k.members) > len(h.members):
+                    break
+                k_set = k.member_set
+                if k_set <= h_set and all(conjugate(x, y) in k_set
+                                          for x in k.gens for y in h.gens):
+                    yield h, k, lattice
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import Callable
 from .cyclotomic import ONE, Spectrum, is_prime
 from .families import all_characters, big_cycle, induced_rep_generators
 from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
-                     close, direct_power)
+                     Subgroup, close, direct_power)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
                        in_row_span, rotation_difference_image)
 
@@ -243,40 +243,79 @@ def has_property_s_hat_single(g: FiniteGroup) -> PropertyReport:
 
 # -- power structure ---------------------------------------------------------------
 
-def _exponent_levels(g: FiniteGroup) -> tuple[int, int]:
-    p, _ = g.p_group_base()
-    e = 0
-    exp = g.exponent()
-    while exp > 1:
-        exp //= p
-        e += 1
-    return p, e
+PowerSet = Callable[[FiniteGroup, Subgroup, Subgroup, list[int]], set[int]]
 
 
-PowerSet = Callable[[FiniteGroup, int], tuple[int, ...]]
+def _order_dividing(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
+                    pk: list[int]) -> set[int]:
+    """The x in H with x**(p**k) in K: the cosets of H/K whose order
+    divides p**k."""
+    inside = kernel.member_set
+    return {x for x in h.members if pk[x] in inside}
 
 
-def _power_failure(g: FiniteGroup, power_set: PowerSet
+def _power_image(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
+                 pk: list[int]) -> set[int]:
+    """The cosets x**(p**k) K for x in H: the p**k-th powers of H/K."""
+    union: set[int] = set()
+    for y in {pk[x] for x in h.members}:
+        if y not in union:
+            union.update(g.mul(y, m) for m in kernel.members)
+    return union
+
+
+def _power_failure(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
+                   power_set: PowerSet,
+                   lattice: set[tuple[int, ...]] | None = None
                    ) -> tuple[int, int] | None:
-    """First (k, witness_index) where ``power_set(g, k)`` differs from the
-    subgroup it generates, else None.  With ``order_dividing_set`` that
-    subgroup is omega_k, with ``power_image_set`` it is agemo_k."""
-    if len(g) == 1:
-        return None
-    _, e = _exponent_levels(g)
-    for k in range(1, e + 1):
-        elements = power_set(g, k)
-        inside = set(elements)
-        extra = [m for m in g.subgroup(elements).members if m not in inside]
-        if extra:
-            return k, min(extra)
-    return None
+    """First (k, rep) at which the section H/K of g has a power set that
+    differs from the subgroup it generates, else None.  With
+    ``_order_dividing`` that subgroup is omega_k, with ``_power_image`` it
+    is agemo_k.
+
+    H/K is read through g's power map x -> x**(p**k) modulo K: the set is
+    the union U of its cosets, and it is a subgroup of H/K exactly when U
+    is a subgroup of g.  That is a lookup in ``lattice`` (the member tuples
+    of every subgroup of g) when one is given, else a closure.  The levels
+    stop at the first k with every x**(p**k) in K, the exponent of H/K,
+    where the set is all of H/K or trivial.  rep is the least member of
+    <U> outside U; its whole coset lies outside U, so it is that coset's
+    least member.
+    """
+    p, _ = g.p_group_base()
+    inside = kernel.member_set
+    k = 1
+    while True:
+        pk = g.power_map(p ** k)
+        if all(pk[x] in inside for x in h.members):
+            return None
+        union = power_set(g, h, kernel, pk)
+        key = tuple(sorted(union))
+        if lattice is None or key not in lattice:
+            generated = g.subgroup(key).members
+            if len(generated) > len(key):
+                return k, next(m for m in generated if m not in union)
+        k += 1
+
+
+def _coset_rank(g: FiniteGroup, h: Subgroup, kernel: Subgroup, rep: int) -> int:
+    """Index of the coset rep*K in H/K numbered as ``FiniteGroup.quotient``
+    numbers it, by ascending least member: the number of cosets whose least
+    member is below rep, itself the least member of its coset."""
+    covered: set[int] = set()
+    for x in h.members:
+        if x >= rep:
+            break
+        if x not in covered:
+            covered.update(g.mul(x, m) for m in kernel.members)
+    return len(covered) // len(kernel)
 
 
 def has_wp2(g: FiniteGroup) -> PropertyReport:
     """For each k, the set of elements of order dividing p**k already forms
     the subgroup it generates."""
-    fail = _power_failure(g, FiniteGroup.order_dividing_set)
+    fail = _power_failure(g, g.whole_subgroup(), g.trivial_subgroup(),
+                          _order_dividing)
     counters = {"elements_checked": len(g)}
     if fail is None:
         return PropertyReport("wp2", True, counters=counters)
@@ -292,7 +331,8 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
                   power_set: PowerSet) -> PropertyReport:
     """Run the power probe over every section H/K of g."""
     if len(g) > section_cap:
-        base_fail = _power_failure(g, power_set)
+        base_fail = _power_failure(g, g.whole_subgroup(), g.trivial_subgroup(),
+                                   power_set)
         if base_fail is not None:
             k, idx = base_fail
             witness = {"k": k, "element_index": idx, "element": g.describe(idx),
@@ -305,13 +345,13 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
             caps=[f"|G| = {len(g)} exceeds section cap {section_cap}; only "
                   "the group itself was checked"])
     checked = 0
-    for h, kernel, section in g.sections(section_cap):
+    for h, kernel, lattice in g.sections(section_cap):
         checked += 1
-        fail = _power_failure(section, power_set)
+        fail = _power_failure(g, h, kernel, power_set, lattice)
         if fail is not None:
-            k, idx = fail
-            witness = {"k": k, "element_index": idx,
-                       "element": section.describe(idx),
+            k, rep = fail
+            witness = {"k": k, "element_index": _coset_rank(g, h, kernel, rep),
+                       "element": {"coset_rep": g.describe(rep)},
                        "subgroup_order": len(h), "kernel_order": len(kernel),
                        "subgroup_members": list(h.members),
                        "explanation": "section fails the power-structure "
@@ -324,13 +364,13 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
 def has_p2(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
     """Every section satisfies the wp2 equality (order-dividing sets are
     subgroups); exhaustive below the section cap, capped above it."""
-    return _section_scan(g, section_cap, "p2", FiniteGroup.order_dividing_set)
+    return _section_scan(g, section_cap, "p2", _order_dividing)
 
 
 def has_p1(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
     """Every section has its p**k-th power set equal to the subgroup those
     powers generate."""
-    return _section_scan(g, section_cap, "p1", FiniteGroup.power_image_set)
+    return _section_scan(g, section_cap, "p1", _power_image)
 
 
 # -- regularity ------------------------------------------------------------------

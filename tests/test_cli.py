@@ -25,6 +25,17 @@ def w3_file(tmp_path):
 
 
 @pytest.fixture()
+def w3xc27_file(tmp_path, w3_file):
+    """wreath3 x C27, order 2187."""
+    c27 = tmp_path / "c27.json"
+    assert main(["construct", "cyclic", "--m", "27", "-o", str(c27)]) == 0
+    path = tmp_path / "w3xc27.json"
+    assert main(["construct", "direct_product", "--factor", str(w3_file),
+                 "--factor", str(c27), "-o", str(path)]) == 0
+    return path
+
+
+@pytest.fixture()
 def b321_file(tmp_path):
     path = tmp_path / "b321.json"
     assert main(["construct", "basic", "--p", "3", "--c", "2", "--e", "1",
@@ -160,19 +171,32 @@ class TestCheck:
             assert f"report.counters.{counter}: {value}" in text
 
     @pytest.mark.parametrize("prop", ["p-abelian", "regular", "wp2"])
-    def test_order_2187_fails_with_witness(self, w3_file, tmp_path, capsys,
-                                           prop):
-        # wreath3 x C27: a 2187 x 2187 Cayley table
-        c27 = tmp_path / "c27.json"
-        assert main(["construct", "cyclic", "--m", "27", "-o", str(c27)]) == 0
-        path = tmp_path / "w3xc27.json"
-        assert main(["construct", "direct_product", "--factor", str(w3_file),
-                     "--factor", str(c27), "-o", str(path)]) == 0
+    def test_order_2187_fails_with_witness(self, w3xc27_file, capsys, prop):
+        # a 2187 x 2187 Cayley table
         capsys.readouterr()
-        assert main(["check", prop, str(path), "--format", "structured"]) == 1
+        assert main(["check", prop, str(w3xc27_file),
+                     "--format", "structured"]) == 1
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["holds"] is False
         assert report["witness"]
+
+    def test_larger_section_cap_keeps_the_witness(self, w3xc27_file, capsys):
+        # Above the section cap only the group itself is probed.  A cap that
+        # admits the group scans its sections, and the first, G/1, fails
+        # with the same element.
+        witnesses = []
+        for cap in ("256", "4096"):
+            capsys.readouterr()
+            assert main(["check", "p2", str(w3xc27_file), "--section-cap", cap,
+                         "--format", "structured"]) == 1
+            report = json.loads(capsys.readouterr().out)["report"]
+            assert report["counters"] == {"sections_checked": 1}
+            witnesses.append(report["witness"])
+        capped, scanned = witnesses
+        assert scanned["subgroup_order"] == 2187 and scanned["kernel_order"] == 1
+        assert (scanned["k"], scanned["element_index"]) == \
+            (capped["k"], capped["element_index"])
+        assert scanned["element"] == {"coset_rep": capped["element"]}
 
     def test_missing_file(self, capsys):
         assert main(["check", "s", "/nonexistent/g.json"]) == 2

@@ -276,8 +276,10 @@ class TestSubgroupsAndQuotients:
 
     def test_sections_start_with_whole_group(self, h3):
         first = next(iter(h3.sections()))
-        h, k, section = first
-        assert len(h) == 27 and len(k) == 1 and len(section) == 27
+        h, k, lattice = first
+        assert len(h) == 27 and len(k) == 1
+        # the whole group's quotients come before the lattice is enumerated
+        assert lattice is None
 
 
 class TestProducts:
@@ -592,13 +594,13 @@ def reference_as_group(g, members, gens):
 
 
 def reference_sections(g):
-    """(H members, K members, |H/K|) in section order."""
+    """(H members, K members, |H/K|) in section order, on g's indices."""
     subs = sorted(reference_all_subgroups(g), key=lambda kv: (-len(kv[0]), kv[0]))
     out = []
     for h, h_gens in subs:
         h_grp = reference_as_group(g, h, h_gens)
         for k, _ in reference_normal_subgroups(h_grp):
-            out.append((h, k, len(h) // len(k)))
+            out.append((h, tuple(h[i] for i in k), len(h) // len(k)))
     return out
 
 
@@ -651,8 +653,8 @@ class TestSubgroupLattice:
     @pytest.mark.parametrize("name", LATTICE_GROUPS)
     def test_sections_match_reference(self, name):
         g = lattice_group(name)
-        got = [(h.members, k.members, len(section))
-               for h, k, section in g.sections()]
+        got = [(h.members, k.members, len(h) // len(k))
+               for h, k, _ in g.sections()]
         assert got == reference_sections(g)
 
 
@@ -692,6 +694,24 @@ class TestLatticeWork:
         report = has_p2(close(wreath_generators(3)))
         assert report.holds is False
         assert report.counters == {"sections_checked": 1}
+
+    @pytest.mark.parametrize("make", [
+        lambda: basic_group(5, 2, 1),
+        lambda: direct_product(close(dihedral_generators()),
+                               close(cyclic_generator(4))),
+    ], ids=["b521", "d8xc4"])
+    def test_section_scan_builds_no_group(self, make, monkeypatch):
+        g = make()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("section built as a group")
+
+        monkeypatch.setattr(FiniteGroup, "quotient", refuse)
+        monkeypatch.setattr(Subgroup, "as_group", refuse)
+        monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+        for decide in (has_p1, has_p2):
+            report = decide(g)
+            assert report.counters["sections_checked"] >= 1
 
 
 # -- integer codes against the generic closure path -------------------------------

@@ -4,7 +4,9 @@ implications between them on the named examples."""
 import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
-from test_groups import KERNEL_SETTINGS, group_from_carriers, monomial_groups
+from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, group_from_carriers,
+                         lattice_group, monomial_groups, reference_all_subgroups,
+                         reference_as_group, reference_normal_subgroups)
 
 from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
@@ -12,8 +14,9 @@ from submult.families import (basic_group, big_cycle, cyclic_generator,
                               diagonal_abelian_generators, dihedral_generators,
                               heisenberg_generators, quaternion_generators,
                               wreath_generators)
-from submult.groups import (FiniteGroup, close, direct_power, direct_product,
-                            least_prime_factor, prime_power_base)
+from submult.groups import (FiniteGroup, Subgroup, close, direct_power,
+                            direct_product, least_prime_factor,
+                            prime_power_base)
 from submult.monomial import MonomialMatrix
 from submult.properties import (PropertyReport, _pair_derived, character_norm,
                                 chi_containment, has_p1, has_p2,
@@ -164,6 +167,122 @@ class TestSections:
     def test_failing_group_detected_even_above_cap(self, w3):
         report = has_p2(w3, section_cap=16)
         assert report.holds is False
+
+
+def literal_power_failure(q, prop):
+    """First (k, index) at which the quotient group q's own p**k-level set
+    (p2: elements of order dividing p**k; p1: the p**k-th powers) differs
+    from the subgroup it generates in q, from q's element orders and
+    ``q.subgroup``; None when every level passes."""
+    if len(q) == 1:
+        return None
+    p, _ = q.p_group_base()
+    orders = [q.element_order(i) for i in range(len(q))]
+    level, q_k = 0, 1
+    while q_k < max(orders):
+        level, q_k = level + 1, q_k * p
+        if prop == "p2":
+            members = [i for i in range(len(q)) if q_k % orders[i] == 0]
+        else:
+            members = sorted({q.power(i, q_k) for i in range(len(q))})
+        inside = set(members)
+        extra = [m for m in q.subgroup(members).members if m not in inside]
+        if extra:
+            return level, extra[0]
+    return None
+
+
+def reference_section_report(g, prop):
+    """The p1 or p2 report built literally: every section H/K, in section
+    order, is a group of its own, ``reference_as_group(g, H).quotient(K)``,
+    probed with ``literal_power_failure``."""
+    checked = 0
+    subs = sorted(reference_all_subgroups(g), key=lambda kv: (-len(kv[0]), kv[0]))
+    for h, h_gens in subs:
+        h_grp = reference_as_group(g, h, h_gens)
+        for k, k_gens in reference_normal_subgroups(h_grp):
+            checked += 1
+            section = h_grp.quotient(Subgroup(h_grp, k, k_gens))
+            fail = literal_power_failure(section, prop)
+            if fail is not None:
+                level, idx = fail
+                witness = {"k": level, "element_index": idx,
+                           "element": section.describe(idx),
+                           "subgroup_order": len(h), "kernel_order": len(k),
+                           "subgroup_members": list(h),
+                           "explanation": "section fails the power-structure "
+                                          "set/subgroup equality"}
+                return {"property": prop, "holds": False, "witness": witness,
+                        "counters": {"sections_checked": checked}, "caps": []}
+    return {"property": prop, "holds": True, "witness": None,
+            "counters": {"sections_checked": checked}, "caps": []}
+
+
+def block_product(left, right):
+    """Closure of block-diagonal generators, as ``construct direct_product``
+    builds a product of two monomial group files."""
+    i_left, i_right = (MonomialMatrix.identity(gens[0].n) for gens in (left, right))
+    return close([x.direct_sum(i_right) for x in left]
+                 + [i_left.direct_sum(y) for y in right])
+
+
+# 2-groups on which a p1 or p2 scan fails: below the first section G/1
+# (the products), at a coset whose index in G/K is not its least member's
+# index in G (m16: p2 fails on G/K with |K| = 2), or at level k = 2 (b222).
+SECTION_FAILURES = {
+    "q8xc4": lambda: block_product(quaternion_generators(), cyclic_generator(4)),
+    "d8xc4": lambda: block_product(dihedral_generators(), cyclic_generator(4)),
+    "w2xc4": lambda: block_product(wreath_generators(2), cyclic_generator(4)),
+    "d8xc2": lambda: block_product(dihedral_generators(), cyclic_generator(2)),
+    "m16": lambda: close([
+        MonomialMatrix(3, (1, 0, 2), (ONE, ONE, CyclotomicUnit(3, 4))),
+        MonomialMatrix(3, (1, 0, 2), (I4, CyclotomicUnit(3, 4),
+                                      CyclotomicUnit(1, 2)))]),
+    "b222": lambda: basic_group(2, 2, 2),
+}
+
+
+class TestSectionOracle:
+    """has_p1 and has_p2 read every section off the group's own table and
+    lattice; the oracle builds each section as a quotient group and probes
+    it directly."""
+
+    @pytest.mark.parametrize("prop", ["p1", "p2"])
+    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    def test_lattice_groups(self, name, prop):
+        g = lattice_group(name)
+        decide = has_p1 if prop == "p1" else has_p2
+        assert decide(g).to_json() == reference_section_report(g, prop)
+
+    @pytest.mark.parametrize("prop", ["p1", "p2"])
+    @pytest.mark.parametrize("name", list(SECTION_FAILURES))
+    def test_products(self, name, prop):
+        g = SECTION_FAILURES[name]()
+        decide = has_p1 if prop == "p1" else has_p2
+        assert decide(g).to_json() == reference_section_report(g, prop)
+
+    def test_failures_below_the_first_section(self):
+        reports = [has_p1(SECTION_FAILURES["q8xc4"]()),
+                   has_p2(SECTION_FAILURES["q8xc4"]())]
+        assert all(r.holds is False and r.counters["sections_checked"] > 1
+                   for r in reports)
+        w = has_p2(SECTION_FAILURES["m16"]()).witness
+        assert (w["kernel_order"], w["element_index"]) == (2, 3)
+        assert has_p2(SECTION_FAILURES["b222"]()).witness["k"] == 2
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    def test_random_groups(self, g):
+        if prime_power_base(len(g)) is None and len(g) > 1:
+            event("not a p-group")
+            for decide in (has_p1, has_p2):
+                with pytest.raises(ValueError, match="not a p-group"):
+                    decide(g)
+            return
+        for prop, decide in (("p1", has_p1), ("p2", has_p2)):
+            report = decide(g).to_json()
+            event(f"{prop} holds: {report['holds']}")
+            assert report == reference_section_report(g, prop)
 
 
 class TestRegularity:
