@@ -10,6 +10,7 @@ underlying property.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -259,7 +260,10 @@ def _add_common(parser: argparse.ArgumentParser, *, output_default: str | None =
                         help="write output to a file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` fills a
+    fresh namespace on every call, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="submult",
         description="Exact monomial matrix p-groups: constructions, spectra "

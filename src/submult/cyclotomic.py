@@ -10,6 +10,11 @@ eigenvalues of an l-cycle over p**k-th roots of unity live among
 (l * p**k)-th roots: no single ambient modulus is convenient.  Within one
 closure the lcm M of the generators' denominators serves: ``MonomialCodec``
 closes on exponents mod M and interns spectra by cycle length and sum.
+Property (S) then fixes one modulus L for the whole closure, M times the
+lcm of its cycle lengths, and carries each spectrum as an int bitmask over
+Z/L (bit i set when i/L is an eigenvalue): containment is ``a & ~b == 0``
+and the product set is an OR of rotations.  ``Spectrum.from_mask`` turns
+a mask back into a spectrum, for witnesses.
 """
 
 from __future__ import annotations
@@ -139,6 +144,12 @@ class Spectrum:
     @classmethod
     def from_json(cls, data: list[dict]) -> "Spectrum":
         return cls(CyclotomicUnit.from_json(d) for d in data)
+
+    @classmethod
+    def from_mask(cls, mask: int, modulus: int) -> "Spectrum":
+        """The values i/modulus for the set bits i of mask."""
+        return cls(CyclotomicUnit(i, modulus)
+                   for i in range(mask.bit_length()) if mask >> i & 1)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{u.num}/{u.den}" for u in self.elems)

@@ -440,17 +440,20 @@ class FiniteGroup:
         subs = [trivial]
         for sub in subs:  # subs grows while it is walked
             covered = set(sub.members)
-            overgroups = [whole]
+            # least overgroup of sub found so far that holds each element,
+            # the earliest found on ties
+            within_of = [whole] * n
             for g in range(n):
                 if g in covered:
                     continue
                 covered.update(mul(h, g) for h in sub.members)
-                within = min((k for k in overgroups if g in k), key=len)
+                within = within_of[g]
                 limit = len(within) // least_prime_factor(len(within))
                 members, member_set = list(sub.members), set(sub.members)
                 gens = list(sub.gens)
                 self._adjoin(members, member_set, gens, g, limit)
-                key = within.members if len(members) > limit else tuple(sorted(members))
+                is_within = len(members) > limit
+                key = within.members if is_within else tuple(sorted(members))
                 grown = known.get(key)
                 if grown is None:
                     grown = known[key] = Subgroup(self, key, tuple(gens))
@@ -458,8 +461,10 @@ class FiniteGroup:
                 index = len(key) // len(sub)
                 if least_prime_factor(index) == index:
                     covered.update(key)
-                else:
-                    overgroups.append(grown)
+                elif not is_within:  # a new overgroup, smaller than within
+                    for m in key:
+                        if len(within_of[m]) > len(key):
+                            within_of[m] = grown
         return sorted(known.values(), key=lambda s: (len(s.members), s.members))
 
     def quotient(self, n: "Subgroup") -> "FiniteGroup":

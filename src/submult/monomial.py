@@ -229,6 +229,17 @@ class MonomialCodec:
         return Spectrum(CyclotomicUnit(s + m * t, m * l)
                         for l, s in cycle_key for t in range(l))
 
+    def mask(self, cycle_key: tuple[tuple[int, int], ...], modulus: int) -> int:
+        """The spectrum as a bitmask over Z/modulus: bit i for the value
+        i/modulus.  modulus must be a multiple of M*l for every cycle length
+        l in the key."""
+        m, mask = self.modulus, 0
+        for l, s in cycle_key:
+            step = modulus // (m * l)
+            for t in range(l):
+                mask |= 1 << (s + m * t) * step
+        return mask
+
 
 @dataclass(frozen=True)
 class ExponentVector:

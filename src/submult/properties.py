@@ -11,18 +11,24 @@ Every check returns a ``PropertyReport``: a verdict (True, False, or
 a replayable witness on failure, and work counters.  Witnesses cite
 deterministic element indices plus serialized elements.
 
-Pair scans run over conjugacy-class representatives.  The pair predicates
-of (S), p-abelianness, the Engel identity, order divisibility and
-regularity are all unchanged by simultaneous conjugation
+Pair scans run a row at a time over conjugacy-class representatives.  The
+pair predicates of (S), p-abelianness, the Engel identity, order
+divisibility and regularity are all unchanged by simultaneous conjugation
 (x, y) -> (x**g, y**g): spectra and element orders are class functions and
 (xy)**g = x**g y**g, p-abelianness and the Engel identity are words in x
 and y, and the derived subgroup of a pair's subgroup moves with the pair,
 D(<x**g, y**g>) = D(<x, y>)**g.  Every ordered pair is conjugate to one
-whose first entry is the least member of its class, so only those k * n
-pairs (k classes) are evaluated, representatives in ascending order.  A row
-below the first failing representative belongs to a class whose
-representative passed, so a reported witness is still the
-lexicographically least failing pair of all n**2.
+whose first entry is the least member of its class, so only the rows of
+the k class representatives (k * n pairs) are evaluated, in ascending
+order.  A row below the first failing representative belongs to a class
+whose representative passed, so a reported witness is still the
+lexicographically least failing pair of all n**2.  Each decider supplies
+only its row function, ``first_failure(r)``, the least y whose pair (r, y)
+fails, or None.  It reads whole rows of the Cayley table at once, in
+comprehensions and ``map``/``compress`` chains, rather than making one
+Python call per pair (Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 2005, work on table rows the same way).  ``pairs_evaluated``
+counts the pairs of the evaluated rows.
 
 Verdict conventions:
   * property (S) is decided on all ordered pairs over the full closure,
@@ -35,8 +41,11 @@ Verdict conventions:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import compress, count, repeat
+from typing import Callable, Iterable, Iterator
 
 from .cyclotomic import ONE, Spectrum, is_prime
 from .families import all_characters, big_cycle, induced_rep_generators
@@ -82,34 +91,43 @@ class PropertyReport:
                    caps=list(data.get("caps", [])))
 
 
-def _scan_pairs(g: FiniteGroup, check: Callable[[int, int], bool]
+RowCheck = Callable[[int], int | None]
+
+
+def _scan_pairs(g: FiniteGroup, first_failure: RowCheck
                 ) -> tuple[tuple[int, int] | None, dict[str, int]]:
-    """Decide ``check``, which must be unchanged by simultaneous
-    conjugation, on every ordered pair of g.
+    """Decide a pair predicate that is unchanged by simultaneous
+    conjugation on every ordered pair of g, given as its row function:
+    ``first_failure(x)`` is the least y whose pair (x, y) fails, or None.
 
     Only the rows of class representatives r (least class members) are
     evaluated, in ascending order.  The first failure (r, y) found is the
     least failing pair: each x < r shares its class with a representative
     below r, whose row passed, so x's row passes too.  Returns that pair
     and the counters ``pairs_checked`` (n**2 on a pass, the ascending count
-    up to the witness on a failure) and ``pairs_evaluated`` (calls of
-    ``check``).
+    up to the witness on a failure) and ``pairs_evaluated`` (the pairs of
+    the evaluated rows, the failing row counted up to its witness).
     """
     n = len(g)
     reps = [cls[0] for cls in g.conjugacy_classes()]
     for t, r in enumerate(reps):
-        for y in range(n):
-            if not check(r, y):
-                return (r, y), {"pairs_checked": r * n + y + 1,
-                                "pairs_evaluated": t * n + y + 1}
+        y = first_failure(r)
+        if y is not None:
+            return (r, y), {"pairs_checked": r * n + y + 1,
+                            "pairs_evaluated": t * n + y + 1}
     return None, {"pairs_checked": n * n, "pairs_evaluated": len(reps) * n}
 
 
-def _pair_report(prop: str, g: FiniteGroup, check: Callable[[int, int], bool],
+def _first_true(flags: Iterable) -> int | None:
+    """Index of the first truthy flag, or None."""
+    return next(compress(count(), flags), None)
+
+
+def _pair_report(prop: str, g: FiniteGroup, first_failure: RowCheck,
                  details: Callable[[int, int], dict]) -> PropertyReport:
-    """Report of ``_scan_pairs(g, check)``: True, or False with the least
-    failing pair as witness, extended by ``details(i, j)``."""
-    fail, counters = _scan_pairs(g, check)
+    """Report of ``_scan_pairs(g, first_failure)``: True, or False with the
+    least failing pair as witness, extended by ``details(i, j)``."""
+    fail, counters = _scan_pairs(g, first_failure)
     if fail is None:
         return PropertyReport(prop, True, counters=counters)
     i, j = fail
@@ -128,36 +146,68 @@ def _all_pairs_pass(g: FiniteGroup) -> dict[str, int]:
 # -- property (S): submultiplicative spectra -------------------------------------
 
 class _SpectralClosure:
-    """A closed monomial group's Cayley table with per-element spectra,
-    interned on the cycle keys of the codes ``close`` kept: one ``Spectrum``
-    per distinct key (``MonomialCodec.cycle_key``), one id per spectrum."""
+    """A closed monomial group's Cayley table with per-element spectra as
+    int bitmasks over Z/L, L the codec's modulus M times the lcm of the
+    cycle lengths in the group's distinct cycle keys: bit i of a mask is
+    set when i/L is an eigenvalue.  Masks are built once per distinct cycle
+    key of the codes ``close`` kept (``MonomialCodec.cycle_key``) and
+    interned, one id per distinct spectrum: ``masks[sid[x]]`` is x's.
+
+    The product set of spectra a and b is the OR of the rotations of mask
+    b by the set bits of mask a, built once per (a, b), and the pair (x, y)
+    passes exactly when ``masks[sid[x*y]] & ~product == 0``.  A row x is
+    read as the set of keys ``sid[y]*U + sid[x*y]`` (U distinct spectra),
+    gathered without a Python call per pair; only keys not yet known to
+    pass with sid[x] are tested.  No ``Spectrum`` is built unless a pair
+    fails and a witness needs one."""
 
     def __init__(self, g: FiniteGroup):
         self.table = g.full_table()
         codec = g.codec if isinstance(g.codec, MonomialCodec) else MonomialCodec(g.elements)
         codes = g.codes if codec is g.codec else [codec.encode(e) for e in g.elements]
         keys = [codec.cycle_key(c) for c in codes]
-        spectra = {k: codec.spectrum(k) for k in dict.fromkeys(keys)}
-        ids = {s: i for i, s in enumerate(dict.fromkeys(spectra.values()))}
-        sid = {k: ids[s] for k, s in spectra.items()}
-        self.unique: list[Spectrum] = list(ids)
-        self.sid = [sid[k] for k in keys]
-        self._prod: dict[tuple[int, int], Spectrum] = {}
-        self._ok: dict[tuple[int, int, int], bool] = {}
+        distinct = dict.fromkeys(keys)
+        self.modulus = codec.modulus * math.lcm(*(l for key in distinct for l, _ in key))
+        masks = {k: codec.mask(k, self.modulus) for k in distinct}
+        ids = {m: i for i, m in enumerate(dict.fromkeys(masks.values()))}
+        self.masks = list(ids)
+        self.sid = [ids[masks[k]] for k in keys]
+        u = len(self.masks)
+        self._left = [a * u for a in self.sid]
+        self._good: list[set[int]] = [set() for _ in range(u)]
+        self._prod: dict[tuple[int, int], int] = {}
 
-    def product_spectrum(self, a: int, b: int) -> Spectrum:
+    def product_mask(self, a: int, b: int) -> int:
+        """Mask of the pairwise products of spectra a and b."""
         prod = self._prod.get((a, b))
         if prod is None:
-            prod = self._prod[(a, b)] = self.unique[a].product(self.unique[b])
+            modulus, mask_a, mask_b, wide = self.modulus, self.masks[a], self.masks[b], 0
+            while mask_a:
+                low = mask_a & -mask_a
+                wide |= mask_b << low.bit_length() - 1
+                mask_a ^= low
+            # fold the bits at modulus and above back to the bottom
+            prod = self._prod[(a, b)] = (wide | wide >> modulus) & ((1 << modulus) - 1)
         return prod
 
-    def pair_ok(self, i: int, j: int) -> bool:
-        a, b, ab = self.sid[i], self.sid[j], self.sid[self.table[i][j]]
-        key = (a, b, ab)
-        v = self._ok.get(key)
-        if v is None:
-            v = self._ok[key] = self.unique[ab].issubset(self.product_spectrum(a, b))
-        return v
+    def _row_keys(self, x: int) -> Iterator[int]:
+        return map(operator.add, self._left, map(self.sid.__getitem__, self.table[x]))
+
+    def first_failure(self, x: int) -> int | None:
+        """Least y whose pair (x, y) fails (S), or None."""
+        a, u, masks = self.sid[x], len(self.masks), self.masks
+        good = self._good[a]
+        bad = set()
+        for key in set(self._row_keys(x)) - good:
+            b, ab = divmod(key, u)
+            if masks[ab] & ~self.product_mask(a, b):
+                bad.add(key)
+            else:
+                good.add(key)
+        return _first_true(map(bad.__contains__, self._row_keys(x))) if bad else None
+
+    def spectrum(self, x: int) -> Spectrum:
+        return Spectrum.from_mask(self.masks[self.sid[x]], self.modulus)
 
 
 def has_property_s(g: FiniteGroup) -> PropertyReport:
@@ -176,18 +226,18 @@ def has_property_s(g: FiniteGroup) -> PropertyReport:
 
     def details(i: int, j: int) -> dict:
         k = sc.table[i][j]
-        prod = sc.product_spectrum(sc.sid[i], sc.sid[j])
+        missing = sc.masks[sc.sid[k]] & ~sc.product_mask(sc.sid[i], sc.sid[j])
         return {
             "product_index": k,
-            "eigenvalue": next(u for u in sc.unique[sc.sid[k]]
-                               if u not in prod).to_json(),
-            "left_spectrum": sc.unique[sc.sid[i]].to_json(),
-            "right_spectrum": sc.unique[sc.sid[j]].to_json(),
-            "product_spectrum": sc.unique[sc.sid[k]].to_json(),
+            # the least missing eigenvalue in the canonical (den, num) order
+            "eigenvalue": Spectrum.from_mask(missing, sc.modulus).elems[0].to_json(),
+            "left_spectrum": sc.spectrum(i).to_json(),
+            "right_spectrum": sc.spectrum(j).to_json(),
+            "product_spectrum": sc.spectrum(k).to_json(),
             "explanation": "eigenvalue of the product lies outside the set "
                            "of pairwise eigenvalue products"}
 
-    report = _pair_report("s", g, sc.pair_ok, details)
+    report = _pair_report("s", g, sc.first_failure, details)
     report.counters["elements_checked"] = n
     return report
 
@@ -397,15 +447,24 @@ def _pair_derived(table: list[list[int]], inv: list[int], identity: int,
     return tuple(sorted(members))
 
 
+def _power_mismatches(table: list[list[int]], pw: list[int], x: int) -> Iterator[int]:
+    """The y, ascending, with (xy)**p != x**p * y**p, pw the p-th power map:
+    row x read through pw against row x**p read at the p-th powers."""
+    row_p = table[pw[x]]
+    lhs, rhs = [pw[v] for v in table[x]], [row_p[w] for w in pw]
+    return compress(count(), map(operator.ne, lhs, rhs)) if lhs != rhs else iter(())
+
+
 def is_regular(g: FiniteGroup) -> PropertyReport:
     """For every ordered pair (x, y) there is z in the derived subgroup D of
     the pair-generated subgroup with (xy)**p = x**p * y**p * z**p.
 
     Each pair is first tested with z = 1, i.e. (xy)**p = x**p * y**p.  The
     identity lies in every D, so a pair passing that test is settled
-    without D; commuting pairs and pairs (x, x) always pass it.  Only a
-    pair failing it builds D, and z**p then ranges over the p-th powers of
-    D, cached per distinct D.
+    without D; commuting pairs and pairs (x, x) always pass it.  The test
+    runs on whole rows, and only the pairs failing it build D, in ascending
+    order along the row; z**p then ranges over the p-th powers of D, cached
+    per distinct D.
     """
     p, _ = g.p_group_base()
     table = g.full_table()
@@ -413,17 +472,18 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
     inv = g.inverses()
     zp_cache: dict[tuple[int, ...], frozenset[int]] = {}
 
-    def check(x: int, y: int) -> bool:
-        lhs, rhs = pw[table[x][y]], table[pw[x]][pw[y]]
-        if lhs == rhs:
-            return True
-        derived = _pair_derived(table, inv, g.identity, x, y)
-        zp = zp_cache.get(derived)
-        if zp is None:
-            zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
-        return table[inv[rhs]][lhs] in zp
+    def first_failure(x: int) -> int | None:
+        for y in _power_mismatches(table, pw, x):
+            lhs, rhs = pw[table[x][y]], table[pw[x]][pw[y]]
+            derived = _pair_derived(table, inv, g.identity, x, y)
+            zp = zp_cache.get(derived)
+            if zp is None:
+                zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
+            if table[inv[rhs]][lhs] not in zp:
+                return y
+        return None
 
-    report = _pair_report("regular", g, check, lambda i, j: {
+    report = _pair_report("regular", g, first_failure, lambda i, j: {
         "prime": p,
         "explanation": "no element z of the derived subgroup of the "
                        "pair-generated subgroup satisfies (xy)^p = x^p y^p z^p"})
@@ -480,7 +540,7 @@ def is_p_abelian(g: FiniteGroup) -> PropertyReport:
     table = g.full_table()
     pw = g.power_map(p)
     return _pair_report(
-        "p-abelian", g, lambda i, j: pw[table[i][j]] == table[pw[i]][pw[j]],
+        "p-abelian", g, lambda x: next(_power_mismatches(table, pw, x), None),
         lambda i, j: {"prime": p, "explanation": "(xy)^p differs from x^p y^p"})
 
 
@@ -492,9 +552,18 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
         raise ValueError("k must be >= 1")
     if g.is_abelian():
         return PropertyReport("engel", True, counters=_all_pairs_pass(g))
-    identity = g.identity
+    table, inv, n = g.full_table(), g.inverses(), len(g)
+
+    def first_failure(x: int) -> int | None:
+        # brackets[y] = [x, y, ..., y], one commutator with y per level
+        brackets = [x] * n
+        for _ in range(k):
+            brackets = [table[table[inv[t]][inv[y]]][table[t][y]]
+                        for y, t in enumerate(brackets)]
+        return _first_true(map(operator.ne, brackets, repeat(g.identity)))
+
     return _pair_report(
-        "engel", g, lambda i, j: g.engel_bracket(i, j, k) == identity,
+        "engel", g, first_failure,
         lambda i, j: {"depth": k,
                       "bracket": g.describe(g.engel_bracket(i, j, k)),
                       "explanation": "iterated commutator does not vanish"})
@@ -514,7 +583,9 @@ def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
     orders = [g.element_order(i) for i in range(len(g))]
     return _pair_report(
         "order-divisibility", g,
-        lambda i, j: max(orders[i], orders[j]) % orders[table[i][j]] == 0,
+        lambda x: _first_true(map(operator.mod,
+                                  map(max, repeat(orders[x]), orders),
+                                  map(orders.__getitem__, table[x]))),
         lambda i, j: {"orders": [orders[i], orders[j], orders[table[i][j]]],
                       "explanation": "|AB| does not divide max(|A|, |B|)"})
 

@@ -208,6 +208,30 @@ class TestCheck:
         assert json.loads(out.read_text())["report"]["holds"] is True
 
 
+class TestRepeatedMain:
+    """The parser is built once per process; consecutive calls of ``main``
+    must not see each other's options."""
+
+    def test_engel_depth_returns_to_default(self, tmp_path, capsys):
+        # Q8 has class 2: it passes the 2-Engel identity and fails the
+        # default depth p - 1 = 1
+        path = tmp_path / "q8.json"
+        assert main(["construct", "quaternion8", "-o", str(path)]) == 0
+        assert main(["check", "engel", str(path), "--k", "2"]) == 0
+        capsys.readouterr()
+        assert main(["check", "engel", str(path), "--format", "structured"]) == 1
+        assert json.loads(capsys.readouterr().out)["report"]["witness"]["depth"] == 1
+
+    def test_output_file_then_stdout(self, h3_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["check", "s", str(h3_file), "--format", "structured",
+                     "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["check", "s", str(h3_file), "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
+
+
 def test_parser_defaults_are_run_config_defaults():
     args = cli.build_parser().parse_args(["check", "s", "g.json"])
     assert RunConfig(closure_cap=args.cap, section_cap=args.section_cap,

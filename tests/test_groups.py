@@ -760,6 +760,18 @@ def reference_spectrum(m):
     return Spectrum(values)
 
 
+def decode_mask(mask, modulus):
+    """The values i/modulus for the set bits i of mask, read bit by bit."""
+    return Spectrum(CyclotomicUnit(i, modulus) for i in range(modulus)
+                    if mask >> i & 1)
+
+
+def spectrum_mask(spectrum, modulus):
+    """Bit num * modulus/den for each value num/den of the spectrum."""
+    assert all(modulus % u.den == 0 for u in spectrum)
+    return sum(1 << u.num * (modulus // u.den) for u in spectrum)
+
+
 @st.composite
 def monomial_generator_sets(draw):
     """1-3 monomial matrices of degree 1-3 (1x1 included), with entries
@@ -815,8 +827,23 @@ class TestMonomialCodec:
         assume(g is not None)
         sc = _SpectralClosure(g)
         for i, el in enumerate(g.elements):
-            assert sc.unique[sc.sid[i]] == el.spectrum() == reference_spectrum(el)
-        assert len(set(sc.unique)) == len(sc.unique)
+            mask = sc.masks[sc.sid[i]]
+            assert 0 < mask < 1 << sc.modulus
+            assert decode_mask(mask, sc.modulus) == el.spectrum() == reference_spectrum(el)
+            assert sc.spectrum(i) == el.spectrum()
+        assert len(set(sc.masks)) == len(sc.masks)
+
+    @CODEC_SETTINGS
+    @given(monomial_generator_sets())
+    def test_product_masks(self, gens):
+        g = self.assert_paths_agree(gens)
+        assume(g is not None)
+        sc = _SpectralClosure(g)
+        spectra = [decode_mask(m, sc.modulus) for m in sc.masks]
+        for a, left in enumerate(spectra):
+            for b, right in enumerate(spectra):
+                assert sc.product_mask(a, b) == spectrum_mask(left.product(right),
+                                                              sc.modulus)
 
     def test_canonical_order_is_not_exponent_order(self):
         # with M = 9, e = 3 is 1/3, which sorts before e = 1, which is 1/9

@@ -25,7 +25,8 @@ from submult.properties import (PropertyReport, _pair_derived, character_norm,
                                 is_irreducible, is_p_abelian, is_regular,
                                 is_v_regular_bounded,
                                 order_submultiplicativity)
-from submult.suites import corpus, regular_first_failure_by_definition
+from submult.suites import (_tensor_generators, corpus,
+                            regular_first_failure_by_definition)
 
 W3 = CyclotomicUnit(1, 3)
 I4 = CyclotomicUnit(1, 4)
@@ -90,6 +91,24 @@ class TestPropertyS:
             prod = left.spectrum().product(right.spectrum())
             assert eigenvalue in spectrum and eigenvalue not in prod
             assert spectrum.to_json() == w["product_spectrum"]
+
+    @pytest.mark.parametrize("gens", [
+        heisenberg_generators(5),
+        _tensor_generators(heisenberg_generators(3), heisenberg_generators(3))],
+        ids=["heisenberg5", "heisenberg3 x heisenberg3"])
+    def test_masks_do_the_work(self, gens, monkeypatch):
+        # a passing scan builds no spectrum product, tests no containment
+        # and multiplies no root of unity: the bitmasks decide every pair
+        def refuse(*args):
+            raise AssertionError("spectrum arithmetic on a passing scan")
+
+        g = close(gens)
+        for owner, name in ((Spectrum, "product"), (Spectrum, "issubset"),
+                            (CyclotomicUnit, "__mul__")):
+            monkeypatch.setattr(owner, name, refuse)
+        report = has_property_s(g)
+        assert report.holds is True
+        assert report.counters["pairs_evaluated"] > 0
 
     def test_witness_is_lexicographically_least(self):
         report = has_property_s(close(quaternion_generators()))
