@@ -15,8 +15,9 @@ for builds from the permutations alone: rows are gathered whole along a
 breadth-first spanning tree, and no carrier is multiplied.  A group's
 size, and so its table's, is bounded by the cap its builder used.
 
-The subgroup lattice runs on integer indices over the table: a subgroup
-grows one coset at a time from the subgroup already built (Dimino).
+The subgroup lattice of a p-group runs on integer indices over the table:
+each subgroup of order p**(i+1) is one of order p**i extended by a single
+element (cyclic extension), for all subgroups and for the normal ones.
 Sections H/K are pairs of subgroups of the group itself, the normal
 subgroups of each H read off the group's own lattice, so a section scan
 builds no quotient group and no subgroup as a group.
@@ -90,10 +91,6 @@ class FiniteGroup:
     # -- basics ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def order(self) -> int:
         return len(self.elements)
 
     def describe(self, i: int) -> Any:
@@ -225,7 +222,7 @@ class FiniteGroup:
     # -- subgroup machinery -----------------------------------------------------
 
     def _adjoin(self, members: list[int], member_set: set[int],
-                gens: list[int], g: int, limit: int | None = None) -> None:
+                gens: list[int], g: int) -> None:
         """Grow the closed subgroup ``members``, generated by ``gens``, to
         <members, g> in place, one right coset H*r at a time (Dimino; Butler,
         Fundamental Algorithms for Permutation Groups, 1991).
@@ -233,8 +230,7 @@ class FiniteGroup:
         The old subgroup H is a block: a new coset is found as a product r*s
         of a coset representative and a generator that lands outside H's
         cosets so far, and is then added whole as H*(r*s).  Each new element
-        costs one product; H itself is never closed again.  With ``limit``
-        the growth stops as soon as more than ``limit`` elements are in.
+        costs one product; H itself is never closed again.
         """
         mul = self.mul
         block = list(members)
@@ -250,8 +246,6 @@ class FiniteGroup:
                     members.extend(coset)
                     member_set.update(coset)
                     reps.append(t)
-                    if limit is not None and len(members) > limit:
-                        return
 
     def _grow(self, sub: "Subgroup", seeds: Sequence[int]) -> "Subgroup":
         """<sub, seeds>, adjoining in order each seed not already inside;
@@ -360,112 +354,88 @@ class FiniteGroup:
     # -- normal subgroups, quotients, sections -------------------------------------
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        n = len(self.elements)
-        seen = [False] * n
+        """The orbits of conjugation by the generators, by least member.
+        Conjugation by g, x -> g**-1 x g, is read off the table whole: row
+        g**-1, then column g."""
+        rows, inv = self._rows or self.full_table(), self.inverses()
+        maps = [[rows[y][g] for y in rows[inv[g]]] for g in dict.fromkeys(self.gens)]
+        seen = [False] * len(rows)
         classes = []
-        for start in range(n):
+        for start in range(len(rows)):
             if seen[start]:
                 continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.gens:
-                        y = self.conjugate(x, g)
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            cls = tuple(sorted(orbit))
-            for x in cls:
-                seen[x] = True
-            classes.append(cls)
+            seen[start] = True
+            orbit = [start]
+            for x in orbit:  # orbit grows while it is walked
+                for conj in maps:
+                    y = conj[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+            classes.append(tuple(sorted(orbit)))
         return classes
 
-    def normal_subgroups(self, cap: int = 1024) -> list["Subgroup"]:
-        """All normal subgroups, as joins of subgroups generated by
-        conjugacy classes (such generated subgroups are conjugation-stable,
-        and every normal subgroup is the join of the classes it contains)."""
-        if len(self.elements) > cap:
-            raise ClosureCapExceeded(len(self.elements), cap)
-        base: dict[tuple[int, ...], Subgroup] = {}
-        for cls in self.conjugacy_classes():
-            sub = self.subgroup(cls)
-            base.setdefault(sub.members, sub)
-        known = dict(base)
-        trivial = self.trivial_subgroup()
-        known.setdefault(trivial.members, trivial)
-        # Every subgroup here is normal, so <a, b> = ab has order
-        # |a||b|/|a & b|; a known subgroup of that order holding a and b is
-        # the join, and then it is not computed.
-        by_order: dict[int, list[frozenset[int]]] = {}
-        for sub in known.values():
-            by_order.setdefault(len(sub.members), []).append(sub.member_set)
-        subs = list(known.values())
-        for a in subs:  # subs grows while it is walked
-            a_set = a.member_set
-            for b in list(subs):
-                b_set = b.member_set
-                order = len(a_set) * len(b_set) // len(a_set & b_set)
-                if any(a_set <= k and b_set <= k for k in by_order.get(order, ())):
-                    continue
-                join = self._grow(a, b.gens)
-                known[join.members] = join
-                by_order.setdefault(order, []).append(join.member_set)
-                subs.append(join)
-        return sorted(known.values(), key=lambda s: (len(s.members), s.members))
+    def _p_lattice(self, cap: int, normal: bool) -> list["Subgroup"]:
+        """Every subgroup of a p-group, or every normal one, by order and
+        then members, one order p**i at a time by cyclic extension (Holt,
+        Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 
-    def all_subgroups(self, cap: int = 256) -> list["Subgroup"]:
-        """Every subgroup, grown from the trivial one by adjoining elements;
-        each subgroup, in discovery order, is extended once.
-
-        All elements of a right coset sub*g give the same <sub, g>, so only
-        the least element of each coset outside sub is adjoined.  Lagrange
-        saves the rest of the work:
-          * when <sub, g> has prime index over sub, every element of it
-            outside sub gives it again, so all of it is skipped;
-          * <sub, g> lies in G and in every overgroup <sub, g'> already
-            found that holds g; once its closure has more than |K|/q
-            elements for such a K (q the least prime dividing |K|), it is
-            K, since no proper subgroup of K is that large.
+        Each subgroup H > 1 is M<x> for an M of index p normal in H and any
+        x in H outside M; x normalizes M and x**p is in M, and every such x
+        gives an M<x> of order p|M|.  A normal H has such an M normal in G
+        with H/M central in G/M (chief factors of p-groups are central of
+        order p), so there the test is [x, g] in M for each generator g of
+        G.  The candidates x are the p-th roots of M's members; a test holds
+        on all of a coset Mx or on none of it, and each x in H outside M
+        gives H again, so each coset is tested once.
         """
         n = len(self.elements)
         if n > cap:
             raise ClosureCapExceeded(n, cap)
-        mul = self.mul
-        whole = self.whole_subgroup()
-        trivial = self.trivial_subgroup()
-        known: dict[tuple[int, ...], Subgroup] = {trivial.members: trivial}
-        subs = [trivial]
-        for sub in subs:  # subs grows while it is walked
-            covered = set(sub.members)
-            # least overgroup of sub found so far that holds each element,
-            # the earliest found on ties
-            within_of = [whole] * n
-            for g in range(n):
-                if g in covered:
-                    continue
-                covered.update(mul(h, g) for h in sub.members)
-                within = within_of[g]
-                limit = len(within) // least_prime_factor(len(within))
-                members, member_set = list(sub.members), set(sub.members)
-                gens = list(sub.gens)
-                self._adjoin(members, member_set, gens, g, limit)
-                is_within = len(members) > limit
-                key = within.members if is_within else tuple(sorted(members))
-                grown = known.get(key)
-                if grown is None:
-                    grown = known[key] = Subgroup(self, key, tuple(gens))
-                    subs.append(grown)
-                index = len(key) // len(sub)
-                if least_prime_factor(index) == index:
-                    covered.update(key)
-                elif not is_within:  # a new overgroup, smaller than within
-                    for m in key:
-                        if len(within_of[m]) > len(key):
-                            within_of[m] = grown
-        return sorted(known.values(), key=lambda s: (len(s.members), s.members))
+        p, _ = self.p_group_base()
+        rows, inv = self._rows or self.full_table(), self.inverses()
+        roots: list[list[int]] = [[] for _ in range(n)]  # y -> {x : x**p = y}
+        for x, y in enumerate(self.power_map(p)):
+            roots[y].append(x)
+        g_gens = [(inv[g], g) for g in dict.fromkeys(self.gens)]
+        layer = [self.trivial_subgroup()]
+        found = list(layer)
+        while layer:
+            grown: dict[tuple[int, ...], Subgroup] = {}
+            for m in layer:
+                inside, block = m.member_set, m.members
+                seen = set(block)
+                for x in itertools.chain.from_iterable(map(roots.__getitem__, block)):
+                    if x in seen:
+                        continue
+                    row_x_inv = rows[inv[x]]
+                    if normal:  # [x, g] = x**-1 (g**-1 x g)
+                        ok = all(row_x_inv[rows[rows[g_inv][x]][g]] in inside
+                                 for g_inv, g in g_gens)
+                    else:  # x**-1 h x
+                        ok = all(rows[row_x_inv[h]][x] in inside for h in m.gens)
+                    if not ok:
+                        seen.update(rows[h][x] for h in block)
+                        continue
+                    members, power = list(block), x
+                    while power not in inside:
+                        members.extend(rows[h][power] for h in block)
+                        power = rows[power][x]
+                    seen.update(members)
+                    key = tuple(sorted(members))
+                    if key not in grown:
+                        grown[key] = Subgroup(self, key, m.gens + (x,))
+            layer = [grown[key] for key in sorted(grown)]
+            found.extend(layer)
+        return found
+
+    def normal_subgroups(self, cap: int = 1024) -> list["Subgroup"]:
+        """All normal subgroups of a p-group, by order, then members."""
+        return self._p_lattice(cap, normal=True)
+
+    def all_subgroups(self, cap: int = 256) -> list["Subgroup"]:
+        """Every subgroup of a p-group, by order, then members."""
+        return self._p_lattice(cap, normal=False)
 
     def quotient(self, n: "Subgroup") -> "FiniteGroup":
         """G / N on minimal coset representatives; N must be normal."""
@@ -530,7 +500,11 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Sorted member indices inside a parent group, plus a generator set."""
+    """Sorted member indices inside a parent group, plus a generator set.
+
+    ``subgroup`` keeps each seed that enlarged the subgroup, in turn.  The
+    lattice methods of a p-group give a polycyclic sequence, M.gens + (x,)
+    of the cyclic extension: each prefix gens[:j] generates order p**j."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
@@ -545,10 +519,6 @@ class Subgroup:
         return self._member_set
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def order(self) -> int:
         return len(self.members)
 
     def __contains__(self, i: int) -> bool:

@@ -517,9 +517,11 @@ class TestFullTableKernel:
 
 # -- the subgroup lattice against from-scratch references ---------------------------
 #
-# The references are the lattice algorithms the coset-by-coset closure
-# replaced: every subgroup is closed again from the identity by breadth-first
-# search over ``mul``, and a subgroup as a group multiplies carriers.
+# The references are lattice algorithms that share nothing with the engine's
+# coset-by-coset closure or cyclic extension: every subgroup is closed again
+# from the identity by breadth-first search over ``mul``, lattices grow by
+# adjoining every element, and a subgroup as a group multiplies carriers.
+# Their gens are greedy, in seed order; the engine's lattice gens are not.
 
 def reference_closure(g, gens):
     seen = {g.identity}
@@ -638,17 +640,48 @@ class TestSubgroupLattice:
         sub = g.subgroup(seeds)
         assert (sub.members, sub.gens) == reference_subgroup(g, seeds)
 
+    @staticmethod
+    def assert_polycyclic(g, sub):
+        """Each prefix gens[:j] generates a subgroup of order p**j, and all
+        of gens generates the members."""
+        p, _ = g.p_group_base()
+        for j in range(len(sub.gens) + 1):
+            assert len(g.subgroup(sub.gens[:j])) == p ** j
+        assert g.subgroup(sub.gens).members == sub.members
+
     @pytest.mark.parametrize("name", LATTICE_GROUPS)
     def test_all_subgroups_match_reference(self, name):
         g = lattice_group(name)
-        assert [(s.members, s.gens) for s in g.all_subgroups()] == \
-            reference_all_subgroups(g)
+        subs = g.all_subgroups()
+        assert [s.members for s in subs] == \
+            [members for members, _ in reference_all_subgroups(g)]
+        for sub in subs:
+            self.assert_polycyclic(g, sub)
 
     @pytest.mark.parametrize("name", LATTICE_GROUPS)
     def test_normal_subgroups_match_reference(self, name):
         g = lattice_group(name)
-        assert [(s.members, s.gens) for s in g.normal_subgroups()] == \
-            reference_normal_subgroups(g)
+        subs = g.normal_subgroups()
+        assert [s.members for s in subs] == \
+            [members for members, _ in reference_normal_subgroups(g)]
+        for sub in subs:
+            self.assert_polycyclic(g, sub)
+
+    @pytest.mark.parametrize("method", ["all_subgroups", "normal_subgroups"])
+    def test_lattice_rejects_non_p_group(self, method):
+        g = lattice_group("q8xc3")
+        assert len(g) == 24
+        with pytest.raises(ValueError, match="not a p-group"):
+            getattr(g, method)()
+
+    def test_lattice_does_not_adjoin(self, monkeypatch):
+        g = basic_group(3, 2, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_adjoin called")
+
+        monkeypatch.setattr(FiniteGroup, "_adjoin", refuse)
+        assert len(g.all_subgroups(1024)) == 247
 
     @pytest.mark.parametrize("name", LATTICE_GROUPS)
     def test_sections_match_reference(self, name):
