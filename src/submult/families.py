@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .cyclotomic import ONE, CyclotomicUnit, is_prime
 from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, close
@@ -185,6 +186,8 @@ class AffinePair:
     def identity_like(self) -> "AffinePair":
         return AffinePair(self.ctx, (0,) * self.ctx.c, 0)
 
+    closure_codec = staticmethod(lambda gens: AffineCodec(gens))
+
     def key(self) -> tuple:
         return ("affine", self.ctx.modulus, self.vec, self.t)
 
@@ -199,6 +202,31 @@ class AffinePair:
 
     def __repr__(self) -> str:
         return f"AffinePair(v={self.vec}, t={self.t})"
+
+
+class AffineCodec:
+    """Codes ``(vec, t)`` for the affine pairs that ``gens`` generate.
+    (v, t) * (w, s) = (v + M**t w, t + s), so ``right`` tabulates M**t w for
+    every t once per generator.  ``AffinePair.key()`` puts the constant
+    ("affine", modulus) before ``vec`` and ``t``: codes sort as their keys."""
+
+    key = staticmethod(lambda code: code)
+    encode = staticmethod(operator.attrgetter("vec", "t"))
+
+    def __init__(self, gens: Sequence[AffinePair]):
+        ctx = self.ctx = gens[0].ctx
+        if any((g.ctx.c, g.ctx.modulus) != (ctx.c, ctx.modulus) for g in gens):
+            raise ValueError("affine pairs from different extensions")
+
+    def right(self, code: tuple) -> Callable[[tuple], tuple]:
+        """x -> x*g on codes, g given by its code."""
+        (w, s), ctx, q = code, self.ctx, self.ctx.modulus
+        moved = [ctx.apply_m_power(t, w) for t in range(q)]
+        add, mod, qs = operator.add, operator.mod, itertools.repeat(q)
+        return lambda x: (tuple(map(mod, map(add, x[0], moved[x[1]]), qs)), (x[1] + s) % q)
+
+    def decode(self, code: tuple) -> AffinePair:
+        return AffinePair(self.ctx, *code)
 
 
 def basic_group(p: int, c: int, e: int,

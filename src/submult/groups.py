@@ -7,9 +7,10 @@ index tuples (direct products) or parent indices (quotients, subgroups as
 groups) all work; the group only describes them through ``describe``.
 
 Every builder hands over those permutations.  ``close`` records them while
-closing, on integer codes where the carrier offers a codec (monomial
-matrices: ``MonomialCodec``); quotients, subgroups as groups and direct
-products read them off their parents' Cayley tables.  Every product is a
+closing, on integer codes where the carrier offers a codec (``MonomialCodec``,
+``AffineCodec``), and its group decodes elements on first read, ``describe``
+one element; quotients, subgroups as groups and direct products read them off
+their parents' Cayley tables and keep plain elements.  Every product is a
 lookup in the group's integer Cayley table, which the first product asked
 for builds from the permutations alone: rows are gathered whole along a
 breadth-first spanning tree, and no carrier is multiplied.  A group's
@@ -30,6 +31,7 @@ elements.  Groups are immutable once built and all queries are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -75,26 +77,31 @@ class FiniteGroup:
     def __init__(self, elements: list, right: dict[int, list[int]],
                  identity: int, *, describe: Callable[[Any], Any],
                  gens: tuple[int, ...], name: str = ""):
-        self.elements = list(elements)
+        self.codes = list(elements)  # the elements, or close's codes
+        self.codec = None  # set by close: then codes decode to the elements
         self._right = right  # generator index -> the list x -> x*g
         self.identity = identity
         self._describe = describe
         self.gens = tuple(gens)
         self.name = name
-        n = len(self.elements)
         self._rows: list[list[int]] | None = None  # built by full_table
         self._inv: list[int] | None = None  # built by inverses
-        self._orders: list[int] = [0] * n
-        self.codec = self.codes = None  # set by close: its codec and codes
+        self._orders: list[int] = [0] * len(self)
         self._pow_cache: dict[int, list[int]] = {}
 
     # -- basics ---------------------------------------------------------------
 
+    @functools.cached_property
+    def elements(self) -> list:
+        """The carrier elements, decoded from the codes on first read."""
+        return self.codes if self.codec is None else list(map(self.codec.decode, self.codes))
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def describe(self, i: int) -> Any:
-        return self._describe(self.elements[i])
+        x = self.codes[i]
+        return self._describe(x if self.codec is None else self.codec.decode(x))
 
     def mul(self, i: int, j: int) -> int:
         return (self._rows or self.full_table())[i][j]
@@ -126,7 +133,7 @@ class FiniteGroup:
         """
         if self._rows is not None:
             return self._rows
-        n = len(self.elements)
+        n = len(self)
         identity, right = self.identity, self._right
         # steps[t] = (y, x, g) with y = x*g, in BFS order
         steps: list[tuple[int, int, int]] = []
@@ -193,7 +200,7 @@ class FiniteGroup:
         cached = self._pow_cache.get(m)
         if cached is None:
             cached = self._pow_cache[m] = [self.power(i, m)
-                                           for i in range(len(self.elements))]
+                                           for i in range(len(self))]
         return cached
 
     def element_order(self, i: int) -> int:
@@ -207,16 +214,16 @@ class FiniteGroup:
         return v
 
     def exponent(self) -> int:
-        return math.lcm(*(self.element_order(i) for i in range(len(self.elements))))
+        return math.lcm(*(self.element_order(i) for i in range(len(self))))
 
     def p_group_base(self) -> tuple[int, int]:
         """(p, e) with |G| = p**e; raises for non-p-groups.  The trivial
         group is a p-group for every prime and reports the least, (2, 0)."""
-        if len(self.elements) == 1:
+        if len(self) == 1:
             return 2, 0
-        base = prime_power_base(len(self.elements))
+        base = prime_power_base(len(self))
         if base is None:
-            raise ValueError(f"group of order {len(self.elements)} is not a p-group")
+            raise ValueError(f"group of order {len(self)} is not a p-group")
         return base
 
     # -- subgroup machinery -----------------------------------------------------
@@ -268,7 +275,7 @@ class FiniteGroup:
         return Subgroup(self, (self.identity,), ())
 
     def whole_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(len(self.elements))), self.gens)
+        return Subgroup(self, tuple(range(len(self))), self.gens)
 
     def normal_closure(self, seeds: Sequence[int],
                        ambient_gens: Sequence[int] | None = None) -> "Subgroup":
@@ -317,7 +324,7 @@ class FiniteGroup:
         return len(self.lower_central_series()) - 1
 
     def center(self) -> "Subgroup":
-        members = [z for z in range(len(self.elements))
+        members = [z for z in range(len(self))
                    if all(self.mul(z, g) == self.mul(g, z) for g in self.gens)]
         return Subgroup(self, tuple(members), ())
 
@@ -326,8 +333,9 @@ class FiniteGroup:
                    for a in self.gens for b in self.gens)
 
     def is_metabelian(self) -> bool:
-        derived = self.derived_subgroup().as_group()
-        return derived.is_abelian()
+        """G' is abelian: its generators commute pairwise."""
+        gens = self.derived_subgroup().reduced_gens()
+        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     # -- power structure ---------------------------------------------------------
 
@@ -335,7 +343,7 @@ class FiniteGroup:
         """Elements of order dividing p**k (sorted indices)."""
         p, _ = self.p_group_base()
         q = p ** k
-        return tuple(i for i in range(len(self.elements))
+        return tuple(i for i in range(len(self))
                      if q % self.element_order(i) == 0)
 
     def power_image_set(self, k: int) -> tuple[int, ...]:
@@ -389,7 +397,7 @@ class FiniteGroup:
         on all of a coset Mx or on none of it, and each x in H outside M
         gives H again, so each coset is tested once.
         """
-        n = len(self.elements)
+        n = len(self)
         if n > cap:
             raise ClosureCapExceeded(n, cap)
         p, _ = self.p_group_base()
@@ -443,8 +451,8 @@ class FiniteGroup:
             raise ValueError("subgroup belongs to a different parent")
         if not n.is_normal():
             raise ValueError("subgroup is not normal")
-        rep_of = [-1] * len(self.elements)
-        for i in range(len(self.elements)):
+        rep_of = [-1] * len(self)
+        for i in range(len(self)):
             if rep_of[i] >= 0:
                 continue
             coset = sorted(self.mul(i, m) for m in n.members)
@@ -453,10 +461,8 @@ class FiniteGroup:
                 rep_of[x] = rep
         reps = sorted(set(rep_of))
         pos = {r: t for t, r in enumerate(reps)}
-        describe = self._describe
-
         def q_describe(rep: int) -> Any:
-            return {"coset_rep": describe(self.elements[rep])}
+            return {"coset_rep": self.describe(rep)}
 
         gens = tuple(dict.fromkeys(rep_of[g] for g in self.gens)) or (rep_of[self.identity],)
         right = {pos[g]: [pos[rep_of[self.mul(r, g)]] for r in reps] for g in gens}
@@ -478,7 +484,7 @@ class FiniteGroup:
         is in K for every generator k of K and h of H.  No section is built
         as a group; everything runs on G's indices and Cayley table.
         """
-        n = len(self.elements)
+        n = len(self)
         if n > section_cap:
             raise ClosureCapExceeded(n, section_cap)
         whole = self.whole_subgroup()
@@ -564,11 +570,13 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
     sorted by canonical key.  Raises ClosureCapExceeded past the cap.
 
     The loop multiplies codes: a carrier's ``closure_codec(gens)``
-    (``MonomialMatrix``: integer tuples, ``MonomialCodec``), else the
-    carriers themselves, which must then hash as their keys.  Only new
-    codes are keyed, and elements are decoded at the end.  The index of x*g
-    is recorded for every x and generator g, and these right-multiplication
-    permutations go to the group: its ``full_table`` multiplies no carrier.
+    (``MonomialMatrix``: integer tuples, ``MonomialCodec``; ``AffinePair``:
+    ``(vec, t)``, ``AffineCodec``), else the carriers themselves, which must
+    then hash as their keys.  Only new codes are keyed.  The group keeps the
+    codes and decodes ``elements`` on first read, so a decider that reads
+    only indices and the table decodes nothing.  The index of x*g is recorded
+    for every x and generator g, and these right-multiplication permutations
+    go to the group: its ``full_table`` multiplies no carrier.
     """
     gens = list(generators)
     if not gens:
@@ -592,9 +600,9 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
         for t, perm in enumerate(right):
             perm.extend(map(index.__getitem__, products[t::len(gens)]))
     gen_index = tuple(index[codec.encode(g)] for g in gens)
-    group = FiniteGroup([codec.decode(c) for c in codes], dict(zip(gen_index, right)),
-                        0, describe=lambda e: e.to_json(), gens=gen_index, name=name)
-    group.codec, group.codes = codec, codes
+    group = FiniteGroup(codes, dict(zip(gen_index, right)), 0,
+                        describe=lambda e: e.to_json(), gens=gen_index, name=name)
+    group.codec = codec
     return group
 
 

@@ -7,6 +7,7 @@ import pytest
 from submult import cli
 from submult.cli import main
 from submult.config import RunConfig
+from submult.groups import Subgroup
 from submult.properties import PropertyReport, is_engel
 
 
@@ -114,6 +115,19 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
         assert "order: 9" in out and "class: 1" in out
+
+    @pytest.mark.parametrize("fixture", ["w3_file", "b321_file"])
+    def test_builds_no_subgroup_as_group(self, fixture, request, monkeypatch, capsys):
+        # metabelian is decided on the parent's table
+        path = request.getfixturevalue(fixture)
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("derived subgroup built as a group")
+
+        monkeypatch.setattr(Subgroup, "as_group", refuse)
+        assert main(["analyze", str(path), "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["metabelian"] is True
 
 
 class TestCheck:

@@ -10,15 +10,18 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
-from submult.families import (AffinePair, basic_group, big_cycle,
-                              cyclic_generator, diagonal_abelian_generators,
+from submult.families import (AffineCodec, AffineContext, AffinePair,
+                              basic_group, big_cycle, cyclic_generator,
+                              diagonal_abelian_generators,
                               dihedral_generators, heisenberg_generators,
                               quaternion_generators, wreath_generators)
 from submult.groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded,
-                            FiniteGroup, Subgroup, close, direct_power,
-                            direct_product)
+                            FiniteGroup, Subgroup, _CarrierCodec, close,
+                            direct_power, direct_product)
 from submult.monomial import MonomialCodec, MonomialMatrix
-from submult.properties import _SpectralClosure, has_p1, has_p2, has_property_s
+from submult.properties import (_SpectralClosure, has_p1, has_p2, has_property_s,
+                                is_p_abelian, is_regular)
+from submult.suites import corpus
 
 
 def brute_commutator_members(g, a_members, b_members):
@@ -903,3 +906,97 @@ class TestMonomialCodec:
             bare = group_from_carriers(g.elements, g.identity, g.gens)
             assert bare.codec is None
             assert has_property_s(bare).to_json() == has_property_s(g).to_json()
+
+
+class TestAffineCodec:
+    """``basic_group`` closes affine pairs on ``(vec, t)`` codes; the same
+    generators behind ``Wrapped`` take the generic path."""
+
+    @pytest.mark.parametrize("pce", [(2, 1, 1), (3, 2, 1), (3, 3, 1), (5, 2, 1),
+                                     (2, 2, 2), (3, 2, 2)])
+    def test_integer_path_matches_generic_path(self, pce):
+        coded = basic_group(*pce)
+        ctx = AffineContext(*pce)
+        generic = close([Wrapped(ctx.base_generator(1)),
+                         Wrapped(ctx.extension_generator())])
+        assert isinstance(coded.codec, AffineCodec)
+        assert generic.codec is _CarrierCodec
+        assert [w.key() for w in generic.elements] == [a.key() for a in coded.elements]
+        assert generic.gens == coded.gens
+        assert generic._right == coded._right
+        assert generic.full_table() == coded.full_table()
+
+    def test_pairs_from_different_extensions(self):
+        with pytest.raises(ValueError, match="different extensions"):
+            close([AffineContext(3, 1, 1).base_generator(1),
+                   AffineContext(3, 2, 1).base_generator(1)])
+
+
+class TestDecodeOnRead:
+    """A group from ``close`` keeps its codes: a decider that reads indices
+    and the table decodes nothing, a witness decodes the elements it
+    describes, and ``elements`` decodes each element once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"decode": 0, "describe": 0}
+        decode, describe = MonomialCodec.decode, FiniteGroup.describe
+
+        def counting_decode(codec, code):
+            counts["decode"] += 1
+            return decode(codec, code)
+
+        def counting_describe(g, i):
+            counts["describe"] += 1
+            return describe(g, i)
+
+        monkeypatch.setattr(MonomialCodec, "decode", counting_decode)
+        monkeypatch.setattr(FiniteGroup, "describe", counting_describe)
+        return counts
+
+    @pytest.mark.parametrize("make", [lambda: heisenberg_generators(3),
+                                      lambda: wreath_generators(3),
+                                      quaternion_generators, dihedral_generators],
+                             ids=["h3", "w3", "q8", "d8"])
+    def test_deciders_decode_only_their_witness(self, make, counts):
+        g = close(make())
+        for decide, described in ((has_property_s, 2), (is_p_abelian, 2),
+                                  (is_regular, 2), (has_p2, 1)):
+            counts.update(decode=0, describe=0)
+            report = decide(g)
+            assert counts["decode"] == counts["describe"] == (
+                0 if report.holds is True else described), decide.__name__
+
+    def test_elements_decode_once(self, counts):
+        g = close(wreath_generators(3))
+        assert counts["decode"] == 0
+        assert len(g.elements) == len(g) == counts["decode"]
+        assert g.elements is g.elements
+        assert counts["decode"] == len(g)
+        assert [g.describe(i) for i in range(len(g))] == [e.to_json() for e in g.elements]
+
+
+class TestMetabelian:
+    """``is_metabelian`` tests on G's table that the generators of G'
+    commute; the reference builds G' as a group of its own."""
+
+    @staticmethod
+    def assert_matches_reference(g):
+        assert g.is_metabelian() == g.derived_subgroup().as_group().is_abelian()
+
+    @pytest.mark.parametrize("name", LATTICE_GROUPS + ("b521", "q8xc3"))
+    def test_lattice_groups(self, name):
+        self.assert_matches_reference(lattice_group(name))
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_corpus_groups(self, name):
+        self.assert_matches_reference(corpus()[name].group())
+
+    def test_order_729(self):
+        self.assert_matches_reference(basic_group(3, 2, 2))
+
+    def test_symmetric_group_is_not_metabelian(self):
+        # S4' = A4 is not abelian
+        s4 = close([MonomialMatrix.from_perm([1, 0, 2, 3]), big_cycle(2, 2)])
+        assert len(s4) == 24 and not s4.is_metabelian()
+        self.assert_matches_reference(s4)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_groups import KERNEL_SETTINGS, monomial_groups
 
 from submult import families
-from submult.cli import main
+from submult.cli import CHECK_PROPERTIES, main
 from submult.cyclotomic import CyclotomicUnit
 from submult.families import (GroupFamilySpec, cyclic_generator,
                               group_file_payload, load_group_file,
@@ -260,3 +260,54 @@ class TestFuzzedFiles:
                                     "params": {"p": 100000000000031}}))
         for argv in (["spectrum", str(path)], ["check", "s", str(path)]):
             assert main(argv) == 2, argv
+
+
+# -- fuzzed command lines ---------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Group files of orders 1, 8 and 27, and the basic group B_3(2,1)."""
+    folder = tmp_path_factory.mktemp("cli")
+    files = []
+    for family, args in (("diagonal_abelian", ["--m", "3", "--vector", "0,0"]),
+                         ("quaternion8", []), ("heisenberg", ["--p", "3"]),
+                         ("basic", ["--p", "3", "--c", "2", "--e", "1"])):
+        path = folder / f"{family}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["construct", family, *args, "-o", str(path)]) == 0
+        files.append(str(path))
+    return files
+
+
+# Zero, negative and out-of-range values.  --cap stays at most 4096: a
+# larger one lets v-regular build the cube of an order-27 group.
+CAPS = st.integers(-3, 5) | st.sampled_from((26, 27, 728, 729, 4096))
+COUNTS = st.integers(-3, 5) | st.sampled_from((27, 10 ** 9))
+DEPTHS = st.integers(-3, 5) | st.just(50)
+CHECK_OPTIONS = {"--cap": CAPS, "--section-cap": COUNTS, "--powers": COUNTS,
+                 "--k": DEPTHS, "--j": DEPTHS}
+
+
+@st.composite
+def command_lines(draw, files):
+    path = draw(st.sampled_from(files))
+    command = draw(st.sampled_from(("analyze",) + CHECK_PROPERTIES))
+    if command == "analyze":
+        argv, options = ["analyze", path], {"--cap": CAPS}
+    else:
+        argv, options = ["check", command, path], CHECK_OPTIONS
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+class TestFuzzedCommandLines:
+    @FUZZ_SETTINGS
+    @given(st.data())
+    def test_exit_code_contract(self, cli_files, data):
+        argv = data.draw(command_lines(cli_files))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
