@@ -1,4 +1,4 @@
-"""Generic finite-group kernel on canonically indexed element tables.
+"""Generic finite-group kernel on canonically indexed elements.
 
 A ``FiniteGroup`` is a closed element list, an identity index and, for
 each generator index g, the right-multiplication permutation x -> x*g on
@@ -10,11 +10,23 @@ Every builder hands over those permutations.  ``close`` records them while
 closing, on integer codes where the carrier offers a codec (``MonomialCodec``,
 ``AffineCodec``), and its group decodes elements on first read, ``describe``
 one element; quotients, subgroups as groups and direct products read them off
-their parents' Cayley tables and keep plain elements.  Every product is a
-lookup in the group's integer Cayley table, which the first product asked
-for builds from the permutations alone: rows are gathered whole along a
-breadth-first spanning tree, and no carrier is multiplied.  A group's
-size, and so its table's, is bounded by the cap its builder used.
+their parents' products and keep plain elements.
+
+Products come from the permutations alone, along a breadth-first spanning
+tree from the identity on which each element y is x*g for its parent x and
+a generator g (a Schreier vector; Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 4); no carrier is multiplied.  ``mul``
+reads a cached column x -> x*s, one gather from the column of s's parent.
+Power maps are built whole, composed where the exponent factors and
+otherwise one product per element that walks the tree path of its right
+factor; inverses, element orders and conjugation by an element follow the
+tree too, in O(n) per map.  So element orders, the Omega/agemo levels,
+generated subgroups, the lower central series and the center, which
+``analyze``, wp2 and the whole-group p1/p2 probe ask, need no n**2 table.
+``full_table`` builds that table, rows gathered whole along the same tree,
+for the deciders that read every product: the pair scans, the subgroup
+lattice and the section scans.  A group's size, and so its table's, is
+bounded by the cap its builder used.
 
 The subgroup lattice of a p-group runs on integer indices over the table:
 each subgroup of order p**(i+1) is one of order p**i extended by a single
@@ -86,8 +98,11 @@ class FiniteGroup:
         self.name = name
         self._rows: list[list[int]] | None = None  # built by full_table
         self._inv: list[int] | None = None  # built by inverses
-        self._orders: list[int] = [0] * len(self)
-        self._pow_cache: dict[int, list[int]] = {}
+        # s -> the column x -> x*s, built by _column; a generator's is its
+        # right-multiplication permutation
+        self._cols: dict[int, Sequence[int]] = {**right, identity: range(len(self))}
+        self._conj: dict[int, Sequence[int]] = {}  # s -> x -> s**-1 x s
+        self._pow_cache: dict[int, Sequence[int]] = {}
 
     # -- basics ---------------------------------------------------------------
 
@@ -103,47 +118,24 @@ class FiniteGroup:
         x = self.codes[i]
         return self._describe(x if self.codec is None else self.codec.decode(x))
 
-    def mul(self, i: int, j: int) -> int:
-        return (self._rows or self.full_table())[i][j]
+    # -- the spanning tree ------------------------------------------------------
 
-    def inv(self, i: int) -> int:
-        return (self._inv or self.inverses())[i]
-
-    def inverses(self) -> list[int]:
-        """x -> x**-1 for every element: row x holds the identity at x**-1."""
-        if self._inv is None:
-            self._inv = [row.index(self.identity) for row in (self._rows or self.full_table())]
-        return self._inv
-
-    def full_table(self) -> list[list[int]]:
-        """The Cayley table: row i holds the index of i*j at position j.
-        Built on first use and cached; ``mul`` reads it.
-
-        The table rests on the right-multiplication permutations x -> x*g
-        that the group's builder handed over, one per distinct generator;
-        no carrier is multiplied.
-
-        A breadth-first spanning tree from the identity writes each element
-        y as x * g for its parent x and a generator g (a Schreier vector;
-        Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-        ch. 4).  Row g, the left multiplication j -> g*j, is filled along
-        the tree by integer lookups, since g*(x*h) = (g*x)*h.  Every other
-        row is then gathered whole, not filled entry by entry: y*j = x*(g*j),
-        so row y is row x read through row g.
-        """
-        if self._rows is not None:
-            return self._rows
-        n = len(self)
-        identity, right = self.identity, self._right
-        # steps[t] = (y, x, g) with y = x*g, in BFS order
+    @functools.cached_property
+    def _steps(self) -> list[tuple[int, int, int]]:
+        """The breadth-first spanning tree from the identity, as steps
+        (y, x, g) in BFS order: y = x*g for its parent x and a generator g
+        (a Schreier vector; Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, ch. 4).  Raises ValueError when the
+        generators reach fewer than all elements."""
+        n, right = len(self), list(self._right.items())
         steps: list[tuple[int, int, int]] = []
         seen = [False] * n
-        seen[identity] = True
-        frontier = [identity]
+        seen[self.identity] = True
+        frontier = [self.identity]
         while frontier:
             nxt = []
             for x in frontier:
-                for g, perm in right.items():
+                for g, perm in right:
                     y = perm[x]
                     if not seen[y]:
                         seen[y] = True
@@ -153,23 +145,115 @@ class FiniteGroup:
         if len(steps) + 1 != n:
             raise ValueError(f"generators of {self.name or 'group'} reach only "
                              f"{len(steps) + 1} of {n} elements")
-        gather = {}
-        for g in right:
-            col = [0] * n
-            col[identity] = g
-            for y, x, h in steps:
-                col[y] = right[h][col[x]]
-            gather[g] = operator.itemgetter(*col)
+        return steps
+
+    @functools.cached_property
+    def _parent(self) -> list[int]:
+        """y -> x with y = x*g on the tree; the identity maps to itself."""
+        parent = [self.identity] * len(self)
+        for y, x, _ in self._steps:
+            parent[y] = x
+        return parent
+
+    @functools.cached_property
+    def _paths(self) -> list[tuple[list[int], ...]]:
+        """y -> the right-multiplication permutations along its tree path,
+        y = 1*g1*...*gk, so v*y is v read through each of them in turn."""
+        paths: list[tuple[list[int], ...]] = [()] * len(self)
+        for y, x, g in self._steps:
+            paths[y] = paths[x] + (self._right[g],)
+        return paths
+
+    def _row(self, w: int) -> list[int]:
+        """The row j -> w*j, filled along the tree: w*(x*g) = (w*x)*g."""
+        row = [0] * len(self)
+        row[self.identity] = w
+        right = self._right
+        for y, x, g in self._steps:
+            row[y] = right[g][row[x]]
+        return row
+
+    def _column(self, s: int) -> Sequence[int]:
+        """The column x -> x*s, cached per s.  For s = t*g on the tree it is
+        g's permutation read through t's column, x*s = (x*t)*g: one gather,
+        after t's own column when that is not cached yet."""
+        cols, pending = self._cols, []
+        while s not in cols:
+            pending.append(s)
+            s = self._parent[s]
+        col = cols[s]
+        for y in reversed(pending):  # g's permutation ends y's tree path
+            col = cols[y] = _gather(self._paths[y][-1], col)
+        return col
+
+    def _products(self, left: Sequence[int], right: Sequence[int]) -> list[int]:
+        """x -> left[x] * right[x], each product walking right[x]'s tree path."""
+        paths, out = self._paths, []
+        for v, u in zip(left, right):
+            for perm in paths[u]:
+                v = perm[v]
+            out.append(v)
+        return out
+
+    # -- products -----------------------------------------------------------------
+
+    def mul(self, i: int, j: int) -> int:
+        """i*j, read from the column of j (``_column``); no table is built."""
+        return self._column(j)[i]
+
+    def inv(self, i: int) -> int:
+        return (self._inv or self.inverses())[i]
+
+    def inverses(self) -> list[int]:
+        """x -> x**-1 for every element, along the tree: (x*g)**-1 is
+        g**-1 * x**-1, read from the row of g**-1."""
+        if self._inv is None:
+            identity = self.identity
+            left = {g: self._row(perm.index(identity)) for g, perm in self._right.items()}
+            inv = [identity] * len(self)
+            for y, x, g in self._steps:
+                inv[y] = left[g][inv[x]]
+            self._inv = inv
+        return self._inv
+
+    def full_table(self) -> list[list[int]]:
+        """The whole Cayley table: row i holds the index of i*j at position
+        j.  Built on first call and cached.  Only the deciders that read
+        every product ask for it: the pair scans, the subgroup lattice and
+        the section scans; ``mul``, powers, inverses and conjugation walk
+        the spanning tree instead.
+
+        The table rests on the right-multiplication permutations x -> x*g
+        that the group's builder handed over; no carrier is multiplied.
+        Row g of a generator, the left multiplication j -> g*j, is filled
+        along the spanning tree (``_steps``) by integer lookups, since
+        g*(x*h) = (g*x)*h.  Every other row is then gathered whole, not
+        filled entry by entry: for y = x*g on the tree, y*j = x*(g*j), so
+        row y is row x read through row g.
+        """
+        if self._rows is not None:
+            return self._rows
+        n, steps = len(self), self._steps
+        gather = {g: operator.itemgetter(*self._row(g)) for g in self._right}
         rows: list[list[int]] = [[]] * n
-        rows[identity] = list(range(n))
+        rows[self.identity] = list(range(n))
         for y, x, g in steps:
             rows[y] = list(gather[g](rows[x]))
         self._rows = rows
         return rows
 
+    def _conjugation(self, s: int) -> Sequence[int]:
+        """x -> s**-1 x s, cached per s: s**-1 x = (x**-1 s)**-1, so three
+        gathers through column s and the inverses."""
+        conj = self._conj.get(s)
+        if conj is None:
+            col, inv = self._column(s), self.inverses()
+            conj = self._conj[s] = _gather(col, _gather(inv, _gather(col, inv)))
+        return conj
+
     def conjugate(self, i: int, g: int) -> int:
         """g**-1 * i * g."""
-        return self.mul(self.mul(self.inv(g), i), g)
+        return self._conjugation(g)[i]
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x**-1 y**-1 x y."""
@@ -184,37 +268,54 @@ class FiniteGroup:
             t = self.commutator(t, y)
         return t
 
-    def power(self, i: int, m: int) -> int:
-        if m < 0:
-            return self.power(self.inv(i), -m)
-        result, base = self.identity, i
-        while m:
-            if m & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return result
+    def power_map(self, m: int) -> Sequence[int]:
+        """x -> x**m for every element, cached.
 
-    def power_map(self, m: int) -> list[int]:
-        """x -> x**m for every element, cached."""
+        m is read modulo |G|, since x**|G| = 1, and a negative m through
+        the inverses.  A composite m composes the maps of its least prime
+        factor q and of m/q, x**m = (x**q)**(m/q); for a prime m, x**(m-1)
+        (composed, or x itself for m = 2) is multiplied by x, each product
+        walking x's tree path (``_products``).
+        """
         cached = self._pow_cache.get(m)
         if cached is None:
-            cached = self._pow_cache[m] = [self.power(i, m)
-                                           for i in range(len(self))]
+            n = len(self)
+            if m < 0:
+                cached = _gather(self.inverses(), self.power_map(-m))
+            elif m >= n:
+                cached = self.power_map(m % n)
+            elif m <= 1:
+                cached = range(n) if m else [self.identity] * n
+            elif (q := least_prime_factor(m)) < m:
+                cached = _gather(self.power_map(m // q), self.power_map(q))
+            else:
+                cached = self._products(self.power_map(m - 1), range(n))
+            self._pow_cache[m] = cached
         return cached
 
+    @functools.cached_property
+    def _orders(self) -> list[int]:
+        """Element orders read off prime-power maps.  For each prime q with
+        q**e exactly dividing |G|, x**(|G|/q**e) has order the q-part of x's
+        order, which x -> x**q reaches the identity from in that many steps."""
+        n, identity = len(self), self.identity
+        orders, rest = [1] * n, n
+        while rest > 1:
+            q, part = least_prime_factor(rest), 1
+            while rest % q == 0:
+                rest, part = rest // q, part * q
+            step = self.power_map(q)
+            for x, y in enumerate(self.power_map(n // part)):
+                while y != identity:
+                    y = step[y]
+                    orders[x] *= q
+        return orders
+
     def element_order(self, i: int) -> int:
-        v = self._orders[i]
-        if v == 0:
-            e, t, k = self.identity, i, 1
-            while t != e:
-                t = self.mul(t, i)
-                k += 1
-            v = self._orders[i] = k
-        return v
+        return self._orders[i]
 
     def exponent(self) -> int:
-        return math.lcm(*(self.element_order(i) for i in range(len(self))))
+        return math.lcm(*self._orders)
 
     def p_group_base(self) -> tuple[int, int]:
         """(p, e) with |G| = p**e; raises for non-p-groups.  The trivial
@@ -236,23 +337,24 @@ class FiniteGroup:
 
         The old subgroup H is a block: a new coset is found as a product r*s
         of a coset representative and a generator that lands outside H's
-        cosets so far, and is then added whole as H*(r*s).  Each new element
-        costs one product; H itself is never closed again.
+        cosets so far, and is then added whole as H*(r*s) = (H*r)*s, read
+        from the column of s.  H itself is never closed again.
         """
-        mul = self.mul
-        block = list(members)
+        column = self._column
         gens.append(g)
-        reps = [g]
-        members.extend(mul(h, g) for h in block)
-        member_set.update(members[-len(block):])
-        for r in reps:
+        reps, cosets = [g], [_gather(column(g), members)]
+        members.extend(cosets[0])
+        member_set.update(cosets[0])
+        for r, coset in zip(reps, cosets):  # both grow while walked
             for s in gens:
-                t = mul(r, s)
+                col = column(s)
+                t = col[r]
                 if t not in member_set:
-                    coset = [mul(h, t) for h in block]
-                    members.extend(coset)
-                    member_set.update(coset)
+                    new = _gather(col, coset)
+                    members.extend(new)
+                    member_set.update(new)
                     reps.append(t)
+                    cosets.append(new)
 
     def _grow(self, sub: "Subgroup", seeds: Sequence[int]) -> "Subgroup":
         """<sub, seeds>, adjoining in order each seed not already inside;
@@ -283,10 +385,10 @@ class FiniteGroup:
         ambient generators (defaults: the group's own generators)."""
         if ambient_gens is None:
             ambient_gens = self.gens
+        maps = [self._conjugation(g) for g in ambient_gens]
         sub = self.subgroup(seeds)
         while True:
-            conjugates = (self.conjugate(k, g)
-                          for k in sub.members for g in ambient_gens)
+            conjugates = (conj[k] for k in sub.members for conj in maps)
             new = [c for c in conjugates if c not in sub.member_set]
             if not new:
                 return sub
@@ -324,8 +426,9 @@ class FiniteGroup:
         return len(self.lower_central_series()) - 1
 
     def center(self) -> "Subgroup":
-        members = [z for z in range(len(self))
-                   if all(self.mul(z, g) == self.mul(g, z) for g in self.gens)]
+        """The elements that conjugation by every generator fixes."""
+        maps = [self._conjugation(g) for g in dict.fromkeys(self.gens)]
+        members = [z for z in range(len(self)) if all(conj[z] == z for conj in maps)]
         return Subgroup(self, tuple(members), ())
 
     def is_abelian(self) -> bool:
@@ -342,9 +445,8 @@ class FiniteGroup:
     def order_dividing_set(self, k: int) -> tuple[int, ...]:
         """Elements of order dividing p**k (sorted indices)."""
         p, _ = self.p_group_base()
-        q = p ** k
-        return tuple(i for i in range(len(self))
-                     if q % self.element_order(i) == 0)
+        return tuple(i for i, y in enumerate(self.power_map(p ** k))
+                     if y == self.identity)
 
     def power_image_set(self, k: int) -> tuple[int, ...]:
         """The set of p**k-th powers (sorted indices)."""
@@ -362,14 +464,11 @@ class FiniteGroup:
     # -- normal subgroups, quotients, sections -------------------------------------
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        """The orbits of conjugation by the generators, by least member.
-        Conjugation by g, x -> g**-1 x g, is read off the table whole: row
-        g**-1, then column g."""
-        rows, inv = self._rows or self.full_table(), self.inverses()
-        maps = [[rows[y][g] for y in rows[inv[g]]] for g in dict.fromkeys(self.gens)]
-        seen = [False] * len(rows)
+        """The orbits of conjugation by the generators, by least member."""
+        maps = [self._conjugation(g) for g in dict.fromkeys(self.gens)]
+        seen = [False] * len(self)
         classes = []
-        for start in range(len(rows)):
+        for start in range(len(self)):
             if seen[start]:
                 continue
             seen[start] = True
@@ -492,14 +591,14 @@ class FiniteGroup:
             yield whole, k, None
         subs = self.all_subgroups(section_cap)
         lattice = {s.members for s in subs}
-        conjugate = self.conjugate
+        rows, inv = self._rows or self.full_table(), self.inverses()
         for h in sorted(subs, key=lambda s: (-len(s.members), s.members))[1:]:
             h_set = h.member_set
             for k in subs:  # sorted by order, then members
                 if len(k.members) > len(h.members):
                     break
                 k_set = k.member_set
-                if k_set <= h_set and all(conjugate(x, y) in k_set
+                if k_set <= h_set and all(rows[rows[inv[y]][x]][y] in k_set
                                           for x in k.gens for y in h.gens):
                     yield h, k, lattice
 
@@ -542,7 +641,7 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup whose elements are the
         parent's indices: its right-multiplication permutations are read off
-        the parent's table, and it describes with the parent."""
+        the parent's products, and it describes with the parent."""
         parent = self.parent
         members = self.members
         pos = {i: t for t, i in enumerate(members)}
@@ -552,6 +651,11 @@ class Subgroup:
         return FiniteGroup(list(members), right, pos[parent.identity],
                            describe=parent.describe, gens=tuple(right),
                            name=f"{parent.name}|sub{len(members)}")
+
+
+def _gather(values: Sequence[int], idx: Sequence[int]) -> Sequence[int]:
+    """values[i] for each i in idx, in one C-level call for two or more."""
+    return operator.itemgetter(*idx)(values) if len(idx) > 1 else [values[i] for i in idx]
 
 
 class _CarrierCodec:

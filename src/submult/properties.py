@@ -45,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import ONE, Spectrum, is_prime
 from .families import all_characters, big_cycle, induced_rep_generators
@@ -293,29 +293,36 @@ def has_property_s_hat_single(g: FiniteGroup) -> PropertyReport:
 
 # -- power structure ---------------------------------------------------------------
 
-PowerSet = Callable[[FiniteGroup, Subgroup, Subgroup, list[int]], set[int]]
+Table = list[list[int]]
+# (rows, H, K, x -> x**(p**k)) -> the union of the cosets in the power set;
+# rows is g's Cayley table, which only a trivial K may come without
+PowerSet = Callable[[Table | None, Subgroup, Subgroup, Sequence[int]], set[int]]
 
 
-def _order_dividing(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
-                    pk: list[int]) -> set[int]:
+def _order_dividing(rows: Table | None, h: Subgroup, kernel: Subgroup,
+                    pk: Sequence[int]) -> set[int]:
     """The x in H with x**(p**k) in K: the cosets of H/K whose order
     divides p**k."""
     inside = kernel.member_set
     return {x for x in h.members if pk[x] in inside}
 
 
-def _power_image(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
-                 pk: list[int]) -> set[int]:
-    """The cosets x**(p**k) K for x in H: the p**k-th powers of H/K."""
+def _power_image(rows: Table | None, h: Subgroup, kernel: Subgroup,
+                 pk: Sequence[int]) -> set[int]:
+    """The cosets x**(p**k) K for x in H: the p**k-th powers of H/K, each
+    coset yK read off row y."""
+    powers = {pk[x] for x in h.members}
+    if len(kernel) == 1:
+        return powers
     union: set[int] = set()
-    for y in {pk[x] for x in h.members}:
+    for y in powers:
         if y not in union:
-            union.update(g.mul(y, m) for m in kernel.members)
+            union.update(map(rows[y].__getitem__, kernel.members))
     return union
 
 
 def _power_failure(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
-                   power_set: PowerSet,
+                   power_set: PowerSet, rows: Table | None = None,
                    lattice: set[tuple[int, ...]] | None = None
                    ) -> tuple[int, int] | None:
     """First (k, rep) at which the section H/K of g has a power set that
@@ -339,7 +346,7 @@ def _power_failure(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
         pk = g.power_map(p ** k)
         if all(pk[x] in inside for x in h.members):
             return None
-        union = power_set(g, h, kernel, pk)
+        union = power_set(rows, h, kernel, pk)
         key = tuple(sorted(union))
         if lattice is None or key not in lattice:
             generated = g.subgroup(key).members
@@ -348,7 +355,7 @@ def _power_failure(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
         k += 1
 
 
-def _coset_rank(g: FiniteGroup, h: Subgroup, kernel: Subgroup, rep: int) -> int:
+def _coset_rank(rows: Table, h: Subgroup, kernel: Subgroup, rep: int) -> int:
     """Index of the coset rep*K in H/K numbered as ``FiniteGroup.quotient``
     numbers it, by ascending least member: the number of cosets whose least
     member is below rep, itself the least member of its coset."""
@@ -357,7 +364,7 @@ def _coset_rank(g: FiniteGroup, h: Subgroup, kernel: Subgroup, rep: int) -> int:
         if x >= rep:
             break
         if x not in covered:
-            covered.update(g.mul(x, m) for m in kernel.members)
+            covered.update(map(rows[x].__getitem__, kernel.members))
     return len(covered) // len(kernel)
 
 
@@ -394,13 +401,13 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
             prop, HOLDS_CAPPED, counters={"sections_checked": 1},
             caps=[f"|G| = {len(g)} exceeds section cap {section_cap}; only "
                   "the group itself was checked"])
-    checked = 0
+    checked, rows = 0, g.full_table()
     for h, kernel, lattice in g.sections(section_cap):
         checked += 1
-        fail = _power_failure(g, h, kernel, power_set, lattice)
+        fail = _power_failure(g, h, kernel, power_set, rows, lattice)
         if fail is not None:
             k, rep = fail
-            witness = {"k": k, "element_index": _coset_rank(g, h, kernel, rep),
+            witness = {"k": k, "element_index": _coset_rank(rows, h, kernel, rep),
                        "element": {"coset_rep": g.describe(rep)},
                        "subgroup_order": len(h), "kernel_order": len(kernel),
                        "subgroup_members": list(h.members),

@@ -7,7 +7,7 @@ import pytest
 from submult import cli
 from submult.cli import main
 from submult.config import RunConfig
-from submult.groups import Subgroup
+from submult.groups import FiniteGroup, Subgroup
 from submult.properties import PropertyReport, is_engel
 
 
@@ -42,6 +42,44 @@ def b321_file(tmp_path):
     assert main(["construct", "basic", "--p", "3", "--c", "2", "--e", "1",
                  "-o", str(path)]) == 0
     return path
+
+
+class TestWithoutTable:
+    """The power-structure questions on B_3(2,2), order 729, read power
+    maps, generated subgroups and conjugation along the spanning tree, so
+    they answer as before with no Cayley table."""
+
+    ANALYZE = {"family": "basic", "params": {"p": 3, "c": 2, "e": 2},
+               "order": 729, "exponent": 9, "class": 2,
+               "lower_central_orders": [729, 9, 1], "center_order": 9,
+               "abelian": False, "metabelian": True,
+               "power_structure": [
+                   {"k": 1, "order_dividing_set": 27, "omega_subgroup": 27,
+                    "power_image_set": 27, "agemo_subgroup": 27},
+                   {"k": 2, "order_dividing_set": 729, "omega_subgroup": 729,
+                    "power_image_set": 1, "agemo_subgroup": 1}]}
+    CAPPED = ["|G| = 729 exceeds section cap 256; only the group itself was checked"]
+
+    def test_b322(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "b322.json"
+        assert main(["construct", "basic", "--p", "3", "--c", "2", "--e", "2",
+                     "-o", str(path)]) == 0
+
+        def no_table(self):
+            raise AssertionError("a Cayley table was built")
+
+        monkeypatch.setattr(FiniteGroup, "full_table", no_table)
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out) == self.ANALYZE
+        expected = {"wp2": (0, True, None, {"elements_checked": 729}, []),
+                    "p1": (2, "holds-capped", None, {"sections_checked": 1}, self.CAPPED),
+                    "p2": (2, "holds-capped", None, {"sections_checked": 1}, self.CAPPED)}
+        for prop, (code, holds, witness, counters, caps) in expected.items():
+            assert main(["check", prop, str(path), "--format", "structured"]) == code
+            report = json.loads(capsys.readouterr().out)["report"]
+            assert report == {"property": prop, "holds": holds, "witness": witness,
+                              "counters": counters, "caps": caps}
 
 
 class TestConstruct:

@@ -2,6 +2,7 @@
 and the power-structure subgroups."""
 
 import functools
+import math
 import operator
 import random
 
@@ -17,7 +18,7 @@ from submult.families import (AffineCodec, AffineContext, AffinePair,
                               quaternion_generators, wreath_generators)
 from submult.groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded,
                             FiniteGroup, Subgroup, _CarrierCodec, close,
-                            direct_power, direct_product)
+                            direct_power, direct_product, least_prime_factor)
 from submult.monomial import MonomialCodec, MonomialMatrix
 from submult.properties import (_SpectralClosure, has_p1, has_p2, has_property_s,
                                 is_p_abelian, is_regular)
@@ -418,6 +419,28 @@ def monomial_groups(draw, max_order=200):
         assume(False)
 
 
+ORDER8_NONABELIAN = (quaternion_generators, dihedral_generators,
+                     lambda: wreath_generators(2))
+
+
+@st.composite
+def regularity_groups(draw):
+    """A draw of ``monomial_groups(max_order=64)``, or a direct product of
+    Q8, D8 or wreath2 with a cyclic or monomial 2-group of order 2-8, so
+    that non-abelian orders 16-64, and with them irregular groups, are
+    common."""
+    if draw(st.booleans()):
+        return draw(monomial_groups(max_order=64))
+    left = close(draw(st.sampled_from(ORDER8_NONABELIAN))())
+    right = draw(st.one_of(
+        st.sampled_from((2, 4, 8)).map(lambda m: close(cyclic_generator(m))),
+        monomial_groups(max_order=8)))
+    assume(len(right) in (2, 4, 8))
+    if draw(st.booleans()):
+        left, right = right, left
+    return direct_product(left, right)
+
+
 KERNEL_SETTINGS = settings(max_examples=25, deadline=None,
                            suppress_health_check=[HealthCheck.filter_too_much,
                                                   HealthCheck.too_slow])
@@ -485,16 +508,17 @@ class TestFullTableKernel:
         with pytest.raises(ValueError, match="reach only 3 of 27"):
             g.full_table()
 
-    def test_first_mul_builds_table(self, h5):
-        # the first product builds the whole table; later products and
-        # full_table are lookups in it
+    def test_first_mul_builds_no_table(self, h5):
+        # products read columns along the spanning tree; the table is built
+        # only when full_table asks for it, and then once
         g = group_from_carriers(h5.elements, h5.identity, h5.gens)
+        assert g.mul(3, 7) == h5.full_table()[3][7]
         assert g._rows is None
-        assert g.mul(3, 7) == h5.mul(3, 7)
-        table = g._rows
-        assert table == h5.full_table()
-        assert all(g.mul(i, j) == h5.mul(i, j)
+        assert all(g.mul(i, j) == h5.full_table()[i][j]
                    for i in range(125) for j in range(125))
+        assert g._rows is None
+        table = g.full_table()
+        assert table == h5.full_table()
         assert g.full_table() is table
 
     @pytest.mark.parametrize("make", [
@@ -516,6 +540,76 @@ class TestFullTableKernel:
             assert len(g) == 27
             assert len(g.gens) == len(gens)
             assert_table_matches_raw_products(g, operator.mul)
+
+
+# -- products along the spanning tree against the table's rows ----------------------
+
+def row_power(rows, identity, x, m):
+    """x**m by m products along row lookups; x**-1 is where row x holds
+    the identity."""
+    if m < 0:
+        return row_power(rows, identity, rows[x].index(identity), -m)
+    t = identity
+    for _ in range(m):
+        t = rows[t][x]
+    return t
+
+
+def row_order(rows, identity, x):
+    t, k = x, 1
+    while t != identity:
+        t, k = rows[t][x], k + 1
+    return k
+
+
+class TestTreeProducts:
+    """mul, power maps, inverses, element orders, the exponent, the center
+    and conjugation by the generators walk the spanning tree and build no
+    Cayley table; each matches the same value read off full_table() rows."""
+
+    @staticmethod
+    def assert_match_rows(g):
+        n, e = len(g), g.identity
+        p = least_prime_factor(n) if n > 1 else 2
+        exponents = (-1, 0, 1, 2, p, p * p, n + 1)
+        products = [[g.mul(i, j) for j in range(n)] for i in range(n)]
+        powers = {m: list(g.power_map(m)) for m in exponents}
+        inverses = list(g.inverses())
+        orders = [g.element_order(i) for i in range(n)]
+        exponent, center = g.exponent(), g.center().members
+        conjugation = {s: [g.conjugate(x, s) for x in range(n)] for s in g.gens}
+        assert g._rows is None
+        rows = g.full_table()
+        assert products == rows
+        for m, image in powers.items():
+            assert image == [row_power(rows, e, x, m) for x in range(n)], m
+        assert inverses == [row.index(e) for row in rows]
+        assert orders == [row_order(rows, e, x) for x in range(n)]
+        assert exponent == math.lcm(*orders)
+        assert center == tuple(z for z in range(n)
+                               if all(rows[z][y] == rows[y][z] for y in range(n)))
+        for s, image in conjugation.items():
+            s_inv = rows[s].index(e)
+            assert image == [rows[rows[s_inv][x]][s] for x in range(n)]
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups())
+    def test_monomial_groups(self, g):
+        self.assert_match_rows(g)
+
+    @KERNEL_SETTINGS
+    @given(regularity_groups())
+    def test_regularity_groups(self, g):
+        self.assert_match_rows(g)
+
+    @pytest.mark.parametrize("make", [
+        lambda: close(cyclic_generator(6)), lambda: close(cyclic_generator(1)),
+        lambda: direct_product(close(heisenberg_generators(3)),
+                               close(quaternion_generators()))],
+        ids=["c6", "c1", "h3xq8"])
+    def test_named_groups(self, make):
+        # C6 and H3 x Q8 are not p-groups: their orders have two prime parts
+        self.assert_match_rows(make())
 
 
 # -- the subgroup lattice against from-scratch references ---------------------------

@@ -1,12 +1,15 @@
 """Property deciders: verdicts, witnesses and their replays, and the
 implications between them on the named examples."""
 
+import functools
+
 import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
 from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, group_from_carriers,
                          lattice_group, monomial_groups, reference_all_subgroups,
-                         reference_as_group, reference_normal_subgroups)
+                         reference_as_group, reference_normal_subgroups,
+                         regularity_groups)
 
 from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
@@ -203,7 +206,7 @@ def literal_power_failure(q, prop):
         if prop == "p2":
             members = [i for i in range(len(q)) if q_k % orders[i] == 0]
         else:
-            members = sorted({q.power(i, q_k) for i in range(len(q))})
+            members = sorted(set(q.power_map(q_k)))
         inside = set(members)
         extra = [m for m in q.subgroup(members).members if m not in inside]
         if extra:
@@ -321,9 +324,12 @@ class TestRegularity:
         p = 3
         pair = w3.subgroup((x, y))
         derived = w3.commutator_subgroup(pair, pair)
-        lhs = w3.power(w3.mul(x, y), p)
-        base = w3.mul(w3.power(x, p), w3.power(y, p))
-        assert all(w3.mul(base, w3.power(z, p)) != lhs for z in derived.members)
+        def power(z):
+            return functools.reduce(w3.mul, [z] * p)
+
+        lhs = power(w3.mul(x, y))
+        base = w3.mul(power(x), power(y))
+        assert all(w3.mul(base, power(z)) != lhs for z in derived.members)
 
     def test_quaternion_irregular(self, q8):
         assert is_regular(q8).holds is False
@@ -453,28 +459,6 @@ def assert_regular_matches_oracle(g):
 
 # Non-abelian groups of order 8; a 2-group with one of them as a factor is
 # non-abelian, hence irregular.
-ORDER8_NONABELIAN = (quaternion_generators, dihedral_generators,
-                     lambda: wreath_generators(2))
-
-
-@st.composite
-def regularity_groups(draw):
-    """A draw of ``monomial_groups(max_order=64)``, or a direct product of
-    Q8, D8 or wreath2 with a cyclic or monomial 2-group of order 2-8, so
-    that non-abelian orders 16-64, and with them irregular groups, are
-    common."""
-    if draw(st.booleans()):
-        return draw(monomial_groups(max_order=64))
-    left = close(draw(st.sampled_from(ORDER8_NONABELIAN))())
-    right = draw(st.one_of(
-        st.sampled_from((2, 4, 8)).map(lambda m: close(cyclic_generator(m))),
-        monomial_groups(max_order=8)))
-    assume(len(right) in (2, 4, 8))
-    if draw(st.booleans()):
-        left, right = right, left
-    return direct_product(left, right)
-
-
 class TestRegularityShortcut:
     """is_regular settles a pair by z = 1 and builds the pair's derived
     subgroup only when that test fails."""
