@@ -23,10 +23,14 @@ factor; inverses, element orders and conjugation by an element follow the
 tree too, in O(n) per map.  So element orders, the Omega/agemo levels,
 generated subgroups, the lower central series and the center, which
 ``analyze``, wp2 and the whole-group p1/p2 probe ask, need no n**2 table.
-``full_table`` builds that table, rows gathered whole along the same tree,
-for the deciders that read every product: the pair scans, the subgroup
-lattice and the section scans.  A group's size, and so its table's, is
-bounded by the cap its builder used.
+``row`` gathers one row x -> x*j whole from its tree parent's into a row
+store, for the pair scans of (S), p-abelianness, order divisibility and
+the z = 1 test of regularity, which read the rows of class representatives
+and of their p-th powers.  ``full_table`` completes that store into the
+whole table for the deciders that multiply arbitrary pairs: the Engel
+scan, the derived subgroup of a pair failing z = 1, the subgroup lattice
+and the section scans.  A group's size, and so its table's, is bounded by
+the cap its builder used.
 
 The subgroup lattice of a p-group runs on integer indices over the table:
 each subgroup of order p**(i+1) is one of order p**i extended by a single
@@ -96,7 +100,11 @@ class FiniteGroup:
         self._describe = describe
         self.gens = tuple(gens)
         self.name = name
-        self._rows: list[list[int]] | None = None  # built by full_table
+        # the row store, x -> row x or None until gathered, made by ``row``;
+        # ``full_table`` completes it and keeps it as ``_table``
+        self._rows: list[list[int] | None] | None = None
+        self._table: list[list[int]] | None = None
+        self._left_gathers: dict[int, Callable] = {}  # g -> read a row through row g
         self._inv: list[int] | None = None  # built by inverses
         # s -> the column x -> x*s, built by _column; a generator's is its
         # right-multiplication permutation
@@ -148,11 +156,12 @@ class FiniteGroup:
         return steps
 
     @functools.cached_property
-    def _parent(self) -> list[int]:
-        """y -> x with y = x*g on the tree; the identity maps to itself."""
-        parent = [self.identity] * len(self)
-        for y, x, _ in self._steps:
-            parent[y] = x
+    def _parent(self) -> list[tuple[int, int]]:
+        """y -> (x, g) with y = x*g on the tree; the identity maps to
+        (identity, identity)."""
+        parent = [(self.identity, self.identity)] * len(self)
+        for y, x, g in self._steps:
+            parent[y] = (x, g)
         return parent
 
     @functools.cached_property
@@ -177,13 +186,13 @@ class FiniteGroup:
         """The column x -> x*s, cached per s.  For s = t*g on the tree it is
         g's permutation read through t's column, x*s = (x*t)*g: one gather,
         after t's own column when that is not cached yet."""
-        cols, pending = self._cols, []
+        cols, parent, pending = self._cols, self._parent, []
         while s not in cols:
             pending.append(s)
-            s = self._parent[s]
+            s = parent[s][0]
         col = cols[s]
-        for y in reversed(pending):  # g's permutation ends y's tree path
-            col = cols[y] = _gather(self._paths[y][-1], col)
+        for y in reversed(pending):
+            col = cols[y] = _gather(self._right[parent[y][1]], col)
         return col
 
     def _products(self, left: Sequence[int], right: Sequence[int]) -> list[int]:
@@ -216,31 +225,59 @@ class FiniteGroup:
             self._inv = inv
         return self._inv
 
-    def full_table(self) -> list[list[int]]:
-        """The whole Cayley table: row i holds the index of i*j at position
-        j.  Built on first call and cached.  Only the deciders that read
-        every product ask for it: the pair scans, the subgroup lattice and
-        the section scans; ``mul``, powers, inverses and conjugation walk
-        the spanning tree instead.
+    def row(self, x: int) -> list[int]:
+        """Row x of the Cayley table, j -> x*j, kept in the row store.
 
-        The table rests on the right-multiplication permutations x -> x*g
-        that the group's builder handed over; no carrier is multiplied.
-        Row g of a generator, the left multiplication j -> g*j, is filled
-        along the spanning tree (``_steps``) by integer lookups, since
-        g*(x*h) = (g*x)*h.  Every other row is then gathered whole, not
-        filled entry by entry: for y = x*g on the tree, y*j = x*(g*j), so
-        row y is row x read through row g.
+        The store starts with the identity row and each generator's row,
+        filled along the tree (``_row``).  A missing row y = x*g on the tree
+        is gathered whole, since y*j = x*(g*j): row x read through row g, in
+        one ``itemgetter`` call, after row x itself when that is missing
+        too.  So a decider that reads only the rows of class representatives
+        pays for those rows and their tree ancestors, not for n**2 entries.
         """
-        if self._rows is not None:
-            return self._rows
-        n, steps = len(self), self._steps
-        gather = {g: operator.itemgetter(*self._row(g)) for g in self._right}
-        rows: list[list[int]] = [[]] * n
-        rows[self.identity] = list(range(n))
-        for y, x, g in steps:
-            rows[y] = list(gather[g](rows[x]))
+        rows = self._rows or self._seed_rows()
+        parent, pending = self._parent, []
+        while rows[x] is None:
+            pending.append(x)
+            x = parent[x][0]
+        row = rows[x]
+        for y in reversed(pending):
+            row = rows[y] = list(self._left_gathers[parent[y][1]](row))
+        return row
+
+    def _seed_rows(self) -> list[list[int] | None]:
+        """The row store with the identity's and the generators' rows, and
+        for each generator g the gather that reads a row through row g."""
+        rows: list[list[int] | None] = [None] * len(self)
+        for g in self._right:
+            rows[g] = self._row(g)
+        rows[self.identity] = list(range(len(self)))  # a list: a range reads slower
+        self._left_gathers = {g: operator.itemgetter(*rows[g]) for g in self._right}
         self._rows = rows
         return rows
+
+    def full_table(self) -> list[list[int]]:
+        """The whole Cayley table: row i holds the index of i*j at position
+        j.  Built on first call and cached.  Only the deciders that multiply
+        arbitrary pairs ask for it: the Engel scan, the regularity test of
+        a pair failing z = 1, the subgroup lattice and the section scans;
+        ``row`` serves the other pair scans, and ``mul``, powers, inverses
+        and conjugation walk the spanning tree.
+
+        The table rests on the right-multiplication permutations x -> x*g
+        that the group's builder handed over; no carrier is multiplied.  It
+        completes the row store of ``row`` in breadth-first order, each
+        missing row gathered whole from its tree parent's, and keeps the
+        rows already gathered.
+        """
+        if self._table is None:
+            rows = self._rows or self._seed_rows()
+            gathers = self._left_gathers
+            for y, x, g in self._steps:
+                if rows[y] is None:
+                    rows[y] = list(gathers[g](rows[x]))
+            self._table = rows
+        return self._table
 
     def _conjugation(self, s: int) -> Sequence[int]:
         """x -> s**-1 x s, cached per s: s**-1 x = (x**-1 s)**-1, so three
@@ -500,7 +537,7 @@ class FiniteGroup:
         if n > cap:
             raise ClosureCapExceeded(n, cap)
         p, _ = self.p_group_base()
-        rows, inv = self._rows or self.full_table(), self.inverses()
+        rows, inv = self.full_table(), self.inverses()
         roots: list[list[int]] = [[] for _ in range(n)]  # y -> {x : x**p = y}
         for x, y in enumerate(self.power_map(p)):
             roots[y].append(x)
@@ -591,7 +628,7 @@ class FiniteGroup:
             yield whole, k, None
         subs = self.all_subgroups(section_cap)
         lattice = {s.members for s in subs}
-        rows, inv = self._rows or self.full_table(), self.inverses()
+        rows, inv = self.full_table(), self.inverses()
         for h in sorted(subs, key=lambda s: (-len(s.members), s.members))[1:]:
             h_set = h.member_set
             for k in subs:  # sorted by order, then members

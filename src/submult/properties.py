@@ -2,7 +2,8 @@
 
 Every decider takes a closed ``FiniteGroup``: closing generators, and
 choosing the cap for that, is the caller's job (``has_property_s(close(gens))``),
-so one closure and its Cayley table serve every question asked of it.
+so one closure, its rows and its Cayley table serve every question asked
+of it.
 Only ``has_property_s_hat_basic``, which builds its own representations,
 and ``is_v_regular_bounded``, which builds direct powers, take a cap.
 
@@ -29,6 +30,14 @@ comprehensions and ``map``/``compress`` chains, rather than making one
 Python call per pair (Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005, work on table rows the same way).  ``pairs_evaluated``
 counts the pairs of the evaluated rows.
+
+(S), p-abelianness, order divisibility and the z = 1 test of regularity
+read only the rows of the representatives, and of their p-th powers,
+through ``FiniteGroup.row``, which gathers each on demand; they build no
+n**2 table.  ``is_regular`` completes the table (``full_table``) only when
+a pair fails z = 1 and its derived subgroup is needed, and ``is_engel``,
+whose brackets multiply arbitrary pairs, and the section scans read the
+whole table.
 
 Verdict conventions:
   * property (S) is decided on all ordered pairs over the full closure,
@@ -146,7 +155,7 @@ def _all_pairs_pass(g: FiniteGroup) -> dict[str, int]:
 # -- property (S): submultiplicative spectra -------------------------------------
 
 class _SpectralClosure:
-    """A closed monomial group's Cayley table with per-element spectra as
+    """A closed monomial group's rows with per-element spectra as
     int bitmasks over Z/L, L the codec's modulus M times the lcm of the
     cycle lengths in the group's distinct cycle keys: bit i of a mask is
     set when i/L is an eigenvalue.  Masks are built once per distinct cycle
@@ -162,7 +171,7 @@ class _SpectralClosure:
     fails and a witness needs one."""
 
     def __init__(self, g: FiniteGroup):
-        self.table = g.full_table()
+        self.row = g.row
         codec = g.codec if isinstance(g.codec, MonomialCodec) else MonomialCodec(g.elements)
         codes = g.codes if codec is g.codec else [codec.encode(e) for e in g.elements]
         keys = [codec.cycle_key(c) for c in codes]
@@ -191,7 +200,7 @@ class _SpectralClosure:
         return prod
 
     def _row_keys(self, x: int) -> Iterator[int]:
-        return map(operator.add, self._left, map(self.sid.__getitem__, self.table[x]))
+        return map(operator.add, self._left, map(self.sid.__getitem__, self.row(x)))
 
     def first_failure(self, x: int) -> int | None:
         """Least y whose pair (x, y) fails (S), or None."""
@@ -225,7 +234,7 @@ def has_property_s(g: FiniteGroup) -> PropertyReport:
     sc = _SpectralClosure(g)
 
     def details(i: int, j: int) -> dict:
-        k = sc.table[i][j]
+        k = g.row(i)[j]
         missing = sc.masks[sc.sid[k]] & ~sc.product_mask(sc.sid[i], sc.sid[j])
         return {
             "product_index": k,
@@ -454,11 +463,11 @@ def _pair_derived(table: list[list[int]], inv: list[int], identity: int,
     return tuple(sorted(members))
 
 
-def _power_mismatches(table: list[list[int]], pw: list[int], x: int) -> Iterator[int]:
+def _power_mismatches(g: FiniteGroup, pw: Sequence[int], x: int) -> Iterator[int]:
     """The y, ascending, with (xy)**p != x**p * y**p, pw the p-th power map:
     row x read through pw against row x**p read at the p-th powers."""
-    row_p = table[pw[x]]
-    lhs, rhs = [pw[v] for v in table[x]], [row_p[w] for w in pw]
+    row_p = g.row(pw[x])
+    lhs, rhs = [pw[v] for v in g.row(x)], [row_p[w] for w in pw]
     return compress(count(), map(operator.ne, lhs, rhs)) if lhs != rhs else iter(())
 
 
@@ -469,18 +478,19 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
     Each pair is first tested with z = 1, i.e. (xy)**p = x**p * y**p.  The
     identity lies in every D, so a pair passing that test is settled
     without D; commuting pairs and pairs (x, x) always pass it.  The test
-    runs on whole rows, and only the pairs failing it build D, in ascending
-    order along the row; z**p then ranges over the p-th powers of D, cached
-    per distinct D.
+    runs on the rows of x and x**p (``FiniteGroup.row``), and only the
+    pairs failing it build D, in ascending order along the row, on the full
+    Cayley table; z**p then ranges over the p-th powers of D, cached per
+    distinct D.
     """
     p, _ = g.p_group_base()
-    table = g.full_table()
     pw = g.power_map(p)
     inv = g.inverses()
     zp_cache: dict[tuple[int, ...], frozenset[int]] = {}
 
     def first_failure(x: int) -> int | None:
-        for y in _power_mismatches(table, pw, x):
+        for y in _power_mismatches(g, pw, x):
+            table = g.full_table()
             lhs, rhs = pw[table[x][y]], table[pw[x]][pw[y]]
             derived = _pair_derived(table, inv, g.identity, x, y)
             zp = zp_cache.get(derived)
@@ -544,10 +554,9 @@ def is_p_abelian(g: FiniteGroup) -> PropertyReport:
     p, _ = g.p_group_base()
     if g.is_abelian():
         return PropertyReport("p-abelian", True, counters=_all_pairs_pass(g))
-    table = g.full_table()
     pw = g.power_map(p)
     return _pair_report(
-        "p-abelian", g, lambda x: next(_power_mismatches(table, pw, x), None),
+        "p-abelian", g, lambda x: next(_power_mismatches(g, pw, x), None),
         lambda i, j: {"prime": p, "explanation": "(xy)^p differs from x^p y^p"})
 
 
@@ -586,14 +595,13 @@ def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
             counters={"pairs_checked": 0, "pairs_evaluated": 0},
             caps=["vacuous: the closure fails property s, so the "
                   "divisibility is not asserted"])
-    table = g.full_table()
     orders = [g.element_order(i) for i in range(len(g))]
     return _pair_report(
         "order-divisibility", g,
         lambda x: _first_true(map(operator.mod,
                                   map(max, repeat(orders[x]), orders),
-                                  map(orders.__getitem__, table[x]))),
-        lambda i, j: {"orders": [orders[i], orders[j], orders[table[i][j]]],
+                                  map(orders.__getitem__, g.row(x)))),
+        lambda i, j: {"orders": [orders[i], orders[j], orders[g.row(i)[j]]],
                       "explanation": "|AB| does not divide max(|A|, |B|)"})
 
 

@@ -513,10 +513,10 @@ class TestFullTableKernel:
         # only when full_table asks for it, and then once
         g = group_from_carriers(h5.elements, h5.identity, h5.gens)
         assert g.mul(3, 7) == h5.full_table()[3][7]
-        assert g._rows is None
+        assert g._table is None
         assert all(g.mul(i, j) == h5.full_table()[i][j]
                    for i in range(125) for j in range(125))
-        assert g._rows is None
+        assert g._table is None
         table = g.full_table()
         assert table == h5.full_table()
         assert g.full_table() is table
@@ -578,7 +578,7 @@ class TestTreeProducts:
         orders = [g.element_order(i) for i in range(n)]
         exponent, center = g.exponent(), g.center().members
         conjugation = {s: [g.conjugate(x, s) for x in range(n)] for s in g.gens}
-        assert g._rows is None
+        assert g._table is None
         rows = g.full_table()
         assert products == rows
         for m, image in powers.items():
@@ -610,6 +610,52 @@ class TestTreeProducts:
     def test_named_groups(self, make):
         # C6 and H3 x Q8 are not p-groups: their orders have two prime parts
         self.assert_match_rows(make())
+
+
+# -- the row store ----------------------------------------------------------------
+
+def twin(g):
+    """A fresh group on g's right-multiplication permutations: no row built."""
+    return FiniteGroup(g.codes, g._right, g.identity, describe=g._describe,
+                       gens=g.gens)
+
+
+class TestRowStore:
+    """``row`` gathers single rows on demand; ``full_table`` completes the
+    same store, keeping what was gathered, into the table a fresh twin
+    builds."""
+
+    @KERNEL_SETTINGS
+    @given(st.one_of(monomial_groups(), regularity_groups(),
+                     st.sampled_from((1, 2)).map(
+                         lambda m: close(cyclic_generator(m)))),
+           st.data())
+    def test_rows_match_a_twins_table(self, g, data):
+        n = len(g)
+        table = twin(g).full_table()
+        indices = st.lists(st.integers(0, n - 1), min_size=1, max_size=6)
+        before = data.draw(indices)
+        gathered = [g.row(x) for x in before]
+        assert gathered == [table[x] for x in before]
+        assert g._table is None
+        full = g.full_table()
+        assert full == table
+        assert all(type(row) is list for row in full)
+        assert g.full_table() is full
+        # the table keeps the rows gathered before, not copies
+        assert all(full[x] is row for x, row in zip(before, gathered))
+        after = data.draw(indices)
+        assert [g.row(x) for x in after] == [table[x] for x in after]
+
+    def test_row_gathers_only_its_tree_path(self, h5):
+        g = twin(h5)
+        x = len(g) - 1
+        assert g.row(x) == h5.full_table()[x]
+        path, y = {g.identity, x, *g.gens}, x
+        while y != g.identity:
+            y = g._parent[y][0]
+            path.add(y)
+        assert {i for i, row in enumerate(g._rows) if row is not None} == path
 
 
 # -- the subgroup lattice against from-scratch references ---------------------------

@@ -762,6 +762,54 @@ class TestRegularityOracle:
         assert regular_first_failure_by_definition(loop) == (2, 1)
 
 
+class TestPairScansWithoutTable:
+    """(S), p-abelianness, order divisibility and regularity passing z = 1
+    read single rows (``FiniteGroup.row``), never the whole Cayley table,
+    and report exactly what they report on a group whose table is built."""
+
+    CASES = {
+        "s-h5": (lambda: close(heisenberg_generators(5)), has_property_s),
+        "s-h5xc4": (lambda: close(_tensor_generators(
+            heisenberg_generators(5), cyclic_generator(4))), has_property_s),
+        "s-h5xq8": (lambda: close(_tensor_generators(
+            heisenberg_generators(5), quaternion_generators())), has_property_s),
+        "p-abelian-h5": (lambda: close(heisenberg_generators(5)), is_p_abelian),
+        "p-abelian-w3": (lambda: close(wreath_generators(3)), is_p_abelian),
+        "order-divisibility-h5": (lambda: close(heisenberg_generators(5)),
+                                  order_submultiplicativity),
+        "regular-b321": (lambda: basic_group(3, 2, 1), is_regular),
+        "v-regular-b321": (lambda: basic_group(3, 2, 1),
+                           lambda g: is_v_regular_bounded(g, 2)),
+    }
+
+    @staticmethod
+    def forbid_tables(monkeypatch):
+        def no_table(self):
+            raise AssertionError("a Cayley table was built")
+        monkeypatch.setattr(FiniteGroup, "full_table", no_table)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_matches_a_tabled_twin(self, case, monkeypatch):
+        make, decide = self.CASES[case]
+        tabled = make()
+        tabled.full_table()
+        expected = decide(tabled)
+        self.forbid_tables(monkeypatch)
+        assert decide(make()) == expected
+
+    def test_b321_square_gathers_few_rows(self, monkeypatch):
+        square = direct_power(basic_group(3, 2, 1), 2)
+        self.forbid_tables(monkeypatch)
+        assert is_regular(square).holds is True
+        assert sum(row is not None for row in square._rows) < 200
+
+    def test_regular_builds_the_table_for_a_failing_pair(self):
+        # wreath3 fails z = 1 at (1, 2), so D of that pair needs the table
+        g = close(wreath_generators(3))
+        assert is_regular(g).holds is False
+        assert g._table is not None
+
+
 class TestPAbelian:
     def test_abelian(self):
         g = close(diagonal_abelian_generators(4, [[1, 0], [0, 1]]))
