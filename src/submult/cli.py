@@ -27,7 +27,7 @@ from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
                          has_property_s_hat_single, has_wp2, is_engel,
                          is_irreducible, is_p_abelian, is_regular,
                          is_v_regular_bounded)
-from .suites import SUITES, run_suites
+from .suites import SUITES, OracleUnavailable, run_suites
 
 DEFAULTS = RunConfig()
 CHECK_PROPERTIES = ("s", "s-hat", "wp2", "p1", "p2", "regular", "v-regular",
@@ -323,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ClosureCapExceeded, ValueError, OSError) as exc:
+    except (ClosureCapExceeded, ValueError, OSError, OracleUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

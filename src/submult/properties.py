@@ -463,12 +463,22 @@ def _pair_derived(table: list[list[int]], inv: list[int], identity: int,
     return tuple(sorted(members))
 
 
-def _power_mismatches(g: FiniteGroup, pw: Sequence[int], x: int) -> Iterator[int]:
-    """The y, ascending, with (xy)**p != x**p * y**p, pw the p-th power map:
-    row x read through pw against row x**p read at the p-th powers."""
-    row_p = g.row(pw[x])
-    lhs, rhs = [pw[v] for v in g.row(x)], [row_p[w] for w in pw]
-    return compress(count(), map(operator.ne, lhs, rhs)) if lhs != rhs else iter(())
+def _power_mismatches(g: FiniteGroup, pw: Sequence[int]
+                      ) -> Callable[[int], Iterator[int]]:
+    """x -> the y, ascending, with (xy)**p != x**p * y**p, pw the p-th power
+    map: row x read through pw against row x**p read at the p-th powers.
+
+    Both sides are C-level ``itemgetter`` gathers, the one at the p-th
+    powers built once.  On the order-1 group a gather of one index returns
+    the identity itself, not a 1-tuple, and the two sides compare equal."""
+    at_powers = operator.itemgetter(*pw)
+
+    def mismatches(x: int) -> Iterator[int]:
+        lhs = operator.itemgetter(*g.row(x))(pw)
+        rhs = at_powers(g.row(pw[x]))
+        return compress(count(), map(operator.ne, lhs, rhs)) if lhs != rhs else iter(())
+
+    return mismatches
 
 
 def is_regular(g: FiniteGroup) -> PropertyReport:
@@ -486,10 +496,11 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
     p, _ = g.p_group_base()
     pw = g.power_map(p)
     inv = g.inverses()
+    mismatches = _power_mismatches(g, pw)
     zp_cache: dict[tuple[int, ...], frozenset[int]] = {}
 
     def first_failure(x: int) -> int | None:
-        for y in _power_mismatches(g, pw, x):
+        for y in mismatches(x):
             table = g.full_table()
             lhs, rhs = pw[table[x][y]], table[pw[x]][pw[y]]
             derived = _pair_derived(table, inv, g.identity, x, y)
@@ -554,9 +565,9 @@ def is_p_abelian(g: FiniteGroup) -> PropertyReport:
     p, _ = g.p_group_base()
     if g.is_abelian():
         return PropertyReport("p-abelian", True, counters=_all_pairs_pass(g))
-    pw = g.power_map(p)
+    mismatches = _power_mismatches(g, g.power_map(p))
     return _pair_report(
-        "p-abelian", g, lambda x: next(_power_mismatches(g, pw, x), None),
+        "p-abelian", g, lambda x: next(mismatches(x), None),
         lambda i, j: {"prime": p, "explanation": "(xy)^p differs from x^p y^p"})
 
 

@@ -1,9 +1,14 @@
 """CLI integration: subcommands, exit codes, and text/structured mirroring."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import submult
 from submult import cli
 from submult.cli import main
 from submult.config import RunConfig
@@ -426,3 +431,60 @@ class TestMalformedInput:
                                        "--e", "1", "-o", str(tmp_path / "b.json")],
                                       capsys)
         assert err == "error: construct basic needs --c\n"
+
+
+SRC = Path(submult.__file__).resolve().parent.parent
+
+
+def run_python(script: str, *args: str, block_numpy: bool = False
+               ) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``submult``; ``block_numpy`` makes every ``import numpy`` raise, as if
+    numpy were not installed."""
+    if block_numpy:
+        script = "import sys\nsys.modules['numpy'] = None\n" + script
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+class TestWithoutNumpy:
+    """Only verify's T1 oracle reads numpy, and it imports numpy when it
+    runs: the other commands neither load it nor need it installed."""
+
+    MAIN = "import sys\nfrom submult.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+    @pytest.fixture()
+    def q8_file(self, tmp_path):
+        path = tmp_path / "q8.json"
+        assert main(["construct", "quaternion8", "-o", str(path)]) == 0
+        return path
+
+    def test_check_path_loads_no_numpy(self, q8_file):
+        done = run_python(
+            "import sys\nimport submult.cli\n"
+            "code = submult.cli.main(['check', 's', sys.argv[1]])\n"
+            "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n", str(q8_file))
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == "numpy loaded: False\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "s", "{q8}"], 1),
+        (["check", "p-abelian", "{h3}"], 0),
+        (["verify", "T4"], 0),
+    ])
+    def test_runs_without_numpy(self, argv, code, q8_file, h3_file):
+        argv = [a.format(q8=q8_file, h3=h3_file) for a in argv]
+        done = run_python(self.MAIN, *argv, block_numpy=True)
+        assert done.returncode == code, done.stderr
+        assert done.stderr == ""
+
+    @pytest.mark.parametrize("suites", [["T1"], [], ["all"]])
+    def test_verify_t1_names_the_oracle_extra(self, suites):
+        done = run_python(self.MAIN, "verify", *suites, block_numpy=True)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert "pip install 'submult[oracle]'" in done.stderr
