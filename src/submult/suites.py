@@ -17,8 +17,9 @@ import cmath
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .config import RunConfig
@@ -170,10 +171,37 @@ def _random_monomial(rng: random.Random) -> tuple[MonomialMatrix, int]:
     return MonomialMatrix(n, tuple(perm), tuple(entries)), p
 
 
+def _nearest_fraction(x: float, max_den: int) -> tuple[int, int]:
+    """The closest fraction to ``x`` with denominator at most ``max_den``,
+    as (numerator, denominator) in lowest terms: the value of
+    ``Fraction(x).limit_denominator(max_den)``, computed on the integers of
+    ``x.as_integer_ratio()`` by the same continued-fraction walk, so that
+    ties go the same way."""
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    exact_den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # the candidates are p1/q1 and (p0 + k p1)/(q0 + k q1), 1/(q1 (q0 + k q1))
+    # apart, and x lies d/(q1 exact_den) from p1/q1
+    if 2 * d * (q0 + k * q1) <= exact_den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _round_to_root_of_unity(value: complex, max_den: int
                             ) -> tuple[CyclotomicUnit, float]:
-    frac = Fraction(cmath.phase(value) / (2 * cmath.pi)).limit_denominator(max_den) % 1
-    unit = CyclotomicUnit(frac.numerator, frac.denominator)
+    # CyclotomicUnit reduces the numerator mod the denominator
+    unit = CyclotomicUnit(*_nearest_fraction(cmath.phase(value) / (2 * cmath.pi),
+                                             max_den))
     return unit, abs(value - unit.to_complex())
 
 
@@ -181,37 +209,47 @@ class OracleUnavailable(RuntimeError):
     """A suite's oracle needs an optional dependency that is not installed."""
 
 
-def suite_t1(config: RunConfig) -> list[CriterionResult]:
-    """Exact spectra of 500 seeded random monomial matrices equal the dense
-    float eigensolver output after nearest-root-of-unity rounding.
+def _sampled_spectra(seed: int) -> list[tuple[MonomialMatrix, int, list[complex]]]:
+    """T1's 500 seeded random monomial matrices, each with its prime p and
+    its float eigenvalues.
 
     The matrices are drawn in seed order and grouped by size, and each size
-    goes through the eigensolver once as a stacked array."""
+    goes through numpy's eigensolver once as a stacked array.  Raises
+    ``ImportError`` without numpy."""
+    import numpy as np
+    rng = random.Random(seed)
+    by_size: dict[int, list[tuple[MonomialMatrix, int]]] = {}
+    for _ in range(500):
+        m, p = _random_monomial(rng)
+        by_size.setdefault(m.n, []).append((m, p))
+    samples = []
+    for batch in by_size.values():
+        stacked = np.linalg.eigvals(np.array([m.to_dense() for m, _ in batch]))
+        samples.extend((m, p, eigs) for (m, p), eigs in zip(batch, stacked.tolist()))
+    return samples
+
+
+def suite_t1(config: RunConfig) -> list[CriterionResult]:
+    """Exact spectra of 500 seeded random monomial matrices equal the dense
+    float eigensolver output after nearest-root-of-unity rounding."""
     try:
-        import numpy as np
+        samples = _sampled_spectra(config.seed)
     except ImportError as exc:
         raise OracleUnavailable(
             "suite T1 checks spectra against numpy's eigensolver and numpy "
             "is not installed: pip install 'submult[oracle]'") from exc
     suite = _Suite()
-    rng = random.Random(config.seed)
-    by_size: dict[int, list[tuple[MonomialMatrix, int]]] = {}
-    for _ in range(500):
-        m, p = _random_monomial(rng)
-        by_size.setdefault(m.n, []).append((m, p))
     mismatches = 0
     worst = 0.0
-    for batch in by_size.values():
-        stacked = np.linalg.eigvals(np.array([m.to_dense() for m, _ in batch]))
-        for (m, p), eigs in zip(batch, stacked.tolist()):
-            exact = set(m.spectrum())
-            rounded = set()
-            for lam in eigs:
-                unit, residual = _round_to_root_of_unity(lam, m.n * p * p)
-                worst = max(worst, residual)
-                rounded.add(unit)
-            if rounded != exact:
-                mismatches += 1
+    for m, p, eigs in samples:
+        exact = set(m.spectrum())
+        rounded = set()
+        for lam in eigs:
+            unit, residual = _round_to_root_of_unity(lam, m.n * p * p)
+            worst = max(worst, residual)
+            rounded.add(unit)
+        if rounded != exact:
+            mismatches += 1
     suite.check("500 sampled spectra match the float eigensolver",
                 mismatches == 0, f"mismatches={mismatches}, seed={config.seed}")
     suite.check("max rounding residual below 1e-8", worst < 1e-8,
@@ -424,12 +462,12 @@ def regular_first_failure_by_definition(g: FiniteGroup
     """Literal re-implementation of the regularity definition.
 
     Kept deliberately independent of the main decision path: inverses come
-    from row scans, subgroup generation is word closure from the pair,
-    derived subgroups are generated from all pairwise commutators computed
-    inline, p-th powers are repeated multiplication, and z is scanned
-    exhaustively.  Nothing is shared with ``is_regular``: no conjugacy
-    classes, no z = 1 test, no derived-subgroup search from ``properties``.
-    Only memoization is added so corpus-sized groups finish.
+    from row scans, pair subgroups are closed from <x> by multiplying with
+    y, derived subgroups are the word closure of all pairwise commutators
+    computed inline, p-th powers are repeated multiplication, and z is
+    scanned exhaustively.  Nothing is shared with ``is_regular``: no
+    conjugacy classes, no z = 1 test, no derived-subgroup search from
+    ``properties``.  Only memoization is added so corpus-sized groups finish.
 
     <x, y> = <y, x>, so pairs are walked with x <= y and both orientations
     (x, y) and (y, x) are tested, with no symmetry assumed between them.
@@ -437,14 +475,30 @@ def regular_first_failure_by_definition(g: FiniteGroup
     ordered pair that could be smaller has been tested.  Returns the least
     failing ordered pair, else None.
 
-    For a fixed x, <x, x^i y x^j> = <x, y> for all i, j >= 0: the element
-    x^i y x^j lies in <x, y>, and y = x^-i (x^i y x^j) x^-j with x^-1 a
-    power of x in a finite group.  This uses associativity and finiteness
-    but nothing about the group at hand, so the marking is sound on any
-    finite group and not on a non-associative table.  <x, y> is closed once
-    per double coset <x> y <x>, and every element of that double coset is
-    recorded with the p-th powers of the closure's derived subgroup before
-    any further y is closed.
+    <x, y> is the union of the left cosets t<x> it meets, and it is closed
+    under right multiplication by x and by y.  So it is grown from <x>:
+    each member m gives t = m y, and a new t brings in its whole coset
+    t<x>, read off row t at the powers of x.  The set this ends with holds
+    e and is closed under right multiplication by both generators, so in a
+    finite group it is <x, y>.
+
+    For a fixed x, <x, x^i y^k x^j> = <x, y> for all i, j >= 0 and every k
+    prime to the order of y: the element lies in <x, y>, and y is a power of
+    y^k, reached from x^i y^k x^j by multiplying with powers of x, as x^-1
+    is a power of x in a finite group.  This uses associativity and
+    finiteness but nothing about the group at hand, so the marking is sound
+    on any finite group and not on a non-associative table.  <x, y> is
+    closed once per class of such elements: every y^k with k prime to the
+    order of y, with its double coset <x> y^k <x>, is recorded with the
+    p-th powers of the closure's derived subgroup before any further y is
+    closed.  A power y^k with k not prime to the order may generate less
+    with x, so it is closed on its own.
+
+    The pair test reads the formula as written: some z^p in that set gives
+    (ab)^p = a^p b^p z^p, each product looked up in row a^p b^p.  It is
+    not rewritten as (a^p b^p)^-1 (ab)^p lying in the set, which holds only
+    where inverses and associativity do: on a loop's table the two differ,
+    and the oracle must read the formula alone.
     """
     n = len(g)
     if n == 1:
@@ -496,26 +550,59 @@ def regular_first_failure_by_definition(g: FiniteGroup
     for x in range(n):
         if least is not None and least[0] < x:
             break
+        row_x = table[x]
+        px = pth[x]
+        row_px = table[px]
+        cyclic = [e]  # <x>, as the powers e, x, x^2, ...
+        r = x
+        while r != e:
+            cyclic.append(r)
+            r = table[r][x]
+        if len(cyclic) > 1:
+            coset_of = itemgetter(*cyclic)  # row t -> left coset t<x>
+        else:
+            coset_of = lambda row: (row[e],)  # x = e: itemgetter(e) gives no tuple
         known: dict[int, frozenset[int]] = {}
         for y in range(x, n):
             zp = known.get(y)
             if zp is None:
-                zp = zp_of(word_closure((x, y)))
-                # mark the double coset <x> y <x>, reached from y by
+                # grow <x, y> from <x> one left coset t<x> at a time
+                members = set(cyclic)
+                walk = list(cyclic)
+                for m in walk:  # walk grows while it is read
+                    t = table[m][y]
+                    if t not in members:
+                        coset = coset_of(table[t])
+                        members.update(coset)
+                        walk.extend(coset)
+                zp = zp_of(tuple(sorted(members)))
+                # <x, y^k> = <x, y> when gcd(k, ord y) = 1; mark each such
+                # y^k with its double coset <x> y^k <x>, reached by
                 # multiplying with x on the left and on the right
-                known[y] = zp
-                coset = [y]
-                for m in coset:  # coset grows while it is walked
-                    for t in (table[x][m], table[m][x]):
-                        if t not in known:
-                            known[t] = zp
-                            coset.append(t)
-            for a, b in {(x, y), (y, x)}:
-                target = pth[table[a][b]]
-                base = table[pth[a]][pth[b]]
-                if target not in map(table[base].__getitem__, zp):
-                    if least is None or (a, b) < least:
-                        least = (a, b)
+                powers = [y]  # y, y^2, ..., e
+                while powers[-1] != e:
+                    powers.append(table[powers[-1]][y])
+                order_y = len(powers)
+                for k, yk in enumerate(powers, 1):
+                    if yk in known or gcd(k, order_y) != 1:
+                        continue
+                    known[yk] = zp
+                    coset = [yk]
+                    for m in coset:  # coset grows while it is walked
+                        for t in (row_x[m], table[m][x]):
+                            if t not in known:
+                                known[t] = zp
+                                coset.append(t)
+            py = pth[y]
+            row_base = table[row_px[py]]
+            if pth[row_x[y]] not in map(row_base.__getitem__, zp):
+                if least is None or (x, y) < least:
+                    least = (x, y)
+            if y != x:
+                row_base = table[table[py][px]]
+                if pth[table[y][x]] not in map(row_base.__getitem__, zp):
+                    if least is None or (y, x) < least:
+                        least = (y, x)
     return least
 
 

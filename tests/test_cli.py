@@ -488,3 +488,15 @@ class TestWithoutNumpy:
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
         assert "pip install 'submult[oracle]'" in done.stderr
+
+
+class TestImportCost:
+    """Importing the command line loads only what a check needs."""
+
+    def test_cli_import_loads_no_fractions(self):
+        # fractions pulls in decimal; T1 rounds phases on integers instead
+        done = run_python(
+            "import sys\nimport submult.cli\n"
+            "print('fractions loaded:', 'fractions' in sys.modules)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "fractions loaded: False\n"

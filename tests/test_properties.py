@@ -761,6 +761,29 @@ class TestRegularityOracle:
         assert reference_regular_failure(loop)[0] == (2, 1)
         assert regular_first_failure_by_definition(loop) == (2, 1)
 
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_reads_only_the_table(self, name):
+        g = corpus()[name].group()
+        if len(g) > 243:
+            pytest.skip("T9 checks corpus groups of order <= 243")
+        assert g.identity == 0  # _TableOnly's identity
+        assert (regular_first_failure_by_definition(_TableOnly(g.full_table()))
+                == reference_regular_failure(g)[0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: close(cyclic_generator(6)),
+        lambda: close(cyclic_generator(12)),
+        lambda: direct_product(close(quaternion_generators()),
+                               close(cyclic_generator(3)))],
+        ids=["c6", "c12", "q8xc3"])
+    def test_composite_element_orders(self, make):
+        # not p-groups: with composite element orders, gcd(k, ord y) = 1,
+        # which picks the powers y^k marked per closure, differs from
+        # "p does not divide k"
+        g = make()
+        assert (regular_first_failure_by_definition(g)
+                == reference_regular_failure(g)[0])
+
 
 class TestPairScansWithoutTable:
     """(S), p-abelianness, order divisibility and regularity passing z = 1
