@@ -34,10 +34,9 @@ the cap its builder used.
 
 The subgroup lattice of a p-group runs on integer indices over the table:
 each subgroup of order p**(i+1) is one of order p**i extended by a single
-element (cyclic extension), for all subgroups and for the normal ones.
-Sections H/K are pairs of subgroups of the group itself, the normal
-subgroups of each H read off the group's own lattice, so a section scan
-builds no quotient group and no subgroup as a group.
+element (cyclic extension); the normal subgroups are its G-normal members.
+Sections H/K are pairs of its subgroups, K read off the same lattice, built
+once after G/1 is yielded: a section scan builds no group for a section.
 
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
@@ -519,19 +518,20 @@ class FiniteGroup:
             classes.append(tuple(sorted(orbit)))
         return classes
 
-    def _p_lattice(self, cap: int, normal: bool) -> list["Subgroup"]:
-        """Every subgroup of a p-group, or every normal one, by order and
-        then members, one order p**i at a time by cyclic extension (Holt,
-        Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    def _p_lattice(self, cap: int) -> list["Subgroup"]:
+        """Every subgroup of a p-group, by order and then members, one order
+        p**i at a time by cyclic extension (Holt, Eick and O'Brien, Handbook
+        of Computational Group Theory, 2005).
 
         Each subgroup H > 1 is M<x> for an M of index p normal in H and any
         x in H outside M; x normalizes M and x**p is in M, and every such x
-        gives an M<x> of order p|M|.  A normal H has such an M normal in G
-        with H/M central in G/M (chief factors of p-groups are central of
-        order p), so there the test is [x, g] in M for each generator g of
-        G.  The candidates x are the p-th roots of M's members; a test holds
-        on all of a coset Mx or on none of it, and each x in H outside M
-        gives H again, so each coset is tested once.
+        gives an M<x> of order p|M|.  The candidates x are the p-th roots of
+        M's members; normalizing M holds on all of a coset xM or on none of
+        it, and each x in H outside M gives H again, so each coset is tested
+        once, and a coset tM is one gather of row t at M's members.  Each H
+        is extended once, from the first M (in layer order) below it: before
+        M's roots are scanned, the members of every H already grown that
+        holds M's generators are marked seen.
         """
         n = len(self)
         if n > cap:
@@ -541,45 +541,51 @@ class FiniteGroup:
         roots: list[list[int]] = [[] for _ in range(n)]  # y -> {x : x**p = y}
         for x, y in enumerate(self.power_map(p)):
             roots[y].append(x)
-        g_gens = [(inv[g], g) for g in dict.fromkeys(self.gens)]
         layer = [self.trivial_subgroup()]
         found = list(layer)
         while layer:
             grown: dict[tuple[int, ...], Subgroup] = {}
             for m in layer:
                 inside, block = m.member_set, m.members
+                # row t -> the coset tM, then t again: a tuple even for |M| = 1
+                coset = operator.itemgetter(*block, self.identity)
                 seen = set(block)
+                for h in grown.values():
+                    if h.member_set.issuperset(m.gens):
+                        seen.update(h.members)
                 for x in itertools.chain.from_iterable(map(roots.__getitem__, block)):
                     if x in seen:
                         continue
-                    row_x_inv = rows[inv[x]]
-                    if normal:  # [x, g] = x**-1 (g**-1 x g)
-                        ok = all(row_x_inv[rows[rows[g_inv][x]][g]] in inside
-                                 for g_inv, g in g_gens)
-                    else:  # x**-1 h x
-                        ok = all(rows[row_x_inv[h]][x] in inside for h in m.gens)
-                    if not ok:
-                        seen.update(rows[h][x] for h in block)
+                    row_x_inv = rows[inv[x]]  # x**-1 h x for each generator h
+                    if not all(rows[row_x_inv[h]][x] in inside for h in m.gens):
+                        seen.update(coset(rows[x]))
                         continue
-                    members, power = list(block), x
+                    members, power = set(block), x
                     while power not in inside:
-                        members.extend(rows[h][power] for h in block)
+                        members.update(coset(rows[power]))
                         power = rows[power][x]
-                    seen.update(members)
+                    seen |= members
                     key = tuple(sorted(members))
-                    if key not in grown:
-                        grown[key] = Subgroup(self, key, m.gens + (x,))
+                    grown[key] = Subgroup(self, key, m.gens + (x,))
             layer = [grown[key] for key in sorted(grown)]
             found.extend(layer)
         return found
 
-    def normal_subgroups(self, cap: int = 1024) -> list["Subgroup"]:
-        """All normal subgroups of a p-group, by order, then members."""
-        return self._p_lattice(cap, normal=True)
+    def normal_subgroups(self, cap: int = 1024,
+                         subgroups: list["Subgroup"] | None = None) -> list["Subgroup"]:
+        """All normal subgroups of a p-group, by order, then members: the
+        members of the whole lattice that conjugation by each generator of G
+        maps into themselves.  The lattice is ``subgroups`` when the caller
+        holds it already, else ``all_subgroups(cap)`` builds it."""
+        subs = self.all_subgroups(cap) if subgroups is None else subgroups
+        maps = [self._conjugation(g) for g in dict.fromkeys(self.gens)]
+        return [s for s in subs
+                if all(s.member_set.issuperset(map(conj.__getitem__, s.gens))
+                       for conj in maps)]
 
     def all_subgroups(self, cap: int = 256) -> list["Subgroup"]:
         """Every subgroup of a p-group, by order, then members."""
-        return self._p_lattice(cap, normal=False)
+        return self._p_lattice(cap)
 
     def quotient(self, n: "Subgroup") -> "FiniteGroup":
         """G / N on minimal coset representatives; N must be normal."""
@@ -612,29 +618,31 @@ class FiniteGroup:
         (largest first), K over the normal subgroups of H (smallest first),
         both subgroups of G.  Requires |G| <= section_cap.
 
-        The whole group is the unique largest subgroup, so its quotients
-        come first and are yielded, with lattice None, before the lattice is
-        enumerated: a scan that stops at G/K never pays for it.  After that,
-        lattice is the set of member tuples of every subgroup of G, and the
-        normal subgroups of each H are read from it: K lies in H and k**h
-        is in K for every generator k of K and h of H.  No section is built
-        as a group; everything runs on G's indices and Cayley table.
+        G/1 comes first, with lattice None, before any lattice exists: a
+        scan that stops there never pays for one.  Then the lattice is built
+        once (``all_subgroups``), and lattice is the set of member tuples of
+        every subgroup of G.  The other G/K follow, K over the G-normal
+        members of that list (``normal_subgroups``), then the normal
+        subgroups of each smaller H, read from it: K lies in H and k**h is
+        in K for every generator k of K and h of H.  No section is built as
+        a group; everything runs on G's indices and Cayley table.
         """
         n = len(self)
         if n > section_cap:
             raise ClosureCapExceeded(n, section_cap)
         whole = self.whole_subgroup()
-        for k in self.normal_subgroups(section_cap):
-            yield whole, k, None
+        yield whole, self.trivial_subgroup(), None
         subs = self.all_subgroups(section_cap)
         lattice = {s.members for s in subs}
+        for k in self.normal_subgroups(section_cap, subs)[1:]:
+            yield whole, k, lattice
         rows, inv = self.full_table(), self.inverses()
+        sets = [s.member_set for s in subs]
+        # subs is sorted by order, so subs[:ends[m]] are those of order <= m
+        ends = {len(s): i for i, s in enumerate(subs, 1)}
         for h in sorted(subs, key=lambda s: (-len(s.members), s.members))[1:]:
-            h_set = h.member_set
-            for k in subs:  # sorted by order, then members
-                if len(k.members) > len(h.members):
-                    break
-                k_set = k.member_set
+            h_set, end = h.member_set, ends[len(h)]
+            for k, k_set in zip(subs[:end], sets[:end]):
                 if k_set <= h_set and all(rows[rows[inv[y]][x]][y] in k_set
                                           for x in k.gens for y in h.gens):
                     yield h, k, lattice

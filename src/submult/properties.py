@@ -302,37 +302,25 @@ def has_property_s_hat_single(g: FiniteGroup) -> PropertyReport:
 
 # -- power structure ---------------------------------------------------------------
 
-Table = list[list[int]]
-# (rows, H, K, x -> x**(p**k)) -> the union of the cosets in the power set;
-# rows is g's Cayley table, which only a trivial K may come without
-PowerSet = Callable[[Table | None, Subgroup, Subgroup, Sequence[int]], set[int]]
+# (H, K, x -> x**(p**k)) -> the union of the cosets in the power set
+PowerSet = Callable[[Subgroup, Subgroup, Sequence[int]], set[int]]
 
 
-def _order_dividing(rows: Table | None, h: Subgroup, kernel: Subgroup,
-                    pk: Sequence[int]) -> set[int]:
+def _order_dividing(h: Subgroup, kernel: Subgroup, pk: Sequence[int]) -> set[int]:
     """The x in H with x**(p**k) in K: the cosets of H/K whose order
     divides p**k."""
-    inside = kernel.member_set
-    return {x for x in h.members if pk[x] in inside}
+    in_kernel = map(kernel.member_set.__contains__, map(pk.__getitem__, h.members))
+    return set(compress(h.members, in_kernel))
 
 
-def _power_image(rows: Table | None, h: Subgroup, kernel: Subgroup,
-                 pk: Sequence[int]) -> set[int]:
-    """The cosets x**(p**k) K for x in H: the p**k-th powers of H/K, each
-    coset yK read off row y."""
-    powers = {pk[x] for x in h.members}
-    if len(kernel) == 1:
-        return powers
-    union: set[int] = set()
-    for y in powers:
-        if y not in union:
-            union.update(map(rows[y].__getitem__, kernel.members))
-    return union
+def _power_image(h: Subgroup, kernel: Subgroup, pk: Sequence[int]) -> set[int]:
+    """The p**k-th powers of H, those of the section H/1: p1 probes no
+    section H/K with K != 1 (``_section_scan``)."""
+    return set(map(pk.__getitem__, h.members))
 
 
 def _power_failure(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
-                   power_set: PowerSet, rows: Table | None = None,
-                   lattice: set[tuple[int, ...]] | None = None
+                   power_set: PowerSet, lattice: set[tuple[int, ...]] | None = None
                    ) -> tuple[int, int] | None:
     """First (k, rep) at which the section H/K of g has a power set that
     differs from the subgroup it generates, else None.  With
@@ -353,9 +341,9 @@ def _power_failure(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
     k = 1
     while True:
         pk = g.power_map(p ** k)
-        if all(pk[x] in inside for x in h.members):
+        if inside.issuperset(map(pk.__getitem__, h.members)):
             return None
-        union = power_set(rows, h, kernel, pk)
+        union = power_set(h, kernel, pk)
         key = tuple(sorted(union))
         if lattice is None or key not in lattice:
             generated = g.subgroup(key).members
@@ -364,7 +352,7 @@ def _power_failure(g: FiniteGroup, h: Subgroup, kernel: Subgroup,
         k += 1
 
 
-def _coset_rank(rows: Table, h: Subgroup, kernel: Subgroup, rep: int) -> int:
+def _coset_rank(g: FiniteGroup, h: Subgroup, kernel: Subgroup, rep: int) -> int:
     """Index of the coset rep*K in H/K numbered as ``FiniteGroup.quotient``
     numbers it, by ascending least member: the number of cosets whose least
     member is below rep, itself the least member of its coset."""
@@ -373,7 +361,7 @@ def _coset_rank(rows: Table, h: Subgroup, kernel: Subgroup, rep: int) -> int:
         if x >= rep:
             break
         if x not in covered:
-            covered.update(map(rows[x].__getitem__, kernel.members))
+            covered.update(map(g.row(x).__getitem__, kernel.members))
     return len(covered) // len(kernel)
 
 
@@ -394,8 +382,15 @@ def has_wp2(g: FiniteGroup) -> PropertyReport:
 
 
 def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
-                  power_set: PowerSet) -> PropertyReport:
-    """Run the power probe over every section H/K of g."""
+                  power_set: PowerSet, only_h1: bool) -> PropertyReport:
+    """Run the power probe over the sections H/K of g in ``sections``
+    order, G/1 first, counting every section in ``sections_checked``.
+
+    With ``only_h1`` (p1) only the sections H/1 are probed: H/1 comes
+    before every H/K, and H/K fails p1 only if H/1 does.  Once H/1 passes,
+    each level's p**k-th powers of H form a subgroup A, normal in H since
+    conjugation permutes them, so the p**k-th powers of H/K form AK/K.
+    """
     if len(g) > section_cap:
         base_fail = _power_failure(g, g.whole_subgroup(), g.trivial_subgroup(),
                                    power_set)
@@ -410,13 +405,15 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
             prop, HOLDS_CAPPED, counters={"sections_checked": 1},
             caps=[f"|G| = {len(g)} exceeds section cap {section_cap}; only "
                   "the group itself was checked"])
-    checked, rows = 0, g.full_table()
+    checked = 0
     for h, kernel, lattice in g.sections(section_cap):
         checked += 1
-        fail = _power_failure(g, h, kernel, power_set, rows, lattice)
+        if only_h1 and len(kernel) > 1:
+            continue
+        fail = _power_failure(g, h, kernel, power_set, lattice)
         if fail is not None:
             k, rep = fail
-            witness = {"k": k, "element_index": _coset_rank(rows, h, kernel, rep),
+            witness = {"k": k, "element_index": _coset_rank(g, h, kernel, rep),
                        "element": {"coset_rep": g.describe(rep)},
                        "subgroup_order": len(h), "kernel_order": len(kernel),
                        "subgroup_members": list(h.members),
@@ -430,13 +427,13 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
 def has_p2(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
     """Every section satisfies the wp2 equality (order-dividing sets are
     subgroups); exhaustive below the section cap, capped above it."""
-    return _section_scan(g, section_cap, "p2", _order_dividing)
+    return _section_scan(g, section_cap, "p2", _order_dividing, only_h1=False)
 
 
 def has_p1(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
     """Every section has its p**k-th power set equal to the subgroup those
-    powers generate."""
-    return _section_scan(g, section_cap, "p1", _power_image)
+    powers generate; only the sections H/1 need a probe (``_section_scan``)."""
+    return _section_scan(g, section_cap, "p1", _power_image, only_h1=True)
 
 
 # -- regularity ------------------------------------------------------------------

@@ -463,8 +463,8 @@ def regular_first_failure_by_definition(g: FiniteGroup
 
     Kept deliberately independent of the main decision path: inverses come
     from row scans, pair subgroups are closed from <x> by multiplying with
-    y, derived subgroups are the word closure of all pairwise commutators
-    computed inline, p-th powers are repeated multiplication, and z is
+    y, derived subgroups are the word closure of commutators computed
+    inline, p-th powers are repeated multiplication, and z is
     scanned exhaustively.  Nothing is shared with ``is_regular``: no
     conjugacy classes, no z = 1 test, no derived-subgroup search from
     ``properties``.  Only memoization is added so corpus-sized groups finish.
@@ -480,7 +480,9 @@ def regular_first_failure_by_definition(g: FiniteGroup
     each member m gives t = m y, and a new t brings in its whole coset
     t<x>, read off row t at the powers of x.  The set this ends with holds
     e and is closed under right multiplication by both generators, so in a
-    finite group it is <x, y>.
+    finite group it is <x, y>.  Its derived subgroup D is generated by the
+    commutators [x^i, y^j]: they lie in D, and the subgroup they generate,
+    [<x>, <y>], is normal in <x, y> with an abelian quotient, so it holds D.
 
     For a fixed x, <x, x^i y^k x^j> = <x, y> for all i, j >= 0 and every k
     prime to the order of y: the element lies in <x, y>, and y is a power of
@@ -536,12 +538,13 @@ def regular_first_failure_by_definition(g: FiniteGroup
 
     zp_sets: dict[tuple[int, ...], frozenset[int]] = {}
 
-    def zp_of(members: tuple[int, ...]) -> frozenset[int]:
+    def zp_of(members: tuple[int, ...], x_powers: list[int],
+              y_powers: list[int]) -> frozenset[int]:
         got = zp_sets.get(members)
         if got is None:
             commutators = tuple(sorted(
                 {table[table[inv[a]][inv[b]]][table[a][b]]
-                 for a in members for b in members}))
+                 for a in x_powers for b in y_powers}))
             derived = word_closure(commutators)
             got = zp_sets[members] = frozenset(pth[z] for z in derived)
         return got
@@ -575,13 +578,13 @@ def regular_first_failure_by_definition(g: FiniteGroup
                         coset = coset_of(table[t])
                         members.update(coset)
                         walk.extend(coset)
-                zp = zp_of(tuple(sorted(members)))
-                # <x, y^k> = <x, y> when gcd(k, ord y) = 1; mark each such
-                # y^k with its double coset <x> y^k <x>, reached by
-                # multiplying with x on the left and on the right
                 powers = [y]  # y, y^2, ..., e
                 while powers[-1] != e:
                     powers.append(table[powers[-1]][y])
+                zp = zp_of(tuple(sorted(members)), cyclic, powers)
+                # <x, y^k> = <x, y> when gcd(k, ord y) = 1; mark each such
+                # y^k with its double coset <x> y^k <x>, reached by
+                # multiplying with x on the left and on the right
                 order_y = len(powers)
                 for k, yk in enumerate(powers, 1):
                     if yk in known or gcd(k, order_y) != 1:

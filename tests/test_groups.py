@@ -863,13 +863,42 @@ class TestLatticeWork:
         assert calls[0] == 0
 
     def test_whole_group_failure_skips_the_lattice(self, monkeypatch):
-        def no_lattice(self, cap=256):
-            raise AssertionError("all_subgroups called")
+        # both fail p2 at G/1, which sections yields before any lattice
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("lattice built")
 
-        monkeypatch.setattr(FiniteGroup, "all_subgroups", no_lattice)
-        report = has_p2(close(wreath_generators(3)))
-        assert report.holds is False
-        assert report.counters == {"sections_checked": 1}
+        for method in ("all_subgroups", "normal_subgroups", "_p_lattice"):
+            monkeypatch.setattr(FiniteGroup, method, no_lattice)
+        for g in (close(wreath_generators(3)),
+                  direct_product(close(dihedral_generators()),
+                                 close(cyclic_generator(2)))):
+            report = has_p2(g)
+            assert report.holds is False
+            assert report.counters == {"sections_checked": 1}
+            assert report.witness["kernel_order"] == 1
+
+    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    def test_one_lattice_per_section_pass(self, name, monkeypatch):
+        calls = []
+        original = FiniteGroup._p_lattice
+
+        def counting(self, cap):
+            calls.append(cap)
+            return original(self, cap)
+
+        monkeypatch.setattr(FiniteGroup, "_p_lattice", counting)
+        assert sum(1 for _ in lattice_group(name).sections()) > 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    def test_normal_subgroups_from_a_given_lattice(self, name):
+        # the G-normal members of a lattice the caller holds are those of a
+        # lattice built afresh on another closure of the same group
+        g = lattice_group(name)
+        fresh = lattice_group.__wrapped__(name)
+        given_lattice = g.normal_subgroups(subgroups=g.all_subgroups())
+        assert ([(s.members, s.gens) for s in given_lattice]
+                == [(s.members, s.gens) for s in fresh.normal_subgroups()])
 
     @pytest.mark.parametrize("make", [
         lambda: basic_group(5, 2, 1),

@@ -292,6 +292,23 @@ class TestSectionOracle:
         assert (w["kernel_order"], w["element_index"]) == (2, 3)
         assert has_p2(SECTION_FAILURES["b222"]()).witness["k"] == 2
 
+    @pytest.mark.parametrize("name", LATTICE_GROUPS + tuple(SECTION_FAILURES))
+    def test_p1_probes_only_trivial_kernels(self, name, monkeypatch):
+        # the reports equal the oracle's (test_lattice_groups, test_products),
+        # which probes every section
+        g = (lattice_group(name) if name in LATTICE_GROUPS
+             else SECTION_FAILURES[name]())
+        kernels = []
+        original = properties._power_failure
+
+        def recording(g, h, kernel, *args, **kwargs):
+            kernels.append(len(kernel))
+            return original(g, h, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(properties, "_power_failure", recording)
+        has_p1(g)
+        assert kernels and set(kernels) == {1}
+
     @KERNEL_SETTINGS
     @given(monomial_groups(max_order=64))
     def test_random_groups(self, g):
