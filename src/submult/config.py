@@ -29,7 +29,3 @@ class RunConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RunConfig":
-        return cls(**data)

@@ -25,22 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here are tiny."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @dataclass(frozen=True)
 class CyclotomicUnit:
     """exp(2*pi*i*num/den), normalized so 0 <= num < den and gcd(num, den) = 1.
@@ -76,9 +60,6 @@ class CyclotomicUnit:
 
     def sort_key(self) -> tuple[int, int]:
         return (self.den, self.num)
-
-    def __lt__(self, other: "CyclotomicUnit") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def to_complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.num / self.den)
@@ -132,18 +113,8 @@ class Spectrum:
         """All pairwise products, collapsed to a set."""
         return Spectrum(a * b for a in self.elems for b in other.elems)
 
-    def union(self, other: "Spectrum") -> "Spectrum":
-        return Spectrum(self.elems + other.elems)
-
-    def inverses(self) -> "Spectrum":
-        return Spectrum(u.inverse() for u in self.elems)
-
     def to_json(self) -> list[dict]:
         return [u.to_json() for u in self.elems]
-
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "Spectrum":
-        return cls(CyclotomicUnit.from_json(d) for d in data)
 
     @classmethod
     def from_mask(cls, mask: int, modulus: int) -> "Spectrum":
@@ -155,18 +126,3 @@ class Spectrum:
         inner = ", ".join(f"{u.num}/{u.den}" for u in self.elems)
         return f"Spectrum({{{inner}}})"
 
-
-def roots_of_unity(order: int) -> Spectrum:
-    """All order-th roots of unity (i.e. all values of order dividing it)."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    return Spectrum(CyclotomicUnit(t, order) for t in range(order))
-
-
-def prime_power_roots(p: int, k: int) -> Spectrum:
-    """All p**k-th roots of unity; rejects composite p."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return roots_of_unity(p ** k)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from .cyclotomic import ONE, CyclotomicUnit, is_prime
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, close
+from .cyclotomic import ONE, CyclotomicUnit
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, close, is_prime
 from .monomial import MonomialMatrix
 
 FAMILIES = ("cyclic", "heisenberg", "wreath_cp_cp", "basic", "quaternion8",
@@ -33,20 +33,6 @@ def big_cycle(p: int, k: int) -> MonomialMatrix:
         raise ValueError("k must be >= 1")
     n = p ** k
     return MonomialMatrix.from_perm([(j + 1) % n for j in range(n)])
-
-
-def binomial_diagonal(p: int, k: int, i: int, eta: CyclotomicUnit) -> MonomialMatrix:
-    """Diagonal p**k x p**k matrix with entry eta**binom(j, i) at position j
-    (binom(j, i) = 0 for j < i).  For 1 <= i <= p - 2 and eta a p**k-th
-    root the determinant is 1."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if k < 1 or i < 1:
-        raise ValueError("k and i must be >= 1")
-    n = p ** k
-    if n % eta.order != 0:
-        raise ValueError(f"eta has order {eta.order}, not a p**k-th root")
-    return MonomialMatrix.diagonal([eta ** math.comb(j, i) for j in range(n)])
 
 
 def heisenberg_generators(p: int) -> list[MonomialMatrix]:
@@ -199,9 +185,6 @@ class AffinePair:
 
     def to_json(self) -> dict:
         return {"v": list(self.vec), "t": self.t}
-
-    def __repr__(self) -> str:
-        return f"AffinePair(v={self.vec}, t={self.t})"
 
 
 class AffineCodec:
@@ -357,6 +340,11 @@ def _check_basic(params: dict, min_c: int = 1) -> None:
     p, c, e = int(params["p"]), int(params["c"]), int(params["e"])
     if c < min_c or e < 1:
         raise ValueError(f"need c >= {min_c} and e >= 1 (c={c}, e={e})")
+    # the builders loop over all p**e exponents; as p >= 2, an e of the
+    # cap's bit length already exceeds it, so a huge e never reaches p**e
+    if e >= DEFAULT_CLOSURE_CAP.bit_length() or p ** e > DEFAULT_CLOSURE_CAP:
+        raise ValueError(f"recipes take p**e <= {DEFAULT_CLOSURE_CAP}, "
+                         f"got p={p}, e={e}")
     if c > p:
         raise ValueError(f"need c <= p for an order-p**e extension (c={c}, p={p})")
 

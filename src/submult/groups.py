@@ -3,14 +3,14 @@
 A ``FiniteGroup`` is a closed element list, an identity index and, for
 each generator index g, the right-multiplication permutation x -> x*g on
 indices.  Carriers are opaque to it: monomial matrices, affine pairs,
-index tuples (direct products) or parent indices (quotients, subgroups as
-groups) all work; the group only describes them through ``describe``.
+index tuples (direct products) or parent indices (quotients) all work;
+the group only describes them through ``describe``.
 
 Every builder hands over those permutations.  ``close`` records them while
 closing, on integer codes where the carrier offers a codec (``MonomialCodec``,
 ``AffineCodec``), and its group decodes elements on first read, ``describe``
-one element; quotients, subgroups as groups and direct products read them off
-their parents' products and keep plain elements.
+one element; quotients and direct products read them off their parents'
+products and keep plain elements.
 
 Products come from the permutations alone, along a breadth-first spanning
 tree from the identity on which each element y is x*g for its parent x and
@@ -72,6 +72,10 @@ def least_prime_factor(n: int) -> int:
     while p * p <= n and n % p:
         p += 1
     return p if n % p == 0 else n
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and least_prime_factor(n) == n
 
 
 def prime_power_base(n: int) -> tuple[int, int] | None:
@@ -671,9 +675,6 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, i: int) -> bool:
-        return i in self._member_set
-
     def is_normal(self) -> bool:
         return all(self.parent.conjugate(m, g) in self._member_set
                    for m in self.members for g in self.parent.gens)
@@ -682,20 +683,6 @@ class Subgroup:
         if self.gens:
             return self.gens
         return self.parent.subgroup(self.members).gens
-
-    def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup whose elements are the
-        parent's indices: its right-multiplication permutations are read off
-        the parent's products, and it describes with the parent."""
-        parent = self.parent
-        members = self.members
-        pos = {i: t for t, i in enumerate(members)}
-        gens = self.reduced_gens() or (parent.identity,)
-        right = {pos[g]: [pos[parent.mul(m, g)] for m in members]
-                 for g in dict.fromkeys(gens)}
-        return FiniteGroup(list(members), right, pos[parent.identity],
-                           describe=parent.describe, gens=tuple(right),
-                           name=f"{parent.name}|sub{len(members)}")
 
 
 def _gather(values: Sequence[int], idx: Sequence[int]) -> Sequence[int]:

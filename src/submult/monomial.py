@@ -70,9 +70,6 @@ class MonomialMatrix:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(self.n)) and all(e == ONE for e in self.entries)
-
     def is_diagonal(self) -> bool:
         return self.perm == tuple(range(self.n))
 
@@ -93,17 +90,6 @@ class MonomialMatrix:
         entries = tuple(self.entries[iperm[i]].inverse() for i in range(self.n))
         return MonomialMatrix(self.n, tuple(iperm), entries)
 
-    def __pow__(self, k: int) -> "MonomialMatrix":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = MonomialMatrix.identity(self.n)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def identity_like(self) -> "MonomialMatrix":
         return MonomialMatrix.identity(self.n)
 
@@ -111,9 +97,6 @@ class MonomialMatrix:
     closure_codec = staticmethod(lambda gens: MonomialCodec(gens))
 
     # -- cycle data ----------------------------------------------------------
-
-    def cycles(self) -> list[list[int]]:
-        return _perm_cycles(self.perm)
 
     def _cycle_data(self) -> tuple["MonomialCodec", tuple[tuple[int, int], ...]]:
         codec = MonomialCodec([self])
@@ -253,16 +236,6 @@ class ExponentVector:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "coords",
                            tuple(c % self.modulus for c in self.coords))
-
-    def __add__(self, other: "ExponentVector") -> "ExponentVector":
-        if self.modulus != other.modulus or len(self.coords) != len(other.coords):
-            raise ValueError("incompatible exponent vectors")
-        return ExponentVector(self.modulus,
-                              tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def rotate_left(self) -> "ExponentVector":
-        """(k_1, ..., k_n) -> (k_2, ..., k_n, k_1)."""
-        return ExponentVector(self.modulus, self.coords[1:] + self.coords[:1])
 
 
 def diagonal_exponents(d: MonomialMatrix, p: int, k: int) -> ExponentVector:

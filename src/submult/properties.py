@@ -56,10 +56,10 @@ from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cyclotomic import ONE, Spectrum, is_prime
+from .cyclotomic import ONE, Spectrum
 from .families import all_characters, big_cycle, induced_rep_generators
 from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
-                     Subgroup, close, direct_power)
+                     Subgroup, close, direct_power, is_prime)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
                        in_row_span, rotation_difference_image)
 

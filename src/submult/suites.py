@@ -23,12 +23,12 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .config import RunConfig
-from .cyclotomic import ONE, CyclotomicUnit, Spectrum, is_prime
+from .cyclotomic import ONE, CyclotomicUnit, Spectrum
 from .families import (basic_group, big_cycle, cyclic_generator,
                        diagonal_abelian_generators, dihedral_generators,
                        heisenberg_generators, induced_rep_generators,
                        quaternion_generators, wreath_generators)
-from .groups import FiniteGroup, close, direct_product
+from .groups import FiniteGroup, close, direct_product, is_prime
 from .monomial import MonomialMatrix, rotation_difference_image
 from .properties import (PropertyReport, chi_containment, has_property_s,
                          has_property_s_hat_basic, has_property_s_hat_single,

@@ -12,7 +12,7 @@ import submult
 from submult import cli
 from submult.cli import main
 from submult.config import RunConfig
-from submult.groups import FiniteGroup, Subgroup
+from submult.groups import FiniteGroup
 from submult.properties import PropertyReport, is_engel
 
 
@@ -161,16 +161,20 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("fixture", ["w3_file", "b321_file"])
     def test_builds_no_subgroup_as_group(self, fixture, request, monkeypatch, capsys):
-        # metabelian is decided on the parent's table
+        # metabelian is decided on the parent's table: the group the file
+        # describes is the only one built
         path = request.getfixturevalue(fixture)
         capsys.readouterr()
+        built, init = [], FiniteGroup.__init__
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("derived subgroup built as a group")
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("name"))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Subgroup, "as_group", refuse)
+        monkeypatch.setattr(FiniteGroup, "__init__", counting)
         assert main(["analyze", str(path), "--format", "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["metabelian"] is True
+        assert len(built) == 1, built
 
 
 class TestCheck:

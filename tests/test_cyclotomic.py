@@ -4,8 +4,12 @@ import random
 
 import pytest
 
-from submult.cyclotomic import (ONE, CyclotomicUnit, Spectrum, is_prime,
-                                prime_power_roots, roots_of_unity)
+from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
+
+
+def roots_of_unity(n):
+    """All n-th roots of unity, one unit t/n for each t."""
+    return Spectrum(CyclotomicUnit(t, n) for t in range(n))
 
 
 def units_with_den_up_to(limit):
@@ -102,7 +106,7 @@ class TestSpectrum:
         assert Spectrum(pm_i).product(Spectrum(pm_i)) == expected
 
     def test_prime_power_roots_absorb(self):
-        gamma1 = prime_power_roots(3, 1)
+        gamma1 = roots_of_unity(3)
         assert gamma1.product(gamma1) == gamma1
 
     def test_product_commutative_and_monotone(self):
@@ -122,27 +126,25 @@ class TestSpectrum:
         assert [u.sort_key() for u in a] == sorted(u.sort_key() for u in a)
 
     def test_json_round_trip(self):
-        s = prime_power_roots(5, 1)
-        assert Spectrum.from_json(s.to_json()) == s
+        s = roots_of_unity(5)
+        assert Spectrum(map(CyclotomicUnit.from_json, s.to_json())) == s
 
 
 class TestRootFamilies:
+    """The units t/n reduce to exactly the n distinct n-th roots."""
+
     def test_gamma_zero(self):
-        assert prime_power_roots(3, 0) == Spectrum([ONE])
+        assert roots_of_unity(3 ** 0) == Spectrum([ONE])
 
     def test_gamma_one(self):
-        assert prime_power_roots(3, 1) == Spectrum(
+        assert roots_of_unity(3) == Spectrum(
             [ONE, CyclotomicUnit(1, 3), CyclotomicUnit(2, 3)])
 
     def test_gamma_cardinality(self):
-        assert len(prime_power_roots(5, 2)) == 25
+        assert len(roots_of_unity(5 ** 2)) == 25
 
     def test_orders_divide(self):
-        assert all(125 % u.order == 0 for u in prime_power_roots(5, 3))
-
-    def test_composite_rejected(self):
-        with pytest.raises(ValueError):
-            prime_power_roots(6, 1)
+        assert all(125 % u.order == 0 for u in roots_of_unity(5 ** 3))
 
     def test_roots_of_unity_plain(self):
         assert len(roots_of_unity(12)) == 12
@@ -157,8 +159,3 @@ class TestFloatBridge:
     def test_unit_modulus(self):
         for u in units_with_den_up_to(40):
             assert abs(abs(u.to_complex()) - 1) < 1e-12
-
-
-def test_is_prime_small():
-    primes = [n for n in range(60) if is_prime(n)]
-    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]

@@ -2,20 +2,36 @@
 representations and group files."""
 
 import json
+import math
 
 import pytest
 
-from submult.cyclotomic import ONE, CyclotomicUnit, prime_power_roots
+from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
 from submult.families import (AffineContext, GroupFamilySpec, all_characters,
-                              basic_group, big_cycle, binomial_diagonal,
-                              build_generators, build_group, cyclic_generator,
+                              basic_group, big_cycle, build_generators,
+                              build_group, cyclic_generator,
                               dihedral_generators, group_file_payload,
                               heisenberg_generators, induced_rep_generators,
                               load_group_file, wreath_generators,
                               write_group_file)
-from submult.groups import close
+from submult.groups import close, is_prime
 from submult.monomial import MonomialMatrix
 from submult.properties import is_irreducible
+
+
+def binomial_diagonal(p, k, i, eta):
+    """Diagonal p**k x p**k matrix with entry eta**binom(j, i) at position j
+    (binom(j, i) = 0 for j < i): the cross-check for the diagonals of
+    ``induced_rep_generators``.  For 1 <= i <= p - 2 and eta a p**k-th root
+    the determinant is 1."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if k < 1 or i < 1:
+        raise ValueError("k and i must be >= 1")
+    n = p ** k
+    if n % eta.order != 0:
+        raise ValueError(f"eta has order {eta.order}, not a p**k-th root")
+    return MonomialMatrix.diagonal([eta ** math.comb(j, i) for j in range(n)])
 
 
 class TestBigCycle:
@@ -24,7 +40,8 @@ class TestBigCycle:
         assert big_cycle(3, 2).order() == 9
 
     def test_spectrum_is_full_root_set(self):
-        assert big_cycle(3, 2).spectrum() == prime_power_roots(3, 2)
+        ninth_roots = Spectrum(CyclotomicUnit(t, 9) for t in range(9))
+        assert big_cycle(3, 2).spectrum() == ninth_roots
 
     def test_det_of_swap(self):
         assert big_cycle(2, 1).det() == CyclotomicUnit(1, 2)
@@ -43,7 +60,7 @@ class TestBinomialDiagonal:
             MonomialMatrix.diagonal([ONE, w, w * w])
 
     def test_identity_scalar(self):
-        assert binomial_diagonal(3, 1, 1, ONE).is_identity()
+        assert binomial_diagonal(3, 1, 1, ONE) == MonomialMatrix.identity(3)
 
     def test_determinant_one_for_small_i(self):
         w5 = CyclotomicUnit(1, 5)
@@ -134,7 +151,7 @@ class TestInducedRepresentations:
 
     def test_trivial_character(self):
         gens = induced_rep_generators(3, 2, 1, (0, 0))
-        assert all(m.is_identity() for m in gens[:-1])
+        assert all(m == MonomialMatrix.identity(3) for m in gens[:-1])
 
     def test_faithful_character_irreducible(self):
         gens = induced_rep_generators(3, 2, 1, (1, 1))

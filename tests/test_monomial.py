@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum, prime_power_roots
+from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
 from submult.families import big_cycle
-from submult.monomial import (ExponentVector, MonomialMatrix,
+from submult.monomial import (ExponentVector, MonomialMatrix, _perm_cycles,
                               diagonal_exponents, in_row_span,
                               rotation_difference_image)
 
@@ -40,9 +40,21 @@ def monomial_matrices(draw):
     return MonomialMatrix(n, tuple(perm), tuple(entries))
 
 
+def is_identity(m):
+    return m == MonomialMatrix.identity(m.n)
+
+
+def matrix_power(m, k):
+    """m**k by |k| products, through the inverse for k < 0."""
+    base, out = (m if k >= 0 else m.inverse()), MonomialMatrix.identity(m.n)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
 def naive_order(m):
     k, t = 1, m
-    while not t.is_identity():
+    while not is_identity(t):
         t = t * m
         k += 1
     return k
@@ -53,8 +65,8 @@ class TestAlgebra:
         rng = random.Random(1)
         for _ in range(100):
             a = random_monomial(rng)
-            assert (a * a.inverse()).is_identity()
-            assert (a.inverse() * a).is_identity()
+            assert is_identity(a * a.inverse())
+            assert is_identity(a.inverse() * a)
 
     def test_conjugation_shifts_diagonal(self):
         # the fixed column convention, pinned by the degree-3 example:
@@ -101,7 +113,8 @@ class TestOrder:
 
 class TestSpectrum:
     def test_plain_cycle(self):
-        assert big_cycle(3, 1).spectrum() == prime_power_roots(3, 1)
+        cube_roots = Spectrum(CyclotomicUnit(t, 3) for t in range(3))
+        assert big_cycle(3, 1).spectrum() == cube_roots
 
     def test_signed_swap(self):
         m = MonomialMatrix(2, (1, 0), (ONE, CyclotomicUnit(1, 2)))
@@ -127,14 +140,14 @@ class TestSpectrum:
         rng = random.Random(5)
         for _ in range(50):
             m = random_monomial(rng)
-            assert sum(len(c) for c in m.cycles()) == m.n
+            assert sum(len(c) for c in _perm_cycles(m.perm)) == m.n
             assert len(m.spectrum()) <= m.n
 
     def test_inverse_spectrum(self):
         rng = random.Random(6)
         for _ in range(50):
             m = random_monomial(rng)
-            assert m.inverse().spectrum() == m.spectrum().inverses()
+            assert m.inverse().spectrum() == Spectrum(u.inverse() for u in m.spectrum())
 
     def test_permutation_similarity_invariance_exhaustive(self):
         rng = random.Random(7)
@@ -155,7 +168,7 @@ class TestSpectrum:
     @given(monomial_matrices(), st.data())
     def test_spectrum_of_power(self, m, data):
         k = data.draw(st.integers(-m.order(), m.order()))
-        assert (m ** k).spectrum() == Spectrum(u ** k for u in m.spectrum())
+        assert matrix_power(m, k).spectrum() == Spectrum(u ** k for u in m.spectrum())
 
 
 class TestDeterminant:
@@ -207,7 +220,7 @@ class TestTensor:
     def test_direct_sum_spectrum_unions(self):
         rng = random.Random(14)
         a, b = random_monomial(rng, 3), random_monomial(rng, 4)
-        assert a.direct_sum(b).spectrum() == a.spectrum().union(b.spectrum())
+        assert a.direct_sum(b).spectrum() == Spectrum([*a.spectrum(), *b.spectrum()])
 
 
 class TestExponentMap:
@@ -227,7 +240,8 @@ class TestExponentMap:
             d = MonomialMatrix.diagonal(
                 [CyclotomicUnit(rng.randrange(5), 5) for _ in range(5)])
             lhs = diagonal_exponents(p_mat.inverse() * d * p_mat, 5, 1)
-            assert lhs == diagonal_exponents(d, 5, 1).rotate_left()
+            coords = diagonal_exponents(d, 5, 1).coords
+            assert lhs == ExponentVector(5, coords[1:] + coords[:1])
 
     def test_homomorphism(self):
         rng = random.Random(16)
@@ -236,8 +250,9 @@ class TestExponentMap:
                 [CyclotomicUnit(rng.randrange(9), 9) for _ in range(4)])
             d2 = MonomialMatrix.diagonal(
                 [CyclotomicUnit(rng.randrange(9), 9) for _ in range(4)])
-            assert diagonal_exponents(d1 * d2, 3, 2) == \
-                diagonal_exponents(d1, 3, 2) + diagonal_exponents(d2, 3, 2)
+            sums = map(int.__add__, diagonal_exponents(d1, 3, 2).coords,
+                       diagonal_exponents(d2, 3, 2).coords)
+            assert diagonal_exponents(d1 * d2, 3, 2) == ExponentVector(9, tuple(sums))
 
     def test_rejects_non_diagonal(self):
         with pytest.raises(ValueError):

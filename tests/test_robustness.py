@@ -261,6 +261,41 @@ class TestFuzzedFiles:
         for argv in (["spectrum", str(path)], ["check", "s", str(path)]):
             assert main(argv) == 2, argv
 
+    @pytest.mark.parametrize("family, params, extra", [
+        ("basic", {}, []),
+        ("induced_rep", {"character": [1]}, ["--character", "1"]),
+    ])
+    @pytest.mark.parametrize("e", [16, 10 ** 6])
+    def test_large_p_power_rejected_before_any_build(self, family, params, extra,
+                                                     e, tmp_path, monkeypatch,
+                                                     capsys):
+        # the builders loop over all p**e exponents, so p**e past the
+        # closure cap is refused before any of them runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a builder ran")
+
+        monkeypatch.setattr(families, "AffineContext", refuse)
+        monkeypatch.setattr(families, "induced_rep_generators", refuse)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"family": family,
+                                    "params": {"p": 3, "c": 1, "e": e, **params}}))
+        construct = ["construct", family, "--p", "3", "--c", "1", "--e", str(e),
+                     *extra, "-o", str(tmp_path / "out.json")]
+        for argv in (["spectrum", str(path)], ["check", "s", str(path)], construct):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert f"recipes take p**e <= 4096, got p=3, e={e}" in captured.out + captured.err
+
+    @pytest.mark.parametrize("p, e, ok", [(2, 12, True), (2, 13, False),
+                                          (4093, 1, True), (67, 2, False),
+                                          (3, 7, True), (3, 8, False)])
+    def test_p_power_bound_is_the_closure_cap(self, p, e, ok):
+        if ok:
+            GroupFamilySpec("basic", {"p": p, "c": 1, "e": e})
+        else:
+            with pytest.raises(ValueError, match=r"p\*\*e <= 4096"):
+                GroupFamilySpec("basic", {"p": p, "c": 1, "e": e})
+
 
 # -- fuzzed command lines ---------------------------------------------------------------
 
