@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from .cyclotomic import ONE, CyclotomicUnit
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, close, is_prime
+from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
+                     close, is_prime)
 from .monomial import MonomialMatrix
 
 FAMILIES = ("cyclic", "heisenberg", "wreath_cp_cp", "basic", "quaternion8",
@@ -212,14 +213,24 @@ class AffineCodec:
         return AffinePair(self.ctx, *code)
 
 
+def check_basic_order(p: int, c: int, e: int, cap: int) -> None:
+    """Raise ClosureCapExceeded when B_p(c, e), of order p**(e(c+1)), exceeds
+    cap.  For p >= 2 an exponent of the cap's bit length already does, so
+    the exponent is clipped there and no huge power is formed."""
+    order = p ** min(e * (c + 1), cap.bit_length())
+    if order > cap:
+        raise ClosureCapExceeded(order, cap)
+
+
 def basic_group(p: int, c: int, e: int,
                 cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Split extension of (C_{p**e})**c by an order-p**e automorphism acting
     as a_i -> a_i * a_{i+1} (last base generator fixed); order p**(e(c+1)).
 
-    The conjugation matrix is validated against those relations and the
-    group order is checked after closure.
+    An order above cap is refused before any work.  The conjugation matrix
+    is validated against those relations and the order after closure.
     """
+    check_basic_order(p, c, e, cap)
     ctx = AffineContext(p, c, e)
     a1 = ctx.base_generator(1)
     b = ctx.extension_generator()
@@ -411,10 +422,9 @@ def build_group(spec: GroupFamilySpec,
 
 def group_file_payload(spec: GroupFamilySpec) -> dict:
     if spec.family == "basic":
-        ps = spec.params
-        ctx = AffineContext(int(ps["p"]), int(ps["c"]), int(ps["e"]))
-        gens = [ctx.base_generator(1).to_json(),
-                ctx.extension_generator().to_json()]
+        # a_1 = (e_1, 0) and b = (0, 1), with no AffineContext built
+        c = int(spec.params["c"])
+        gens = [{"v": [1] + [0] * (c - 1), "t": 0}, {"v": [0] * c, "t": 1}]
     else:
         gens = [g.to_json() for g in build_generators(spec)]
     return {"family": spec.family, "params": spec.params,

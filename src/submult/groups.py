@@ -25,12 +25,11 @@ generated subgroups, the lower central series and the center, which
 ``analyze``, wp2 and the whole-group p1/p2 probe ask, need no n**2 table.
 ``row`` gathers one row x -> x*j whole from its tree parent's into a row
 store, for the pair scans of (S), p-abelianness, order divisibility and
-the z = 1 test of regularity, which read the rows of class representatives
-and of their p-th powers.  ``full_table`` completes that store into the
-whole table for the deciders that multiply arbitrary pairs: the Engel
-scan, the derived subgroup of a pair failing z = 1, the subgroup lattice
-and the section scans.  A group's size, and so its table's, is bounded by
-the cap its builder used.
+regularity, which read the rows of class representatives and of their
+p-th powers.  ``full_table`` completes that store into the whole table
+for the deciders that multiply arbitrary pairs: the Engel scan, the
+subgroup lattice and the section scans.  A group's size, and so its
+table's, is bounded by the cap its builder used.
 
 The subgroup lattice of a p-group runs on integer indices over the table:
 each subgroup of order p**(i+1) is one of order p**i extended by a single
@@ -262,10 +261,9 @@ class FiniteGroup:
     def full_table(self) -> list[list[int]]:
         """The whole Cayley table: row i holds the index of i*j at position
         j.  Built on first call and cached.  Only the deciders that multiply
-        arbitrary pairs ask for it: the Engel scan, the regularity test of
-        a pair failing z = 1, the subgroup lattice and the section scans;
-        ``row`` serves the other pair scans, and ``mul``, powers, inverses
-        and conjugation walk the spanning tree.
+        arbitrary pairs ask for it: the Engel scan, the subgroup lattice and
+        the section scans; ``row`` serves the other pair scans, and ``mul``,
+        powers, inverses and conjugation walk the spanning tree.
 
         The table rests on the right-multiplication permutations x -> x*g
         that the group's builder handed over; no carrier is multiplied.  It
@@ -420,12 +418,10 @@ class FiniteGroup:
         return Subgroup(self, tuple(range(len(self))), self.gens)
 
     def normal_closure(self, seeds: Sequence[int],
-                       ambient_gens: Sequence[int] | None = None) -> "Subgroup":
+                       ambient_gens: Sequence[int]) -> "Subgroup":
         """Smallest subgroup containing the seeds that is normalized by the
-        ambient generators (defaults: the group's own generators)."""
-        if ambient_gens is None:
-            ambient_gens = self.gens
-        maps = [self._conjugation(g) for g in ambient_gens]
+        ambient generators."""
+        maps = [self._conjugation(g) for g in dict.fromkeys(ambient_gens)]
         sub = self.subgroup(seeds)
         while True:
             conjugates = (conj[k] for k in sub.members for conj in maps)
@@ -438,15 +434,14 @@ class FiniteGroup:
         """[A, B], the subgroup generated by all commutators [x, y] with
         x in A, y in B.
 
-        Computed as the normal closure, inside <A, B>, of the commutators
-        of the reduced generator sets.
+        Computed as the normal closure, under the generators of A and B, of
+        the commutators of the reduced generator sets.
         """
         if a.parent is not self or b.parent is not self:
             raise ValueError("subgroups belong to a different parent")
         a_gens, b_gens = a.reduced_gens(), b.reduced_gens()
-        ambient = self.subgroup(a_gens + b_gens)
         seeds = sorted({self.commutator(x, y) for x in a_gens for y in b_gens})
-        return self.normal_closure(seeds, ambient_gens=ambient.gens)
+        return self.normal_closure(seeds, a_gens + b_gens)
 
     def derived_subgroup(self) -> "Subgroup":
         return self.commutator_subgroup(self.whole_subgroup(), self.whole_subgroup())

@@ -31,11 +31,11 @@ Python call per pair (Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005, work on table rows the same way).  ``pairs_evaluated``
 counts the pairs of the evaluated rows.
 
-(S), p-abelianness, order divisibility and the z = 1 test of regularity
-read only the rows of the representatives, and of their p-th powers,
-through ``FiniteGroup.row``, which gathers each on demand; they build no
-n**2 table.  ``is_regular`` completes the table (``full_table``) only when
-a pair fails z = 1 and its derived subgroup is needed, and ``is_engel``,
+(S), p-abelianness, order divisibility and regularity read only the rows
+of the representatives, and of their p-th powers, through
+``FiniteGroup.row``, which gathers each on demand; they build no n**2
+table.  Regularity reads the other products of a pair failing z = 1
+through the kernel's ``mul`` and its subgroup closures.  ``is_engel``,
 whose brackets multiply arbitrary pairs, and the section scans read the
 whole table.
 
@@ -57,7 +57,8 @@ from itertools import compress, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import ONE, Spectrum
-from .families import all_characters, big_cycle, induced_rep_generators
+from .families import (all_characters, big_cycle, check_basic_order,
+                       induced_rep_generators)
 from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
                      Subgroup, close, direct_power, is_prime)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
@@ -261,13 +262,13 @@ def has_property_s_hat_basic(p: int, c: int, e: int, *,
     representations are submultiplicative outright, so the enumeration is
     exhaustive.  Reducible induced images are checked too, which is sound:
     the property must hold on every subrepresentation.  A representation
-    failing (S) rules the property out.
+    failing (S) rules the property out.  Each closure is an image of the
+    group, so an order above cap is refused before any character is built.
     """
-    reps = [induced_rep_generators(p, c, e, chi)
-            for chi in all_characters(p, c, e)]
+    check_basic_order(p, c, e, cap)
     totals = {"pairs_checked": 0, "pairs_evaluated": 0}
-    for idx, rep in enumerate(reps):
-        sub = has_property_s(close(rep, cap))
+    for idx, chi in enumerate(all_characters(p, c, e)):
+        sub = has_property_s(close(induced_rep_generators(p, c, e, chi), cap))
         for key in totals:
             totals[key] += sub.counters[key]
         if sub.holds is False:
@@ -276,7 +277,7 @@ def has_property_s_hat_basic(p: int, c: int, e: int, *,
             return PropertyReport("s-hat", False, witness=witness,
                                   counters={**totals, "reps_checked": idx + 1})
     return PropertyReport("s-hat", True,
-                          counters={**totals, "reps_checked": len(reps)})
+                          counters={**totals, "reps_checked": p ** (e * c)})
 
 
 def has_property_s_hat_single(g: FiniteGroup) -> PropertyReport:
@@ -438,28 +439,6 @@ def has_p1(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
 
 # -- regularity ------------------------------------------------------------------
 
-def _pair_derived(table: list[list[int]], inv: list[int], identity: int,
-                  x: int, y: int) -> tuple[int, ...]:
-    """Derived subgroup of <x, y>, the normal closure of c = [x, y] there,
-    found in one breadth-first search.
-
-    It is the least set S holding the identity that is closed under
-    m -> m*c and conjugation by x and by y.  N is such a set, so S <= N.
-    Conjugation maps the finite S onto itself, so {w : S*w = S} is a
-    subgroup holding c and normalized by x and y; it holds N, so N <= S.
-    """
-    c = table[table[inv[x]][inv[y]]][table[x][y]]
-    row_xi, row_yi = table[inv[x]], table[inv[y]]
-    seen = {identity}
-    members = [identity]
-    for m in members:  # members grows while it is walked
-        for t in (table[m][c], table[row_xi[m]][x], table[row_yi[m]][y]):
-            if t not in seen:
-                seen.add(t)
-                members.append(t)
-    return tuple(sorted(members))
-
-
 def _power_mismatches(g: FiniteGroup, pw: Sequence[int]
                       ) -> Callable[[int], Iterator[int]]:
     """x -> the y, ascending, with (xy)**p != x**p * y**p, pw the p-th power
@@ -485,26 +464,38 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
     Each pair is first tested with z = 1, i.e. (xy)**p = x**p * y**p.  The
     identity lies in every D, so a pair passing that test is settled
     without D; commuting pairs and pairs (x, x) always pass it.  The test
-    runs on the rows of x and x**p (``FiniteGroup.row``), and only the
-    pairs failing it build D, in ascending order along the row, on the full
-    Cayley table; z**p then ranges over the p-th powers of D, cached per
+    runs on the rows of x and x**p (``FiniteGroup.row``).  A pair failing
+    it is tested next against the p-th powers of <c>, c = [x, y], which
+    form the subgroup <c**p>, cached per c**p: <c> lies in D.  Only a pair
+    that <c**p> does not settle builds D, the normal closure of c under x
+    and y, and z**p then ranges over the p-th powers of D, cached per
     distinct D.
     """
     p, _ = g.p_group_base()
     pw = g.power_map(p)
-    inv = g.inverses()
     mismatches = _power_mismatches(g, pw)
+    cyclic_zp: dict[int, frozenset[int]] = {}
     zp_cache: dict[tuple[int, ...], frozenset[int]] = {}
+    settled = 0
 
     def first_failure(x: int) -> int | None:
+        nonlocal settled
+        row_x, row_xp = g.row(x), g.row(pw[x])
         for y in mismatches(x):
-            table = g.full_table()
-            lhs, rhs = pw[table[x][y]], table[pw[x]][pw[y]]
-            derived = _pair_derived(table, inv, g.identity, x, y)
+            xy = row_x[y]
+            target = g.mul(g.inv(row_xp[pw[y]]), pw[xy])  # the z**p needed
+            c = g.mul(g.inv(g.mul(y, x)), xy)  # [x, y] = (yx)**-1 xy
+            zp = cyclic_zp.get(pw[c])
+            if zp is None:
+                zp = cyclic_zp[pw[c]] = g.subgroup([pw[c]]).member_set
+            if target in zp:
+                settled += 1
+                continue
+            derived = g.normal_closure([c], (x, y)).members
             zp = zp_cache.get(derived)
             if zp is None:
                 zp = zp_cache[derived] = frozenset(pw[z] for z in derived)
-            if table[inv[rhs]][lhs] not in zp:
+            if target not in zp:
                 return y
         return None
 
@@ -513,6 +504,7 @@ def is_regular(g: FiniteGroup) -> PropertyReport:
         "explanation": "no element z of the derived subgroup of the "
                        "pair-generated subgroup satisfies (xy)^p = x^p y^p z^p"})
     report.counters["pair_subgroups_analyzed"] = len(zp_cache)
+    report.counters["pairs_settled_by_commutator"] = settled
     return report
 
 

@@ -21,7 +21,7 @@ from submult.groups import (FiniteGroup, Subgroup, close, direct_power,
                             direct_product, least_prime_factor,
                             prime_power_base)
 from submult.monomial import MonomialMatrix
-from submult.properties import (PropertyReport, _pair_derived, character_norm,
+from submult.properties import (PropertyReport, character_norm,
                                 chi_containment, has_p1, has_p2,
                                 has_property_s, has_property_s_hat_basic,
                                 has_property_s_hat_single, has_wp2, is_engel,
@@ -442,6 +442,9 @@ def reference_regular_failure(g):
 
 
 class TestPairDerived:
+    """The derived subgroup of <x, y> that is_regular builds: the normal
+    closure of [x, y] under x and y."""
+
     @pytest.mark.parametrize("make", [
         lambda: close(quaternion_generators()),
         lambda: close(dihedral_generators()),
@@ -451,14 +454,13 @@ class TestPairDerived:
     def test_matches_word_closure_of_commutators(self, make):
         g = make()
         table = g.full_table()
-        inv = [g.inv(i) for i in range(len(g))]
         memo = {}
         for x in range(len(g)):
             for y in range(len(g)):
                 pair = g.subgroup((x, y)).members
                 if pair not in memo:
                     memo[pair] = reference_pair_derived(table, g.identity, x, y)
-                got = _pair_derived(table, inv, g.identity, x, y)
+                got = g.normal_closure([g.commutator(x, y)], (x, y)).members
                 assert got == memo[pair], (x, y)
 
 
@@ -477,8 +479,8 @@ def assert_regular_matches_oracle(g):
 # Non-abelian groups of order 8; a 2-group with one of them as a factor is
 # non-abelian, hence irregular.
 class TestRegularityShortcut:
-    """is_regular settles a pair by z = 1 and builds the pair's derived
-    subgroup only when that test fails."""
+    """is_regular settles a pair by z = 1, then by the p-th powers of
+    <[x, y]>, and builds the pair's derived subgroup only when both fail."""
 
     @pytest.mark.parametrize("make, subgroups_built", [
         (lambda: basic_group(3, 3, 1), 1),
@@ -503,7 +505,8 @@ class TestRegularityShortcut:
     def test_derived_subgroup_settles_what_z1_does_not(self):
         # B_3(2,2) is not 3-abelian, but its derived subgroup is cyclic of
         # order 9, so it is regular (p odd): every pair failing z = 1 must
-        # be settled by some z**p from its pair's derived subgroup
+        # be settled by some z**p from its pair's derived subgroup, and
+        # here the p-th powers of <[x, y]> already settle each of them
         g = basic_group(3, 2, 2)
         derived = g.derived_subgroup().members
         assert len(derived) == 9
@@ -511,7 +514,8 @@ class TestRegularityShortcut:
         assert is_p_abelian(g).holds is False
         report = is_regular(g)
         assert report.holds is True
-        assert report.counters["pair_subgroups_analyzed"] == 1
+        assert report.counters["pair_subgroups_analyzed"] == 0
+        assert report.counters["pairs_settled_by_commutator"] == 34992
 
     @pytest.mark.parametrize("make", [
         lambda: direct_power(basic_group(3, 2, 1), 2),
@@ -520,7 +524,7 @@ class TestRegularityShortcut:
         def refuse(*args):
             raise AssertionError("derived subgroup built")
 
-        monkeypatch.setattr(properties, "_pair_derived", refuse)
+        monkeypatch.setattr(FiniteGroup, "normal_closure", refuse)
         report = is_regular(make())
         assert report.holds is True
         assert report.counters["pair_subgroups_analyzed"] == 0
@@ -803,9 +807,9 @@ class TestRegularityOracle:
 
 
 class TestPairScansWithoutTable:
-    """(S), p-abelianness, order divisibility and regularity passing z = 1
-    read single rows (``FiniteGroup.row``), never the whole Cayley table,
-    and report exactly what they report on a group whose table is built."""
+    """(S), p-abelianness, order divisibility and regularity read single
+    rows (``FiniteGroup.row``), never the whole Cayley table, and report
+    exactly what they report on a group whose table is built."""
 
     CASES = {
         "s-h5": (lambda: close(heisenberg_generators(5)), has_property_s),
@@ -843,11 +847,30 @@ class TestPairScansWithoutTable:
         assert is_regular(square).holds is True
         assert sum(row is not None for row in square._rows) < 200
 
-    def test_regular_builds_the_table_for_a_failing_pair(self):
-        # wreath3 fails z = 1 at (1, 2), so D of that pair needs the table
-        g = close(wreath_generators(3))
-        assert is_regular(g).holds is False
-        assert g._table is not None
+    def test_regular_fails_without_the_table(self, monkeypatch):
+        # wreath3 fails z = 1 at (1, 2), and D of that pair is a normal
+        # closure read through the kernel's products, not the table
+        self.forbid_tables(monkeypatch)
+        w = is_regular(close(wreath_generators(3))).witness
+        assert (w["left_index"], w["right_index"]) == (1, 2)
+
+    @pytest.mark.parametrize("make, fail, pairs", [
+        (lambda: basic_group(3, 2, 2), None, (531441, 76545)),
+        (lambda: direct_power(close(dihedral_generators()), 4), (1, 2),
+         (4099, 4099)),
+        (lambda: direct_product(close(wreath_generators(3)),
+                                close(cyclic_generator(27))), (27, 54),
+         (59104, 59104))], ids=["b322", "d8^4", "w3xc27"])
+    def test_large_groups_without_the_table(self, make, fail, pairs,
+                                            monkeypatch):
+        self.forbid_tables(monkeypatch)
+        report = is_regular(make())
+        assert report.holds is (fail is None)
+        if fail is not None:
+            w = report.witness
+            assert (w["left_index"], w["right_index"]) == fail
+        assert (report.counters["pairs_checked"],
+                report.counters["pairs_evaluated"]) == pairs
 
 
 class TestPAbelian:
@@ -994,3 +1017,29 @@ class TestImplicationChain:
                              close(diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]])))):
             if has_property_s_hat_single(close(gens)).passed:
                 assert group.is_metabelian()
+
+
+class TestAbstractClaims:
+    """The abstract's first three claims on the basic family, where
+    ``has_property_s_hat_basic`` decides s-hat exhaustively: s-hat implies
+    regular; a 2-group has s-hat exactly when it is abelian; for odd p,
+    p-abelian implies s-hat.  The V-regularity claim needs an exact
+    V-regularity decider.  s-hat fails only on B_2(2,1), B_2(2,2) and
+    B_3(3,1); B_3(2,2) has s-hat, is regular and is not 3-abelian."""
+
+    FAILING = {(2, 2, 1), (2, 2, 2), (3, 3, 1)}
+
+    @pytest.mark.parametrize("p, c, e", [
+        (2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 2, 1),
+        (3, 3, 1), (3, 1, 2), (3, 2, 2), (5, 1, 1), (5, 2, 1)],
+        ids=lambda v: str(v))
+    def test_basic_groups(self, p, c, e):
+        g = basic_group(p, c, e)
+        s_hat = has_property_s_hat_basic(p, c, e).holds is True
+        assert s_hat == ((p, c, e) not in self.FAILING)
+        if s_hat:
+            assert is_regular(g).holds is True
+        if p == 2:
+            assert s_hat == g.is_abelian()
+        elif is_p_abelian(g).holds is True:
+            assert s_hat

@@ -10,12 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_groups import KERNEL_SETTINGS, monomial_groups
 
-from submult import families
+from submult import families, properties
 from submult.cli import CHECK_PROPERTIES, main
 from submult.cyclotomic import CyclotomicUnit
 from submult.families import (GroupFamilySpec, cyclic_generator,
                               group_file_payload, load_group_file,
                               write_group_file)
+from submult.groups import ClosureCapExceeded
 from submult.monomial import MonomialMatrix
 from submult.properties import HOLDS_CAPPED, PropertyReport, has_property_s
 
@@ -285,6 +286,46 @@ class TestFuzzedFiles:
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
             assert f"recipes take p**e <= 4096, got p=3, e={e}" in captured.out + captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "s", "{}/b101"], "needs a monomial carrier"),
+        (["check", "wp2", "{}/b61"], "closure exceeded cap 4096"),
+        (["check", "s-hat", "{}/b13"], "closure exceeded cap 4096"),
+        (["construct", "basic", "--p", "61", "--c", "60", "--e", "1",
+          "-o", "{}/out"], "closure exceeded cap 4096")])
+    def test_large_basic_group_refused_before_any_build(self, argv, message,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+        # a basic group of order p**(e(c+1)) past the closure cap is refused
+        # before its p**e matrix powers, its characters or a closure are
+        # computed, and loading its file computes none of them either
+        for p in (101, 61, 13):
+            write_group_file(GroupFamilySpec("basic", {"p": p, "c": p - 1, "e": 1}),
+                             tmp_path / f"b{p}")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a builder ran")
+
+        for module, name in ((families, "AffineContext"), (families, "close"),
+                             (properties, "all_characters"),
+                             (properties, "induced_rep_generators"),
+                             (properties, "close")):
+            monkeypatch.setattr(module, name, refuse)
+        argv = [a.format(tmp_path) for a in argv]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+
+    @pytest.mark.parametrize("p, c, e", [(3, 2, 2), (2, 1, 10 ** 6), (4093, 2, 1)])
+    def test_basic_order_past_cap_refused(self, p, c, e):
+        # the check clips the exponent at the cap's bit length, so a huge e
+        # forms no huge power
+        with pytest.raises(ClosureCapExceeded):
+            families.check_basic_order(p, c, e, 728)
+
+    def test_basic_order_at_cap_accepted(self):
+        families.check_basic_order(3, 2, 2, 729)
+        assert len(families.basic_group(3, 2, 2, cap=729)) == 729
 
     @pytest.mark.parametrize("p, e, ok", [(2, 12, True), (2, 13, False),
                                           (4093, 1, True), (67, 2, False),
