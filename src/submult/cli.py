@@ -17,9 +17,8 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .config import RunConfig
-from .families import (FAMILIES, GroupFamilySpec, build_generators,
-                       build_group, load_group_file, read_json,
-                       write_group_file)
+from .families import (FAMILIES, GroupFamilySpec, build_group,
+                       load_group_file, read_json, write_group_file)
 from .groups import ClosureCapExceeded
 from .monomial import MonomialMatrix
 from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
@@ -213,7 +212,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         spec = load_group_file(args.file)
         if spec.carrier != "monomial":
             raise ValueError("spectra need a monomial carrier")
-        gens = build_generators(spec)
+        gens = spec.generators
         payload = {"family": spec.family, "generators": [
             {"matrix": g.to_json(), "order": g.order(),
              "spectrum": g.spectrum().to_json()} for g in gens]}

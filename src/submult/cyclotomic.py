@@ -9,7 +9,7 @@ Fractions (rather than exponents against a fixed modulus) are used because
 eigenvalues of an l-cycle over p**k-th roots of unity live among
 (l * p**k)-th roots: no single ambient modulus is convenient.  Within one
 closure the lcm M of the generators' denominators serves: ``MonomialCodec``
-closes on exponents mod M and interns spectra by cycle length and sum.
+closes on ranked exponents mod M and interns spectra by cycle length and sum.
 Property (S) then fixes one modulus L for the whole closure, M times the
 lcm of its cycle lengths, and carries each spectrum as an int bitmask over
 Z/L (bit i set when i/L is an eigenvalue): containment is ``a & ~b == 0``

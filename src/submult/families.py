@@ -7,10 +7,10 @@ serialized generators.  Groups are persisted by recipe plus generators
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -173,7 +173,7 @@ class AffinePair:
     def identity_like(self) -> "AffinePair":
         return AffinePair(self.ctx, (0,) * self.ctx.c, 0)
 
-    closure_codec = staticmethod(lambda gens: AffineCodec(gens))
+    closure_codec = staticmethod(lambda gens, cap: AffineCodec(gens, cap))
 
     def key(self) -> tuple:
         return ("affine", self.ctx.modulus, self.vec, self.t)
@@ -189,28 +189,43 @@ class AffinePair:
 
 
 class AffineCodec:
-    """Codes ``(vec, t)`` for the affine pairs that ``gens`` generate.
-    (v, t) * (w, s) = (v + M**t w, t + s), so ``right`` tabulates M**t w for
-    every t once per generator.  ``AffinePair.key()`` puts the constant
-    ("affine", modulus) before ``vec`` and ``t``: codes sort as their keys."""
+    """Integer codes ``V*q + t`` for the affine pairs (v, t) that ``gens``
+    generate, q = p**e and V the base-q number with digits v, first
+    coordinate most significant.  So codes compare as ``AffinePair.key()``
+    and sort with no key (``key`` is None).  ``right`` tabulates x*g for all
+    q**(c+1) codes, which is the order of B_p(c, e): past close's cap the
+    codec refuses, before any table is built."""
 
-    key = staticmethod(lambda code: code)
-    encode = staticmethod(operator.attrgetter("vec", "t"))
+    key = None
 
-    def __init__(self, gens: Sequence[AffinePair]):
+    def __init__(self, gens: Sequence[AffinePair], cap: int):
         ctx = self.ctx = gens[0].ctx
         if any((g.ctx.c, g.ctx.modulus) != (ctx.c, ctx.modulus) for g in gens):
             raise ValueError("affine pairs from different extensions")
+        check_basic_order(ctx.p, ctx.c, ctx.e, cap)  # the tables' size
 
-    def right(self, code: tuple) -> Callable[[tuple], tuple]:
-        """x -> x*g on codes, g given by its code."""
-        (w, s), ctx, q = code, self.ctx, self.ctx.modulus
-        moved = [ctx.apply_m_power(t, w) for t in range(q)]
-        add, mod, qs = operator.add, operator.mod, itertools.repeat(q)
-        return lambda x: (tuple(map(mod, map(add, x[0], moved[x[1]]), qs)), (x[1] + s) % q)
+    def encode(self, g: AffinePair) -> int:
+        q, c = self.ctx.modulus, self.ctx.c
+        return sum(x * q ** (c - i) for i, x in enumerate(g.vec)) + g.t
 
-    def decode(self, code: tuple) -> AffinePair:
-        return AffinePair(self.ctx, *code)
+    def decode(self, code: int) -> AffinePair:
+        q, c = self.ctx.modulus, self.ctx.c
+        return AffinePair(self.ctx, tuple(code // q ** (c - i) % q for i in range(c)), code % q)
+
+    def right(self, code: int) -> Callable[[int], int]:
+        """x -> x*g on codes, g given by its code: (v, t) * (w, s) is
+        (v + M**t w, t + s), tabulated digit by digit for every t."""
+        ctx, q = self.ctx, self.ctx.modulus
+        g = self.decode(code)
+        digits = range(q)
+        moved = []  # moved[t][V]: the vector code of v + M**t w
+        for t in digits:
+            vecs = [0]  # over the digits so far
+            for w in ctx.apply_m_power(t, g.vec):
+                vecs = [hi * q + (x + w) % q for hi in vecs for x in digits]
+            moved.append(vecs)
+        ts = [(t + g.t) % q for t in digits]
+        return [v * q + s for vs in zip(*moved) for v, s in zip(vs, ts)].__getitem__
 
 
 def check_basic_order(p: int, c: int, e: int, cap: int) -> None:
@@ -306,6 +321,11 @@ class GroupFamilySpec:
     @property
     def carrier(self) -> str:
         return "affine" if self.family == "basic" else "monomial"
+
+    @functools.cached_property
+    def generators(self) -> list[MonomialMatrix]:
+        """The monomial generators (``build_generators``), built once per spec."""
+        return build_generators(self)
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": self.params}
@@ -417,7 +437,7 @@ def build_group(spec: GroupFamilySpec,
     if spec.family == "basic":
         ps = spec.params
         return basic_group(int(ps["p"]), int(ps["c"]), int(ps["e"]), cap)
-    return close(build_generators(spec), cap, name=spec.family)
+    return close(spec.generators, cap, name=spec.family)
 
 
 def group_file_payload(spec: GroupFamilySpec) -> dict:
@@ -426,7 +446,7 @@ def group_file_payload(spec: GroupFamilySpec) -> dict:
         c = int(spec.params["c"])
         gens = [{"v": [1] + [0] * (c - 1), "t": 0}, {"v": [0] * c, "t": 1}]
     else:
-        gens = [g.to_json() for g in build_generators(spec)]
+        gens = [g.to_json() for g in spec.generators]
     return {"family": spec.family, "params": spec.params,
             "carrier": spec.carrier, "generators": gens}
 

@@ -7,10 +7,10 @@ index tuples (direct products) or parent indices (quotients) all work;
 the group only describes them through ``describe``.
 
 Every builder hands over those permutations.  ``close`` records them while
-closing, on integer codes where the carrier offers a codec (``MonomialCodec``,
-``AffineCodec``), and its group decodes elements on first read, ``describe``
-one element; quotients and direct products read them off their parents'
-products and keep plain elements.
+closing, on integer codes that sort as the elements' keys where the carrier
+offers a codec (``MonomialCodec``, ``AffineCodec``), and its group decodes
+elements on first read, ``describe`` one element; quotients and direct
+products read them off their parents' products and keep plain elements.
 
 Products come from the permutations alone, along a breadth-first spanning
 tree from the identity on which each element y is x*g for its parent x and
@@ -700,10 +700,12 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
     Element order is deterministic: identity first, then each BFS layer
     sorted by canonical key.  Raises ClosureCapExceeded past the cap.
 
-    The loop multiplies codes: a carrier's ``closure_codec(gens)``
-    (``MonomialMatrix``: integer tuples, ``MonomialCodec``; ``AffinePair``:
-    ``(vec, t)``, ``AffineCodec``), else the carriers themselves, which must
-    then hash as their keys.  Only new codes are keyed.  The group keeps the
+    The loop multiplies codes: a carrier's ``closure_codec(gens, cap)``
+    (``MonomialCodec``: ``(perm, ranks)``, unless M passes the cap;
+    ``AffineCodec``: ``V*q + t``, refused when the order of the pairs'
+    extension passes the cap), codes that sort as their keys (``codec.key``
+    is None), else the carriers themselves, which must then hash as their
+    keys.  The group keeps the
     codes and decodes ``elements`` on first read, so a decider that reads
     only indices and the table decodes nothing.  The index of x*g is recorded
     for every x and generator g, and these right-multiplication permutations
@@ -714,8 +716,8 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
         raise ValueError("at least one generator is required")
     if any(type(g) is not type(gens[0]) for g in gens):
         raise ValueError("incompatible generators: mixed carriers")
-    codec = (gens[0].closure_codec(gens) if hasattr(gens[0], "closure_codec")
-             else _CarrierCodec)
+    codec = (gens[0].closure_codec(gens, cap) if hasattr(gens[0], "closure_codec")
+             else None) or _CarrierCodec
     steps = [codec.right(codec.encode(g)) for g in gens]
     codes = [codec.encode(gens[0].identity_like())]
     index, layer = {codes[0]: 0}, list(codes)

@@ -15,7 +15,6 @@ i.e. the reduced fractions (a + b*t) / (b*l).  No floats enter this path;
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -93,30 +92,35 @@ class MonomialMatrix:
     def identity_like(self) -> "MonomialMatrix":
         return MonomialMatrix.identity(self.n)
 
-    # close() carries monomial matrices as integer codes
-    closure_codec = staticmethod(lambda gens: MonomialCodec(gens))
+    @staticmethod
+    def closure_codec(gens: Sequence["MonomialMatrix"], cap: int) -> "MonomialCodec | None":
+        """None when M passes the cap: the codec's tables have M entries, and
+        a swap with entries z and 1/z has order 2 for every root z."""
+        m = math.lcm(*(e.den for g in gens for e in g.entries))
+        return MonomialCodec(gens) if m <= cap else None
 
     # -- cycle data ----------------------------------------------------------
 
-    def _cycle_data(self) -> tuple["MonomialCodec", tuple[tuple[int, int], ...]]:
-        codec = MonomialCodec([self])
-        return codec, codec.cycle_key(codec.encode(self))
+    def _cycle_data(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """M, the lcm of the entry denominators, and the cycle key over it."""
+        m = math.lcm(*(e.den for e in self.entries))
+        exps = [e.num * (m // e.den) for e in self.entries]
+        return m, _cycle_key(_perm_cycles(self.perm), exps, m)
 
     def order(self) -> int:
         """Least k >= 1 with self**k = identity: the lcm over cycles of
         l * order(c), since an l-cycle with entry product c has B**l = c*I."""
-        codec, cycle_key = self._cycle_data()
-        m = codec.modulus
+        m, cycle_key = self._cycle_data()
         return math.lcm(*(l * (m // math.gcd(s, m)) for l, s in cycle_key))
 
     def spectrum(self) -> Spectrum:
-        codec, cycle_key = self._cycle_data()
-        return codec.spectrum(cycle_key)
+        m, cycle_key = self._cycle_data()
+        return Spectrum(CyclotomicUnit(s + m * t, m * l)
+                        for l, s in cycle_key for t in range(l))
 
     def det(self) -> CyclotomicUnit:
         """Each l-cycle gives its sign (-1)**(l - 1) times its entry product."""
-        codec, cycle_key = self._cycle_data()
-        m = codec.modulus
+        m, cycle_key = self._cycle_data()
         return CyclotomicUnit(sum(2 * s + (l - 1) * m for l, s in cycle_key), 2 * m)
 
     def trace(self) -> complex:
@@ -168,49 +172,62 @@ class MonomialMatrix:
                              f"\"entries\" ({type(exc).__name__}: {exc})") from exc
 
 
+def _cycle_key(cycles: list[list[int]], exps: Sequence[int], m: int
+               ) -> tuple[tuple[int, int], ...]:
+    """The sorted (length, exponent sum mod m) of the cycles."""
+    return tuple(sorted((len(c), sum(map(exps.__getitem__, c)) % m) for c in cycles))
+
+
 class MonomialCodec:
     """Integer codes for the monomial matrices that ``gens`` generate: their
     entries are M-th roots of unity, M the lcm of the generators' entry
-    denominators, so a matrix is ``(perm, exps)``, entry j exp(2*pi*i*exps[j]/M).
-    An l-cycle with exponent sum s has eigenvalues (s + M*t) / (M*l), so
-    ``cycle_key``, the sorted (l, s mod M), fixes the spectrum."""
+    denominators.  A matrix is ``(perm, ranks)``, entry j
+    exp(2*pi*i*exps[ranks[j]]/M), ``exps`` the exponents 0..M-1 ordered by
+    the reduced (num, den) of e/M, so codes sort as ``MonomialMatrix.key()``
+    (``key`` is None).  An l-cycle with exponent sum s has eigenvalues
+    (s + M*t) / (M*l), so ``cycle_key``, the sorted (l, s mod M), fixes the
+    spectrum."""
+
+    key = None
 
     def __init__(self, gens: Sequence[MonomialMatrix]):
         n = self.n = gens[0].n
         if any(g.n != n for g in gens):
             raise ValueError(f"dimension mismatch: {sorted({g.n for g in gens})}")
         m = self.modulus = math.lcm(*(e.den for g in gens for e in g.entries))
-        self.unit = functools.cache(lambda e: CyclotomicUnit(e, m))  # one per exponent
-        self._num_den = operator.attrgetter("num", "den")
+        exps = self.exps = sorted(range(m), key=lambda e: (e // (g := math.gcd(e, m)), m // g))
+        rank = self._rank = sorted(range(m), key=exps.__getitem__)  # exponent -> rank
+        # a -> the table rank r -> rank of exps[r] + exps[a], built once per a
+        self._shift = functools.cache(lambda a: [rank[(e + exps[a]) % m] for e in exps])
         self._cycles: dict[tuple[int, ...], list[list[int]]] = {}
 
     def encode(self, g: MonomialMatrix) -> tuple:
-        return g.perm, tuple(e.num * (self.modulus // e.den) for e in g.entries)
+        m, rank = self.modulus, self._rank
+        return g.perm, tuple(rank[e.num * (m // e.den)] for e in g.entries)
 
     def right(self, code: tuple) -> Callable[[tuple], tuple]:
         """x -> x*g on codes, g given by its code."""
-        perm, exps = code
+        perm, ranks = code
         # a one-index itemgetter returns a scalar, a one-entry slice a tuple
         gather = operator.itemgetter(*perm) if self.n > 1 else operator.itemgetter(slice(1))
-        add, mod, m = operator.add, operator.mod, itertools.repeat(self.modulus)
-        return lambda x: (gather(x[0]), tuple(map(mod, map(add, gather(x[1]), exps), m)))
+        if not any(ranks):  # all entries 1 (rank 0): a permutation matrix
+            return lambda x: (gather(x[0]), gather(x[1]))
+        shifts, getitem = [self._shift(a) for a in ranks], operator.getitem
+        if perm == tuple(range(self.n)):  # a diagonal matrix
+            return lambda x: (x[0], tuple(map(getitem, shifts, x[1])))
+        return lambda x: (gather(x[0]), tuple(map(getitem, shifts, gather(x[1]))))
 
-    def key(self, code: tuple) -> tuple:
-        return self.n, code[0], tuple(map(self._num_den, map(self.unit, code[1])))
+    @functools.cached_property
+    def _units(self) -> list[CyclotomicUnit]:  # rank -> unit, shared by decoded entries
+        return [CyclotomicUnit(e, self.modulus) for e in self.exps]
 
     def decode(self, code: tuple) -> MonomialMatrix:
-        return MonomialMatrix(self.n, code[0], tuple(map(self.unit, code[1])))
+        return MonomialMatrix(self.n, code[0], tuple(map(self._units.__getitem__, code[1])))
 
     def cycle_key(self, code: tuple) -> tuple[tuple[int, int], ...]:
-        perm, exps = code
+        perm, ranks = code
         cycles = self._cycles.get(perm) or self._cycles.setdefault(perm, _perm_cycles(perm))
-        return tuple(sorted((len(c), sum(map(exps.__getitem__, c)) % self.modulus)
-                            for c in cycles))
-
-    def spectrum(self, cycle_key: tuple[tuple[int, int], ...]) -> Spectrum:
-        m = self.modulus
-        return Spectrum(CyclotomicUnit(s + m * t, m * l)
-                        for l, s in cycle_key for t in range(l))
+        return _cycle_key(cycles, list(map(self.exps.__getitem__, ranks)), self.modulus)
 
     def mask(self, cycle_key: tuple[tuple[int, int], ...], modulus: int) -> int:
         """The spectrum as a bitmask over Z/modulus: bit i for the value

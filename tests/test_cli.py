@@ -269,6 +269,39 @@ class TestCheck:
         assert json.loads(out.read_text())["report"]["holds"] is True
 
 
+RECORDED_WITNESSES = Path(__file__).parent / "data" / "witnesses"
+WITNESS_GROUPS = {
+    "b331": ["basic", "--p", "3", "--c", "3", "--e", "1"],
+    "b221": ["basic", "--p", "2", "--c", "2", "--e", "1"],
+    "w3": ["wreath_cp_cp", "--p", "3"],
+    "q8": ["quaternion8"],
+    "d8": ["dihedral8"],
+}
+
+
+class TestRecordedWitnesses:
+    """``check --format structured`` prints, byte for byte, the report
+    recorded in ``tests/data/witnesses/<property>_<group>.json``: every
+    witness index, serialized element, spectrum and counter.  Each request
+    fails its property (exit 1), so each output carries a witness; the
+    affine ones (b331) decode affine codes, the others monomial codes."""
+
+    @pytest.mark.parametrize("recorded", sorted(RECORDED_WITNESSES.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_check_prints_recorded_report(self, recorded, tmp_path, capsys):
+        prop, group = recorded.stem.rsplit("_", 1)
+        path = tmp_path / f"{group}.json"
+        assert main(["construct", *WITNESS_GROUPS[group], "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", prop, str(path), "--format", "structured"]) == 1
+        assert capsys.readouterr().out == recorded.read_text(encoding="utf-8")
+
+    def test_requests_cover_both_carriers(self):
+        names = {path.stem for path in RECORDED_WITNESSES.glob("*.json")}
+        assert {"regular_b331", "s_w3", "p-abelian_w3", "regular_w3", "s_q8",
+                "s-hat_b221"} <= names
+
+
 class TestRepeatedMain:
     """The parser is built once per process; consecutive calls of ``main``
     must not see each other's options."""

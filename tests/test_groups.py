@@ -1065,7 +1065,22 @@ class TestMonomialCodec:
         assert g.codec.modulus == 9
         assert [e.entries[0] for e in g.elements[:3]] == [
             ONE, CyclotomicUnit(1, 3), CyclotomicUnit(1, 9)]
-        assert g.codes[1][1] == (3,) and g.codes[2][1] == (1,)
+        # codes hold ranks in that order: exps lists 0, 3, 1, ... by (num, den)
+        assert g.codec.exps[:3] == [0, 3, 1]
+        assert g.codes[1][1] == (1,) and g.codes[2][1] == (2,)
+
+    def test_modulus_past_cap_takes_generic_path(self):
+        # a swap with entries z and 1/z is a diagonal conjugate of the plain
+        # swap, so with diag(-1, 1) it generates D8, of order 8 however large
+        # the order M = 64 of z: past a cap of 16 no codec is built
+        z = CyclotomicUnit(1, 64)
+        gens = [MonomialMatrix(2, (1, 0), (z, z.inverse())),
+                MonomialMatrix.diagonal([CyclotomicUnit(1, 2), ONE])]
+        coded, generic = close(gens), close(gens, 16)
+        assert isinstance(coded.codec, MonomialCodec) and generic.codec is _CarrierCodec
+        assert generic.elements == coded.elements and len(coded) == 8
+        assert generic._right == coded._right and generic.gens == coded.gens
+        assert has_property_s(generic).to_json() == has_property_s(coded).to_json()
 
     def test_decoded_entries_share_units(self, w3):
         units = {id(u) for el in w3.elements for u in el.entries}
@@ -1084,8 +1099,51 @@ class TestMonomialCodec:
             assert has_property_s(bare).to_json() == has_property_s(g).to_json()
 
 
+def bfs_layers(g):
+    """The slices of g's indices that form its breadth-first layers from
+    the identity, read off the right-multiplication permutations."""
+    depth, frontier = {g.identity: 0}, [g.identity]
+    while frontier:
+        new = {perm[x] for x in frontier for perm in g._right.values()} - depth.keys()
+        depth.update(dict.fromkeys(new, depth[frontier[0]] + 1))
+        frontier = list(new)
+    bounds = [i for i in range(1, len(g)) if depth[i] != depth[i - 1]]
+    assert sorted(depth.values()) == [depth[i] for i in range(len(g))]
+    return [slice(a, b) for a, b in zip([0] + bounds, bounds + [len(g)])]
+
+
+class TestCodesSortAsKeys:
+    """Both integer codecs give codes whose natural order is the canonical
+    element order, so ``close`` sorts each layer with no key function."""
+
+    GROUPS = {
+        "h3": lambda: close(heisenberg_generators(3)),
+        "w3": lambda: close(wreath_generators(3)),
+        "q8": lambda: close(quaternion_generators()),
+        "mixed": lambda: close([MonomialMatrix(2, (1, 0), (CyclotomicUnit(1, 9),
+                                                           CyclotomicUnit(2, 3))),
+                                MonomialMatrix.diagonal([CyclotomicUnit(1, 3), ONE])]),
+        "b221": lambda: basic_group(2, 2, 1),
+        "b331": lambda: basic_group(3, 3, 1),
+        "b322": lambda: basic_group(3, 2, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_layers_increase_in_code_and_key(self, name):
+        g = self.GROUPS[name]()
+        assert type(g.codec) in (MonomialCodec, AffineCodec)
+        assert g.codec.key is None
+        layers = bfs_layers(g)
+        assert len(layers) > 1
+        for layer in layers:
+            codes = g.codes[layer]
+            keys = [e.key() for e in g.elements[layer]]
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 class TestAffineCodec:
-    """``basic_group`` closes affine pairs on ``(vec, t)`` codes; the same
+    """``basic_group`` closes affine pairs on ``V*q + t`` codes; the same
     generators behind ``Wrapped`` take the generic path."""
 
     @pytest.mark.parametrize("pce", [(2, 1, 1), (3, 2, 1), (3, 3, 1), (5, 2, 1),
@@ -1101,6 +1159,33 @@ class TestAffineCodec:
         assert generic.gens == coded.gens
         assert generic._right == coded._right
         assert generic.full_table() == coded.full_table()
+
+    @pytest.mark.parametrize("pce", [(3, 2, 1), (2, 2, 2), (3, 2, 2)])
+    def test_sub_closure_matches_generic_path(self, pce):
+        ctx = AffineContext(*pce)
+        for gens in ([ctx.base_generator(1)], [ctx.base_generator(ctx.c)],
+                     [ctx.base_generator(1) * ctx.extension_generator()]):
+            coded = close(gens)
+            generic = close([Wrapped(a) for a in gens])
+            assert isinstance(coded.codec, AffineCodec)
+            assert len(coded) < ctx.modulus ** (ctx.c + 1)
+            assert [w.key() for w in generic.elements] == [a.key() for a in coded.elements]
+            assert generic.gens == coded.gens
+            assert generic._right == coded._right
+
+    @pytest.mark.parametrize("cap", [728, 100, 8])
+    def test_full_order_past_cap_builds_no_table(self, cap, monkeypatch):
+        # B_3(2,2) has order 729; the codec's tables would have 729 entries
+        def no_table(codec, code):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(AffineCodec, "right", no_table)
+        ctx = AffineContext(3, 2, 2)
+        for gens in ([ctx.base_generator(1), ctx.extension_generator()],
+                     [ctx.base_generator(1)]):  # a subgroup of order 9
+            with pytest.raises(ClosureCapExceeded) as err:
+                close(gens, cap)
+            assert err.value.cap == cap < err.value.partial_size <= 729
 
     def test_pairs_from_different_extensions(self):
         with pytest.raises(ValueError, match="different extensions"):

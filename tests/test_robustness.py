@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_groups import KERNEL_SETTINGS, monomial_groups
 
-from submult import families, properties
+from submult import families, monomial, properties
 from submult.cli import CHECK_PROPERTIES, main
 from submult.cyclotomic import CyclotomicUnit
 from submult.families import (GroupFamilySpec, cyclic_generator,
@@ -315,6 +315,20 @@ class TestFuzzedFiles:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert message in captured.out + captured.err
+
+    @pytest.mark.parametrize("family, m", [("cyclic", 10 ** 9), ("diagonal_abelian", 10 ** 9),
+                                           ("cyclic", 4097)])
+    def test_large_modulus_refused_without_tables(self, family, m, tmp_path,
+                                                  monkeypatch, capsys):
+        # roots of unity of order m past the cap: the closure is refused at
+        # cap + 1 elements, with no codec, whose tables have m entries, built
+        def refuse(*args):
+            raise AssertionError("a codec was built")
+
+        monkeypatch.setattr(monomial.MonomialCodec, "__init__", refuse)
+        argv = ["construct", family, "--m", str(m), "-o", str(tmp_path / "out")]
+        assert main(argv + (["--vector", "1"] if family == "diagonal_abelian" else [])) == 2
+        assert "closure exceeded cap 4096" in capsys.readouterr().err
 
     @pytest.mark.parametrize("p, c, e", [(3, 2, 2), (2, 1, 10 ** 6), (4093, 2, 1)])
     def test_basic_order_past_cap_refused(self, p, c, e):
