@@ -14,7 +14,7 @@ from .families import (GroupFamilySpec, basic_group, big_cycle,
                        wreath_generators)
 from .groups import (ClosureCapExceeded, FiniteGroup, Subgroup, close,
                      direct_power, direct_product)
-from .monomial import ExponentVector, MonomialMatrix
+from .monomial import MonomialMatrix
 from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
                          has_property_s, has_property_s_hat_basic,
                          has_property_s_hat_single, has_wp2, is_engel,
@@ -28,7 +28,7 @@ __all__ = [
     "basic_group", "big_cycle", "heisenberg_generators",
     "induced_rep_generators", "wreath_generators", "ClosureCapExceeded",
     "FiniteGroup", "Subgroup", "close", "direct_power", "direct_product",
-    "ExponentVector", "MonomialMatrix", "PropertyReport", "chi_containment",
+    "MonomialMatrix", "PropertyReport", "chi_containment",
     "has_p1", "has_p2", "has_property_s", "has_property_s_hat_basic",
     "has_property_s_hat_single", "has_wp2", "is_engel", "is_irreducible",
     "is_p_abelian", "is_regular", "is_v_regular_bounded",

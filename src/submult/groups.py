@@ -15,21 +15,22 @@ products read them off their parents' products and keep plain elements.
 Products come from the permutations alone, along a breadth-first spanning
 tree from the identity on which each element y is x*g for its parent x and
 a generator g (a Schreier vector; Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, ch. 4); no carrier is multiplied.  ``mul``
-reads a cached column x -> x*s, one gather from the column of s's parent.
-Power maps are built whole, composed where the exponent factors and
-otherwise one product per element that walks the tree path of its right
-factor; inverses, element orders and conjugation by an element follow the
-tree too, in O(n) per map.  So element orders, the Omega/agemo levels,
-generated subgroups, the lower central series and the center, which
-``analyze``, wp2 and the whole-group p1/p2 probe ask, need no n**2 table.
-``row`` gathers one row x -> x*j whole from its tree parent's into a row
-store, for the pair scans of (S), p-abelianness, order divisibility and
-regularity, which read the rows of class representatives and of their
-p-th powers.  ``full_table`` completes that store into the whole table
-for the deciders that multiply arbitrary pairs: the Engel scan, the
-subgroup lattice and the section scans.  A group's size, and so its
-table's, is bounded by the cap its builder used.
+Computational Group Theory, ch. 4); no carrier is multiplied.  One row
+store holds every product the group keeps: ``row`` gathers row x -> x*j
+whole from its tree parent's, ``mul`` reads it, and a generated subgroup
+grows one left coset at a time, each one gather of a row.  The pair scans
+of (S), p-abelianness, order divisibility and regularity read the rows of
+class representatives and of their p-th powers; ``full_table`` completes
+the store into the whole table for the deciders that multiply arbitrary
+pairs: the Engel scan, the subgroup lattice and the section scans.  Power
+maps are built whole, composed where the exponent factors and otherwise
+one product per element that walks the tree path of its right factor;
+inverses and element orders follow the tree too, and conjugation by s is
+three gathers through row s and the inverses.  So element orders, the
+Omega/agemo levels, generated subgroups, the lower central series and the
+center, which ``analyze``, wp2 and the whole-group p1/p2 probe ask, need
+no n**2 table.  A group's size, and so its table's, is bounded by the cap
+its builder used.
 
 The subgroup lattice of a p-group runs on integer indices over the table:
 each subgroup of order p**(i+1) is one of order p**i extended by a single
@@ -108,10 +109,6 @@ class FiniteGroup:
         self._table: list[list[int]] | None = None
         self._left_gathers: dict[int, Callable] = {}  # g -> read a row through row g
         self._inv: list[int] | None = None  # built by inverses
-        # s -> the column x -> x*s, built by _column; a generator's is its
-        # right-multiplication permutation
-        self._cols: dict[int, Sequence[int]] = {**right, identity: range(len(self))}
-        self._conj: dict[int, Sequence[int]] = {}  # s -> x -> s**-1 x s
         self._pow_cache: dict[int, Sequence[int]] = {}
 
     # -- basics ---------------------------------------------------------------
@@ -184,19 +181,6 @@ class FiniteGroup:
             row[y] = right[g][row[x]]
         return row
 
-    def _column(self, s: int) -> Sequence[int]:
-        """The column x -> x*s, cached per s.  For s = t*g on the tree it is
-        g's permutation read through t's column, x*s = (x*t)*g: one gather,
-        after t's own column when that is not cached yet."""
-        cols, parent, pending = self._cols, self._parent, []
-        while s not in cols:
-            pending.append(s)
-            s = parent[s][0]
-        col = cols[s]
-        for y in reversed(pending):
-            col = cols[y] = _gather(self._right[parent[y][1]], col)
-        return col
-
     def _products(self, left: Sequence[int], right: Sequence[int]) -> list[int]:
         """x -> left[x] * right[x], each product walking right[x]'s tree path."""
         paths, out = self._paths, []
@@ -209,8 +193,8 @@ class FiniteGroup:
     # -- products -----------------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        """i*j, read from the column of j (``_column``); no table is built."""
-        return self._column(j)[i]
+        """i*j, read from row i of the row store (``row``)."""
+        return self.row(i)[j]
 
     def inv(self, i: int) -> int:
         return (self._inv or self.inverses())[i]
@@ -237,14 +221,13 @@ class FiniteGroup:
         too.  So a decider that reads only the rows of class representatives
         pays for those rows and their tree ancestors, not for n**2 entries.
         """
-        rows = self._rows or self._seed_rows()
-        parent, pending = self._parent, []
+        rows, pending = self._rows or self._seed_rows(), []
         while rows[x] is None:
             pending.append(x)
-            x = parent[x][0]
+            x = self._parent[x][0]
         row = rows[x]
         for y in reversed(pending):
-            row = rows[y] = list(self._left_gathers[parent[y][1]](row))
+            row = rows[y] = list(self._left_gathers[self._parent[y][1]](row))
         return row
 
     def _seed_rows(self) -> list[list[int] | None]:
@@ -262,8 +245,8 @@ class FiniteGroup:
         """The whole Cayley table: row i holds the index of i*j at position
         j.  Built on first call and cached.  Only the deciders that multiply
         arbitrary pairs ask for it: the Engel scan, the subgroup lattice and
-        the section scans; ``row`` serves the other pair scans, and ``mul``,
-        powers, inverses and conjugation walk the spanning tree.
+        the section scans; ``row`` serves ``mul``, conjugation and the other
+        pair scans, and powers and inverses walk the spanning tree.
 
         The table rests on the right-multiplication permutations x -> x*g
         that the group's builder handed over; no carrier is multiplied.  It
@@ -281,21 +264,20 @@ class FiniteGroup:
         return self._table
 
     def _conjugation(self, s: int) -> Sequence[int]:
-        """x -> s**-1 x s, cached per s: s**-1 x = (x**-1 s)**-1, so three
-        gathers through column s and the inverses."""
-        conj = self._conj.get(s)
-        if conj is None:
-            col, inv = self._column(s), self.inverses()
-            conj = self._conj[s] = _gather(col, _gather(inv, _gather(col, inv)))
-        return conj
+        """x -> s x s**-1, uncached: s x s**-1 = (s (s x)**-1)**-1, so three
+        gathers through row s and the inverses.  Its fixed points, orbits
+        and invariant subgroups are those of conjugation by s**-1."""
+        row, inv = self.row(s), self.inverses()
+        return _gather(inv, _gather(row, _gather(inv, row)))
 
     def conjugate(self, i: int, g: int) -> int:
         """g**-1 * i * g."""
-        return self._conjugation(g)[i]
+        return self._conjugation(self.inv(g))[i]
 
     def commutator(self, x: int, y: int) -> int:
-        """[x, y] = x**-1 y**-1 x y."""
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
+        """[x, y] = x**-1 (y**-1 (x y)): the left factors, whose rows are
+        read, are only x**-1, y**-1 and x."""
+        return self.mul(self.inv(x), self.mul(self.inv(y), self.mul(x, y)))
 
     def engel_bracket(self, x: int, y: int, k: int) -> int:
         """Iterated commutator [x, y, y, ..., y] with k copies of y."""
@@ -370,25 +352,24 @@ class FiniteGroup:
     def _adjoin(self, members: list[int], member_set: set[int],
                 gens: list[int], g: int) -> None:
         """Grow the closed subgroup ``members``, generated by ``gens``, to
-        <members, g> in place, one right coset H*r at a time (Dimino; Butler,
+        <members, g> in place, one left coset r*H at a time (Dimino; Butler,
         Fundamental Algorithms for Permutation Groups, 1991).
 
-        The old subgroup H is a block: a new coset is found as a product r*s
-        of a coset representative and a generator that lands outside H's
-        cosets so far, and is then added whole as H*(r*s) = (H*r)*s, read
-        from the column of s.  H itself is never closed again.
+        The old subgroup H is a block: a new coset is found as a product s*r
+        of a generator and a coset representative that lands outside H's
+        cosets so far, and is then added whole as (s*r)*H = s*(r*H), read
+        from the row of s.  H itself is never closed again.
         """
-        column = self._column
         gens.append(g)
-        reps, cosets = [g], [_gather(column(g), members)]
+        rows = [self.row(s) for s in gens]
+        reps, cosets = [g], [_gather(rows[-1], members)]
         members.extend(cosets[0])
         member_set.update(cosets[0])
         for r, coset in zip(reps, cosets):  # both grow while walked
-            for s in gens:
-                col = column(s)
-                t = col[r]
+            for row in rows:
+                t = row[r]
                 if t not in member_set:
-                    new = _gather(col, coset)
+                    new = _gather(row, coset)
                     members.extend(new)
                     member_set.update(new)
                     reps.append(t)
@@ -467,7 +448,8 @@ class FiniteGroup:
         return Subgroup(self, tuple(members), ())
 
     def is_abelian(self) -> bool:
-        return all(self.mul(a, b) == self.mul(b, a)
+        """The generators commute, read off their permutations: no row."""
+        return all(self._right[b][a] == self._right[a][b]
                    for a in self.gens for b in self.gens)
 
     def is_metabelian(self) -> bool:
@@ -517,7 +499,7 @@ class FiniteGroup:
             classes.append(tuple(sorted(orbit)))
         return classes
 
-    def _p_lattice(self, cap: int) -> list["Subgroup"]:
+    def all_subgroups(self, cap: int = 256) -> list["Subgroup"]:
         """Every subgroup of a p-group, by order and then members, one order
         p**i at a time by cyclic extension (Holt, Eick and O'Brien, Handbook
         of Computational Group Theory, 2005).
@@ -581,10 +563,6 @@ class FiniteGroup:
         return [s for s in subs
                 if all(s.member_set.issuperset(map(conj.__getitem__, s.gens))
                        for conj in maps)]
-
-    def all_subgroups(self, cap: int = 256) -> list["Subgroup"]:
-        """Every subgroup of a p-group, by order, then members."""
-        return self._p_lattice(cap)
 
     def quotient(self, n: "Subgroup") -> "FiniteGroup":
         """G / N on minimal coset representatives; N must be normal."""
@@ -671,8 +649,9 @@ class Subgroup:
         return len(self.members)
 
     def is_normal(self) -> bool:
-        return all(self.parent.conjugate(m, g) in self._member_set
-                   for m in self.members for g in self.parent.gens)
+        maps = map(self.parent._conjugation, dict.fromkeys(self.parent.gens))
+        return all(self._member_set.issuperset(map(conj.__getitem__, self.members))
+                   for conj in maps)
 
     def reduced_gens(self) -> tuple[int, ...]:
         if self.gens:
@@ -745,7 +724,8 @@ def direct_product(*factors: FiniteGroup, cap: int = DEFAULT_CLOSURE_CAP,
     order; the generators are each factor's, in factor order.
 
     Index x of tuple e is the sum of e[t] * stride_t, so a generator h of
-    factor t moves x to x + (f_t.mul(e[t], h) - e[t]) * stride_t."""
+    factor t moves x to x + (e[t]*h - e[t]) * stride_t, read off h's
+    permutation in f_t."""
     sizes = [len(f) for f in factors]
     order = math.prod(sizes)
     if order > cap:
@@ -759,7 +739,7 @@ def direct_product(*factors: FiniteGroup, cap: int = DEFAULT_CLOSURE_CAP,
             x = identity + (h - f.identity) * stride
             gens.append(x)
             if x not in right:
-                shift = [(f.mul(i, h) - i) * stride for i in range(len(f))]
+                shift = [(y - i) * stride for i, y in enumerate(f._right[h])]
                 right[x] = [y + shift[e[t]] for y, e in enumerate(elements)]
 
     def describe(e: tuple[int, ...]) -> Any:

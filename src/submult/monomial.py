@@ -241,23 +241,9 @@ class MonomialCodec:
         return mask
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Vector over Z/modulus, the target of the diagonal exponent map."""
-
-    modulus: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "coords",
-                           tuple(c % self.modulus for c in self.coords))
-
-
-def diagonal_exponents(d: MonomialMatrix, p: int, k: int) -> ExponentVector:
+def diagonal_exponents(d: MonomialMatrix, p: int, k: int) -> tuple[int, ...]:
     """Write a diagonal matrix as diag(w**l_j) for w = exp(2*pi*i/p**k) and
-    return (l_0, ..., l_{n-1}) over Z/p**k.
+    return (l_0, ..., l_{n-1}), each l_j in [0, p**k).
 
     This is a homomorphism from diagonal matrices under multiplication to
     exponent vectors under addition.
@@ -271,7 +257,7 @@ def diagonal_exponents(d: MonomialMatrix, p: int, k: int) -> ExponentVector:
             raise ValueError(
                 f"entry order {e.den} does not divide {p}**{k}")
         coords.append(e.num * (modulus // e.den))
-    return ExponentVector(modulus, tuple(coords))
+    return tuple(coords)
 
 
 # -- linear algebra over Z/p for the rotation-difference filtration ----------

@@ -678,10 +678,10 @@ def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
                     f"lower central term {level} contains a non-diagonal element")
             vec = diagonal_exponents(el, p, 1)
             elements_checked += 1
-            if not in_row_span(basis, vec.coords, p):
+            if not in_row_span(basis, vec, p):
                 witness = {"level": level, "element_index": idx,
                            "element": std.describe(idx),
-                           "exponents": list(vec.coords),
+                           "exponents": list(vec),
                            "basis": [list(r) for r in basis],
                            "explanation": "exponent vector escapes the "
                                           "rotation-difference image"}

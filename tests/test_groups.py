@@ -665,6 +665,45 @@ class TestRowStore:
             path.add(y)
         assert {i for i, row in enumerate(g._rows) if row is not None} == path
 
+    @staticmethod
+    def stored_maps(g):
+        """The distinct sequences of |G| entries that g keeps: its
+        attributes, the values of its dicts and the items of its lists."""
+        n, found = len(g), {}
+        for value in vars(g).values():
+            inner = (value.values() if isinstance(value, dict)
+                     else value if isinstance(value, list) else ())
+            for seq in (value, *inner):
+                if isinstance(seq, (list, tuple, range)) and len(seq) == n:
+                    found[id(seq)] = seq
+        return len(found)
+
+    def test_products_keep_no_map_beside_the_table(self, w3):
+        # products, subgroups, conjugation and the series read the table's
+        # rows; the inverses are a map of their own, built once
+        g = twin(w3)
+        g.full_table()
+        g.inverses()
+        before = self.stored_maps(g)
+        x, y = 5, len(g) - 1
+        g.subgroup([x, y])
+        g.normal_closure([x], (y,))
+        assert g.mul(x, y) == g.full_table()[x][y]
+        g.commutator(x, y)
+        g.center()
+        g.conjugacy_classes()
+        g.lower_central_series()
+        assert self.stored_maps(g) == before
+
+    def test_regularity_keeps_at_most_one_row_per_element(self):
+        g = basic_group(3, 2, 2)
+        assert is_regular(g).holds is True
+        rows = sum(row is not None for row in g._rows)
+        assert rows <= len(g)
+        # beside the rows: the codes, the store's own list, two generator
+        # permutations, the inverses, three power maps and two tree lists
+        assert self.stored_maps(g) - rows <= 10
+
 
 # -- the subgroup lattice against from-scratch references ---------------------------
 #
@@ -875,7 +914,7 @@ class TestLatticeWork:
         def no_lattice(*args, **kwargs):
             raise AssertionError("lattice built")
 
-        for method in ("all_subgroups", "normal_subgroups", "_p_lattice"):
+        for method in ("all_subgroups", "normal_subgroups"):
             monkeypatch.setattr(FiniteGroup, method, no_lattice)
         for g in (close(wreath_generators(3)),
                   direct_product(close(dihedral_generators()),
@@ -888,13 +927,13 @@ class TestLatticeWork:
     @pytest.mark.parametrize("name", LATTICE_GROUPS)
     def test_one_lattice_per_section_pass(self, name, monkeypatch):
         calls = []
-        original = FiniteGroup._p_lattice
+        original = FiniteGroup.all_subgroups
 
         def counting(self, cap):
             calls.append(cap)
             return original(self, cap)
 
-        monkeypatch.setattr(FiniteGroup, "_p_lattice", counting)
+        monkeypatch.setattr(FiniteGroup, "all_subgroups", counting)
         assert sum(1 for _ in lattice_group(name).sections()) > 1
         assert len(calls) == 1
 

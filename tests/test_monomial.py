@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
 from submult.families import big_cycle
-from submult.monomial import (ExponentVector, MonomialMatrix, _perm_cycles,
-                              diagonal_exponents, in_row_span,
-                              rotation_difference_image)
+from submult.monomial import (MonomialMatrix, _perm_cycles, diagonal_exponents,
+                              in_row_span, rotation_difference_image)
 
 
 def random_monomial(rng, n=None, dens=(1, 2, 3, 4, 6, 8, 9)):
@@ -225,13 +224,12 @@ class TestTensor:
 
 class TestExponentMap:
     def test_identity_maps_to_zero(self):
-        assert diagonal_exponents(MonomialMatrix.identity(3), 3, 1) == \
-            ExponentVector(3, (0, 0, 0))
+        assert diagonal_exponents(MonomialMatrix.identity(3), 3, 1) == (0, 0, 0)
 
     def test_display_example(self):
         w = CyclotomicUnit(1, 3)
         d = MonomialMatrix.diagonal([ONE, w, w * w])
-        assert diagonal_exponents(d, 3, 1) == ExponentVector(3, (0, 1, 2))
+        assert diagonal_exponents(d, 3, 1) == (0, 1, 2)
 
     def test_conjugation_rotates(self):
         rng = random.Random(15)
@@ -240,8 +238,8 @@ class TestExponentMap:
             d = MonomialMatrix.diagonal(
                 [CyclotomicUnit(rng.randrange(5), 5) for _ in range(5)])
             lhs = diagonal_exponents(p_mat.inverse() * d * p_mat, 5, 1)
-            coords = diagonal_exponents(d, 5, 1).coords
-            assert lhs == ExponentVector(5, coords[1:] + coords[:1])
+            coords = diagonal_exponents(d, 5, 1)
+            assert lhs == coords[1:] + coords[:1]
 
     def test_homomorphism(self):
         rng = random.Random(16)
@@ -250,9 +248,9 @@ class TestExponentMap:
                 [CyclotomicUnit(rng.randrange(9), 9) for _ in range(4)])
             d2 = MonomialMatrix.diagonal(
                 [CyclotomicUnit(rng.randrange(9), 9) for _ in range(4)])
-            sums = map(int.__add__, diagonal_exponents(d1, 3, 2).coords,
-                       diagonal_exponents(d2, 3, 2).coords)
-            assert diagonal_exponents(d1 * d2, 3, 2) == ExponentVector(9, tuple(sums))
+            sums = map(int.__add__, diagonal_exponents(d1, 3, 2),
+                       diagonal_exponents(d2, 3, 2))
+            assert diagonal_exponents(d1 * d2, 3, 2) == tuple(s % 9 for s in sums)
 
     def test_rejects_non_diagonal(self):
         with pytest.raises(ValueError):
