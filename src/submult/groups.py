@@ -30,13 +30,18 @@ three gathers through row s and the inverses.  So element orders, the
 Omega/agemo levels, generated subgroups, the lower central series and the
 center, which ``analyze``, wp2 and the whole-group p1/p2 probe ask, need
 no n**2 table.  A group's size, and so its table's, is bounded by the cap
-its builder used.
+its builder used.  ``p_abelian``, whether x -> x**p is an endomorphism,
+is decided on the generators alone: a few gathers of the p-th power map
+through each generator's permutation and along the tree path of its p-th
+power.
 
 The subgroup lattice of a p-group runs on integer indices over the table:
 each subgroup of order p**(i+1) is one of order p**i extended by a single
-element (cyclic extension); the normal subgroups are its G-normal members.
-Sections H/K are pairs of its subgroups, K read off the same lattice, built
-once after G/1 is yielded: a section scan builds no group for a section.
+element (cyclic extension), and records as a bitmask the positions of its
+own subgroups in the lattice; the normal subgroups are its G-normal
+members.  Sections H/K are pairs of its subgroups, K read off H's bitmask
+in the same lattice, built once after G/1 is yielded: a section scan
+builds no group for a section.
 
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
@@ -270,10 +275,6 @@ class FiniteGroup:
         row, inv = self.row(s), self.inverses()
         return _gather(inv, _gather(row, _gather(inv, row)))
 
-    def conjugate(self, i: int, g: int) -> int:
-        """g**-1 * i * g."""
-        return self._conjugation(self.inv(g))[i]
-
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x**-1 (y**-1 (x y)): the left factors, whose rows are
         read, are only x**-1, y**-1 and x."""
@@ -340,12 +341,37 @@ class FiniteGroup:
     def p_group_base(self) -> tuple[int, int]:
         """(p, e) with |G| = p**e; raises for non-p-groups.  The trivial
         group is a p-group for every prime and reports the least, (2, 0)."""
+        return self._p_base
+
+    @functools.cached_property
+    def _p_base(self) -> tuple[int, int]:
         if len(self) == 1:
             return 2, 0
         base = prime_power_base(len(self))
         if base is None:
             raise ValueError(f"group of order {len(self)} is not a p-group")
         return base
+
+    @functools.cached_property
+    def p_abelian(self) -> bool:
+        """x -> x**p is an endomorphism of the p-group: (xy)**p = x**p y**p
+        for all x and y.  Raises for non-p-groups.
+
+        Checked on the generators only: (x s)**p = x**p s**p for every x and
+        each generator s extends to every y = s1*...*sk, since (x y s)**p =
+        (x y)**p s**p = x**p y**p s**p = x**p (y s)**p.  The left side is the
+        p-th power map read through s's permutation; the right side is that
+        map multiplied on the right by s**p, one gather per permutation on
+        the tree path of s**p.  No pair is scanned."""
+        p, _ = self.p_group_base()
+        pw = self.power_map(p)
+        for s, perm in self._right.items():
+            image = pw
+            for step in self._paths[pw[s]]:
+                image = _gather(step, image)
+            if any(map(operator.ne, _gather(pw, perm), image)):
+                return False
+        return True
 
     # -- subgroup machinery -----------------------------------------------------
 
@@ -513,6 +539,13 @@ class FiniteGroup:
         is extended once, from the first M (in layer order) below it: before
         M's roots are scanned, the members of every H already grown that
         holds M's generators are marked seen.
+
+        So every H of the next layer that contains M is met, either marked
+        or grown from M, and each subgroup's ``below`` records containment:
+        bit t is set when the subgroup at position t of the returned list
+        lies in it, its own position included.  In a p-group every K < H
+        lies in a chain of subgroups each of index p in the next, so the
+        covers M < H, closed layer by layer, give every containment.
         """
         n = len(self)
         if n > cap:
@@ -522,18 +555,22 @@ class FiniteGroup:
         roots: list[list[int]] = [[] for _ in range(n)]  # y -> {x : x**p = y}
         for x, y in enumerate(self.power_map(p)):
             roots[y].append(x)
-        layer = [self.trivial_subgroup()]
+        layer = [Subgroup(self, (self.identity,), (), below=1)]
         found = list(layer)
         while layer:
-            grown: dict[tuple[int, ...], Subgroup] = {}
+            # H's sorted members -> (its member set, its gens), and -> the
+            # OR of the ``below`` of every M < H of index p met so far
+            grown: dict[tuple[int, ...], tuple[set[int], tuple[int, ...]]] = {}
+            below: dict[tuple[int, ...], int] = {}
             for m in layer:
                 inside, block = m.member_set, m.members
                 # row t -> the coset tM, then t again: a tuple even for |M| = 1
                 coset = operator.itemgetter(*block, self.identity)
                 seen = set(block)
-                for h in grown.values():
-                    if h.member_set.issuperset(m.gens):
-                        seen.update(h.members)
+                for key, (h_set, _) in grown.items():
+                    if h_set.issuperset(m.gens):
+                        seen |= h_set
+                        below[key] |= m.below
                 for x in itertools.chain.from_iterable(map(roots.__getitem__, block)):
                     if x in seen:
                         continue
@@ -547,8 +584,10 @@ class FiniteGroup:
                         power = rows[power][x]
                     seen |= members
                     key = tuple(sorted(members))
-                    grown[key] = Subgroup(self, key, m.gens + (x,))
-            layer = [grown[key] for key in sorted(grown)]
+                    grown[key] = members, m.gens + (x,)
+                    below[key] = m.below
+            layer = [Subgroup(self, key, grown[key][1], below[key] | 1 << t)
+                     for t, key in enumerate(sorted(grown), len(found))]
             found.extend(layer)
         return found
 
@@ -600,9 +639,12 @@ class FiniteGroup:
         once (``all_subgroups``), and lattice is the set of member tuples of
         every subgroup of G.  The other G/K follow, K over the G-normal
         members of that list (``normal_subgroups``), then the normal
-        subgroups of each smaller H, read from it: K lies in H and k**h is
-        in K for every generator k of K and h of H.  No section is built as
-        a group; everything runs on G's indices and Cayley table.
+        subgroups of each smaller H, read from it: the K in H are the set
+        bits of ``H.below``, and K is normal in H when it is normal in G,
+        when |H:K| <= p (a maximal subgroup of a p-group is normal), or else
+        when k**h is in K for every generator k of K and h of H.  No section
+        is built as a group; everything runs on G's indices and Cayley
+        table.
         """
         n = len(self)
         if n > section_cap:
@@ -611,17 +653,22 @@ class FiniteGroup:
         yield whole, self.trivial_subgroup(), None
         subs = self.all_subgroups(section_cap)
         lattice = {s.members for s in subs}
-        for k in self.normal_subgroups(section_cap, subs)[1:]:
+        normal = self.normal_subgroups(section_cap, subs)
+        for k in normal[1:]:
             yield whole, k, lattice
+        p, _ = self.p_group_base()
         rows, inv = self.full_table(), self.inverses()
-        sets = [s.member_set for s in subs]
-        # subs is sorted by order, so subs[:ends[m]] are those of order <= m
-        ends = {len(s): i for i, s in enumerate(subs, 1)}
+        normal_ids = set(map(id, normal))
+        g_normal = [id(s) in normal_ids for s in subs]
         for h in sorted(subs, key=lambda s: (-len(s.members), s.members))[1:]:
-            h_set, end = h.member_set, ends[len(h)]
-            for k, k_set in zip(subs[:end], sets[:end]):
-                if k_set <= h_set and all(rows[rows[inv[y]][x]][y] in k_set
-                                          for x in k.gens for y in h.gens):
+            bits, index_p = h.below, len(h) // p  # |K| >= index_p: |H:K| <= p
+            while bits:
+                t = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                k = subs[t]
+                if g_normal[t] or len(k) >= index_p or all(
+                        rows[rows[inv[y]][x]][y] in k.member_set
+                        for x in k.gens for y in h.gens):
                     yield h, k, lattice
 
 
@@ -631,11 +678,14 @@ class Subgroup:
 
     ``subgroup`` keeps each seed that enlarged the subgroup, in turn.  The
     lattice methods of a p-group give a polycyclic sequence, M.gens + (x,)
-    of the cyclic extension: each prefix gens[:j] generates order p**j."""
+    of the cyclic extension: each prefix gens[:j] generates order p**j.
+    A member of ``all_subgroups`` also records in ``below`` the positions
+    of its own subgroups in that list, as set bits; elsewhere it is 0."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
     gens: tuple[int, ...]
+    below: int = field(default=0, repr=False, compare=False)
     _member_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -563,6 +563,12 @@ def row_power(rows, identity, x, m):
     return t
 
 
+def conjugation_by(g, s):
+    """x -> s**-1 x s for every element, read off the kernel's conjugation
+    map x -> t x t**-1 with t = s**-1."""
+    return list(g._conjugation(g.inv(s)))
+
+
 def row_order(rows, identity, x):
     t, k = x, 1
     while t != identity:
@@ -585,7 +591,7 @@ class TestTreeProducts:
         inverses = list(g.inverses())
         orders = [g.element_order(i) for i in range(n)]
         exponent, center = g.exponent(), g.center().members
-        conjugation = {s: [g.conjugate(x, s) for x in range(n)] for s in g.gens}
+        conjugation = {s: conjugation_by(g, s) for s in g.gens}
         assert g._table is None
         rows = g.full_table()
         assert products == rows
@@ -847,6 +853,14 @@ class TestSubgroupLattice:
             [members for members, _ in reference_all_subgroups(g)]
         for sub in subs:
             self.assert_polycyclic(g, sub)
+
+    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    def test_containment_masks_match_brute_force(self, name):
+        # bit t of H.below is set exactly when subs[t] is a subset of H
+        subs = lattice_group(name).all_subgroups()
+        for h in subs:
+            assert h.below == sum(1 << t for t, k in enumerate(subs)
+                                  if k.member_set <= h.member_set)
 
     @pytest.mark.parametrize("name", LATTICE_GROUPS)
     def test_normal_subgroups_match_reference(self, name):

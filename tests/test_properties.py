@@ -842,10 +842,16 @@ class TestPairScansWithoutTable:
         assert decide(make()) == expected
 
     def test_b321_square_gathers_few_rows(self, monkeypatch):
+        # B_3(2,1)**2 is 3-abelian: its generators settle every pair, and
+        # no row is gathered; the pair scan behind that test gathers few
         square = direct_power(basic_group(3, 2, 1), 2)
         self.forbid_tables(monkeypatch)
         assert is_regular(square).holds is True
-        assert sum(row is not None for row in square._rows) < 200
+        assert square._rows is None
+        scanned = direct_power(basic_group(3, 2, 1), 2)
+        monkeypatch.setattr(FiniteGroup, "p_abelian", False)
+        assert is_regular(scanned).holds is True
+        assert sum(row is not None for row in scanned._rows) < 200
 
     def test_regular_fails_without_the_table(self, monkeypatch):
         # wreath3 fails z = 1 at (1, 2), and D of that pair is a normal
@@ -883,6 +889,85 @@ class TestPAbelian:
 
     def test_quaternion_fails(self, q8):
         assert is_p_abelian(q8).holds is False
+
+
+def definitional_p_abelian(g):
+    """Every ordered pair passes ``reference_p_abelian``."""
+    check, n = reference_p_abelian(g), len(g)
+    return all(check(i, j) for i in range(n) for j in range(n))
+
+
+# p-groups on which the generator test settles (or not) the pair and
+# section scans: h3xc9 is 3-abelian of exponent 9, so an exponent-p test
+# would miss it; b322 is regular without being 3-abelian
+FAST_PATH_GROUPS = {
+    "h3xc9": lambda: direct_product(close(heisenberg_generators(3)),
+                                    close(cyclic_generator(9))),
+    "b322": lambda: basic_group(3, 2, 2),
+    "b321": lambda: basic_group(3, 2, 1),
+    "h5": lambda: close(heisenberg_generators(5)),
+    "c9": lambda: close(cyclic_generator(9)),
+    "w3": lambda: close(wreath_generators(3)),
+    "q8": lambda: close(quaternion_generators()),
+}
+FAST_PATH_DECIDERS = (is_p_abelian, is_regular, has_wp2, has_p1, has_p2)
+
+
+class TestPAbelianGenerators:
+    """``FiniteGroup.p_abelian`` tests (x s)**p = x**p s**p on the
+    generators s only.  Its oracles are the all-pairs definition and the
+    pair and section scans that it lets p-abelian groups skip."""
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_corpus(self, name):
+        g = corpus()[name].group()
+        assert g.p_abelian is definitional_p_abelian(g)
+
+    @KERNEL_SETTINGS
+    @given(regularity_groups())
+    def test_random_p_groups(self, g):
+        assume(len(g) == 1 or prime_power_base(len(g)) is not None)
+        event(f"p-abelian: {g.p_abelian}")
+        assert g.p_abelian is definitional_p_abelian(g)
+
+    def test_non_p_group_rejected(self):
+        with pytest.raises(ValueError, match="not a p-group"):
+            close(cyclic_generator(6)).p_abelian
+
+    @pytest.mark.parametrize("name", FAST_PATH_GROUPS)
+    def test_reports_match_the_scans(self, name, monkeypatch):
+        # verdict, witness, pairs_checked and sections_checked are the
+        # scans'; only pairs_evaluated may fall
+        def compared(report):
+            data = report.to_json()
+            data["counters"].pop("pairs_evaluated", None)
+            return data
+
+        fast = [decide(FAST_PATH_GROUPS[name]()) for decide in FAST_PATH_DECIDERS]
+        monkeypatch.setattr(FiniteGroup, "p_abelian", False)
+        scanned = [decide(FAST_PATH_GROUPS[name]()) for decide in FAST_PATH_DECIDERS]
+        assert [compared(r) for r in fast] == [compared(r) for r in scanned]
+
+    @pytest.mark.parametrize("name", ["h3xc9", "b321", "h5"])
+    def test_p_abelian_groups_evaluate_no_pair_and_probe_no_section(
+            self, name, monkeypatch):
+        g = FAST_PATH_GROUPS[name]()
+        assert g.p_abelian is True
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair or section probed")
+
+        monkeypatch.setattr(FiniteGroup, "row", refuse)
+        monkeypatch.setattr(FiniteGroup, "subgroup", refuse)
+        for decide in (is_p_abelian, is_regular):
+            report = decide(g)
+            assert report.holds is True
+            assert report.counters["pairs_checked"] == len(g) ** 2
+            assert report.counters["pairs_evaluated"] == 0
+        monkeypatch.undo()
+        monkeypatch.setattr(FiniteGroup, "subgroup", refuse)
+        for decide in (has_wp2, has_p1, has_p2):
+            assert decide(g).holds is not False
 
 
 class TestEngel:
