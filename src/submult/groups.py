@@ -20,13 +20,15 @@ store holds every product the group keeps: ``row`` gathers row x -> x*j
 whole from its tree parent's, ``mul`` reads it, and a generated subgroup
 grows one left coset at a time, each one gather of a row.  The pair scans
 of (S), p-abelianness, order divisibility and regularity read the rows of
-class representatives and of their p-th powers; ``full_table`` completes
-the store into the whole table for the deciders that multiply arbitrary
-pairs: the Engel scan, the subgroup lattice and the section scans.  Power
-maps are built whole, composed where the exponent factors and otherwise
-one product per element that walks the tree path of its right factor;
-inverses and element orders follow the tree too, and conjugation by s is
-three gathers through row s and the inverses.  So element orders, the
+class representatives, the conjugacy classes walked once and cached, and
+of their p-th powers; ``full_table`` completes the store into the whole
+table for the deciders that multiply arbitrary pairs: the subgroup
+lattice, the section scans and the Engel scan, which runs only on a group
+of nilpotency class above its depth.  Power maps are built whole,
+composed where the exponent factors and otherwise one product per element
+that walks the tree path of its right factor; inverses and element orders
+follow the tree too, and conjugation by s is three gathers through row s
+and the inverses.  So element orders, the
 Omega/agemo levels, generated subgroups, the lower central series and the
 center, which ``analyze``, wp2 and the whole-group p1/p2 probe ask, need
 no n**2 table.  A group's size, and so its table's, is bounded by the cap
@@ -249,9 +251,10 @@ class FiniteGroup:
     def full_table(self) -> list[list[int]]:
         """The whole Cayley table: row i holds the index of i*j at position
         j.  Built on first call and cached.  Only the deciders that multiply
-        arbitrary pairs ask for it: the Engel scan, the subgroup lattice and
-        the section scans; ``row`` serves ``mul``, conjugation and the other
-        pair scans, and powers and inverses walk the spanning tree.
+        arbitrary pairs ask for it: the subgroup lattice, the section scans
+        and the Engel scan of a group whose class exceeds the depth; ``row``
+        serves ``mul``, conjugation and the other pair scans, and powers and
+        inverses walk the spanning tree.
 
         The table rests on the right-multiplication permutations x -> x*g
         that the group's builder handed over; no carrier is multiplied.  It
@@ -507,7 +510,13 @@ class FiniteGroup:
     # -- normal subgroups, quotients, sections -------------------------------------
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        """The orbits of conjugation by the generators, by least member."""
+        """The orbits of conjugation by the generators, by least member;
+        walked once per group and cached, so the pair scans and the
+        per-class spectra of (S) share one walk."""
+        return self._classes
+
+    @functools.cached_property
+    def _classes(self) -> list[tuple[int, ...]]:
         maps = [self._conjugation(g) for g in dict.fromkeys(self.gens)]
         seen = [False] * len(self)
         classes = []

@@ -35,9 +35,20 @@ counts the pairs of the evaluated rows.
 of the representatives, and of their p-th powers, through
 ``FiniteGroup.row``, which gathers each on demand; they build no n**2
 table.  Regularity reads the other products of a pair failing z = 1
-through the kernel's ``mul`` and its subgroup closures.  ``is_engel``,
-whose brackets multiply arbitrary pairs, and the section scans read the
-whole table.
+through the kernel's ``mul`` and its subgroup closures.  The section
+scans read the whole table, and so does ``is_engel``, whose brackets
+multiply arbitrary pairs, but only on a group of nilpotency class above
+the depth k: a class c <= k settles every pair, since [x, y, ..., y] lies
+in gamma_(k+1) = 1.  The conjugacy classes are walked once per group and
+cached (``FiniteGroup.conjugacy_classes``); (S) reads one cycle key per
+class off its least member.
+
+Irreducibility is exact: the character norm is summed in integers from
+the codes' fixed-point entries, each root of unity of order q weighted by
+its rational part mu(q)/phi(q) (``is_irreducible``); no element is
+decoded and no float enters.  ``chi_containment`` finds the standard
+cycle by its code and decodes only the members of the lower central
+terms it reads, one at a time.
 
 A p-abelian group, where x -> x**p is an endomorphism
 (``FiniteGroup.p_abelian``, tested on the generators), passes
@@ -62,6 +73,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence
@@ -70,12 +82,12 @@ from .cyclotomic import ONE, Spectrum
 from .families import (all_characters, big_cycle, check_basic_order,
                        induced_rep_generators)
 from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
-                     Subgroup, close, direct_power, is_prime)
+                     Subgroup, close, direct_power, is_prime,
+                     least_prime_factor)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
                        in_row_span, rotation_difference_image)
 
 HOLDS_CAPPED = "holds-capped"
-IRREDUCIBLE_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -173,6 +185,13 @@ class _SpectralClosure:
     key of the codes ``close`` kept (``MonomialCodec.cycle_key``) and
     interned, one id per distinct spectrum: ``masks[sid[x]]`` is x's.
 
+    A cycle key is read only off each conjugacy class's least member
+    (``FiniteGroup.conjugacy_classes``), whose id the other members share:
+    conjugating a monomial matrix by another relabels its cycles and keeps
+    each cycle's length and entry product.  The least members ascend, so
+    keys first appear in the order an all-elements pass meets them, and
+    the ids, the key set and L are that pass's.
+
     The product set of spectra a and b is the OR of the rotations of mask
     b by the set bits of mask a, built once per (a, b), and the pair (x, y)
     passes exactly when ``masks[sid[x*y]] & ~product == 0``.  A row x is
@@ -183,15 +202,24 @@ class _SpectralClosure:
 
     def __init__(self, g: FiniteGroup):
         self.row = g.row
-        codec = g.codec if isinstance(g.codec, MonomialCodec) else MonomialCodec(g.elements)
-        codes = g.codes if codec is g.codec else [codec.encode(e) for e in g.elements]
-        keys = [codec.cycle_key(c) for c in codes]
+        classes = g.conjugacy_classes()
+        if isinstance(g.codec, MonomialCodec):
+            codec, codes = g.codec, g.codes
+            reps = [codes[cls[0]] for cls in classes]
+        else:
+            codec = MonomialCodec(g.elements)
+            reps = [codec.encode(g.elements[cls[0]]) for cls in classes]
+        keys = [codec.cycle_key(c) for c in reps]
         distinct = dict.fromkeys(keys)
         self.modulus = codec.modulus * math.lcm(*(l for key in distinct for l, _ in key))
         masks = {k: codec.mask(k, self.modulus) for k in distinct}
         ids = {m: i for i, m in enumerate(dict.fromkeys(masks.values()))}
         self.masks = list(ids)
-        self.sid = [ids[masks[k]] for k in keys]
+        self.sid = [0] * len(g)
+        for cls, key in zip(classes, keys):
+            sid = ids[masks[key]]
+            for x in cls:
+                self.sid[x] = sid
         u = len(self.masks)
         self._left = [a * u for a in self.sid]
         self._good: list[set[int]] = [set() for _ in range(u)]
@@ -583,14 +611,39 @@ def is_p_abelian(g: FiniteGroup) -> PropertyReport:
         lambda i, j: {"prime": p, "explanation": "(xy)^p differs from x^p y^p"})
 
 
+def _class_at_most(g: FiniteGroup, k: int) -> int | None:
+    """The nilpotency class c of g when c <= k, else None.
+
+    Builds gamma_2, gamma_3, ... and stops at the first trivial term, at
+    gamma_(k+1), or at a term equal to the one before it: the series
+    stalls there, and g is not nilpotent."""
+    whole = g.whole_subgroup()
+    term = whole
+    for c in range(1, k + 1):
+        nxt = g.commutator_subgroup(term, whole)
+        if len(nxt) == 1:
+            return c
+        if len(nxt) == len(term):
+            return None
+        term = nxt
+    return None
+
+
 def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
     """The k-fold iterated commutator [x, y, y, ..., y] is trivial for all
     pairs.  An abelian g passes without a pair evaluated: every commutator
-    in it is trivial."""
+    in it is trivial.  So does a g of nilpotency class c <= k, whose
+    counters carry c as ``class``: [x, y, ..., y] lies in gamma_(k+1),
+    which is trivial.  Only a g of class above k, or not nilpotent, reads
+    the Cayley table and scans its pairs."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.is_abelian():
         return PropertyReport("engel", True, counters=_all_pairs_pass(g))
+    klass = _class_at_most(g, k) if k >= 2 else None
+    if klass is not None:
+        return PropertyReport("engel", True,
+                              counters={**_all_pairs_pass(g), "class": klass})
     table, inv, n = g.full_table(), g.inverses(), len(g)
 
     def first_failure(x: int) -> int | None:
@@ -628,41 +681,110 @@ def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
                       "explanation": "|AB| does not divide max(|A|, |B|)"})
 
 
-# -- exponent-vector containment for degree-p groups ----------------------------------
+# -- irreducibility and exponent-vector containment --------------------------------
 
-def character_norm(g: FiniteGroup) -> float:
-    """Mean squared absolute character value over the monomial group g
-    (float bridge); 1.0 characterizes irreducibility."""
-    return sum(abs(el.trace()) ** 2 for el in g.elements) / len(g)
+def _element(g: FiniteGroup, i: int) -> MonomialMatrix:
+    """Element i of the monomial group g, decoded alone."""
+    return g.codes[i] if g.codec is None else g.codec.decode(g.codes[i])
+
+
+def _degree(g: FiniteGroup) -> int:
+    return g.codec.n if isinstance(g.codec, MonomialCodec) else _element(g, g.identity).n
+
+
+def _mobius_totient(q: int) -> tuple[int, int]:
+    """(mu(q), phi(q)) for q >= 1, by trial division."""
+    mu, phi = 1, q
+    while q > 1:
+        p = least_prime_factor(q)
+        mu, phi = -mu, phi // p * (p - 1)
+        q //= p
+        if q % p == 0:
+            mu = 0
+            while q % p == 0:
+                q //= p
+    return mu, phi
+
+
+def _difference_orders(g: FiniteGroup) -> dict[int, int]:
+    """q -> the number of terms of order q in sum_x |chi(x)|**2 =
+    sum_x sum_(a, b) a / b, a and b the diagonal entries of x at its fixed
+    points.  The entries are read as exponents over Z/M, M the lcm of the
+    generators' entry denominators: off a ``MonomialCodec`` code's ranks, or
+    else off each entry's reduced fraction num/den, with no M-entry table."""
+    if isinstance(g.codec, MonomialCodec):
+        m, exponent = g.codec.modulus, g.codec.exps.__getitem__
+        elements = g.codes  # (perm, ranks), rank r for the exponent exps[r]
+    else:  # the elements are the codes themselves: nothing to decode
+        m = math.lcm(*(e.den for s in g.gens for e in g.elements[s].entries))
+        def exponent(e) -> int:
+            return e.num * (m // e.den)
+        elements = ((el.perm, el.entries) for el in g.elements)
+    fixed_of: dict[tuple[int, ...], list[int]] = {}
+    terms, diffs = 0, []  # the terms a / a, and a - b for a / b and b / a
+    for perm, values in elements:
+        fixed = fixed_of.get(perm)
+        if fixed is None:
+            fixed = fixed_of[perm] = [j for j, i in enumerate(perm) if i == j]
+        if fixed:
+            at = [exponent(values[j]) for j in fixed]
+            terms += len(at)
+            diffs += [a - b for t, a in enumerate(at) for b in at[:t]]
+    counts = {1: terms}
+    for d, c in Counter(diffs).items():
+        q = m // math.gcd(d, m)
+        counts[q] = counts.get(q, 0) + 2 * c
+    return counts
 
 
 def is_irreducible(g: FiniteGroup) -> bool:
-    return abs(character_norm(g) - 1.0) < IRREDUCIBLE_TOLERANCE
+    """The character chi of the monomial group g has norm 1, decided in
+    integers: no float, no fraction, no element decoded.
+
+    sum_x |chi(x)|**2 = |G| * <chi, chi> is rational, so it equals its
+    average over the Galois group of the cyclotomic field, where a root of
+    unity of order q averages to mu(q)/phi(q): the Ramanujan sum
+    c_q(1) = mu(q), the sum of the primitive q-th roots, over their number
+    (Hardy and Wright, ch. 16).  Each q divides an element order, hence
+    |G|, so trial division factors it at once.  Scaled by the lcm P of the
+    phi(q), the norm is 1 exactly when sum count_q * mu(q) * P/phi(q) equals
+    |G| * P (Isaacs, Character Theory of Finite Groups, ch. 2).  A degree-1
+    group is irreducible and an abelian one of degree >= 2 reducible
+    outright."""
+    if _degree(g) == 1:
+        return True
+    if g.is_abelian():
+        return False
+    terms = [(count, *_mobius_totient(q)) for q, count in _difference_orders(g).items()]
+    scale = math.lcm(*(phi for _, _, phi in terms))
+    return sum(count * mu * (scale // phi) for count, mu, phi in terms) == len(g) * scale
 
 
-def _normalize_cycle_to_standard(g: FiniteGroup) -> FiniteGroup:
-    """Return g conjugated (diagonally) so that the plain cycle is a group
+def _normalize_cycle_to_standard(g: FiniteGroup, p: int) -> FiniteGroup:
+    """Return g conjugated (diagonally) so that the plain p-cycle is a group
     element; requires some element with the standard cycle permutation and
-    entry product 1."""
-    n = g.elements[0].n
-    standard = big_cycle(n, 1)
-    if standard in g.elements:
+    entry product 1.  Elements are found by their codes where g has a
+    ``MonomialCodec`` and decoded one at a time."""
+    standard = big_cycle(p, 1)
+    monomial = isinstance(g.codec, MonomialCodec)
+    if (g.codec.encode(standard) if monomial else standard) in g.codes:
         return g
     cycle_perm = standard.perm
-    for el in g.elements:
-        if el.perm != cycle_perm:
+    for i, code in enumerate(g.codes):
+        if (code[0] if monomial else code.perm) != cycle_perm:
             continue
+        el = _element(g, i)
         # diagonal similarity E with E^-1 el E = standard cycle:
         # e_{j+1} = e_j * entry_j, consistent since the entries multiply to 1
         diag = [ONE]
-        for j in range(n - 1):
+        for j in range(p - 1):
             diag.append(diag[-1] * el.entries[j])
-        total = diag[-1] * el.entries[n - 1]
+        total = diag[-1] * el.entries[p - 1]
         if total != diag[0]:
             continue
         e_mat = MonomialMatrix.diagonal(diag)
         e_inv = e_mat.inverse()
-        return close([e_inv * g.elements[i] * e_mat for i in g.gens], len(g))
+        return close([e_inv * _element(g, s) * e_mat for s in g.gens], len(g))
     raise ValueError("no element is diagonally similar to the standard cycle")
 
 
@@ -674,10 +796,10 @@ def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
 
     ``j = None`` checks every level up to the nilpotency class.
     """
-    p = g.elements[0].n
+    p = _degree(g)
     if not is_prime(p):
         raise ValueError(f"degree {p} is not prime")
-    std = _normalize_cycle_to_standard(g)
+    std = _normalize_cycle_to_standard(g, p)
     if std.p_group_base()[0] != p:
         raise ValueError("closure is not a p-group for the matrix degree")
     if std.exponent() != p:
@@ -695,7 +817,7 @@ def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
             continue
         basis = rotation_difference_image(p, min(level, p))
         for idx in series[level].members:
-            el = std.elements[idx]
+            el = _element(std, idx)
             if not el.is_diagonal():
                 raise ValueError(
                     f"lower central term {level} contains a non-diagonal element")

@@ -215,6 +215,35 @@ class TestCheck:
     def test_engel_default_depth(self, b321_file):
         assert main(["check", "engel", str(b321_file)]) == 0
 
+    @pytest.mark.parametrize("construct, klass", [
+        (["heisenberg", "--p", "5"], 2), (["wreath_cp_cp", "--p", "3"], 3)],
+        ids=["h5", "w3"])
+    def test_engel_any_depth_settled_by_class(self, construct, klass, tmp_path,
+                                              capsys, monkeypatch):
+        # a depth at or above the nilpotency class passes from the lower
+        # central series alone, however deep: no table, no k-level scan
+        path = tmp_path / "g.json"
+        assert main(["construct", *construct, "-o", str(path)]) == 0
+
+        def no_table(self):
+            raise AssertionError("a Cayley table was built")
+
+        monkeypatch.setattr(FiniteGroup, "full_table", no_table)
+        capsys.readouterr()
+        assert main(["check", "engel", str(path), "--k", "1000000000",
+                     "--format", "structured"]) == 0
+        counters = json.loads(capsys.readouterr().out)["report"]["counters"]
+        assert counters["class"] == klass and counters["pairs_evaluated"] == 0
+
+    @pytest.mark.parametrize("construct, code", [
+        (["heisenberg", "--p", "3"], 0),
+        (["diagonal_abelian", "--m", "3", "--vector", "1,2,0",
+          "--vector", "0,1,2"], 1)], ids=["h3", "diagonal"])
+    def test_irreducible_exit_codes(self, construct, code, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        assert main(["construct", *construct, "-o", str(path)]) == 0
+        assert main(["check", "irreducible", str(path)]) == code
+
     def test_structured_report_round_trips(self, w3_file, capsys):
         main(["check", "s", str(w3_file), "--format", "structured"])
         payload = json.loads(capsys.readouterr().out)

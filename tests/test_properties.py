@@ -2,6 +2,9 @@
 implications between them on the named examples."""
 
 import functools
+import math
+import operator
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, example, given
@@ -13,16 +16,16 @@ from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, group_from_carriers,
 
 from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
-from submult.families import (basic_group, big_cycle, cyclic_generator,
-                              diagonal_abelian_generators, dihedral_generators,
-                              heisenberg_generators, quaternion_generators,
+from submult.families import (all_characters, basic_group, big_cycle,
+                              cyclic_generator, diagonal_abelian_generators,
+                              dihedral_generators, heisenberg_generators,
+                              induced_rep_generators, quaternion_generators,
                               wreath_generators)
 from submult.groups import (FiniteGroup, Subgroup, close, direct_power,
                             direct_product, least_prime_factor,
                             prime_power_base)
-from submult.monomial import MonomialMatrix
-from submult.properties import (PropertyReport, character_norm,
-                                chi_containment, has_p1, has_p2,
+from submult.monomial import MonomialCodec, MonomialMatrix, _perm_cycles
+from submult.properties import (PropertyReport, chi_containment, has_p1, has_p2,
                                 has_property_s, has_property_s_hat_basic,
                                 has_property_s_hat_single, has_wp2, is_engel,
                                 is_irreducible, is_p_abelian, is_regular,
@@ -124,6 +127,54 @@ class TestPropertyS:
                 a, b = g.elements[i], g.elements[j]
                 assert (a * b).spectrum().issubset(
                     a.spectrum().product(b.spectrum()))
+
+
+def assert_spectra_per_element(g):
+    """``_SpectralClosure`` reads one cycle key per conjugacy class; its
+    modulus, interned masks and ids must be those of every element's own
+    ``MonomialMatrix.spectrum``, interned in element order."""
+    sc = properties._SpectralClosure(g)
+    elements = g.elements
+    m = math.lcm(*(e.den for el in elements for e in el.entries))
+    lengths = (len(c) for el in elements for c in _perm_cycles(el.perm))
+    assert sc.modulus == m * math.lcm(*lengths)
+    masks = [functools.reduce(operator.or_, (1 << u.num * (sc.modulus // u.den)
+                                             for u in el.spectrum()))
+             for el in elements]
+    assert sc.masks == list(dict.fromkeys(masks))
+    assert sc.sid == [sc.masks.index(mask) for mask in masks]
+
+
+class TestPerClassSpectra:
+    @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
+                                      if entry.is_monomial])
+    def test_corpus(self, name):
+        assert_spectra_per_element(corpus()[name].group())
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    def test_random_groups(self, g):
+        assert_spectra_per_element(g)
+
+    def test_generic_path(self):
+        z = CyclotomicUnit(1, 5000)
+        g = close([swap(z), MonomialMatrix.diagonal([CyclotomicUnit(1, 2), ONE])])
+        assert not isinstance(g.codec, MonomialCodec)
+        assert_spectra_per_element(g)
+
+    def test_one_cycle_key_per_class(self, monkeypatch):
+        keys = []
+        original = MonomialCodec.cycle_key
+
+        def recording(self, code):
+            keys.append(code)
+            return original(self, code)
+
+        g = close(heisenberg_generators(5))
+        monkeypatch.setattr(MonomialCodec, "cycle_key", recording)
+        properties._SpectralClosure(g)
+        assert keys == [g.codes[c[0]] for c in g.conjugacy_classes()]
+        assert len(keys) == 29
 
 
 class TestPropertySHat:
@@ -594,14 +645,20 @@ def assert_matches_scan(report, reference):
 
 def assert_p_group_scans_match(g):
     """p-abelianness, regularity and the k-Engel identity (k = 1..3) of a
-    p-group against full ascending scans."""
+    p-group against full ascending scans, and the Engel reports against
+    those of the scan alone, the nilpotency-class test switched off."""
     n = len(g)
     assert_matches_scan(is_p_abelian(g),
                         reference_scan(n, reference_p_abelian(g)))
     assert_matches_scan(is_regular(g), reference_regular_failure(g))
     for k in (1, 2, 3):
-        assert_matches_scan(is_engel(g, k),
-                            reference_scan(n, reference_engel(g, k)))
+        report = is_engel(g, k)
+        assert_matches_scan(report, reference_scan(n, reference_engel(g, k)))
+        with mock.patch.object(properties, "_class_at_most",
+                               lambda *args: None):
+            scanned = is_engel(g, k)
+        assert (report.holds, report.witness) == (scanned.holds, scanned.witness)
+        assert report.counters["pairs_checked"] == scanned.counters["pairs_checked"]
 
 
 class TestOrbitScan:
@@ -970,17 +1027,71 @@ class TestPAbelianGenerators:
             assert decide(g).holds is not False
 
 
+def S3():
+    """The symmetric group on three points as permutation matrices."""
+    return close([MonomialMatrix.from_perm((1, 0, 2)),
+                  MonomialMatrix.from_perm((1, 2, 0))])
+
+
 class TestEngel:
     def test_abelian_depth_one(self):
         g = close(diagonal_abelian_generators(3, [[1, 0], [0, 1]]))
         assert is_engel(g, 1).holds is True
 
+    @pytest.mark.parametrize("make, k, klass", [
+        (lambda: close(heisenberg_generators(5)), 2, 2),
+        (lambda: close(heisenberg_generators(5)), 10 ** 9, 2),
+        (lambda: close(wreath_generators(3)), 3, 3),
+        (lambda: close(wreath_generators(3)), 10 ** 9, 3),
+        (lambda: basic_group(3, 2, 1), 2, 2),
+        (lambda: direct_product(close(quaternion_generators()),
+                                close(cyclic_generator(4))), 2, 2)],
+        ids=["h5", "h5-deep", "w3", "w3-deep", "b321", "q8xc4"])
+    def test_class_settles_a_pass(self, make, k, klass, monkeypatch):
+        # gamma_(k+1) = 1: no table is built and no pair evaluated
+        def refuse(*args):
+            raise AssertionError("pair scan ran")
+
+        g = make()
+        monkeypatch.setattr(FiniteGroup, "full_table", refuse)
+        report = is_engel(g, k)
+        assert report.holds is True
+        assert report.counters == {"pairs_checked": len(g) ** 2,
+                                   "pairs_evaluated": 0, "class": klass}
+
+    @pytest.mark.parametrize("make, k, orders", [
+        (lambda: close(heisenberg_generators(5)), 10 ** 9, [125, 5]),
+        (lambda: S3(), 7, [6, 3])], ids=["h5", "s3"])
+    def test_class_test_stops_early(self, make, k, orders, monkeypatch):
+        # at the first trivial term, or where the series stalls (S3 at A3)
+        calls = []
+        original = FiniteGroup.commutator_subgroup
+
+        def recording(self, a, b):
+            calls.append(len(a))
+            return original(self, a, b)
+
+        g = make()
+        monkeypatch.setattr(FiniteGroup, "commutator_subgroup", recording)
+        is_engel(g, k)
+        assert calls == orders
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_symmetric_group_matches_the_scan(self, k):
+        # S3 is not nilpotent, so every depth falls back to the scan
+        g = S3()
+        report = is_engel(g, k)
+        assert report.holds is False
+        assert_matches_scan(report, reference_scan(6, reference_engel(g, k)))
+
     def test_basic_group(self):
         assert is_engel(basic_group(3, 2, 1), 2).holds is True
 
     def test_wreath_fails_depth_two(self, w3):
+        # class 3 > 2: the scan runs, and the counters carry no class
         report = is_engel(w3, 2)
         assert report.holds is False
+        assert "class" not in report.counters
         bracket = report.witness["bracket"]
         assert bracket != w3.describe(w3.identity)
 
@@ -1035,6 +1146,54 @@ class TestChiContainment:
         with pytest.raises(ValueError):
             chi_containment(close([big_cycle(3, 1)]))
 
+    @pytest.mark.parametrize("make, elements_checked", [
+        (lambda: close(heisenberg_generators(5)), 6),
+        (lambda: close([MonomialMatrix(3, (1, 2, 0), (W3, W3, W3)),
+                        MonomialMatrix.diagonal([ONE, W3, W3 * W3])]), 4)],
+        ids=["h5", "twisted-cycle"])
+    def test_decodes_only_what_it_reads(self, make, elements_checked,
+                                        monkeypatch):
+        # the standard cycle is found by its code, and only the members of
+        # the lower central terms are decoded, one at a time
+        decoded = []
+        original = MonomialCodec.decode
+
+        def recording(self, code):
+            decoded.append(code)
+            return original(self, code)
+
+        def refuse(self):
+            raise AssertionError("every element decoded")
+
+        g = make()
+        monkeypatch.setattr(MonomialCodec, "decode", recording)
+        monkeypatch.setattr(FiniteGroup, "elements", property(refuse))
+        report = chi_containment(g)
+        assert report.holds is True
+        assert report.counters["elements_checked"] == elements_checked
+        assert len(decoded) < len(g)
+
+
+def float_character_norm(g):
+    """Mean squared absolute character value over the monomial group g, in
+    floating point: the oracle of the exact ``is_irreducible``."""
+    return sum(abs(el.trace()) ** 2 for el in g.elements) / len(g)
+
+
+def assert_irreducible_matches_float_norm(g):
+    """The verdict, and the norm that the exact count gives, against the
+    float norm."""
+    norm = float_character_norm(g)
+    assert is_irreducible(g) is (abs(norm - 1.0) < 1e-6)
+    terms = [(count, *properties._mobius_totient(q))
+             for q, count in properties._difference_orders(g).items()]
+    assert abs(sum(c * mu / phi for c, mu, phi in terms) / len(g) - norm) < 1e-6
+
+
+def swap(z):
+    """The order-2 swap with entries z and 1/z."""
+    return MonomialMatrix(2, (1, 0), (z, z.inverse()))
+
 
 class TestIrreducibility:
     def test_degree_one(self):
@@ -1042,11 +1201,69 @@ class TestIrreducibility:
 
     def test_heisenberg(self):
         assert is_irreducible(close(heisenberg_generators(3)))
-        assert abs(character_norm(close(heisenberg_generators(3))) - 1.0) < 1e-9
+        assert abs(float_character_norm(close(heisenberg_generators(3))) - 1.0) < 1e-9
 
     def test_diagonal_group_reducible(self):
         assert not is_irreducible(
             close(diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]])))
+
+    def test_abelian_reducible_outright(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("character terms counted")
+
+        monkeypatch.setattr(properties, "_difference_orders", refuse)
+        assert not is_irreducible(close([big_cycle(3, 1)]))
+        assert not is_irreducible(
+            close(diagonal_abelian_generators(4, [[1, 0], [0, 2]])))
+        assert is_irreducible(close(cyclic_generator(9)))  # degree 1
+
+    @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
+                                      if entry.is_monomial])
+    def test_corpus_matches_float_norm(self, name):
+        assert_irreducible_matches_float_norm(corpus()[name].group())
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_induced_reps_match_float_norm(self, p):
+        verdicts = []
+        for chi in all_characters(p, 2, 1):
+            g = close(induced_rep_generators(p, 2, 1, chi))
+            assert_irreducible_matches_float_norm(g)
+            verdicts.append(is_irreducible(g))
+        assert True in verdicts and False in verdicts
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    def test_random_groups_match_float_norm(self, g):
+        event(f"irreducible: {is_irreducible(g)}")
+        assert_irreducible_matches_float_norm(g)
+
+    @pytest.mark.parametrize("extra, irreducible", [(False, True), (True, False)],
+                             ids=["d8", "d8-plus-trivial"])
+    def test_generic_path_matches_float_norm(self, extra, irreducible):
+        # entries of order 5000, past the closure cap, so the group closes
+        # on the matrices themselves: a dihedral group of order 8, alone in
+        # degree 2 and with a trivial summand in degree 3
+        z = CyclotomicUnit(1, 5000)
+        gens = [swap(z), MonomialMatrix.diagonal([CyclotomicUnit(1, 2), ONE])]
+        if extra:
+            gens = [a.direct_sum(MonomialMatrix.identity(1)) for a in gens]
+        g = close(gens)
+        assert len(g) == 8 and not isinstance(g.codec, MonomialCodec)
+        assert is_irreducible(g) is irreducible
+        assert_irreducible_matches_float_norm(g)
+
+    def test_decodes_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an element was decoded")
+
+        g = close(heisenberg_generators(5))
+        monkeypatch.setattr(MonomialCodec, "decode", refuse)
+        assert is_irreducible(g)
+        # heisenberg3 plus a trivial summand: non-abelian and reducible
+        plus = close([a.direct_sum(MonomialMatrix.identity(1))
+                      for a in heisenberg_generators(3)])
+        assert isinstance(plus.codec, MonomialCodec) and not plus.is_abelian()
+        assert not is_irreducible(plus)
 
 
 class TestDecidersTakeClosedGroups:
@@ -1062,7 +1279,7 @@ class TestDecidersTakeClosedGroups:
         assert has_property_s_hat_single(g).holds == "holds-capped"
         assert order_submultiplicativity(g).holds is True
         assert is_irreducible(g)
-        assert abs(character_norm(g) - 1.0) < 1e-9
+        assert abs(float_character_norm(g) - 1.0) < 1e-9
         assert chi_containment(g).holds is True
 
 
