@@ -101,7 +101,7 @@ class MonomialMatrix:
 
     # -- cycle data ----------------------------------------------------------
 
-    def _cycle_data(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def cycle_data(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """M, the lcm of the entry denominators, and the cycle key over it."""
         m = math.lcm(*(e.den for e in self.entries))
         exps = [e.num * (m // e.den) for e in self.entries]
@@ -110,17 +110,16 @@ class MonomialMatrix:
     def order(self) -> int:
         """Least k >= 1 with self**k = identity: the lcm over cycles of
         l * order(c), since an l-cycle with entry product c has B**l = c*I."""
-        m, cycle_key = self._cycle_data()
-        return math.lcm(*(l * (m // math.gcd(s, m)) for l, s in cycle_key))
+        return key_order(*self.cycle_data())
 
     def spectrum(self) -> Spectrum:
-        m, cycle_key = self._cycle_data()
+        m, cycle_key = self.cycle_data()
         return Spectrum(CyclotomicUnit(s + m * t, m * l)
                         for l, s in cycle_key for t in range(l))
 
     def det(self) -> CyclotomicUnit:
         """Each l-cycle gives its sign (-1)**(l - 1) times its entry product."""
-        m, cycle_key = self._cycle_data()
+        m, cycle_key = self.cycle_data()
         return CyclotomicUnit(sum(2 * s + (l - 1) * m for l, s in cycle_key), 2 * m)
 
     def trace(self) -> complex:
@@ -229,16 +228,24 @@ class MonomialCodec:
         cycles = self._cycles.get(perm) or self._cycles.setdefault(perm, _perm_cycles(perm))
         return _cycle_key(cycles, list(map(self.exps.__getitem__, ranks)), self.modulus)
 
-    def mask(self, cycle_key: tuple[tuple[int, int], ...], modulus: int) -> int:
-        """The spectrum as a bitmask over Z/modulus: bit i for the value
-        i/modulus.  modulus must be a multiple of M*l for every cycle length
-        l in the key."""
-        m, mask = self.modulus, 0
-        for l, s in cycle_key:
-            step = modulus // (m * l)
-            for t in range(l):
-                mask |= 1 << (s + m * t) * step
-        return mask
+
+def key_order(m: int, cycle_key: tuple[tuple[int, int], ...]) -> int:
+    """The order of a matrix with this cycle key over Z/m, the lcm over its
+    cycles of l * order(s/m) (``MonomialMatrix.order``); every eigenvalue's
+    order divides it."""
+    return math.lcm(*(l * (m // math.gcd(s, m)) for l, s in cycle_key))
+
+
+def key_mask(m: int, cycle_key: tuple[tuple[int, int], ...], modulus: int) -> int:
+    """The spectrum of a cycle key over Z/m as a bitmask over Z/modulus: bit
+    i for the value i/modulus.  modulus must be a multiple of
+    ``key_order(m, cycle_key)``, so each eigenvalue (s + m*t) / (m*l) is
+    some i/modulus."""
+    mask = 0
+    for l, s in cycle_key:
+        for t in range(l):
+            mask |= 1 << (s + m * t) * modulus // (m * l)
+    return mask
 
 
 def diagonal_exponents(d: MonomialMatrix, p: int, k: int) -> tuple[int, ...]:

@@ -41,7 +41,17 @@ multiply arbitrary pairs, but only on a group of nilpotency class above
 the depth k: a class c <= k settles every pair, since [x, y, ..., y] lies
 in gamma_(k+1) = 1.  The conjugacy classes are walked once per group and
 cached (``FiniteGroup.conjugacy_classes``); (S) reads one cycle key per
-class off its least member.
+class off its least member, and its masks live over the lcm of the keys'
+orders, the group's exponent, whatever the order of the entries.
+
+Two more symmetries of (S) cut its work.  A scalar z = w*I moves every
+eigenvalue of x and of x*y by w, so the (S) scan skips the row of a
+representative that a scalar moves to a lower class (``_unscaled_reps``;
+irreducible groups have scalar centres).  Conjugation and Galois
+conjugation of the base characters keep (S) and the induced image up to
+isomorphism, so s-hat on the basic family closes one representation per
+orbit of characters (``has_property_s_hat_basic``); twists by linear
+characters keep (S) but not the image's order, and are not used.
 
 Irreducibility is exact: the character norm is summed in integers from
 the codes' fixed-point entries, each root of unity of order q weighted by
@@ -85,7 +95,8 @@ from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
                      Subgroup, close, direct_power, is_prime,
                      least_prime_factor)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
-                       in_row_span, rotation_difference_image)
+                       in_row_span, key_mask, key_order,
+                       rotation_difference_image)
 
 HOLDS_CAPPED = "holds-capped"
 
@@ -126,7 +137,8 @@ class PropertyReport:
 RowCheck = Callable[[int], int | None]
 
 
-def _scan_pairs(g: FiniteGroup, first_failure: RowCheck
+def _scan_pairs(g: FiniteGroup, first_failure: RowCheck,
+                reps: Sequence[int] | None = None
                 ) -> tuple[tuple[int, int] | None, dict[str, int]]:
     """Decide a pair predicate that is unchanged by simultaneous
     conjugation on every ordered pair of g, given as its row function:
@@ -139,9 +151,15 @@ def _scan_pairs(g: FiniteGroup, first_failure: RowCheck
     and the counters ``pairs_checked`` (n**2 on a pass, the ascending count
     up to the witness on a failure) and ``pairs_evaluated`` (the pairs of
     the evaluated rows, the failing row counted up to its witness).
+
+    ``reps``, ascending, may leave out a representative whose row fails
+    exactly when a lower representative's row does (by default none is
+    left out): a row left out below the first failure passes, so the
+    witness and ``pairs_checked`` are the same.
     """
     n = len(g)
-    reps = [cls[0] for cls in g.conjugacy_classes()]
+    if reps is None:
+        reps = [cls[0] for cls in g.conjugacy_classes()]
     for t, r in enumerate(reps):
         y = first_failure(r)
         if y is not None:
@@ -156,10 +174,11 @@ def _first_true(flags: Iterable) -> int | None:
 
 
 def _pair_report(prop: str, g: FiniteGroup, first_failure: RowCheck,
-                 details: Callable[[int, int], dict]) -> PropertyReport:
-    """Report of ``_scan_pairs(g, first_failure)``: True, or False with the
-    least failing pair as witness, extended by ``details(i, j)``."""
-    fail, counters = _scan_pairs(g, first_failure)
+                 details: Callable[[int, int], dict],
+                 reps: Sequence[int] | None = None) -> PropertyReport:
+    """Report of ``_scan_pairs(g, first_failure, reps)``: True, or False
+    with the least failing pair as witness, extended by ``details(i, j)``."""
+    fail, counters = _scan_pairs(g, first_failure, reps)
     if fail is None:
         return PropertyReport(prop, True, counters=counters)
     i, j = fail
@@ -177,12 +196,36 @@ def _all_pairs_pass(g: FiniteGroup) -> dict[str, int]:
 
 # -- property (S): submultiplicative spectra -------------------------------------
 
+def _unscaled_reps(g: FiniteGroup, classes: Sequence[tuple[int, ...]],
+                   keys: Sequence[tuple[tuple[int, int], ...]]) -> list[int]:
+    """The class representatives r whose (S) rows need reading, ascending:
+    those with rep(z*r) >= r for every scalar z = w*I other than I in g,
+    rep(x) the least member of x's class; ``keys`` are the classes' cycle
+    keys, and a scalar's is its n 1-cycles with one exponent.
+
+    z multiplies every eigenvalue of z*r and of z*r*y by w, so the pair
+    (z*r, y) fails (S) exactly when (r, y) does, and the row of rep(z*r),
+    a conjugate of row z*r, fails exactly when row r does
+    (``_scan_pairs``).  The products z*r are read off the scalars' rows."""
+    reps = [cls[0] for cls in classes]
+    scalars = [r for r, key in zip(reps, keys)
+               if key[0] == key[-1] and key[0][0] == 1 and key[0][1]]
+    if not scalars:
+        return reps
+    rep = [0] * len(g)
+    for cls in classes:
+        for x in cls:
+            rep[x] = cls[0]
+    moved = [g.row(z) for z in scalars]
+    return [r for r in reps if all(rep[zr[r]] >= r for zr in moved)]
+
+
 class _SpectralClosure:
     """A closed monomial group's rows with per-element spectra as
-    int bitmasks over Z/L, L the codec's modulus M times the lcm of the
-    cycle lengths in the group's distinct cycle keys: bit i of a mask is
-    set when i/L is an eigenvalue.  Masks are built once per distinct cycle
-    key of the codes ``close`` kept (``MonomialCodec.cycle_key``) and
+    int bitmasks over Z/L, L the lcm over the group's distinct cycle keys of
+    l * order(c), l a cycle's length and c its entry product, which every
+    eigenvalue's order divides (``key_order``): bit i of a mask is set when
+    i/L is an eigenvalue.  Masks are built once per distinct cycle key and
     interned, one id per distinct spectrum: ``masks[sid[x]]`` is x's.
 
     A cycle key is read only off each conjugacy class's least member
@@ -190,29 +233,31 @@ class _SpectralClosure:
     conjugating a monomial matrix by another relabels its cycles and keeps
     each cycle's length and entry product.  The least members ascend, so
     keys first appear in the order an all-elements pass meets them, and
-    the ids, the key set and L are that pass's.
+    the ids and the key set are that pass's.  Keys come from the codes
+    ``close`` kept (``MonomialCodec.cycle_key``), or else off each
+    representative's matrix (``MonomialMatrix.cycle_data``), so no table
+    of the entries' order M is built.
 
     The product set of spectra a and b is the OR of the rotations of mask
     b by the set bits of mask a, built once per (a, b), and the pair (x, y)
     passes exactly when ``masks[sid[x*y]] & ~product == 0``.  A row x is
     read as the set of keys ``sid[y]*U + sid[x*y]`` (U distinct spectra),
     gathered without a Python call per pair; only keys not yet known to
-    pass with sid[x] are tested.  No ``Spectrum`` is built unless a pair
-    fails and a witness needs one."""
+    pass with sid[x] are tested.  ``rows`` are the representatives whose
+    rows need reading (``_unscaled_reps``).  No ``Spectrum`` is built unless
+    a pair fails and a witness needs one."""
 
     def __init__(self, g: FiniteGroup):
         self.row = g.row
         classes = g.conjugacy_classes()
         if isinstance(g.codec, MonomialCodec):
-            codec, codes = g.codec, g.codes
-            reps = [codes[cls[0]] for cls in classes]
+            m, codes, cycle_key = g.codec.modulus, g.codes, g.codec.cycle_key
+            keys = [(m, cycle_key(codes[cls[0]])) for cls in classes]
         else:
-            codec = MonomialCodec(g.elements)
-            reps = [codec.encode(g.elements[cls[0]]) for cls in classes]
-        keys = [codec.cycle_key(c) for c in reps]
+            keys = [_element(g, cls[0]).cycle_data() for cls in classes]
         distinct = dict.fromkeys(keys)
-        self.modulus = codec.modulus * math.lcm(*(l for key in distinct for l, _ in key))
-        masks = {k: codec.mask(k, self.modulus) for k in distinct}
+        self.modulus = math.lcm(*(key_order(*k) for k in distinct))
+        masks = {k: key_mask(*k, self.modulus) for k in distinct}
         ids = {m: i for i, m in enumerate(dict.fromkeys(masks.values()))}
         self.masks = list(ids)
         self.sid = [0] * len(g)
@@ -220,6 +265,7 @@ class _SpectralClosure:
             sid = ids[masks[key]]
             for x in cls:
                 self.sid[x] = sid
+        self.rows = _unscaled_reps(g, classes, [key for _, key in keys])
         u = len(self.masks)
         self._left = [a * u for a in self.sid]
         self._good: list[set[int]] = [set() for _ in range(u)]
@@ -265,6 +311,8 @@ def has_property_s(g: FiniteGroup) -> PropertyReport:
     An abelian g passes without a spectrum computed: commuting matrices of
     finite order are simultaneously diagonalisable, so each eigenvalue of
     A*B is a product of eigenvalues of A and B on a common eigenvector.
+    Rows of scalar multiples of lower representatives are not read
+    (``_unscaled_reps``), and not counted in ``pairs_evaluated``.
     """
     n = len(g)
     if g.is_abelian():
@@ -285,9 +333,23 @@ def has_property_s(g: FiniteGroup) -> PropertyReport:
             "explanation": "eigenvalue of the product lies outside the set "
                            "of pairwise eigenvalue products"}
 
-    report = _pair_report("s", g, sc.first_failure, details)
+    report = _pair_report("s", g, sc.first_failure, details, sc.rows)
     report.counters["elements_checked"] = n
     return report
+
+
+def _character_orbit(p: int, c: int, e: int, chi: tuple[int, ...]
+                     ) -> set[tuple[int, ...]]:
+    """The characters k * chi**(b**j) of the basic group's base, for units k
+    of Z/p**e: chi's orbit under the b-action x_i -> x_i + x_(i+1)
+    (x_(c+1) = 0), the conjugation a -> b**-1 a b, and under the Galois
+    action x -> k*x.  The two commute, so the orbit is chi's b-cycle scaled
+    by every unit."""
+    m, cycle, x = p ** e, [], chi
+    while x not in cycle:
+        cycle.append(x)
+        x = tuple((u + v) % m for u, v in zip(x, x[1:] + (0,)))
+    return {tuple(k * v % m for v in y) for y in cycle for k in range(1, m) if k % p}
 
 
 def has_property_s_hat_basic(p: int, c: int, e: int, *,
@@ -302,20 +364,42 @@ def has_property_s_hat_basic(p: int, c: int, e: int, *,
     the property must hold on every subrepresentation.  A representation
     failing (S) rules the property out.  Each closure is an image of the
     group, so an order above cap is refused before any character is built.
+
+    One closure settles a character's orbit (``_character_orbit``), whose
+    members have isomorphic images and the same (S) verdict, so they share
+    its counters: b-conjugate characters induce equivalent representations
+    (Isaacs, Character Theory of Finite Groups, ch. 5), and k*chi induces
+    the Galois conjugate sigma_k of chi's representation, entry by entry,
+    whose eigenvalues sigma_k maps as it maps their products.  Twists by
+    linear characters keep (S) but not the image: on B_3(2,1) character
+    (1, 0) has an image of order 9 and (0, 0) one of order 3.  Orbits are
+    built only from passing characters, so each failing character is
+    closed itself and the least failing ``representation_index`` and its
+    witness stay those of a closure per character.  ``reps_checked`` and
+    ``pairs_checked`` count every character up to that one,
+    ``reps_evaluated`` and ``pairs_evaluated`` only the closures built.
     """
     check_basic_order(p, c, e, cap)
     totals = {"pairs_checked": 0, "pairs_evaluated": 0}
+    settled: dict[tuple[int, ...], int] = {}  # character -> its pairs_checked
+    closures = 0
     for idx, chi in enumerate(all_characters(p, c, e)):
+        if chi in settled:
+            totals["pairs_checked"] += settled[chi]
+            continue
         sub = has_property_s(close(induced_rep_generators(p, c, e, chi), cap))
+        closures += 1
         for key in totals:
             totals[key] += sub.counters[key]
         if sub.holds is False:
             witness = dict(sub.witness or {})
             witness["representation_index"] = idx
-            return PropertyReport("s-hat", False, witness=witness,
-                                  counters={**totals, "reps_checked": idx + 1})
-    return PropertyReport("s-hat", True,
-                          counters={**totals, "reps_checked": p ** (e * c)})
+            return PropertyReport("s-hat", False, witness=witness, counters={
+                **totals, "reps_checked": idx + 1, "reps_evaluated": closures})
+        settled.update(dict.fromkeys(_character_orbit(p, c, e, chi),
+                                     sub.counters["pairs_checked"]))
+    return PropertyReport("s-hat", True, counters={
+        **totals, "reps_checked": p ** (e * c), "reps_evaluated": closures})
 
 
 def has_property_s_hat_single(g: FiniteGroup) -> PropertyReport:
@@ -562,7 +646,8 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
     """Regularity of G, G^2, ..., G^powers.  Success is reported as capped
     evidence, since the genuine property quantifies over all finite direct
     powers, except on an abelian group: every power of it is abelian, hence
-    regular, so G passing settles them all."""
+    regular, so G passing settles them all.  Each power inherits
+    ``p_abelian`` from G."""
     if powers < 1:
         raise ValueError("powers must be >= 1")
     checked = []
@@ -574,6 +659,10 @@ def is_v_regular_bounded(g: FiniteGroup, powers: int, *,
                         "stopping early")
             break
         power_group = g if m == 1 else direct_power(g, m, cap)
+        if m > 1:
+            # (xy)**p = x**p y**p holds in G**m exactly when it holds in G,
+            # coordinate by coordinate: no power map of G**m is built
+            power_group.p_abelian = g.p_abelian
         rep = is_regular(power_group)
         for key in totals:
             totals[key] += rep.counters[key]

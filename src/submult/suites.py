@@ -31,9 +31,9 @@ from .families import (basic_group, big_cycle, cyclic_generator,
 from .groups import FiniteGroup, close, direct_product, is_prime
 from .monomial import MonomialMatrix, rotation_difference_image
 from .properties import (PropertyReport, chi_containment, has_property_s,
-                         has_property_s_hat_basic, has_property_s_hat_single,
-                         has_wp2, is_engel, is_irreducible, is_regular,
-                         is_v_regular_bounded, order_submultiplicativity)
+                         has_property_s_hat_basic, has_wp2, is_engel,
+                         is_irreducible, is_regular, is_v_regular_bounded,
+                         order_submultiplicativity)
 
 
 @dataclass
@@ -411,12 +411,10 @@ def suite_t7(config: RunConfig) -> list[CriterionResult]:
         suite.check(f"tensor of {a.name} and {b.name} keeps property s",
                     report.holds is True,
                     f"order={report.counters.get('elements_checked')}")
-    hat_passers = [e for e in monomial
-                   if has_property_s_hat_single(e.group()).passed]
-    product_pairs = [(a, b) for a in hat_passers for b in hat_passers
-                     if a.degree() * b.degree() <= 36
-                     and len(a.group()) * len(b.group()) <= 1024]
-    product_sample = rng.sample(product_pairs, min(3, len(product_pairs)))
+    # the s-hat evidence of one supplied representation
+    # (``has_property_s_hat_single``) passes exactly when (S) holds on it,
+    # so its passers are ``s_passers`` and their pairs ``eligible``
+    product_sample = rng.sample(eligible, min(3, len(eligible)))
     for a, b in product_sample:
         gens = _tensor_generators(a.gens(), b.gens())
         report = has_property_s(close(gens))

@@ -24,7 +24,7 @@ from submult.families import (all_characters, basic_group, big_cycle,
 from submult.groups import (FiniteGroup, Subgroup, close, direct_power,
                             direct_product, least_prime_factor,
                             prime_power_base)
-from submult.monomial import MonomialCodec, MonomialMatrix, _perm_cycles
+from submult.monomial import MonomialCodec, MonomialMatrix
 from submult.properties import (PropertyReport, chi_containment, has_p1, has_p2,
                                 has_property_s, has_property_s_hat_basic,
                                 has_property_s_hat_single, has_wp2, is_engel,
@@ -131,13 +131,13 @@ class TestPropertyS:
 
 def assert_spectra_per_element(g):
     """``_SpectralClosure`` reads one cycle key per conjugacy class; its
-    modulus, interned masks and ids must be those of every element's own
-    ``MonomialMatrix.spectrum``, interned in element order."""
+    interned masks and ids must be those of every element's own
+    ``MonomialMatrix.spectrum``, interned in element order, over the
+    exponent of the group as modulus, which every eigenvalue's order
+    divides."""
     sc = properties._SpectralClosure(g)
     elements = g.elements
-    m = math.lcm(*(e.den for el in elements for e in el.entries))
-    lengths = (len(c) for el in elements for c in _perm_cycles(el.perm))
-    assert sc.modulus == m * math.lcm(*lengths)
+    assert sc.modulus == math.lcm(*(el.order() for el in elements))
     masks = [functools.reduce(operator.or_, (1 << u.num * (sc.modulus // u.den)
                                              for u in el.spectrum()))
              for el in elements]
@@ -161,6 +161,22 @@ class TestPerClassSpectra:
         g = close([swap(z), MonomialMatrix.diagonal([CyclotomicUnit(1, 2), ONE])])
         assert not isinstance(g.codec, MonomialCodec)
         assert_spectra_per_element(g)
+
+    def test_generic_path_modulus_stays_small(self):
+        # entries of order 200000 in a group of exponent 4: no table or
+        # mask of the entries' order is built, and (S) fails at the pair
+        # the per-element spectra name
+        z = CyclotomicUnit(1, 200000)
+        g = close([swap(z), MonomialMatrix.diagonal([CyclotomicUnit(1, 2), ONE])])
+        assert not isinstance(g.codec, MonomialCodec) and len(g) == 8
+        assert properties._SpectralClosure(g).modulus == 4
+        assert_spectra_per_element(g)
+        report = has_property_s(g)
+        assert_matches_scan(report, reference_scan(len(g), reference_s(g)))
+        left, right = (g.elements[report.witness[k]] for k in ("left_index", "right_index"))
+        eigenvalue = CyclotomicUnit.from_json(report.witness["eigenvalue"])
+        assert eigenvalue in (left * right).spectrum()
+        assert eigenvalue not in left.spectrum().product(right.spectrum())
 
     def test_one_cycle_key_per_class(self, monkeypatch):
         keys = []
@@ -195,6 +211,136 @@ class TestPropertySHat:
     def test_nonabelian_pass_is_capped(self):
         report = has_property_s_hat_single(close(heisenberg_generators(3)))
         assert report.holds == "holds-capped"
+
+
+# every basic group B_p(c, e) (c <= p) of order at most 5**4
+BASIC_UP_TO_625 = [(p, c, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                   for c in range(1, p + 1) for e in range(1, 5)
+                   if p ** (e * (c + 1)) <= 625]
+
+
+def closure_per_character(p, c, e):
+    """(character, (S) report) of each induced representation of B_p(c, e),
+    one closure per character, in index order up to the first failure:
+    the decider before its orbit cut."""
+    reports = []
+    for chi in all_characters(p, c, e):
+        reports.append((chi, has_property_s(close(induced_rep_generators(p, c, e, chi)))))
+        if reports[-1][1].holds is False:
+            break
+    return reports
+
+
+class TestCharacterOrbits:
+    """``has_property_s_hat_basic`` closes one character per orbit under
+    the b-action and the Galois action, and reports what a closure per
+    character reports."""
+
+    @pytest.mark.parametrize("p, c, e", BASIC_UP_TO_625,
+                             ids=lambda v: str(v))
+    def test_matches_a_closure_per_character(self, p, c, e):
+        reports = closure_per_character(p, c, e)
+        report = has_property_s_hat_basic(p, c, e)
+        idx, (_, last) = len(reports) - 1, reports[-1]
+        assert report.holds is last.holds
+        if last.holds is False:
+            assert report.witness == {**last.witness, "representation_index": idx}
+        assert report.counters["reps_checked"] == len(reports)
+        assert report.counters["pairs_checked"] == sum(
+            r.counters["pairs_checked"] for _, r in reports)
+        assert report.counters["reps_evaluated"] <= len(reports)
+        # each orbit member shares the verdict and work of every other
+        by_character = dict(reports)
+        for chi, r in reports:
+            for other in properties._character_orbit(p, c, e, chi):
+                if other in by_character:
+                    assert (by_character[other].holds, by_character[other].counters) \
+                        == (r.holds, r.counters), (chi, other)
+
+    def test_closures_per_orbit(self, monkeypatch):
+        closures = []
+        monkeypatch.setattr(properties, "close",
+                            lambda gens, cap: closures.append(gens) or close(gens, cap))
+        report = has_property_s_hat_basic(5, 2, 1)
+        assert report.holds is True and report.counters["reps_checked"] == 25
+        assert len(closures) == report.counters["reps_evaluated"] == 3
+        # pairs_evaluated counts the pairs of the closures built, no others
+        assert report.counters["pairs_evaluated"] == sum(
+            has_property_s(close(gens)).counters["pairs_evaluated"] for gens in closures)
+
+    @pytest.mark.parametrize("p, c, e, passing", [
+        (2, 2, 1, 1), (2, 2, 2, 1), (3, 3, 1, 1), (3, 2, 1, 3), (5, 2, 1, 3)])
+    def test_orbits_only_of_passing_characters(self, p, c, e, passing, monkeypatch):
+        built = []
+        original = properties._character_orbit
+        monkeypatch.setattr(properties, "_character_orbit",
+                            lambda *args: built.append(args[-1]) or original(*args))
+        report = has_property_s_hat_basic(p, c, e)
+        assert len(built) == passing
+        assert report.counters["reps_evaluated"] == passing + (report.holds is False)
+
+    def test_orbits_of_b321(self):
+        # (x1, x2) -> (x1 + x2, x2) and scaling by the units 1, 2 of Z/3:
+        # three orbits, one closure each
+        orbits = [properties._character_orbit(3, 2, 1, chi)
+                  for chi in ((0, 0), (1, 0), (0, 1))]
+        assert orbits == [{(0, 0)}, {(1, 0), (2, 0)},
+                          {(x, y) for x in range(3) for y in (1, 2)}]
+        # Galois conjugation scales by units only: 3 is no unit of Z/9
+        orbit = properties._character_orbit(3, 2, 2, (0, 1))
+        assert {y for _, y in orbit} == {1, 2, 4, 5, 7, 8}
+
+
+def all_class_reps(g, classes, keys):
+    """``_unscaled_reps`` with the scalar skip switched off."""
+    return [cls[0] for cls in classes]
+
+
+def assert_scalar_skip_keeps_the_scan(g):
+    """(S) with the rows of scalar multiples skipped reports the verdict,
+    witness and ``pairs_checked`` of the scan over every representative,
+    and evaluates no more pairs."""
+    report = has_property_s(g)
+    with mock.patch.object(properties, "_unscaled_reps", all_class_reps):
+        scanned = has_property_s(g)
+    assert (report.holds, report.witness) == (scanned.holds, scanned.witness)
+    assert report.counters["pairs_checked"] == scanned.counters["pairs_checked"]
+    assert report.counters["pairs_evaluated"] <= scanned.counters["pairs_evaluated"]
+    return report, scanned
+
+
+class TestScalarRows:
+    """Row z*r of a scalar z fails (S) at the same y as row r, so the (S)
+    scan skips a representative r when some scalar z != 1 has rep(z*r) < r."""
+
+    @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
+                                      if entry.is_monomial])
+    def test_corpus(self, name):
+        assert_scalar_skip_keeps_the_scan(corpus()[name].group())
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    def test_random_groups(self, g):
+        assert_scalar_skip_keeps_the_scan(g)
+
+    def test_tensor_product_skips_rows(self):
+        entries = corpus()
+        g = close(_tensor_generators(entries["c4xc2"].gens(),
+                                     entries["heisenberg5"].gens()))
+        report, scanned = assert_scalar_skip_keeps_the_scan(g)
+        assert report.holds is True and len(g) == 1000
+        # one row per orbit of the scalars on the 232 classes: the least
+        # representative of each orbit is read, and 100 orbits remain
+        assert len(g.conjugacy_classes()) == 232
+        assert scanned.counters["pairs_evaluated"] == 232 * 1000
+        assert report.counters["pairs_evaluated"] == 100 * 1000
+
+    def test_a_class_closed_under_a_scalar_is_read(self, q8):
+        # -1 * diag(i, -i) = diag(-i, i) is conjugate to diag(i, -i), so
+        # its row is read; it holds the least failing pair
+        sc = properties._SpectralClosure(q8)
+        assert sc.rows == [0, 1, 2, 4]
+        assert has_property_s(q8).witness["left_index"] == 1
 
 
 class TestWp2:
@@ -416,6 +562,21 @@ class TestRegularity:
         assert report.counters["powers_checked"] == 2
         # the counters sum those of G and G^2
         parts = (is_regular(h3), is_regular(direct_power(h3, 2)))
+        for key in ("pairs_checked", "pairs_evaluated"):
+            assert report.counters[key] == sum(r.counters[key] for r in parts)
+
+    def test_v_regular_square_inherits_p_abelian(self, monkeypatch):
+        # G**2 is p-abelian exactly when G is: the square is built, but no
+        # power map of it, and the counters are those of the two scans
+        squares = []
+        monkeypatch.setattr(properties, "direct_power",
+                            lambda *args: squares.append(direct_power(*args)) or squares[-1])
+        g = basic_group(3, 2, 1)
+        report = is_v_regular_bounded(g, 2)
+        assert report.holds == "holds-capped" and len(squares) == 1
+        assert squares[0].p_abelian is True and not squares[0]._pow_cache
+        parts = (is_regular(basic_group(3, 2, 1)),
+                 is_regular(direct_power(basic_group(3, 2, 1), 2)))
         for key in ("pairs_checked", "pairs_evaluated"):
             assert report.counters[key] == sum(r.counters[key] for r in parts)
 
@@ -694,7 +855,8 @@ class TestOrbitScan:
         report = has_property_s(h5)
         assert report.holds is True
         assert report.counters["pairs_checked"] == 125 * 125
-        assert report.counters["pairs_evaluated"] == 29 * 125
+        # the rows of the 4 scalars other than 1 repeat the identity's row
+        assert report.counters["pairs_evaluated"] == 25 * 125
 
     @pytest.mark.parametrize("make", [
         lambda: close(diagonal_abelian_generators(3, [[1, 2, 0], [0, 1, 2]])),
