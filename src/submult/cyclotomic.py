@@ -10,11 +10,12 @@ eigenvalues of an l-cycle over p**k-th roots of unity live among
 (l * p**k)-th roots: no single ambient modulus is convenient.  Within one
 closure the lcm M of the generators' denominators serves: ``MonomialCodec``
 closes on ranked exponents mod M and interns spectra by cycle length and sum.
-Property (S) then fixes one modulus L for the whole closure, M times the
-lcm of its cycle lengths, and carries each spectrum as an int bitmask over
-Z/L (bit i set when i/L is an eigenvalue): containment is ``a & ~b == 0``
-and the product set is an OR of rotations.  ``Spectrum.from_mask`` turns
-a mask back into a spectrum, for witnesses.
+Property (S) then fixes one modulus L for the whole closure, the lcm of
+its cycle keys' orders, which is the group's exponent, and carries each
+spectrum as an int bitmask over Z/L (bit i set when i/L is an
+eigenvalue): containment is ``a & ~b == 0`` and the product set is an OR
+of rotations.  ``Spectrum.from_mask`` turns a mask back into a spectrum,
+for witnesses.
 """
 
 from __future__ import annotations

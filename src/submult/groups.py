@@ -28,14 +28,14 @@ of nilpotency class above its depth.  Power maps are built whole,
 composed where the exponent factors and otherwise one product per element
 that walks the tree path of its right factor; inverses and element orders
 follow the tree too, and conjugation by s is three gathers through row s
-and the inverses.  So element orders, the
-Omega/agemo levels, generated subgroups, the lower central series and the
-center, which ``analyze``, wp2 and the whole-group p1/p2 probe ask, need
-no n**2 table.  A group's size, and so its table's, is bounded by the cap
-its builder used.  ``p_abelian``, whether x -> x**p is an endomorphism,
-is decided on the generators alone: a few gathers of the p-th power map
-through each generator's permutation and along the tree path of its p-th
-power.
+and the inverses.  So element orders, the Omega/agemo levels, generated
+subgroups, the lower central series and the center, which ``analyze``,
+wp2 and the whole-group p1/p2 probe ask, need no n**2 table; the series
+is walked once per group, and the class and [G, G] read that walk.  A
+group's size, and so its table's, is bounded by the cap its builder used.
+``p_abelian``, whether x -> x**p is an endomorphism, is decided on the
+generators alone: a few gathers of the p-th power map through each
+generator's permutation and along the tree path of its p-th power.
 
 The subgroup lattice of a p-group runs on integer indices over the table:
 each subgroup of order p**(i+1) is one of order p**i extended by a single
@@ -453,22 +453,36 @@ class FiniteGroup:
         seeds = sorted({self.commutator(x, y) for x in a_gens for y in b_gens})
         return self.normal_closure(seeds, a_gens + b_gens)
 
+    @functools.cached_property
+    def _lower_central(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(members, gens) of G, [G,G], ..., walked once, up to the first
+        trivial term or the term a non-nilpotent G's series stalls at.
+        Tuples, since a cached Subgroup would hold G in a reference cycle."""
+        whole = term = self.whole_subgroup()
+        series = [(whole.members, whole.gens)]
+        while len(term) > 1:
+            nxt = self.commutator_subgroup(term, whole)
+            if len(nxt) == len(term):
+                break
+            term = nxt
+            series.append((term.members, term.gens))
+        return series
+
     def derived_subgroup(self) -> "Subgroup":
-        return self.commutator_subgroup(self.whole_subgroup(), self.whole_subgroup())
+        """[G, G]: G itself where the walk stalls at once (G perfect)."""
+        series = self._lower_central
+        return Subgroup(self, *series[1 if len(series) > 1 else 0])
 
     def lower_central_series(self) -> list["Subgroup"]:
         """[G, [G,G], [[G,G],G], ...] down to the trivial subgroup."""
-        series = [self.whole_subgroup()]
-        whole = series[0]
-        while len(series[-1].members) > 1:
-            nxt = self.commutator_subgroup(series[-1], whole)
-            if nxt.members == series[-1].members:
-                raise ValueError("lower central series stalled: group not nilpotent")
-            series.append(nxt)
-        return series
+        self.nilpotency_class()  # raises where the series stalls
+        return [Subgroup(self, *term) for term in self._lower_central]
 
     def nilpotency_class(self) -> int:
-        return len(self.lower_central_series()) - 1
+        series = self._lower_central
+        if len(series[-1][0]) > 1:
+            raise ValueError("lower central series stalled: group not nilpotent")
+        return len(series) - 1
 
     def center(self) -> "Subgroup":
         """The elements that conjugation by every generator fixes."""

@@ -39,7 +39,8 @@ through the kernel's ``mul`` and its subgroup closures.  The section
 scans read the whole table, and so does ``is_engel``, whose brackets
 multiply arbitrary pairs, but only on a group of nilpotency class above
 the depth k: a class c <= k settles every pair, since [x, y, ..., y] lies
-in gamma_(k+1) = 1.  The conjugacy classes are walked once per group and
+in gamma_(k+1) = 1, the class read off the group's one cached walk of its
+lower central series.  The conjugacy classes are walked once per group and
 cached (``FiniteGroup.conjugacy_classes``); (S) reads one cycle key per
 class off its least member, and its masks live over the lcm of the keys'
 orders, the group's exponent, whatever the order of the entries.
@@ -56,9 +57,9 @@ characters keep (S) but not the image's order, and are not used.
 Irreducibility is exact: the character norm is summed in integers from
 the codes' fixed-point entries, each root of unity of order q weighted by
 its rational part mu(q)/phi(q) (``is_irreducible``); no element is
-decoded and no float enters.  ``chi_containment`` finds the standard
-cycle by its code and decodes only the members of the lower central
-terms it reads, one at a time.
+decoded and no float enters.  ``chi_containment`` reads the same walk on
+g itself, not on the diagonal conjugate that holds the standard cycle: it
+builds no group and decodes only the members of the terms it reads.
 
 A p-abelian group, where x -> x**p is an endomorphism
 (``FiniteGroup.p_abelian``, tested on the generators), passes
@@ -88,7 +89,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cyclotomic import ONE, Spectrum
+from .cyclotomic import Spectrum
 from .families import (all_characters, big_cycle, check_basic_order,
                        induced_rep_generators)
 from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
@@ -137,20 +138,27 @@ class PropertyReport:
 RowCheck = Callable[[int], int | None]
 
 
-def _scan_pairs(g: FiniteGroup, first_failure: RowCheck,
-                reps: Sequence[int] | None = None
-                ) -> tuple[tuple[int, int] | None, dict[str, int]]:
+def _first_true(flags: Iterable) -> int | None:
+    """Index of the first truthy flag, or None."""
+    return next(compress(count(), flags), None)
+
+
+def _pair_report(prop: str, g: FiniteGroup, first_failure: RowCheck,
+                 details: Callable[[int, int], dict],
+                 reps: Sequence[int] | None = None) -> PropertyReport:
     """Decide a pair predicate that is unchanged by simultaneous
     conjugation on every ordered pair of g, given as its row function:
     ``first_failure(x)`` is the least y whose pair (x, y) fails, or None.
+    Reports True, or False with the least failing pair as witness,
+    extended by ``details(i, j)``.
 
     Only the rows of class representatives r (least class members) are
     evaluated, in ascending order.  The first failure (r, y) found is the
     least failing pair: each x < r shares its class with a representative
-    below r, whose row passed, so x's row passes too.  Returns that pair
-    and the counters ``pairs_checked`` (n**2 on a pass, the ascending count
-    up to the witness on a failure) and ``pairs_evaluated`` (the pairs of
-    the evaluated rows, the failing row counted up to its witness).
+    below r, whose row passed, so x's row passes too.  The counters are
+    ``pairs_checked`` (n**2 on a pass, the ascending count up to the
+    witness on a failure) and ``pairs_evaluated`` (the pairs of the
+    evaluated rows, the failing row counted up to its witness).
 
     ``reps``, ascending, may leave out a representative whose row fails
     exactly when a lower representative's row does (by default none is
@@ -163,34 +171,18 @@ def _scan_pairs(g: FiniteGroup, first_failure: RowCheck,
     for t, r in enumerate(reps):
         y = first_failure(r)
         if y is not None:
-            return (r, y), {"pairs_checked": r * n + y + 1,
-                            "pairs_evaluated": t * n + y + 1}
-    return None, {"pairs_checked": n * n, "pairs_evaluated": len(reps) * n}
-
-
-def _first_true(flags: Iterable) -> int | None:
-    """Index of the first truthy flag, or None."""
-    return next(compress(count(), flags), None)
-
-
-def _pair_report(prop: str, g: FiniteGroup, first_failure: RowCheck,
-                 details: Callable[[int, int], dict],
-                 reps: Sequence[int] | None = None) -> PropertyReport:
-    """Report of ``_scan_pairs(g, first_failure, reps)``: True, or False
-    with the least failing pair as witness, extended by ``details(i, j)``."""
-    fail, counters = _scan_pairs(g, first_failure, reps)
-    if fail is None:
-        return PropertyReport(prop, True, counters=counters)
-    i, j = fail
-    witness = {"left_index": i, "right_index": j,
-               "left": g.describe(i), "right": g.describe(j), **details(i, j)}
-    return PropertyReport(prop, False, witness=witness, counters=counters)
+            witness = {"left_index": r, "right_index": y,
+                       "left": g.describe(r), "right": g.describe(y), **details(r, y)}
+            return PropertyReport(prop, False, witness=witness, counters={
+                "pairs_checked": r * n + y + 1, "pairs_evaluated": t * n + y + 1})
+    return PropertyReport(prop, True, counters={
+        "pairs_checked": n * n, "pairs_evaluated": len(reps) * n})
 
 
 def _all_pairs_pass(g: FiniteGroup) -> dict[str, int]:
-    """The counters of ``_scan_pairs`` for a predicate that every pair of g
-    is known to pass, so none is evaluated.  Not a shortcut inside
-    ``_scan_pairs``: order divisibility can fail on abelian groups."""
+    """The counters of ``_pair_report`` for a predicate that every pair of
+    g is known to pass, so none is evaluated.  Not a shortcut inside
+    ``_pair_report``: order divisibility can fail on abelian groups."""
     return {"pairs_checked": len(g) ** 2, "pairs_evaluated": 0}
 
 
@@ -206,7 +198,7 @@ def _unscaled_reps(g: FiniteGroup, classes: Sequence[tuple[int, ...]],
     z multiplies every eigenvalue of z*r and of z*r*y by w, so the pair
     (z*r, y) fails (S) exactly when (r, y) does, and the row of rep(z*r),
     a conjugate of row z*r, fails exactly when row r does
-    (``_scan_pairs``).  The products z*r are read off the scalars' rows."""
+    (``_pair_report``).  The products z*r are read off the scalars' rows."""
     reps = [cls[0] for cls in classes]
     scalars = [r for r, key in zip(reps, keys)
                if key[0] == key[-1] and key[0][0] == 1 and key[0][1]]
@@ -700,37 +692,22 @@ def is_p_abelian(g: FiniteGroup) -> PropertyReport:
         lambda i, j: {"prime": p, "explanation": "(xy)^p differs from x^p y^p"})
 
 
-def _class_at_most(g: FiniteGroup, k: int) -> int | None:
-    """The nilpotency class c of g when c <= k, else None.
-
-    Builds gamma_2, gamma_3, ... and stops at the first trivial term, at
-    gamma_(k+1), or at a term equal to the one before it: the series
-    stalls there, and g is not nilpotent."""
-    whole = g.whole_subgroup()
-    term = whole
-    for c in range(1, k + 1):
-        nxt = g.commutator_subgroup(term, whole)
-        if len(nxt) == 1:
-            return c
-        if len(nxt) == len(term):
-            return None
-        term = nxt
-    return None
-
-
 def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
     """The k-fold iterated commutator [x, y, y, ..., y] is trivial for all
     pairs.  An abelian g passes without a pair evaluated: every commutator
     in it is trivial.  So does a g of nilpotency class c <= k, whose
     counters carry c as ``class``: [x, y, ..., y] lies in gamma_(k+1),
-    which is trivial.  Only a g of class above k, or not nilpotent, reads
-    the Cayley table and scans its pairs."""
+    which is trivial.  Only a g of class above k (``nilpotency_class``),
+    or not nilpotent, reads the Cayley table and scans its pairs."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.is_abelian():
         return PropertyReport("engel", True, counters=_all_pairs_pass(g))
-    klass = _class_at_most(g, k) if k >= 2 else None
-    if klass is not None:
+    try:
+        klass = g.nilpotency_class() if k >= 2 else None
+    except ValueError:  # the series stalls: g is not nilpotent
+        klass = None
+    if klass is not None and klass <= k:
         return PropertyReport("engel", True,
                               counters={**_all_pairs_pass(g), "class": klass})
     table, inv, n = g.full_table(), g.inverses(), len(g)
@@ -849,34 +826,6 @@ def is_irreducible(g: FiniteGroup) -> bool:
     return sum(count * mu * (scale // phi) for count, mu, phi in terms) == len(g) * scale
 
 
-def _normalize_cycle_to_standard(g: FiniteGroup, p: int) -> FiniteGroup:
-    """Return g conjugated (diagonally) so that the plain p-cycle is a group
-    element; requires some element with the standard cycle permutation and
-    entry product 1.  Elements are found by their codes where g has a
-    ``MonomialCodec`` and decoded one at a time."""
-    standard = big_cycle(p, 1)
-    monomial = isinstance(g.codec, MonomialCodec)
-    if (g.codec.encode(standard) if monomial else standard) in g.codes:
-        return g
-    cycle_perm = standard.perm
-    for i, code in enumerate(g.codes):
-        if (code[0] if monomial else code.perm) != cycle_perm:
-            continue
-        el = _element(g, i)
-        # diagonal similarity E with E^-1 el E = standard cycle:
-        # e_{j+1} = e_j * entry_j, consistent since the entries multiply to 1
-        diag = [ONE]
-        for j in range(p - 1):
-            diag.append(diag[-1] * el.entries[j])
-        total = diag[-1] * el.entries[p - 1]
-        if total != diag[0]:
-            continue
-        e_mat = MonomialMatrix.diagonal(diag)
-        e_inv = e_mat.inverse()
-        return close([e_inv * _element(g, s) * e_mat for s in g.gens], len(g))
-    raise ValueError("no element is diagonally similar to the standard cycle")
-
-
 def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
     """For an irreducible exponent-p monomial group of prime degree p that
     contains the standard cycle (up to diagonal similarity): the diagonal
@@ -884,18 +833,30 @@ def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
     the j-th power of (identity - rotation) over Z/p.
 
     ``j = None`` checks every level up to the nilpotency class.
-    """
+
+    An element on the cycle's permutation with cycle key ((p, 0),) is the
+    cycle conjugated by a diagonal E, which fixes diagonal matrices and
+    keeps the others off the diagonal: so g's own lower central terms are
+    read, not the conjugate's, and only their members are decoded."""
     p = _degree(g)
     if not is_prime(p):
         raise ValueError(f"degree {p} is not prime")
-    std = _normalize_cycle_to_standard(g, p)
-    if std.p_group_base()[0] != p:
+    cycle_perm, cycle_key = big_cycle(p, 1).perm, ((p, 0),)
+    if isinstance(g.codec, MonomialCodec):
+        found = any(code[0] == cycle_perm and g.codec.cycle_key(code) == cycle_key
+                    for code in g.codes)
+    else:
+        found = any(el.perm == cycle_perm and el.cycle_data()[1] == cycle_key
+                    for el in g.codes)
+    if not found:
+        raise ValueError("no element is diagonally similar to the standard cycle")
+    if g.p_group_base()[0] != p:
         raise ValueError("closure is not a p-group for the matrix degree")
-    if std.exponent() != p:
-        raise ValueError(f"closure has exponent {std.exponent()}, expected {p}")
+    if g.exponent() != p:
+        raise ValueError(f"closure has exponent {g.exponent()}, expected {p}")
     if not is_irreducible(g):
         raise ValueError("closure is not irreducible")
-    series = std.lower_central_series()
+    series = g.lower_central_series()
     klass = len(series) - 1
     levels = [j] if j is not None else list(range(1, klass + 1))
     elements_checked = 0
@@ -906,7 +867,7 @@ def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
             continue
         basis = rotation_difference_image(p, min(level, p))
         for idx in series[level].members:
-            el = _element(std, idx)
+            el = _element(g, idx)
             if not el.is_diagonal():
                 raise ValueError(
                     f"lower central term {level} contains a non-diagonal element")
@@ -914,7 +875,7 @@ def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
             elements_checked += 1
             if not in_row_span(basis, vec, p):
                 witness = {"level": level, "element_index": idx,
-                           "element": std.describe(idx),
+                           "element": g.describe(idx),
                            "exponents": list(vec),
                            "basis": [list(r) for r in basis],
                            "explanation": "exponent vector escapes the "

@@ -2,9 +2,11 @@
 and the power-structure subgroups."""
 
 import functools
+import gc
 import math
 import operator
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -167,6 +169,39 @@ class TestSeries:
                     for x in term.members:
                         for gen in g.gens:
                             assert g.commutator(x, gen) in nxt
+
+    @pytest.mark.parametrize("perms, derived", [
+        ([(1, 2, 0, 3, 4), (0, 2, 3, 1, 4), (0, 1, 3, 4, 2)], 60),
+        ([(1, 0, 2), (1, 2, 0)], 3)], ids=["a5", "s3"])
+    def test_derived_subgroup_of_a_group_not_nilpotent(self, perms, derived):
+        # A5 is perfect, so the walk stalls at G at once; S3 stalls at A3.
+        # The derived subgroup is still [G, G] by its definition
+        g = close([MonomialMatrix.from_perm(p) for p in perms])
+        whole = g.whole_subgroup()
+        expected = g.commutator_subgroup(whole, whole).members
+        assert g.derived_subgroup().members == expected
+        assert len(expected) == derived
+        with pytest.raises(ValueError, match="stalled"):
+            g.lower_central_series()
+        with pytest.raises(ValueError, match="stalled"):
+            g.nilpotency_class()
+
+    def test_walked_series_keeps_no_reference_cycle(self):
+        # a group is freed when its last reference goes, as before its
+        # series was cached, not when the cyclic collector next runs
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = basic_group(3, 2, 1)
+            g.nilpotency_class()
+            g.lower_central_series()
+            g.derived_subgroup()
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_series_orders_strictly_decrease(self, w3):
         orders = [len(t) for t in w3.lower_central_series()]

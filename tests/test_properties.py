@@ -21,8 +21,8 @@ from submult.families import (all_characters, basic_group, big_cycle,
                               dihedral_generators, heisenberg_generators,
                               induced_rep_generators, quaternion_generators,
                               wreath_generators)
-from submult.groups import (FiniteGroup, Subgroup, close, direct_power,
-                            direct_product, least_prime_factor,
+from submult.groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Subgroup, close,
+                            direct_power, direct_product, least_prime_factor,
                             prime_power_base)
 from submult.monomial import MonomialCodec, MonomialMatrix
 from submult.properties import (PropertyReport, chi_containment, has_p1, has_p2,
@@ -815,8 +815,9 @@ def assert_p_group_scans_match(g):
     for k in (1, 2, 3):
         report = is_engel(g, k)
         assert_matches_scan(report, reference_scan(n, reference_engel(g, k)))
-        with mock.patch.object(properties, "_class_at_most",
-                               lambda *args: None):
+        # a class above every k tested leaves each verdict to the scan
+        with mock.patch.object(FiniteGroup, "nilpotency_class",
+                               lambda self: 4):
             scanned = is_engel(g, k)
         assert (report.holds, report.witness) == (scanned.holds, scanned.witness)
         assert report.counters["pairs_checked"] == scanned.counters["pairs_checked"]
@@ -1189,6 +1190,20 @@ class TestPAbelianGenerators:
             assert decide(g).holds is not False
 
 
+def record_commutator_subgroups(monkeypatch):
+    """The orders of the first arguments of every
+    ``FiniteGroup.commutator_subgroup`` call from now on, in call order."""
+    calls = []
+    original = FiniteGroup.commutator_subgroup
+
+    def recording(self, a, b):
+        calls.append(len(a))
+        return original(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "commutator_subgroup", recording)
+    return calls
+
+
 def S3():
     """The symmetric group on three points as permutation matrices."""
     return close([MonomialMatrix.from_perm((1, 0, 2)),
@@ -1226,17 +1241,25 @@ class TestEngel:
         (lambda: S3(), 7, [6, 3])], ids=["h5", "s3"])
     def test_class_test_stops_early(self, make, k, orders, monkeypatch):
         # at the first trivial term, or where the series stalls (S3 at A3)
-        calls = []
-        original = FiniteGroup.commutator_subgroup
-
-        def recording(self, a, b):
-            calls.append(len(a))
-            return original(self, a, b)
-
         g = make()
-        monkeypatch.setattr(FiniteGroup, "commutator_subgroup", recording)
+        calls = record_commutator_subgroups(monkeypatch)
         is_engel(g, k)
         assert calls == orders
+
+    @pytest.mark.parametrize("make", [
+        lambda: close(heisenberg_generators(5)), lambda: basic_group(3, 2, 1),
+        lambda: close(wreath_generators(3))], ids=["h5", "b321", "w3"])
+    def test_one_series_walk_per_group(self, make, monkeypatch):
+        # the class, the series and the derived subgroup read the walk
+        # that is_engel made: no commutator subgroup is built again
+        g = make()
+        calls = record_commutator_subgroups(monkeypatch)
+        is_engel(g, 2)
+        walked = list(calls)
+        g.nilpotency_class()
+        g.derived_subgroup()
+        g.lower_central_series()
+        assert walked and calls == walked
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     def test_symmetric_group_matches_the_scan(self, k):
@@ -1298,6 +1321,56 @@ class TestChiContainment:
         report = chi_containment(close([twisted, diag]))
         assert report.holds is True
 
+    @pytest.mark.parametrize("make, elements_checked", [
+        (lambda: close(heisenberg_generators(3)), 4),
+        (lambda: close(heisenberg_generators(5)), 6),
+        (lambda: close([MonomialMatrix(3, (1, 2, 0), (W3, W3, W3)),
+                        MonomialMatrix.diagonal([ONE, W3, W3 * W3])]), 4),
+        (lambda: hidden_cycle_group(9, DEFAULT_CLOSURE_CAP), 4),
+        (lambda: hidden_cycle_group(99, 64), 4)],
+        ids=["h3", "h5", "twisted-cycle", "hidden-cycle", "hidden-cycle-generic"])
+    def test_builds_no_group(self, make, elements_checked, monkeypatch):
+        # g's own lower central terms are read, not those of a conjugate
+        # holding the standard cycle: nothing is closed
+        g = make()
+        built = []
+        original_close, original_init = properties.close, FiniteGroup.__init__
+
+        def closing(*args, **kwargs):
+            built.append("close")
+            return original_close(*args, **kwargs)
+
+        def init(self, *args, **kwargs):
+            built.append("FiniteGroup")
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(properties, "close", closing)
+        monkeypatch.setattr(FiniteGroup, "__init__", init)
+        report = chi_containment(g)
+        assert built == []
+        assert report.holds is True
+        assert report.counters == {"elements_checked": elements_checked,
+                                   "levels_checked": 2, "class": 2}
+
+    def test_hidden_cycle_is_not_an_element(self):
+        # the conjugate's cycle entries are 9th and 99th roots: no element
+        # is the standard cycle itself, only diagonally similar to it
+        for den, cap in ((9, DEFAULT_CLOSURE_CAP), (99, 64)):
+            g = hidden_cycle_group(den, cap)
+            assert big_cycle(3, 1) not in g.elements
+            assert len(g) == 27 and g.exponent() == 3
+
+    @pytest.mark.parametrize("den, cap", [(9, DEFAULT_CLOSURE_CAP), (99, 64)],
+                             ids=["codes", "generic"])
+    def test_rejects_cycles_of_entry_product_not_one(self, den, cap):
+        # a cyclic group of order 9: every element on the cycle's
+        # permutation has entry product w, so none is similar to the cycle
+        z = CyclotomicUnit(1, den)
+        g = close([MonomialMatrix(3, (1, 2, 0), (z, z.inverse() * W3, ONE))], cap)
+        assert len(g) == 9
+        with pytest.raises(ValueError, match="diagonally similar"):
+            chi_containment(g)
+
     def test_rejects_wrong_exponent(self):
         with pytest.raises(ValueError):
             chi_containment(close(wreath_generators(3)))
@@ -1334,6 +1407,15 @@ class TestChiContainment:
         assert report.holds is True
         assert report.counters["elements_checked"] == elements_checked
         assert len(decoded) < len(g)
+
+
+def hidden_cycle_group(den, cap):
+    """heisenberg3 conjugated by diag(1, z, z**2), z = exp(2*pi*i/den): it
+    holds no standard cycle, only the cycle conjugated by that diagonal.
+    Closed on the generic path when den passes the cap."""
+    z = CyclotomicUnit(1, den)
+    e = MonomialMatrix.diagonal([ONE, z, z * z])
+    return close([e.inverse() * gen * e for gen in heisenberg_generators(3)], cap)
 
 
 def float_character_norm(g):
