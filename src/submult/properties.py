@@ -698,7 +698,8 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
     in it is trivial.  So does a g of nilpotency class c <= k, whose
     counters carry c as ``class``: [x, y, ..., y] lies in gamma_(k+1),
     which is trivial.  Only a g of class above k (``nilpotency_class``),
-    or not nilpotent, reads the Cayley table and scans its pairs."""
+    or not nilpotent, reads the Cayley table and scans its pairs; a row's
+    scan stops at the first bracket level that repeats an earlier one."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.is_abelian():
@@ -711,19 +712,27 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
         return PropertyReport("engel", True,
                               counters={**_all_pairs_pass(g), "class": klass})
     table, inv, n = g.full_table(), g.inverses(), len(g)
+    brackets: tuple[int, ...] = ()
 
     def first_failure(x: int) -> int | None:
-        # brackets[y] = [x, y, ..., y], one commutator with y per level
-        brackets = [x] * n
-        for _ in range(k):
-            brackets = [table[table[inv[t]][inv[y]]][table[t][y]]
-                        for y, t in enumerate(brackets)]
+        # brackets[y] = [x, y, ..., y], one commutator with y per level.
+        # A level is a function of the one before, so once a level repeats
+        # an earlier one the levels cycle, and level k is read off the cycle
+        nonlocal brackets
+        brackets = (x,) * n
+        levels = {brackets: 0}  # level vector -> depth, in depth order
+        for depth in range(1, k + 1):
+            brackets = tuple([table[table[inv[t]][inv[y]]][table[t][y]]
+                              for y, t in enumerate(brackets)])
+            first = levels.setdefault(brackets, depth)
+            if first < depth:
+                brackets = list(levels)[first + (k - first) % (depth - first)]
+                break
         return _first_true(map(operator.ne, brackets, repeat(g.identity)))
 
     return _pair_report(
         "engel", g, first_failure,
-        lambda i, j: {"depth": k,
-                      "bracket": g.describe(g.engel_bracket(i, j, k)),
+        lambda i, j: {"depth": k, "bracket": g.describe(brackets[j]),
                       "explanation": "iterated commutator does not vanish"})
 
 
@@ -737,6 +746,12 @@ def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
             counters={"pairs_checked": 0, "pairs_evaluated": 0},
             caps=["vacuous: the closure fails property s, so the "
                   "divisibility is not asserted"])
+    return _order_divisibility(g)
+
+
+def _order_divisibility(g: FiniteGroup) -> PropertyReport:
+    """The scan behind ``order_submultiplicativity``, with no (S) test: for
+    a caller that already knows g has property (S)."""
     orders = [g.element_order(i) for i in range(len(g))]
     return _pair_report(
         "order-divisibility", g,

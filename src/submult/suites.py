@@ -30,10 +30,10 @@ from .families import (basic_group, big_cycle, cyclic_generator,
                        quaternion_generators, wreath_generators)
 from .groups import FiniteGroup, close, direct_product, is_prime
 from .monomial import MonomialMatrix, rotation_difference_image
-from .properties import (PropertyReport, chi_containment, has_property_s,
-                         has_property_s_hat_basic, has_wp2, is_engel,
-                         is_irreducible, is_regular, is_v_regular_bounded,
-                         order_submultiplicativity)
+from .properties import (PropertyReport, _order_divisibility, chi_containment,
+                         has_property_s, has_property_s_hat_basic, has_wp2,
+                         is_engel, is_irreducible, is_regular,
+                         is_v_regular_bounded)
 
 
 @dataclass
@@ -396,7 +396,8 @@ def suite_t7(config: RunConfig) -> list[CriterionResult]:
         if entry.s_report().holds is True:
             suite.check(f"s => wp2 for {entry.name}",
                         has_wp2(entry.group()).holds is True)
-            divisibility = order_submultiplicativity(entry.group())
+            # (S) holds, as the cached report says: scan with no (S) rerun
+            divisibility = _order_divisibility(entry.group())
             suite.check(f"s => |AB| divides max(|A|,|B|) for {entry.name}",
                         divisibility.holds is True
                         and divisibility.counters.get("pairs_checked", 0) > 0)
@@ -457,21 +458,15 @@ def suite_t8(config: RunConfig) -> list[CriterionResult]:
 
 def regular_first_failure_by_definition(g: FiniteGroup
                                         ) -> tuple[int, int] | None:
-    """Literal re-implementation of the regularity definition.
+    """Literal re-implementation of the regularity definition: returns the
+    least failing ordered pair, else None.
 
-    Kept deliberately independent of the main decision path: inverses come
-    from row scans, pair subgroups are closed from <x> by multiplying with
-    y, derived subgroups are the word closure of commutators computed
-    inline, p-th powers are repeated multiplication, and z is
-    scanned exhaustively.  Nothing is shared with ``is_regular``: no
-    conjugacy classes, no z = 1 test, no derived-subgroup search from
-    ``properties``.  Only memoization is added so corpus-sized groups finish.
-
-    <x, y> = <y, x>, so pairs are walked with x <= y and both orientations
-    (x, y) and (y, x) are tested, with no symmetry assumed between them.
-    Once x exceeds the first entry of the least failure found, every
-    ordered pair that could be smaller has been tested.  Returns the least
-    failing ordered pair, else None.
+    Kept deliberately independent of ``is_regular``: inverses come from
+    row scans, pair subgroups are closed from <x> by multiplying with y,
+    derived subgroups are the word closure of commutators computed
+    inline, p-th powers are repeated multiplication, and z is scanned
+    exhaustively.  No conjugacy classes, no z = 1 pre-test and no
+    derived-subgroup search from ``properties`` are used.
 
     <x, y> is the union of the left cosets t<x> it meets, and it is closed
     under right multiplication by x and by y.  So it is grown from <x>:
@@ -482,92 +477,82 @@ def regular_first_failure_by_definition(g: FiniteGroup
     commutators [x^i, y^j]: they lie in D, and the subgroup they generate,
     [<x>, <y>], is normal in <x, y> with an abelian quotient, so it holds D.
 
-    For a fixed x, <x, x^i y^k x^j> = <x, y> for all i, j >= 0 and every k
-    prime to the order of y: the element lies in <x, y>, and y is a power of
-    y^k, reached from x^i y^k x^j by multiplying with powers of x, as x^-1
-    is a power of x in a finite group.  This uses associativity and
-    finiteness but nothing about the group at hand, so the marking is sound
-    on any finite group and not on a non-associative table.  <x, y> is
-    closed once per class of such elements: every y^k with k prime to the
-    order of y, with its double coset <x> y^k <x>, is recorded with the
-    p-th powers of the closure's derived subgroup before any further y is
-    closed.  A power y^k with k not prime to the order may generate less
-    with x, so it is closed on its own.
+    Pairs are grouped by two facts that use associativity and finiteness
+    but nothing about the group at hand, so the grouping is sound on any
+    finite group and not on a non-associative table.  <x^m> = <x> for m
+    prime to the order of x, so <x, y> and D depend on <x> and y alone:
+    they are built once per cyclic subgroup, when the walk meets its least
+    generator x0.  And <x0, x0^i y^k x0^j> = <x0, y> for i, j >= 0 and k
+    prime to the order of y, as y is a power of y^k, reached by multiplying
+    with powers of x0: one closure serves the double cosets <x0> y^k <x0>
+    (a y^k with k not prime to the order is closed on its own).  Once
+    every y >= x0 has its set of z^p, each generator x of <x0> is tested
+    against all of them at once, in both orientations (x, y) and (y, x),
+    with no symmetry assumed.  When the walk meets x0, every ordered pair
+    with a smaller first entry has been tested, from the cyclic subgroup of
+    its first entry or, as (y, x), of its second; a generator tested early
+    adds only true failures.
 
-    The pair test reads the formula as written: some z^p in that set gives
-    (ab)^p = a^p b^p z^p, each product looked up in row a^p b^p.  It is
-    not rewritten as (a^p b^p)^-1 (ab)^p lying in the set, which holds only
-    where inverses and associativity do: on a loop's table the two differ,
-    and the oracle must read the formula alone.
+    The pair test reads the formula as written: some z^p in the set has
+    a^p b^p z^p = (ab)^p, z = e first as a plain comparison (e^p = e is in
+    every set), each other product read off the column of z^p.  It is not
+    rewritten as (a^p b^p)^-1 (ab)^p lying in the set, which holds only
+    where inverses and associativity do: on a loop's table the two differ.
     """
     n = len(g)
     if n == 1:
         return None
-    table = g.full_table()
-    e = g.identity
-    order = n
-    p = 2
-    while order % p:
-        p += 1
-
-    def ppow(x: int) -> int:
-        r = e
-        for _ in range(p):
-            r = table[r][x]
-        return r
-
+    table, e = g.full_table(), g.identity
+    p = next(q for q in range(2, n + 1) if n % q == 0)
     inv = [row.index(e) for row in table]
-    pth = [ppow(x) for x in range(n)]
+    pth = [e] * n
+    for _ in range(p):  # x -> x^p, by repeated multiplication
+        pth = [table[r][x] for x, r in enumerate(pth)]
+    columns: dict[int, list[int]] = {}  # p-th power z -> column z
+
+    def column(z: int) -> list[int]:
+        if z not in columns:
+            columns[z] = list(map(itemgetter(z), table))
+        return columns[z]
+
+    def gather(at: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+        return itemgetter(*at) if len(at) > 1 else lambda s: (s[at[0]],)
 
     def word_closure(gens: tuple[int, ...]) -> tuple[int, ...]:
-        members = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                row = table[x]
-                for s in gens:
-                    y = row[s]
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        members, walk = {e}, [e]
+        for x in walk:  # walk grows while it is read
+            row = table[x]
+            for s in gens:
+                if row[s] not in members:
+                    members.add(row[s])
+                    walk.append(row[s])
         return tuple(sorted(members))
 
-    zp_sets: dict[tuple[int, ...], frozenset[int]] = {}
+    def least_failure(ys: Sequence[int], got: tuple, base: tuple,
+                      zp_columns: list[list[int]]) -> int | None:
+        left = [(y, b, t) for y, b, t in zip(ys, base, got) if b != t]
+        for col in zp_columns:
+            left = [(y, b, t) for y, b, t in left if col[b] != t]
+        return left[0][0] if left else None  # ys ascend
 
-    def zp_of(members: tuple[int, ...], x_powers: list[int],
-              y_powers: list[int]) -> frozenset[int]:
-        got = zp_sets.get(members)
-        if got is None:
-            commutators = tuple(sorted(
-                {table[table[inv[a]][inv[b]]][table[a][b]]
-                 for a in x_powers for b in y_powers}))
-            derived = word_closure(commutators)
-            got = zp_sets[members] = frozenset(pth[z] for z in derived)
-        return got
-
+    zp_sets: dict[tuple[int, ...], frozenset[int]] = {}  # <x, y> -> D^p
+    interned: dict[frozenset[int], frozenset[int]] = {}  # one copy per D^p
     least: tuple[int, int] | None = None
-    for x in range(n):
-        if least is not None and least[0] < x:
+    done = [False] * n
+    for x0 in range(n):
+        if least is not None and least[0] < x0:
             break
-        row_x = table[x]
-        px = pth[x]
-        row_px = table[px]
-        cyclic = [e]  # <x>, as the powers e, x, x^2, ...
-        r = x
-        while r != e:
-            cyclic.append(r)
-            r = table[r][x]
-        if len(cyclic) > 1:
-            coset_of = itemgetter(*cyclic)  # row t -> left coset t<x>
-        else:
-            coset_of = lambda row: (row[e],)  # x = e: itemgetter(e) gives no tuple
+        if done[x0]:
+            continue
+        cyclic = [e]  # <x0>, as the powers e, x0, x0^2, ...
+        while table[cyclic[-1]][x0] != e:
+            cyclic.append(table[cyclic[-1]][x0])
+        coset_of = gather(cyclic)  # row t -> left coset t<x0>
         known: dict[int, frozenset[int]] = {}
-        for y in range(x, n):
-            zp = known.get(y)
-            if zp is None:
-                # grow <x, y> from <x> one left coset t<x> at a time
+        classes: dict[frozenset[int], list[int]] = {}  # D^p -> ys
+        for y in range(x0, n):
+            if y not in known:
+                # grow <x0, y> from <x0> one left coset t<x0> at a time
                 members = set(cyclic)
                 walk = list(cyclic)
                 for m in walk:  # walk grows while it is read
@@ -579,31 +564,44 @@ def regular_first_failure_by_definition(g: FiniteGroup
                 powers = [y]  # y, y^2, ..., e
                 while powers[-1] != e:
                     powers.append(table[powers[-1]][y])
-                zp = zp_of(tuple(sorted(members)), cyclic, powers)
-                # <x, y^k> = <x, y> when gcd(k, ord y) = 1; mark each such
-                # y^k with its double coset <x> y^k <x>, reached by
-                # multiplying with x on the left and on the right
-                order_y = len(powers)
+                pair = tuple(sorted(members))
+                zp = zp_sets.get(pair)
+                if zp is None:
+                    commutators = tuple(sorted(
+                        {table[table[inv[a]][inv[b]]][table[a][b]]
+                         for a in cyclic for b in powers}))
+                    zp = frozenset(pth[z] for z in word_closure(commutators))
+                    zp = zp_sets[pair] = interned.setdefault(zp, zp)
+                # mark each y^k, gcd(k, ord y) = 1, with its double coset
+                # <x0> y^k <x0>, reached by multiplying with x0 on both sides
                 for k, yk in enumerate(powers, 1):
-                    if yk in known or gcd(k, order_y) != 1:
+                    if yk in known or gcd(k, len(powers)) != 1:
                         continue
                     known[yk] = zp
                     coset = [yk]
                     for m in coset:  # coset grows while it is walked
-                        for t in (row_x[m], table[m][x]):
+                        for t in (table[x0][m], table[m][x0]):
                             if t not in known:
                                 known[t] = zp
                                 coset.append(t)
-            py = pth[y]
-            row_base = table[row_px[py]]
-            if pth[row_x[y]] not in map(row_base.__getitem__, zp):
-                if least is None or (x, y) < least:
+            classes.setdefault(known[y], []).append(y)
+        tests = [(ys, gather(ys), gather(gather(ys)(pth)),
+                  [column(z) for z in sorted(zp) if z != e])
+                 for zp, ys in classes.items()]
+        for m, x in enumerate(cyclic):
+            if gcd(m, len(cyclic)) != 1:
+                continue
+            done[x] = True  # x generates <x0>
+            row_p, col_p = table[pth[x]], column(pth[x])
+            xy_p = itemgetter(*table[x])(pth)  # y -> (xy)^p
+            yx_p = itemgetter(*map(itemgetter(x), table))(pth)  # y -> (yx)^p
+            for ys, at_ys, at_pys, zp_columns in tests:
+                y = least_failure(ys, at_ys(xy_p), at_pys(row_p), zp_columns)
+                if y is not None and (least is None or (x, y) < least):
                     least = (x, y)
-            if y != x:
-                row_base = table[table[py][px]]
-                if pth[table[y][x]] not in map(row_base.__getitem__, zp):
-                    if least is None or (y, x) < least:
-                        least = (y, x)
+                y = least_failure(ys, at_ys(yx_p), at_pys(col_p), zp_columns)
+                if y is not None and (least is None or (y, x) < least):
+                    least = (y, x)
     return least
 
 

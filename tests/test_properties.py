@@ -977,8 +977,18 @@ class TestRegularityOracle:
         lambda: direct_product(close(dihedral_generators()),
                                close(cyclic_generator(2))),
         lambda: basic_group(3, 3, 1),
-        lambda: close(diagonal_abelian_generators(3, [[0, 0]]))],
-        ids=["q8xc4", "d8xc2", "b331", "trivial"])
+        lambda: close(diagonal_abelian_generators(3, [[0, 0]])),
+        # cyclic subgroups with many generators, each of which is tested
+        # against the pair classes of the subgroup's least generator
+        lambda: close(cyclic_generator(25)),
+        lambda: close(cyclic_generator(27)),
+        lambda: close(diagonal_abelian_generators(9, [[1, 0], [0, 1]])),
+        lambda: direct_product(close(cyclic_generator(4)),
+                               close(cyclic_generator(8))),
+        lambda: direct_product(close(dihedral_generators()),
+                               close(cyclic_generator(4)))],
+        ids=["q8xc4", "d8xc2", "b331", "trivial", "c25", "c27", "c9xc9",
+             "c4xc8", "d8xc4"])
     def test_more_groups(self, make):
         g = make()
         assert (regular_first_failure_by_definition(g)
@@ -1268,6 +1278,26 @@ class TestEngel:
         report = is_engel(g, k)
         assert report.holds is False
         assert_matches_scan(report, reference_scan(6, reference_engel(g, k)))
+
+    @pytest.mark.parametrize("k", [10 ** 6, 10 ** 6 + 1])
+    @pytest.mark.parametrize("make", [
+        S3, lambda: close([MonomialMatrix.from_perm((1, 2, 3, 4, 0)),
+                           MonomialMatrix.from_perm((0, 4, 3, 2, 1))])],
+        ids=["s3", "d10"])
+    def test_deep_scan_reads_the_bracket_cycle(self, make, k):
+        # not nilpotent, so the bracket levels never reach 1; in each row
+        # they repeat by level 12 with a period dividing 12 (1 on S3; on
+        # D10, [r^a, s] = r^(-2a) cycles with period 4), so depth k acts as
+        # depth 12 + k % 12
+        g = make()
+        small = 12 + k % 12
+        report = is_engel(g, k)
+        assert report.holds is False
+        assert_matches_scan(report, reference_scan(len(g), reference_engel(g, small)))
+        w = report.witness
+        assert w["bracket"] == g.describe(
+            g.engel_bracket(w["left_index"], w["right_index"], small))
+        assert w["depth"] == k
 
     def test_basic_group(self):
         assert is_engel(basic_group(3, 2, 1), 2).holds is True
