@@ -283,15 +283,6 @@ class FiniteGroup:
         read, are only x**-1, y**-1 and x."""
         return self.mul(self.inv(x), self.mul(self.inv(y), self.mul(x, y)))
 
-    def engel_bracket(self, x: int, y: int, k: int) -> int:
-        """Iterated commutator [x, y, y, ..., y] with k copies of y."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        t = self.commutator(x, y)
-        for _ in range(k - 1):
-            t = self.commutator(t, y)
-        return t
-
     def power_map(self, m: int) -> Sequence[int]:
         """x -> x**m for every element, cached.
 

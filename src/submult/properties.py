@@ -82,6 +82,7 @@ Verdict conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -699,7 +700,7 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
     counters carry c as ``class``: [x, y, ..., y] lies in gamma_(k+1),
     which is trivial.  Only a g of class above k (``nilpotency_class``),
     or not nilpotent, reads the Cayley table and scans its pairs; a row's
-    scan stops at the first bracket level that repeats an earlier one."""
+    scan stops once its bracket levels are seen to cycle."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.is_abelian():
@@ -712,27 +713,36 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
         return PropertyReport("engel", True,
                               counters={**_all_pairs_pass(g), "class": klass})
     table, inv, n = g.full_table(), g.inverses(), len(g)
-    brackets: tuple[int, ...] = ()
 
-    def first_failure(x: int) -> int | None:
-        # brackets[y] = [x, y, ..., y], one commutator with y per level.
-        # A level is a function of the one before, so once a level repeats
-        # an earlier one the levels cycle, and level k is read off the cycle
-        nonlocal brackets
-        brackets = (x,) * n
-        levels = {brackets: 0}  # level vector -> depth, in depth order
+    def step(brackets: list[int]) -> list[int]:
+        # one commutator with y per level: [t, y] for t = brackets[y]
+        return [table[table[inv[t]][inv[y]]][table[t][y]]
+                for y, t in enumerate(brackets)]
+
+    @functools.lru_cache(maxsize=1)  # the witness reads the failing row again
+    def level_k(x: int) -> list[int]:
+        # brackets[y] = [x, y, ..., y].  A level is a function of the one
+        # before, so once a level equals the one `period` levels back, the
+        # levels repeat with that period.  Brent's search compares each
+        # level with one saved level, moved on at powers of two; level k is
+        # then at most `period` steps further on
+        brackets = saved = [x] * n
+        power = period = 1
         for depth in range(1, k + 1):
-            brackets = tuple([table[table[inv[t]][inv[y]]][table[t][y]]
-                              for y, t in enumerate(brackets)])
-            first = levels.setdefault(brackets, depth)
-            if first < depth:
-                brackets = list(levels)[first + (k - first) % (depth - first)]
+            brackets = step(brackets)
+            if brackets == saved:
+                for _ in range((k - depth) % period):
+                    brackets = step(brackets)
                 break
-        return _first_true(map(operator.ne, brackets, repeat(g.identity)))
+            if period == power:
+                saved, power, period = brackets, 2 * power, 0
+            period += 1
+        return brackets
 
     return _pair_report(
-        "engel", g, first_failure,
-        lambda i, j: {"depth": k, "bracket": g.describe(brackets[j]),
+        "engel", g,
+        lambda x: _first_true(map(operator.ne, level_k(x), repeat(g.identity))),
+        lambda i, j: {"depth": k, "bracket": g.describe(level_k(i)[j]),
                       "explanation": "iterated commutator does not vanish"})
 
 
@@ -746,12 +756,6 @@ def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
             counters={"pairs_checked": 0, "pairs_evaluated": 0},
             caps=["vacuous: the closure fails property s, so the "
                   "divisibility is not asserted"])
-    return _order_divisibility(g)
-
-
-def _order_divisibility(g: FiniteGroup) -> PropertyReport:
-    """The scan behind ``order_submultiplicativity``, with no (S) test: for
-    a caller that already knows g has property (S)."""
     orders = [g.element_order(i) for i in range(len(g))]
     return _pair_report(
         "order-divisibility", g,

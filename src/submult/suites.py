@@ -30,10 +30,10 @@ from .families import (basic_group, big_cycle, cyclic_generator,
                        quaternion_generators, wreath_generators)
 from .groups import FiniteGroup, close, direct_product, is_prime
 from .monomial import MonomialMatrix, rotation_difference_image
-from .properties import (PropertyReport, _order_divisibility, chi_containment,
-                         has_property_s, has_property_s_hat_basic, has_wp2,
-                         is_engel, is_irreducible, is_regular,
-                         is_v_regular_bounded)
+from .properties import (PropertyReport, chi_containment, has_property_s,
+                         has_property_s_hat_basic, has_wp2, is_engel,
+                         is_irreducible, is_regular, is_v_regular_bounded,
+                         order_submultiplicativity)
 
 
 @dataclass
@@ -396,8 +396,7 @@ def suite_t7(config: RunConfig) -> list[CriterionResult]:
         if entry.s_report().holds is True:
             suite.check(f"s => wp2 for {entry.name}",
                         has_wp2(entry.group()).holds is True)
-            # (S) holds, as the cached report says: scan with no (S) rerun
-            divisibility = _order_divisibility(entry.group())
+            divisibility = order_submultiplicativity(entry.group())
             suite.check(f"s => |AB| divides max(|A|,|B|) for {entry.name}",
                         divisibility.holds is True
                         and divisibility.counters.get("pairs_checked", 0) > 0)

@@ -11,10 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from submult import properties, suites
 from submult.cli import main
 from submult.config import RunConfig
-from submult.suites import SUITES, corpus, run_suite
+from submult.suites import SUITES, run_suite
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -47,28 +46,3 @@ def test_verify_all_matches_recorded_output(capsys):
     assert main(["verify", "all", "--seed", "0", "--format", "structured"]) == 0
     output = json.loads(capsys.readouterr().out)
     assert _without_timings(output) == json.loads(RECORDED_VERIFY.read_text())
-
-
-def test_t7_scans_property_s_once_per_corpus_group(monkeypatch):
-    """T7's order divisibility reads the (S) verdict each corpus group
-    already reports: one (S) scan per monomial corpus group, and T7's
-    lines are the recorded ones."""
-    scanned = []
-    scan = properties.has_property_s
-
-    def spy(g, *args, **kwargs):
-        scanned.append(g)
-        return scan(g, *args, **kwargs)
-
-    monkeypatch.setattr(properties, "has_property_s", spy)
-    monkeypatch.setattr(suites, "has_property_s", spy)
-    corpus.cache_clear()  # fresh entries, with no (S) report cached yet
-    try:
-        result = run_suite("T7", RunConfig())
-        groups = [e.group() for e in corpus().values() if e.is_monomial]
-    finally:
-        corpus.cache_clear()
-    assert [sum(s is g for s in scanned) for g in groups] == [1] * len(groups)
-    recorded = json.loads(RECORDED_VERIFY.read_text())["suites"]
-    assert (_without_timings(result.to_json())
-            == next(r for r in recorded if r["suite"] == "T7"))

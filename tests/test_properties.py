@@ -9,10 +9,10 @@ from unittest import mock
 import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
-from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, group_from_carriers,
-                         lattice_group, monomial_groups, reference_all_subgroups,
-                         reference_as_group, reference_normal_subgroups,
-                         regularity_groups)
+from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, engel_bracket,
+                         group_from_carriers, lattice_group, monomial_groups,
+                         reference_all_subgroups, reference_as_group,
+                         reference_normal_subgroups, regularity_groups)
 
 from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
@@ -884,7 +884,7 @@ class TestOrbitScan:
             raise AssertionError("pair evaluated")
 
         g = make()
-        monkeypatch.setattr(FiniteGroup, "engel_bracket", refuse)
+        monkeypatch.setattr(FiniteGroup, "full_table", refuse)
         monkeypatch.setattr(FiniteGroup, "power_map", refuse)
         for report in (is_p_abelian(g), is_engel(g, 1), is_engel(g, 2)):
             assert report.holds is True
@@ -1282,12 +1282,16 @@ class TestEngel:
     @pytest.mark.parametrize("k", [10 ** 6, 10 ** 6 + 1])
     @pytest.mark.parametrize("make", [
         S3, lambda: close([MonomialMatrix.from_perm((1, 2, 3, 4, 0)),
-                           MonomialMatrix.from_perm((0, 4, 3, 2, 1))])],
-        ids=["s3", "d10"])
+                           MonomialMatrix.from_perm((0, 4, 3, 2, 1))]),
+        lambda: close([MonomialMatrix.from_perm((1, 2, 0, 3)),
+                       MonomialMatrix.from_perm((1, 0, 3, 2))])],
+        ids=["s3", "d10", "a4"])
     def test_deep_scan_reads_the_bracket_cycle(self, make, k):
         # not nilpotent, so the bracket levels never reach 1; in each row
         # they repeat by level 12 with a period dividing 12 (1 on S3; on
-        # D10, [r^a, s] = r^(-2a) cycles with period 4), so depth k acts as
+        # D10, [r^a, s] = r^(-2a) cycles with period 4; on A4, a 3-cycle
+        # acts on the Klein four-group with period 3, a period Brent's
+        # search does not meet as a power of two), so depth k acts as
         # depth 12 + k % 12
         g = make()
         small = 12 + k % 12
@@ -1296,7 +1300,7 @@ class TestEngel:
         assert_matches_scan(report, reference_scan(len(g), reference_engel(g, small)))
         w = report.witness
         assert w["bracket"] == g.describe(
-            g.engel_bracket(w["left_index"], w["right_index"], small))
+            engel_bracket(g, w["left_index"], w["right_index"], small))
         assert w["depth"] == k
 
     def test_basic_group(self):
