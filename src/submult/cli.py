@@ -14,10 +14,10 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .config import RunConfig
-from .families import (FAMILIES, GroupFamilySpec, build_group,
+from .families import (FAMILIES, FAMILY_TABLE, GroupFamilySpec, build_group,
                        load_group_file, read_json, write_group_file)
 from .groups import ClosureCapExceeded
 from .monomial import MonomialMatrix
@@ -29,8 +29,6 @@ from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
 from .suites import SUITES, OracleUnavailable, run_suites
 
 DEFAULTS = RunConfig()
-CHECK_PROPERTIES = ("s", "s-hat", "wp2", "p1", "p2", "regular", "v-regular",
-                    "p-abelian", "engel", "chi-containment", "irreducible")
 
 
 def _text_lines(data: Any, prefix: str = "") -> Iterator[str]:
@@ -53,56 +51,54 @@ def _text_lines(data: Any, prefix: str = "") -> Iterator[str]:
         yield f"{prefix}: {rendered}"
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    if fmt == "structured":
-        text = json.dumps(payload, indent=2)
-    else:
-        text = "\n".join(_text_lines(payload))
+def _write(text: str, out: str | None) -> None:
+    """Every command's output: written to the file ``out``, or to stdout."""
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
 
+def _emit(payload: dict, fmt: str, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2) if fmt == "structured"
+           else "\n".join(_text_lines(payload)), out)
+
+
 def _parse_int_list(raw: str) -> list[int]:
     return [int(part) for part in raw.replace(" ", "").split(",") if part != ""]
 
 
+def _vectors(args: argparse.Namespace) -> list[list[int]]:
+    if not args.vector:
+        raise ValueError(f"{args.family} needs at least one --vector")
+    return [_parse_int_list(v) for v in args.vector]
+
+
+# Recipe parameters read from a flag of another name or shape; every other
+# parameter is the integer flag of its own name.
+PARAM_FLAGS = {
+    "vectors": _vectors,
+    "character": lambda args: (None if args.character is None
+                               else _parse_int_list(args.character)),
+    "factors": lambda args: [load_group_file(path).to_json()
+                             for path in args.factor or []],
+}
+
+
 def _spec_from_args(args: argparse.Namespace) -> GroupFamilySpec:
-    family = args.family
-    if family == "cyclic":
-        params: dict = {"m": args.m}
-    elif family in ("heisenberg", "wreath_cp_cp"):
-        params = {"p": args.p}
-    elif family == "basic":
-        params = {"p": args.p, "c": args.c, "e": args.e}
-    elif family in ("quaternion8", "dihedral8"):
-        params = {}
-    elif family == "diagonal_abelian":
-        if not args.vector:
-            raise ValueError("diagonal_abelian needs at least one --vector")
-        params = {"m": args.m, "vectors": [_parse_int_list(v) for v in args.vector]}
-    elif family == "induced_rep":
-        params = {"p": args.p, "c": args.c, "e": args.e,
-                  "character": None if args.character is None
-                  else _parse_int_list(args.character)}
-    elif family == "direct_product":
-        factors = [load_group_file(path).to_json()
-                   for path in args.factor or []]
-        params = {"factors": factors}
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    params = {key: PARAM_FLAGS[key](args) if key in PARAM_FLAGS else getattr(args, key)
+              for key in FAMILY_TABLE[args.family].params}
     missing = [f"--{key}" for key, value in params.items() if value is None]
     if missing:
-        raise ValueError(f"construct {family} needs {', '.join(missing)}")
-    return GroupFamilySpec(family, params)
+        raise ValueError(f"construct {args.family} needs {', '.join(missing)}")
+    return GroupFamilySpec(args.family, params)
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     build_group(spec, cap=args.cap)  # validate the recipe closes
     write_group_file(spec, args.output)
-    print(f"wrote {args.output} ({spec.family})")
+    _write(f"wrote {args.output} ({spec.family})", None)
     return 0
 
 
@@ -140,52 +136,63 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_check(args: argparse.Namespace, config: RunConfig) -> PropertyReport:
-    spec = load_group_file(args.group)
-    prop = args.property
-    monomial_only = prop in ("s", "chi-containment", "irreducible")
-    if monomial_only and spec.carrier != "monomial":
-        raise ValueError(f"property {prop!r} needs a monomial carrier; "
-                         f"{spec.family} is {spec.carrier}")
-    if prop == "s-hat" and spec.family == "basic":
+def _on_group(decide: Callable) -> Callable:
+    """A check of the recipe's closed group: ``decide(g, args)``."""
+    return lambda spec, args: decide(build_group(spec, cap=args.cap), args)
+
+
+def _s_hat(spec: GroupFamilySpec, args: argparse.Namespace) -> PropertyReport:
+    """The basic family, the one affine carrier, is decided over all its
+    induced representations with no group built; any other recipe on the
+    one representation it supplies."""
+    if spec.carrier == "affine":
         ps = spec.params
         return has_property_s_hat_basic(int(ps["p"]), int(ps["c"]), int(ps["e"]),
-                                        cap=config.closure_cap)
-    g = build_group(spec, cap=config.closure_cap)
-    if prop == "s":
-        return has_property_s(g)
-    if prop == "s-hat":
-        return has_property_s_hat_single(g)
-    if prop == "chi-containment":
-        return chi_containment(g, args.j)
-    if prop == "irreducible":
-        verdict = is_irreducible(g)
-        return PropertyReport("irreducible", verdict,
-                              witness=None if verdict else
-                              {"explanation": "character norm differs from 1"})
-    if prop == "wp2":
-        return has_wp2(g)
-    if prop == "p1":
-        return has_p1(g, section_cap=config.section_cap)
-    if prop == "p2":
-        return has_p2(g, section_cap=config.section_cap)
-    if prop == "regular":
-        return is_regular(g)
-    if prop == "v-regular":
-        return is_v_regular_bounded(g, config.power_cap, cap=config.closure_cap)
-    if prop == "p-abelian":
-        return is_p_abelian(g)
-    if prop == "engel":
-        depth = args.k if args.k is not None else g.p_group_base()[0] - 1
-        return is_engel(g, depth)
-    raise ValueError(f"unknown property {prop!r}")
+                                        cap=args.cap)
+    return has_property_s_hat_single(build_group(spec, cap=args.cap))
+
+
+def _irreducible(g, args: argparse.Namespace) -> PropertyReport:
+    verdict = is_irreducible(g)
+    return PropertyReport("irreducible", verdict, witness=None if verdict else
+                          {"explanation": "character norm differs from 1"})
+
+
+# property -> (whether it needs a monomial carrier, its check of a recipe).
+# Deciders are named inside function bodies, so each call reads the
+# module's current binding (and a wrapper put there sees the call).
+CHECKS: dict[str, tuple[bool, Callable]] = {
+    "s": (True, _on_group(lambda g, args: has_property_s(g))),
+    "s-hat": (False, _s_hat),
+    "wp2": (False, _on_group(lambda g, args: has_wp2(g))),
+    "p1": (False, _on_group(lambda g, args: has_p1(g, section_cap=args.section_cap))),
+    "p2": (False, _on_group(lambda g, args: has_p2(g, section_cap=args.section_cap))),
+    "regular": (False, _on_group(lambda g, args: is_regular(g))),
+    "v-regular": (False, _on_group(
+        lambda g, args: is_v_regular_bounded(g, args.powers, cap=args.cap))),
+    "p-abelian": (False, _on_group(lambda g, args: is_p_abelian(g))),
+    "engel": (False, _on_group(lambda g, args: is_engel(
+        g, args.k if args.k is not None else g.p_group_base()[0] - 1))),
+    "chi-containment": (True, _on_group(lambda g, args: chi_containment(g, args.j))),
+    "irreducible": (True, _on_group(_irreducible)),
+}
+CHECK_PROPERTIES = tuple(CHECKS)
+
+
+def _run_check(args: argparse.Namespace) -> PropertyReport:
+    spec = load_group_file(args.group)
+    monomial_only, check = CHECKS[args.property]
+    if monomial_only and spec.carrier != "monomial":
+        raise ValueError(f"property {args.property!r} needs a monomial carrier; "
+                         f"{spec.family} is {spec.carrier}")
+    return check(spec, args)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = RunConfig(closure_cap=args.cap, section_cap=args.section_cap,
-                       power_cap=args.powers, output=args.format, seed=args.seed)
+                       power_cap=args.powers, output=args.format)
     try:
-        report = _run_check(args, config)
+        report = _run_check(args)
     except (ClosureCapExceeded, ValueError) as exc:
         _emit({"error": str(exc), "config": config.to_json()},
               args.format, args.output)
@@ -223,39 +230,43 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(closure_cap=args.cap, section_cap=args.section_cap,
-                       power_cap=args.powers, output=args.format, seed=args.seed)
+    config = RunConfig(closure_cap=args.cap, power_cap=args.powers,
+                       output=args.format, seed=args.seed)
     names = None if not args.suite or args.suite == ["all"] else args.suite
     results = run_suites(names, config)
+    passed = all(r.passed for r in results)
     if args.format == "structured":
-        payload = {"suites": [r.to_json() for r in results],
-                   "config": config.to_json(),
-                   "passed": all(r.passed for r in results)}
-        print(json.dumps(payload, indent=2))
+        _emit({"suites": [r.to_json() for r in results],
+               "config": config.to_json(), "passed": passed},
+              args.format, args.output)
     else:
+        lines = []
         for result in results:
             mark = "PASS" if result.passed else "FAIL"
-            print(f"{result.suite} [{mark}] {result.title} "
-                  f"({result.elapsed:.1f}s)")
-            for criterion in result.criteria:
-                print(criterion.line())
-        print(f"seed: {config.seed}")
-    return 0 if all(r.passed for r in results) else 1
+            lines.append(f"{result.suite} [{mark}] {result.title} "
+                         f"({result.elapsed:.1f}s)")
+            lines += [criterion.line() for criterion in result.criteria]
+        _write("\n".join(lines + [f"seed: {config.seed}"]), args.output)
+    return 0 if passed else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, *, output_default: str | None = None) -> None:
-    parser.add_argument("--cap", type=int, default=DEFAULTS.closure_cap,
-                        help=f"closure size cap (default {DEFAULTS.closure_cap})")
-    parser.add_argument("--section-cap", type=int, default=DEFAULTS.section_cap,
-                        help=f"section enumeration cap (default {DEFAULTS.section_cap})")
-    parser.add_argument("--powers", type=int, default=DEFAULTS.power_cap,
-                        help="direct powers for v-regular evidence "
-                             f"(default {DEFAULTS.power_cap})")
-    parser.add_argument("--seed", type=int, default=DEFAULTS.seed,
-                        help=f"seed for the sampling oracles (default {DEFAULTS.seed})")
+# shared option -> (the RunConfig field of its default, help)
+OPTIONS = {"--cap": ("closure_cap", "closure size cap"),
+           "--section-cap": ("section_cap", "section enumeration cap"),
+           "--powers": ("power_cap", "direct powers for v-regular evidence"),
+           "--seed": ("seed", "seed for the sampling oracles")}
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the options ``flags`` of ``OPTIONS``, then --format and -o."""
+    for flag in flags:
+        field, text = OPTIONS[flag]
+        default = getattr(DEFAULTS, field)
+        parser.add_argument(flag, type=int, default=default,
+                            help=f"{text} (default {default})")
     parser.add_argument("--format", choices=("text", "structured"),
                         default="text", help="output format")
-    parser.add_argument("-o", "--output", default=output_default,
+    parser.add_argument("-o", "--output",
                         help="write output to a file instead of stdout")
 
 
@@ -286,10 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="structure report for a group file")
     p_analyze.add_argument("group")
-    p_analyze.add_argument("--cap", type=int, default=DEFAULTS.closure_cap)
-    p_analyze.add_argument("--format", choices=("text", "structured"),
-                           default="text")
-    p_analyze.add_argument("-o", "--output", default=None)
+    _add_options(p_analyze, "--cap")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_check = sub.add_parser("check", help="decide a property for a group file")
@@ -299,21 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="engel depth (default p-1)")
     p_check.add_argument("--j", type=int, default=None,
                          help="containment level (default: all up to the class)")
-    _add_common(p_check)
+    _add_options(p_check, "--cap", "--section-cap", "--powers")
     p_check.set_defaults(func=cmd_check)
 
     p_spectrum = sub.add_parser("spectrum",
                                 help="exact spectra of a matrix or group file")
     p_spectrum.add_argument("file")
-    p_spectrum.add_argument("--format", choices=("text", "structured"),
-                            default="text")
-    p_spectrum.add_argument("-o", "--output", default=None)
+    _add_options(p_spectrum)
     p_spectrum.set_defaults(func=cmd_spectrum)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("suite", nargs="*", default=["all"],
                           help=f"suite names ({', '.join(sorted(SUITES))}) or 'all'")
-    _add_common(p_verify)
+    _add_options(p_verify, "--cap", "--powers", "--seed")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -20,9 +20,6 @@ from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
                      close, is_prime)
 from .monomial import MonomialMatrix
 
-FAMILIES = ("cyclic", "heisenberg", "wreath_cp_cp", "basic", "quaternion8",
-            "dihedral8", "diagonal_abelian", "direct_product", "induced_rep")
-
 
 # -- monomial matrix families --------------------------------------------------
 
@@ -306,6 +303,87 @@ def induced_rep_generators(p: int, c: int, e: int,
 # -- declarative family specs and group files -----------------------------------
 
 @dataclass(frozen=True)
+class Family:
+    """A recipe family: the parameters its recipes need, the checks on
+    them beyond presence, and its monomial generators, or None for the
+    affine carrier of ``basic``.  Both callables take the params dict."""
+
+    params: tuple[str, ...]
+    check: Callable[[dict], None] = lambda ps: None
+    generators: Callable[[dict], list[MonomialMatrix]] | None = None
+
+
+def _check_prime(params: dict, key: str = "p") -> None:
+    # recipes take p <= DEFAULT_CLOSURE_CAP, a fixed limit checked before
+    # is_prime so that its trial division stays bounded
+    p = int(params[key])
+    if p > DEFAULT_CLOSURE_CAP:
+        raise ValueError(f"recipes take {key} <= {DEFAULT_CLOSURE_CAP}, "
+                         f"got {params[key]}")
+    if not is_prime(p):
+        raise ValueError(f"{key} must be prime, got {params[key]}")
+
+
+def _check_factors(params: dict) -> None:
+    factors = params["factors"]
+    if not isinstance(factors, list) or len(factors) < 2:
+        raise ValueError("direct_product needs a list of at least two "
+                         f"factors, got {factors!r}")
+
+
+def _check_basic(params: dict, min_c: int = 1) -> None:
+    """The basic group's parameters; induced_rep also allows c = 0."""
+    _check_prime(params)
+    p, c, e = int(params["p"]), int(params["c"]), int(params["e"])
+    if c < min_c or e < 1:
+        raise ValueError(f"need c >= {min_c} and e >= 1 (c={c}, e={e})")
+    # the builders loop over all p**e exponents; as p >= 2, an e of the
+    # cap's bit length already exceeds it, so a huge e never reaches p**e
+    if e >= DEFAULT_CLOSURE_CAP.bit_length() or p ** e > DEFAULT_CLOSURE_CAP:
+        raise ValueError(f"recipes take p**e <= {DEFAULT_CLOSURE_CAP}, "
+                         f"got p={p}, e={e}")
+    if c > p:
+        raise ValueError(f"need c <= p for an order-p**e extension (c={c}, p={p})")
+
+
+def _product_generators(params: dict) -> list[MonomialMatrix]:
+    factor_specs = [GroupFamilySpec.from_json(f) for f in params["factors"]]
+    if any(f.carrier != "monomial" for f in factor_specs):
+        raise ValueError("direct_product files support monomial factors only")
+    blocks = [build_generators(f) for f in factor_specs]
+    dims = [g[0].n for g in blocks]
+    gens = []
+    for t, block in enumerate(blocks):
+        for mat in block:
+            parts = [MonomialMatrix.identity(dims[s]) if s != t else mat
+                     for s in range(len(blocks))]
+            combined = parts[0]
+            for part in parts[1:]:
+                combined = combined.direct_sum(part)
+            gens.append(combined)
+    return gens
+
+
+# The builders are named inside lambdas, so each call reads the module's
+# current binding (and a wrapper put there sees the call).
+FAMILY_TABLE = {
+    "cyclic": Family(("m",), generators=lambda ps: cyclic_generator(int(ps["m"]))),
+    "heisenberg": Family(("p",), _check_prime, lambda ps: heisenberg_generators(int(ps["p"]))),
+    "wreath_cp_cp": Family(("p",), _check_prime, lambda ps: wreath_generators(int(ps["p"]))),
+    "basic": Family(("p", "c", "e"), _check_basic),
+    "quaternion8": Family((), generators=lambda ps: quaternion_generators()),
+    "dihedral8": Family((), generators=lambda ps: dihedral_generators()),
+    "diagonal_abelian": Family(("m", "vectors"), generators=lambda ps:
+                               diagonal_abelian_generators(int(ps["m"]), ps["vectors"])),
+    "direct_product": Family(("factors",), _check_factors, lambda ps: _product_generators(ps)),
+    "induced_rep": Family(("p", "c", "e", "character"), lambda ps: _check_basic(ps, min_c=0),
+                          lambda ps: induced_rep_generators(
+                              int(ps["p"]), int(ps["c"]), int(ps["e"]), ps["character"])),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+
+
+@dataclass(frozen=True)
 class GroupFamilySpec:
     """Recipe (family name + parameters) for reproducible construction."""
 
@@ -315,12 +393,15 @@ class GroupFamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {FAMILIES}")
-        validator = _VALIDATORS[self.family]
-        validator(self.params)
+        family = FAMILY_TABLE[self.family]
+        missing = [k for k in family.params if k not in self.params]
+        if missing:
+            raise ValueError(f"missing parameters: {missing}")
+        family.check(self.params)
 
     @property
     def carrier(self) -> str:
-        return "affine" if self.family == "basic" else "monomial"
+        return "monomial" if FAMILY_TABLE[self.family].generators else "affine"
 
     @functools.cached_property
     def generators(self) -> list[MonomialMatrix]:
@@ -339,109 +420,25 @@ class GroupFamilySpec:
                              f"\"params\" ({type(exc).__name__}: {exc})") from exc
 
 
-def _require(params: dict, keys: tuple[str, ...]) -> None:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ValueError(f"missing parameters: {missing}")
-
-
-def _check_prime(params: dict, key: str = "p") -> None:
-    # recipes take p <= DEFAULT_CLOSURE_CAP, a fixed limit checked before
-    # is_prime so that its trial division stays bounded
-    p = int(params[key])
-    if p > DEFAULT_CLOSURE_CAP:
-        raise ValueError(f"recipes take {key} <= {DEFAULT_CLOSURE_CAP}, "
-                         f"got {params[key]}")
-    if not is_prime(p):
-        raise ValueError(f"{key} must be prime, got {params[key]}")
-
-
-def _check_factors(params: dict) -> None:
-    _require(params, ("factors",))
-    factors = params["factors"]
-    if not isinstance(factors, list) or len(factors) < 2:
-        raise ValueError("direct_product needs a list of at least two "
-                         f"factors, got {factors!r}")
-
-
-def _check_basic(params: dict, min_c: int = 1) -> None:
-    """The basic group's parameters; induced_rep also allows c = 0."""
-    _require(params, ("p", "c", "e"))
-    _check_prime(params)
-    p, c, e = int(params["p"]), int(params["c"]), int(params["e"])
-    if c < min_c or e < 1:
-        raise ValueError(f"need c >= {min_c} and e >= 1 (c={c}, e={e})")
-    # the builders loop over all p**e exponents; as p >= 2, an e of the
-    # cap's bit length already exceeds it, so a huge e never reaches p**e
-    if e >= DEFAULT_CLOSURE_CAP.bit_length() or p ** e > DEFAULT_CLOSURE_CAP:
-        raise ValueError(f"recipes take p**e <= {DEFAULT_CLOSURE_CAP}, "
-                         f"got p={p}, e={e}")
-    if c > p:
-        raise ValueError(f"need c <= p for an order-p**e extension (c={c}, p={p})")
-
-
-_VALIDATORS = {
-    "cyclic": lambda ps: _require(ps, ("m",)),
-    "heisenberg": lambda ps: (_require(ps, ("p",)), _check_prime(ps)),
-    "wreath_cp_cp": lambda ps: (_require(ps, ("p",)), _check_prime(ps)),
-    "basic": _check_basic,
-    "quaternion8": lambda ps: None,
-    "dihedral8": lambda ps: None,
-    "diagonal_abelian": lambda ps: _require(ps, ("m", "vectors")),
-    "direct_product": _check_factors,
-    "induced_rep": lambda ps: (_require(ps, ("p", "c", "e", "character")),
-                               _check_basic(ps, min_c=0)),
-}
-
-
 def build_generators(spec: GroupFamilySpec) -> list[MonomialMatrix]:
     """Monomial generators for a spec (all families except ``basic``)."""
-    ps = spec.params
-    if spec.family == "cyclic":
-        return cyclic_generator(int(ps["m"]))
-    if spec.family == "heisenberg":
-        return heisenberg_generators(int(ps["p"]))
-    if spec.family == "wreath_cp_cp":
-        return wreath_generators(int(ps["p"]))
-    if spec.family == "quaternion8":
-        return quaternion_generators()
-    if spec.family == "dihedral8":
-        return dihedral_generators()
-    if spec.family == "diagonal_abelian":
-        return diagonal_abelian_generators(int(ps["m"]), ps["vectors"])
-    if spec.family == "induced_rep":
-        return induced_rep_generators(int(ps["p"]), int(ps["c"]), int(ps["e"]),
-                                      ps["character"])
-    if spec.family == "direct_product":
-        factor_specs = [GroupFamilySpec.from_json(f) for f in ps["factors"]]
-        if any(f.carrier != "monomial" for f in factor_specs):
-            raise ValueError("direct_product files support monomial factors only")
-        blocks = [build_generators(f) for f in factor_specs]
-        dims = [g[0].n for g in blocks]
-        gens = []
-        for t, block in enumerate(blocks):
-            for mat in block:
-                parts = [MonomialMatrix.identity(dims[s]) if s != t else mat
-                         for s in range(len(blocks))]
-                combined = parts[0]
-                for part in parts[1:]:
-                    combined = combined.direct_sum(part)
-                gens.append(combined)
-        return gens
-    raise ValueError(f"family {spec.family} has no monomial generators")
+    generators = FAMILY_TABLE[spec.family].generators
+    if generators is None:
+        raise ValueError(f"family {spec.family} has no monomial generators")
+    return generators(spec.params)
 
 
 def build_group(spec: GroupFamilySpec,
                 cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Closure of a spec into a FiniteGroup (any family)."""
-    if spec.family == "basic":
+    if spec.carrier == "affine":
         ps = spec.params
         return basic_group(int(ps["p"]), int(ps["c"]), int(ps["e"]), cap)
     return close(spec.generators, cap, name=spec.family)
 
 
 def group_file_payload(spec: GroupFamilySpec) -> dict:
-    if spec.family == "basic":
+    if spec.carrier == "affine":
         # a_1 = (e_1, 0) and b = (0, 1), with no AffineContext built
         c = int(spec.params["c"])
         gens = [{"v": [1] + [0] * (c - 1), "t": 0}, {"v": [0] * c, "t": 1}]

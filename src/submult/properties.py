@@ -3,81 +3,17 @@
 Every decider takes a closed ``FiniteGroup``: closing generators, and
 choosing the cap for that, is the caller's job (``has_property_s(close(gens))``),
 so one closure, its rows and its Cayley table serve every question asked
-of it.
-Only ``has_property_s_hat_basic``, which builds its own representations,
-and ``is_v_regular_bounded``, which builds direct powers, take a cap.
+of it.  Only ``has_property_s_hat_basic``, which builds its own
+representations, and ``is_v_regular_bounded``, which builds direct powers,
+take a cap.
 
 Every check returns a ``PropertyReport``: a verdict (True, False, or
 "holds-capped" when a cap prevented deciding an unbounded quantifier),
 a replayable witness on failure, and work counters.  Witnesses cite
-deterministic element indices plus serialized elements.
-
-Pair scans run a row at a time over conjugacy-class representatives.  The
-pair predicates of (S), p-abelianness, the Engel identity, order
-divisibility and regularity are all unchanged by simultaneous conjugation
-(x, y) -> (x**g, y**g): spectra and element orders are class functions and
-(xy)**g = x**g y**g, p-abelianness and the Engel identity are words in x
-and y, and the derived subgroup of a pair's subgroup moves with the pair,
-D(<x**g, y**g>) = D(<x, y>)**g.  Every ordered pair is conjugate to one
-whose first entry is the least member of its class, so only the rows of
-the k class representatives (k * n pairs) are evaluated, in ascending
-order.  A row below the first failing representative belongs to a class
-whose representative passed, so a reported witness is still the
-lexicographically least failing pair of all n**2.  Each decider supplies
-only its row function, ``first_failure(r)``, the least y whose pair (r, y)
-fails, or None.  It reads whole rows of the Cayley table at once, in
-comprehensions and ``map``/``compress`` chains, rather than making one
-Python call per pair (Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, 2005, work on table rows the same way).  ``pairs_evaluated``
-counts the pairs of the evaluated rows.
-
-(S), p-abelianness, order divisibility and regularity read only the rows
-of the representatives, and of their p-th powers, through
-``FiniteGroup.row``, which gathers each on demand; they build no n**2
-table.  Regularity reads the other products of a pair failing z = 1
-through the kernel's ``mul`` and its subgroup closures.  The section
-scans read the whole table, and so does ``is_engel``, whose brackets
-multiply arbitrary pairs, but only on a group of nilpotency class above
-the depth k: a class c <= k settles every pair, since [x, y, ..., y] lies
-in gamma_(k+1) = 1, the class read off the group's one cached walk of its
-lower central series.  The conjugacy classes are walked once per group and
-cached (``FiniteGroup.conjugacy_classes``); (S) reads one cycle key per
-class off its least member, and its masks live over the lcm of the keys'
-orders, the group's exponent, whatever the order of the entries.
-
-Two more symmetries of (S) cut its work.  A scalar z = w*I moves every
-eigenvalue of x and of x*y by w, so the (S) scan skips the row of a
-representative that a scalar moves to a lower class (``_unscaled_reps``;
-irreducible groups have scalar centres).  Conjugation and Galois
-conjugation of the base characters keep (S) and the induced image up to
-isomorphism, so s-hat on the basic family closes one representation per
-orbit of characters (``has_property_s_hat_basic``); twists by linear
-characters keep (S) but not the image's order, and are not used.
-
-Irreducibility is exact: the character norm is summed in integers from
-the codes' fixed-point entries, each root of unity of order q weighted by
-its rational part mu(q)/phi(q) (``is_irreducible``); no element is
-decoded and no float enters.  ``chi_containment`` reads the same walk on
-g itself, not on the diagonal conjugate that holds the standard cycle: it
-builds no group and decodes only the members of the terms it reads.
-
-A p-abelian group, where x -> x**p is an endomorphism
-(``FiniteGroup.p_abelian``, tested on the generators), passes
-p-abelianness and regularity (z = 1) with n**2 pairs checked and none
-evaluated, and every wp2, p1 and p2 section unprobed, though counted:
-x -> x**(p**k) is then an endomorphism of each H, so the p**k-th powers
-of H/K and its elements of order dividing p**k form subgroups.  Other
-groups keep the scans, which stay the oracle.  (S) and s-hat never read
-the test: that p-abelian groups have s-hat is the paper's claim under
-test.
-
-Verdict conventions:
-  * property (S) is decided on all ordered pairs over the full closure,
-    never just on generators;
-  * spectra compare as sets (multiplicity ignored);
-  * bounded direct-power regularity reports an unqualified True only on
-    abelian groups, whose direct powers are all abelian; otherwise the
-    underlying quantifier ranges over all finite powers.
+deterministic element indices plus serialized elements.  The pair
+deciders share one scan over conjugacy-class representatives
+(``_pair_report``) and differ only in their row functions; each
+decider's docstring gives the shortcuts it takes and why they hold.
 """
 
 from __future__ import annotations
@@ -165,6 +101,15 @@ def _pair_report(prop: str, g: FiniteGroup, first_failure: RowCheck,
     exactly when a lower representative's row does (by default none is
     left out): a row left out below the first failure passes, so the
     witness and ``pairs_checked`` are the same.
+
+    The predicates of (S), p-abelianness, the Engel identity, order
+    divisibility and regularity are unchanged by (x, y) -> (x**g, y**g):
+    spectra and element orders are class functions, (xy)**g = x**g y**g,
+    p-abelianness and the Engel identity are words in x and y, and
+    D(<x**g, y**g>) = D(<x, y>)**g.  Row functions read whole table rows
+    in comprehensions and ``map``/``compress`` chains, not one Python call
+    per pair (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005).
     """
     n = len(g)
     if reps is None:
@@ -301,9 +246,12 @@ def has_property_s(g: FiniteGroup) -> PropertyReport:
     """Every eigenvalue of A*B is a product of an eigenvalue of A and one
     of B, for every ordered pair in the monomial group g.
 
-    An abelian g passes without a spectrum computed: commuting matrices of
-    finite order are simultaneously diagonalisable, so each eigenvalue of
-    A*B is a product of eigenvalues of A and B on a common eigenvector.
+    Spectra compare as sets, and every ordered pair of the closure counts,
+    never just the generators.  An abelian g passes without a spectrum
+    computed: commuting matrices of finite order are simultaneously
+    diagonalisable, so each eigenvalue of A*B is a product of eigenvalues
+    of A and B on a common eigenvector.  ``FiniteGroup.p_abelian`` is not
+    read: that p-abelian groups have s-hat is the paper's claim under test.
     Rows of scalar multiples of lower representatives are not read
     (``_unscaled_reps``), and not counted in ``pairs_evaluated``.
     """

@@ -12,6 +12,8 @@ import submult
 from submult import cli
 from submult.cli import main
 from submult.config import RunConfig
+from submult.families import (FAMILY_TABLE, build_group, load_group_file,
+                              write_group_file)
 from submult.groups import FiniteGroup
 from submult.properties import PropertyReport, is_engel
 
@@ -134,6 +136,70 @@ class TestConstruct:
                      "-o", str(tmp_path / "x.json")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestFamilyContract:
+    """Every family of ``FAMILY_TABLE`` is constructed from the command
+    line by the flags of its parameters, and refuses a recipe without one."""
+
+    FLAGS = {
+        "cyclic": ["--m", "9"],
+        "heisenberg": ["--p", "3"],
+        "wreath_cp_cp": ["--p", "2"],
+        "basic": ["--p", "3", "--c", "2", "--e", "1"],
+        "quaternion8": [],
+        "dihedral8": [],
+        "diagonal_abelian": ["--m", "3", "--vector", "1,2,0", "--vector", "0,1,2"],
+        "direct_product": ["--factor", "{q8}", "--factor", "{c9}"],
+        "induced_rep": ["--p", "3", "--c", "2", "--e", "1", "--character", "1,2"],
+    }
+    # the repeatable flags, whose lists the recipe's own checks read
+    LIST_FLAGS = {"vectors": ("--vector", "diagonal_abelian needs at least one --vector"),
+                  "factors": ("--factor", "direct_product needs a list of at least "
+                                          "two factors, got []")}
+
+    @pytest.fixture()
+    def factors(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.json" for name in ("q8", "c9")}
+        assert main(["construct", "quaternion8", "-o", str(paths["q8"])]) == 0
+        assert main(["construct", "cyclic", "--m", "9", "-o", str(paths["c9"])]) == 0
+        return paths
+
+    def flags(self, family, factors):
+        return [arg.format(**factors) for arg in self.FLAGS[family]]
+
+    def test_choices_are_the_table(self):
+        assert set(self.FLAGS) == set(FAMILY_TABLE)
+        construct = cli.build_parser()._subparsers._group_actions[0].choices["construct"]
+        (family,) = [a for a in construct._actions if a.dest == "family"]
+        assert tuple(family.choices) == tuple(FAMILY_TABLE)
+
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_round_trip(self, family, factors, tmp_path):
+        path = tmp_path / "g.json"
+        assert main(["construct", family, *self.flags(family, factors),
+                     "-o", str(path)]) == 0
+        spec = load_group_file(path)
+        assert (spec.family, tuple(spec.params)) == (family, FAMILY_TABLE[family].params)
+        assert len(build_group(spec)) > 1
+        again = tmp_path / "again.json"
+        write_group_file(spec, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_each_parameter_is_required(self, family, factors, tmp_path, capsys):
+        argv = self.flags(family, factors)
+        for param in FAMILY_TABLE[family].params:
+            flag, message = self.LIST_FLAGS.get(
+                param, (f"--{param}", f"construct {family} needs --{param}"))
+            kept = [arg for t, arg in enumerate(argv)
+                    if flag not in (arg, argv[t - 1] if t else None)]
+            assert len(kept) < len(argv)
+            capsys.readouterr()
+            out = tmp_path / "g.json"
+            assert main(["construct", family, *kept, "-o", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
 
 class TestAnalyze:
@@ -356,10 +422,14 @@ class TestRepeatedMain:
 
 
 def test_parser_defaults_are_run_config_defaults():
-    args = cli.build_parser().parse_args(["check", "s", "g.json"])
-    assert RunConfig(closure_cap=args.cap, section_cap=args.section_cap,
-                     power_cap=args.powers, output=args.format,
-                     seed=args.seed) == RunConfig()
+    # check reads the section cap and verify the seed; neither takes the other
+    check = cli.build_parser().parse_args(["check", "s", "g.json"])
+    verify = cli.build_parser().parse_args(["verify"])
+    assert RunConfig(closure_cap=check.cap, section_cap=check.section_cap,
+                     power_cap=check.powers, output=check.format,
+                     seed=verify.seed) == RunConfig()
+    assert (verify.cap, verify.powers, verify.format) == (check.cap, check.powers,
+                                                          check.format)
     for command in (["construct", "cyclic", "-o", "g.json"], ["analyze", "g.json"]):
         assert cli.build_parser().parse_args(command).cap == RunConfig().closure_cap
 
@@ -397,6 +467,36 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "T99"]) == 2
+
+    @pytest.mark.parametrize("fmt", ["structured", "text"])
+    def test_output_to_file(self, fmt, tmp_path, capsys):
+        out = tmp_path / "t2.out"
+        assert main(["verify", "T2", "--format", fmt, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["verify", "T2", "--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        if fmt == "structured":
+            written, printed = json.loads(out.read_text()), json.loads(printed)
+            for data in (written, printed):
+                assert data["passed"] is True
+                for suite in data["suites"]:
+                    suite.pop("elapsed_seconds")
+            assert written == printed
+        else:
+            assert out.read_text().splitlines()[1:] == printed.splitlines()[1:]
+            assert out.read_text().startswith("T2 [PASS]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "T2", "--section-cap", "16"], ["check", "s", "g.json", "--seed", "1"]],
+    ids=["verify-section-cap", "check-seed"])
+def test_options_only_where_read(argv, capsys):
+    # verify runs no section scan and no check samples: neither takes the flag
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 
 class TestTrivialGroup:

@@ -653,6 +653,13 @@ def reference_regular_failure(g):
     return reference_scan(n, check)
 
 
+@functools.cache
+def corpus_regular_failure(name):
+    """``reference_regular_failure`` of a corpus group, scanned once a
+    session: two oracle tests read it per group."""
+    return reference_regular_failure(corpus()[name].group())
+
+
 class TestPairDerived:
     """The derived subgroup of <x, y> that is_regular builds: the normal
     closure of [x, y] under x and y."""
@@ -969,7 +976,7 @@ class TestRegularityOracle:
         if len(g) > 243:
             pytest.skip("T9 checks corpus groups of order <= 243")
         assert (regular_first_failure_by_definition(g)
-                == reference_regular_failure(g)[0])
+                == corpus_regular_failure(name)[0])
 
     @pytest.mark.parametrize("make", [
         lambda: direct_product(close(quaternion_generators()),
@@ -1019,7 +1026,7 @@ class TestRegularityOracle:
             pytest.skip("T9 checks corpus groups of order <= 243")
         assert g.identity == 0  # _TableOnly's identity
         assert (regular_first_failure_by_definition(_TableOnly(g.full_table()))
-                == reference_regular_failure(g)[0])
+                == corpus_regular_failure(name)[0])
 
     @pytest.mark.parametrize("make", [
         lambda: close(cyclic_generator(6)),
