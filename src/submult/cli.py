@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, Sequence
 from .config import RunConfig
 from .families import (FAMILIES, FAMILY_TABLE, GroupFamilySpec, build_group,
                        load_group_file, read_json, write_group_file)
-from .groups import ClosureCapExceeded
+from .groups import SUBGROUPS_PER_ORDER, ClosureCapExceeded
 from .monomial import MonomialMatrix
 from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
                          has_property_s, has_property_s_hat_basic,
@@ -85,9 +85,20 @@ PARAM_FLAGS = {
 }
 
 
+# recipe parameter -> its construct flag
+CONSTRUCT_FLAGS = {"m": "--m", "p": "--p", "c": "--c", "e": "--e",
+                   "vectors": "--vector", "character": "--character",
+                   "factors": "--factor"}
+
+
 def _spec_from_args(args: argparse.Namespace) -> GroupFamilySpec:
+    family = FAMILY_TABLE[args.family]
+    extra = [flag for key, flag in CONSTRUCT_FLAGS.items()
+             if key not in family.params and getattr(args, flag[2:]) is not None]
+    if extra:
+        raise ValueError(f"construct {args.family} takes no {', '.join(extra)}")
     params = {key: PARAM_FLAGS[key](args) if key in PARAM_FLAGS else getattr(args, key)
-              for key in FAMILY_TABLE[args.family].params}
+              for key in family.params}
     missing = [f"--{key}" for key, value in params.items() if value is None]
     if missing:
         raise ValueError(f"construct {args.family} needs {', '.join(missing)}")
@@ -252,7 +263,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # shared option -> (the RunConfig field of its default, help)
 OPTIONS = {"--cap": ("closure_cap", "closure size cap"),
-           "--section-cap": ("section_cap", "section enumeration cap"),
+           "--section-cap": ("section_cap",
+                             "largest |G| whose sections p1 and p2 scan, and "
+                             f"1/{SUBGROUPS_PER_ORDER} of the most subgroups "
+                             "its lattice may have"),
            "--powers": ("power_cap", "direct powers for v-regular evidence"),
            "--seed": ("seed", "seed for the sampling oracles")}
 

@@ -43,7 +43,8 @@ element (cyclic extension), and records as a bitmask the positions of its
 own subgroups in the lattice; the normal subgroups are its G-normal
 members.  Sections H/K are pairs of its subgroups, K read off H's bitmask
 in the same lattice, built once after G/1 is yielded: a section scan
-builds no group for a section.
+builds no group for a section, and the sections it does not probe are
+counted per H from the bitmask instead of yielded.
 
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
@@ -61,14 +62,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 4096
+# a subgroup lattice built under an order cap N stops past this many times
+# N subgroups (``FiniteGroup.all_subgroups``)
+SUBGROUPS_PER_ORDER = 128
 
 
 class ClosureCapExceeded(RuntimeError):
     """Raised when a closure grows past its cap; carries the partial size."""
 
-    def __init__(self, partial_size: int, cap: int):
+    def __init__(self, partial_size: int, cap: int, what: str = "elements"):
         super().__init__(
-            f"closure exceeded cap {cap} (at least {partial_size} elements)")
+            f"closure exceeded cap {cap} (at least {partial_size} {what})")
         self.partial_size = partial_size
         self.cap = cap
 
@@ -547,12 +551,16 @@ class FiniteGroup:
         Each subgroup H > 1 is M<x> for an M of index p normal in H and any
         x in H outside M; x normalizes M and x**p is in M, and every such x
         gives an M<x> of order p|M|.  The candidates x are the p-th roots of
-        M's members; normalizing M holds on all of a coset xM or on none of
-        it, and each x in H outside M gives H again, so each coset is tested
-        once, and a coset tM is one gather of row t at M's members.  Each H
-        is extended once, from the first M (in layer order) below it: before
-        M's roots are scanned, the members of every H already grown that
-        holds M's generators are marked seen.
+        M's members, in order; each x in H outside M gives H again, and an x
+        that does not normalize M fails with x**-1 and with every product
+        xs and x**-1 s for s in N_G(M), so with the first failure the left
+        cosets of the part of N_G(M) seen so far are marked seen, each one
+        gather of a row.  Each H is extended once, from the first M (in
+        layer order) below it: before M's roots are scanned, the members of
+        every H already grown that holds M's generators are marked seen.
+        Those H are read off an index, element -> bits of the grown H
+        holding it, as the AND over M's generators.  The scan of M stops
+        once every element of G is seen.
 
         So every H of the next layer that contains M is met, either marked
         or grown from M, and each subgroup's ``below`` records containment:
@@ -560,10 +568,15 @@ class FiniteGroup:
         lies in it, its own position included.  In a p-group every K < H
         lies in a chain of subgroups each of index p in the next, so the
         covers M < H, closed layer by layer, give every containment.
+
+        Raises ``ClosureCapExceeded`` when |G| > cap, and once the lattice
+        grows past ``SUBGROUPS_PER_ORDER * cap`` subgroups: C2**8, of order
+        256, has 417,199, and their ``below`` masks alone would take 11 GB.
         """
         n = len(self)
         if n > cap:
             raise ClosureCapExceeded(n, cap)
+        bound = SUBGROUPS_PER_ORDER * cap
         p, _ = self.p_group_base()
         rows, inv = self.full_table(), self.inverses()
         roots: list[list[int]] = [[] for _ in range(n)]  # y -> {x : x**p = y}
@@ -572,36 +585,57 @@ class FiniteGroup:
         layer = [Subgroup(self, (self.identity,), (), below=1)]
         found = list(layer)
         while layer:
-            # H's sorted members -> (its member set, its gens), and -> the
-            # OR of the ``below`` of every M < H of index p met so far
-            grown: dict[tuple[int, ...], tuple[set[int], tuple[int, ...]]] = {}
-            below: dict[tuple[int, ...], int] = {}
+            # the next layer's subgroups in the order grown: sorted members,
+            # member set, gens, and the OR of the ``below`` of every M < H of
+            # index p met so far; ``holding`` indexes them by member
+            keys: list[tuple[int, ...]] = []
+            sets: list[set[int]] = []
+            gens: list[tuple[int, ...]] = []
+            below: list[int] = []
+            holding = [0] * n
             for m in layer:
                 inside, block = m.member_set, m.members
                 # row t -> the coset tM, then t again: a tuple even for |M| = 1
                 coset = operator.itemgetter(*block, self.identity)
                 seen = set(block)
-                for key, (h_set, _) in grown.items():
-                    if h_set.issuperset(m.gens):
-                        seen |= h_set
-                        below[key] |= m.below
-                for x in itertools.chain.from_iterable(map(roots.__getitem__, block)):
+                over = (1 << len(keys)) - 1
+                for s in m.gens:
+                    over &= holding[s]
+                for t in _set_bits(over):
+                    seen |= sets[t]
+                    below[t] |= m.below
+                normalizing = None  # row t -> tS, S the seen part of N_G(M)
+                candidates = itertools.chain.from_iterable(map(roots.__getitem__, block))
+                for x in candidates if len(seen) < n else ():
                     if x in seen:
                         continue
                     row_x_inv = rows[inv[x]]  # x**-1 h x for each generator h
-                    if not all(rows[row_x_inv[h]][x] in inside for h in m.gens):
-                        seen.update(coset(rows[x]))
-                        continue
-                    members, power = set(block), x
-                    while power not in inside:
-                        members.update(coset(rows[power]))
-                        power = rows[power][x]
-                    seen |= members
-                    key = tuple(sorted(members))
-                    grown[key] = members, m.gens + (x,)
-                    below[key] = m.below
-            layer = [Subgroup(self, key, grown[key][1], below[key] | 1 << t)
-                     for t, key in enumerate(sorted(grown), len(found))]
+                    if inside.issuperset([rows[row_x_inv[h]][x] for h in m.gens]):
+                        members, power = set(block), x
+                        while power not in inside:
+                            members.update(coset(rows[power]))
+                            power = rows[power][x]
+                        seen |= members
+                        bit = 1 << len(keys)
+                        for e in members:
+                            holding[e] |= bit
+                        keys.append(tuple(sorted(members)))
+                        sets.append(members)
+                        gens.append(m.gens + (x,))
+                        below.append(m.below)
+                        if len(found) + len(keys) > bound:
+                            raise ClosureCapExceeded(len(found) + len(keys), bound,
+                                                     "subgroups")
+                    else:
+                        if normalizing is None:
+                            normalizing = operator.itemgetter(*seen, self.identity)
+                        seen.update(normalizing(rows[x]))
+                        seen.update(normalizing(row_x_inv))
+                    if len(seen) == n:  # nothing left to grow or mark
+                        break
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            layer = [Subgroup(self, keys[i], gens[i], below[i] | 1 << t)
+                     for t, i in enumerate(order, len(found))]
             found.extend(layer)
         return found
 
@@ -614,8 +648,7 @@ class FiniteGroup:
         subs = self.all_subgroups(cap) if subgroups is None else subgroups
         maps = [self._conjugation(g) for g in dict.fromkeys(self.gens)]
         return [s for s in subs
-                if all(s.member_set.issuperset(map(conj.__getitem__, s.gens))
-                       for conj in maps)]
+                if s.member_set.issuperset([conj[x] for conj in maps for x in s.gens])]
 
     def quotient(self, n: "Subgroup") -> "FiniteGroup":
         """G / N on minimal coset representatives; N must be normal."""
@@ -642,9 +675,9 @@ class FiniteGroup:
                            describe=q_describe, gens=tuple(right),
                            name=f"{self.name}/N{len(n.members)}")
 
-    def sections(self, section_cap: int = 256) -> Iterator[
-            tuple["Subgroup", "Subgroup", set[tuple[int, ...]] | None]]:
-        """All sections H/K as (H, K, lattice): H over all subgroups
+    def sections(self, section_cap: int = 256, walk: bool = True) -> Iterator[
+            tuple["Subgroup", "Subgroup", set[tuple[int, ...]] | None, int]]:
+        """The sections H/K as (H, K, lattice, count): H over all subgroups
         (largest first), K over the normal subgroups of H (smallest first),
         both subgroups of G.  Requires |G| <= section_cap.
 
@@ -659,31 +692,50 @@ class FiniteGroup:
         when k**h is in K for every generator k of K and h of H.  No section
         is built as a group; everything runs on G's indices and Cayley
         table.
+
+        With ``walk`` every section is yielded, each with count 1.  Without
+        it only H/1 is yielded for each H < G, its count the number of
+        sections H/K, which are counted, not walked: the G-normal K and
+        those with |H:K| <= p by one mask over ``H.below``, the others by
+        the generator test.  G/1 then has count 1, and G's other sections
+        follow as one item, (G, its least normal K > 1, lattice, their
+        number).
         """
         n = len(self)
         if n > section_cap:
             raise ClosureCapExceeded(n, section_cap)
-        whole = self.whole_subgroup()
-        yield whole, self.trivial_subgroup(), None
+        whole, trivial = self.whole_subgroup(), self.trivial_subgroup()
+        yield whole, trivial, None, 1
         subs = self.all_subgroups(section_cap)
         lattice = {s.members for s in subs}
         normal = self.normal_subgroups(section_cap, subs)
-        for k in normal[1:]:
-            yield whole, k, lattice
+        if walk:
+            for k in normal[1:]:
+                yield whole, k, lattice, 1
+        elif len(normal) > 1:
+            yield whole, normal[1], lattice, len(normal) - 1
         p, _ = self.p_group_base()
         rows, inv = self.full_table(), self.inverses()
         normal_ids = set(map(id, normal))
-        g_normal = [id(s) in normal_ids for s in subs]
+        g_normal = sum(1 << t for t, s in enumerate(subs) if id(s) in normal_ids)
+        first_of_order: dict[int, int] = {}  # |K| -> least position of that order
+        for t, s in enumerate(subs):
+            first_of_order.setdefault(len(s), t)
+
+        def normal_in(h: Subgroup, k: Subgroup) -> bool:
+            return k.member_set.issuperset([rows[rows[inv[y]][x]][y]
+                                            for x in k.gens for y in h.gens])
+
         for h in sorted(subs, key=lambda s: (-len(s.members), s.members))[1:]:
-            bits, index_p = h.below, len(h) // p  # |K| >= index_p: |H:K| <= p
-            while bits:
-                t = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                k = subs[t]
-                if g_normal[t] or len(k) >= index_p or all(
-                        rows[rows[inv[y]][x]][y] in k.member_set
-                        for x in k.gens for y in h.gens):
-                    yield h, k, lattice
+            # the K in H that are G-normal or have |K| >= |H|/p, so |H:K| <= p
+            free = h.below & (g_normal | -(1 << first_of_order.get(len(h) // p, 0)))
+            if walk:
+                for t in _set_bits(h.below):
+                    if free >> t & 1 or normal_in(h, subs[t]):
+                        yield h, subs[t], lattice, 1
+            else:
+                tested = sum(normal_in(h, subs[t]) for t in _set_bits(h.below ^ free))
+                yield h, trivial, lattice, free.bit_count() + tested
 
 
 @dataclass(frozen=True)
@@ -721,6 +773,14 @@ class Subgroup:
         if self.gens:
             return self.gens
         return self.parent.subgroup(self.members).gens
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _gather(values: Sequence[int], idx: Sequence[int]) -> Sequence[int]:

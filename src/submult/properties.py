@@ -29,9 +29,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .cyclotomic import Spectrum
 from .families import (all_characters, big_cycle, check_basic_order,
                        induced_rep_generators)
-from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
-                     Subgroup, close, direct_power, is_prime,
-                     least_prime_factor)
+from .groups import (DEFAULT_CLOSURE_CAP, SUBGROUPS_PER_ORDER,
+                     ClosureCapExceeded, FiniteGroup, Subgroup, close,
+                     direct_power, is_prime, least_prime_factor)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
                        in_row_span, key_mask, key_order,
                        rotation_difference_image)
@@ -457,7 +457,13 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
     With ``only_h1`` (p1) only the sections H/1 are probed: H/1 comes
     before every H/K, and H/K fails p1 only if H/1 does.  Once H/1 passes,
     each level's p**k-th powers of H form a subgroup A, normal in H since
-    conjugation permutes them, so the p**k-th powers of H/K form AK/K.
+    conjugation permutes them, so the p**k-th powers of H/K form AK/K.  A
+    p-abelian group has no failing section (``_power_failure``).  So the
+    scan walks every section only for p2 on a group that is not p-abelian;
+    otherwise ``sections`` yields H/1 alone and counts the H/K behind it.
+
+    A lattice past ``all_subgroups``' bound gives the report of a group
+    past the section cap: G/1 probed, the rest capped.
     """
     if len(g) > section_cap:
         base_fail = _power_failure(g, g.whole_subgroup(), g.trivial_subgroup(),
@@ -469,27 +475,38 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
                        "explanation": "the group itself is a failing section"}
             return PropertyReport(prop, False, witness=witness,
                                   counters={"sections_checked": 1})
-        return PropertyReport(
-            prop, HOLDS_CAPPED, counters={"sections_checked": 1},
-            caps=[f"|G| = {len(g)} exceeds section cap {section_cap}; only "
-                  "the group itself was checked"])
+        return _whole_group_only(prop, f"|G| = {len(g)} exceeds section cap "
+                                       f"{section_cap}")
     checked = 0
-    for h, kernel, lattice in g.sections(section_cap):
-        checked += 1
-        if only_h1 and len(kernel) > 1:
-            continue
-        fail = _power_failure(g, h, kernel, power_set, lattice)
-        if fail is not None:
-            k, rep = fail
-            witness = {"k": k, "element_index": _coset_rank(g, h, kernel, rep),
-                       "element": {"coset_rep": g.describe(rep)},
-                       "subgroup_order": len(h), "kernel_order": len(kernel),
-                       "subgroup_members": list(h.members),
-                       "explanation": "section fails the power-structure "
-                                      "set/subgroup equality"}
-            return PropertyReport(prop, False, witness=witness,
-                                  counters={"sections_checked": checked})
+    try:
+        for h, kernel, lattice, count in g.sections(
+                section_cap, walk=not (only_h1 or g.p_abelian)):
+            if only_h1 and len(kernel) > 1:
+                checked += count
+                continue
+            fail = _power_failure(g, h, kernel, power_set, lattice)
+            if fail is not None:
+                k, rep = fail
+                witness = {"k": k, "element_index": _coset_rank(g, h, kernel, rep),
+                           "element": {"coset_rep": g.describe(rep)},
+                           "subgroup_order": len(h), "kernel_order": len(kernel),
+                           "subgroup_members": list(h.members),
+                           "explanation": "section fails the power-structure "
+                                          "set/subgroup equality"}
+                return PropertyReport(prop, False, witness=witness,
+                                      counters={"sections_checked": checked + 1})
+            checked += count
+    except ClosureCapExceeded as exc:  # raised right after G/1 passed
+        return _whole_group_only(
+            prop, f"the subgroup lattice of G exceeds {exc.cap} subgroups "
+                  f"({SUBGROUPS_PER_ORDER} x section cap {section_cap})")
     return PropertyReport(prop, True, counters={"sections_checked": checked})
+
+
+def _whole_group_only(prop: str, cap: str) -> PropertyReport:
+    """The report of a section scan capped after G/1 passed."""
+    return PropertyReport(prop, HOLDS_CAPPED, counters={"sections_checked": 1},
+                          caps=[f"{cap}; only the group itself was checked"])
 
 
 def has_p2(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:

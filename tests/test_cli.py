@@ -201,6 +201,34 @@ class TestFamilyContract:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
 
+    def test_flags_are_the_parameters(self):
+        params = {key for family in FAMILY_TABLE.values() for key in family.params}
+        assert params == set(cli.CONSTRUCT_FLAGS)
+
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_foreign_flag_is_refused(self, family, factors, tmp_path, capsys):
+        # a flag of a parameter the family lacks is an input error, refused
+        # before any factor file is read
+        foreign = [(key, flag) for key, flag in cli.CONSTRUCT_FLAGS.items()
+                   if key not in FAMILY_TABLE[family].params]
+        out = tmp_path / "g.json"
+        for key, flag in foreign:
+            value = str(tmp_path / "nonexist.json") if key == "factors" else "3"
+            capsys.readouterr()
+            assert main(["construct", family, *self.flags(family, factors),
+                         flag, value, "-o", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: construct {family} takes no {flag}\n"
+            assert not out.exists()
+
+    def test_quaternion_with_prime_and_factor(self, tmp_path, capsys):
+        out = tmp_path / "q.json"
+        assert main(["construct", "quaternion8", "--p", "3", "--factor",
+                     str(tmp_path / "nonexist.json"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: construct quaternion8 takes no --p, --factor\n"
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_heisenberg(self, h3_file, capsys):

@@ -321,8 +321,8 @@ class TestSubgroupsAndQuotients:
 
     def test_sections_start_with_whole_group(self, h3):
         first = next(iter(h3.sections()))
-        h, k, lattice = first
-        assert len(h) == 27 and len(k) == 1
+        h, k, lattice, count = first
+        assert len(h) == 27 and len(k) == 1 and count == 1
         # the whole group's quotients come before the lattice is enumerated
         assert lattice is None
 
@@ -862,15 +862,37 @@ def lattice_group(name):
         return basic_group(3, 2, 1)
     if name == "b521":
         return basic_group(5, 2, 1)
-    if name == "c3^3":
+    if name.startswith("c") and "^" in name:  # C_p**r, e.g. "c3^3"
+        p, r = map(int, name[1:].split("^"))
         return close(diagonal_abelian_generators(
-            3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+            p, [[int(i == j) for j in range(r)] for i in range(r)]))
     if name == "q8xc3":
         return direct_product(lattice_group("q8"), close(cyclic_generator(3)))
     raise KeyError(name)
 
 
 LATTICE_GROUPS = ("q8", "d8", "h3", "w3", "b321", "c3^3")
+# elementary abelian groups with wide lattices, checked against the
+# reference lattice too
+WIDE_LATTICE_GROUPS = ("c2^5", "c3^4")
+
+
+def gaussian_binomial(r, k, p):
+    """The number of subgroups of order p**k in C_p**r."""
+    count = 1
+    for i in range(k):
+        count = count * (p ** (r - i) - 1) // (p ** (i + 1) - 1)
+    return count
+
+
+def elementary_abelian_subgroups(r, p):
+    return sum(gaussian_binomial(r, k, p) for k in range(r + 1))
+
+
+def elementary_abelian_sections(r, p):
+    """The pairs K <= H in C_p**r: every section of an abelian group."""
+    return sum(gaussian_binomial(r, k, p) * elementary_abelian_subgroups(k, p)
+               for k in range(r + 1))
 
 
 class TestSubgroupLattice:
@@ -891,7 +913,7 @@ class TestSubgroupLattice:
             assert len(g.subgroup(sub.gens[:j])) == p ** j
         assert g.subgroup(sub.gens).members == sub.members
 
-    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    @pytest.mark.parametrize("name", LATTICE_GROUPS + WIDE_LATTICE_GROUPS)
     def test_all_subgroups_match_reference(self, name):
         g = lattice_group(name)
         subs = g.all_subgroups()
@@ -900,7 +922,7 @@ class TestSubgroupLattice:
         for sub in subs:
             self.assert_polycyclic(g, sub)
 
-    @pytest.mark.parametrize("name", LATTICE_GROUPS)
+    @pytest.mark.parametrize("name", LATTICE_GROUPS + WIDE_LATTICE_GROUPS)
     def test_containment_masks_match_brute_force(self, name):
         # bit t of H.below is set exactly when subs[t] is a subset of H
         subs = lattice_group(name).all_subgroups()
@@ -916,6 +938,46 @@ class TestSubgroupLattice:
             [members for members, _ in reference_normal_subgroups(g)]
         for sub in subs:
             self.assert_polycyclic(g, sub)
+
+    @pytest.mark.parametrize("name, count", [
+        ("c2^5", 374), ("c2^6", 2825), ("c3^4", 212), ("c3^3", 28)])
+    def test_elementary_abelian_counts(self, name, count):
+        # the subgroups of C_p**r are the subspaces of F_p**r
+        g = lattice_group(name)
+        p, r = map(int, name[1:].split("^"))
+        assert elementary_abelian_subgroups(r, p) == count
+        subs = g.all_subgroups()
+        assert len(subs) == count
+        # every subgroup of an abelian group is normal
+        assert g.normal_subgroups() == subs
+        for decide in (has_p1, has_p2):
+            report = decide(g)
+            assert report.holds is True
+            assert report.counters["sections_checked"] == \
+                elementary_abelian_sections(r, p)
+
+    def test_c2_7_exhaustive(self):
+        # 29,212 subgroups and 2,379,348 sections, within the default caps
+        g = lattice_group.__wrapped__("c2^7")
+        assert len(g.all_subgroups()) == elementary_abelian_subgroups(7, 2) == 29212
+        report = has_p2(g)
+        assert (report.holds, report.caps) == (True, [])
+        assert report.counters["sections_checked"] == \
+            elementary_abelian_sections(7, 2) == 2379348
+
+    def test_c2_8_lattice_capped(self):
+        # 417,199 subgroups: the lattice stops past 128 * 256 of them, and
+        # the scan reports the whole group checked, the rest capped
+        g = lattice_group.__wrapped__("c2^8")
+        assert elementary_abelian_subgroups(8, 2) == 417199
+        with pytest.raises(ClosureCapExceeded, match="cap 32768 .*subgroups"):
+            g.all_subgroups()
+        report = has_p1(g)
+        assert report.holds == "holds-capped"
+        assert report.counters == {"sections_checked": 1}
+        assert report.caps == ["the subgroup lattice of G exceeds 32768 "
+                               "subgroups (128 x section cap 256); only the "
+                               "group itself was checked"]
 
     @pytest.mark.parametrize("method", ["all_subgroups", "normal_subgroups"])
     def test_lattice_rejects_non_p_group(self, method):
@@ -937,7 +999,7 @@ class TestSubgroupLattice:
     def test_sections_match_reference(self, name):
         g = lattice_group(name)
         got = [(h.members, k.members, len(h) // len(k))
-               for h, k, _ in g.sections()]
+               for h, k, _, _ in g.sections()]
         assert got == reference_sections(g)
 
 

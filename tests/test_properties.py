@@ -9,10 +9,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
-from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, engel_bracket,
-                         group_from_carriers, lattice_group, monomial_groups,
-                         reference_all_subgroups, reference_as_group,
-                         reference_normal_subgroups, regularity_groups)
+from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, WIDE_LATTICE_GROUPS,
+                         engel_bracket, group_from_carriers, lattice_group,
+                         monomial_groups, reference_all_subgroups,
+                         reference_as_group, reference_normal_subgroups,
+                         regularity_groups)
 
 from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
@@ -519,6 +520,22 @@ class TestSectionOracle:
             report = decide(g).to_json()
             event(f"{prop} holds: {report['holds']}")
             assert report == reference_section_report(g, prop)
+
+
+class TestSectionCounts:
+    """p1, and p2 on a p-abelian group, probe only some sections and count
+    the rest from the lattice's containment masks; the count is that of
+    the sections ``FiniteGroup.sections`` walks."""
+
+    @pytest.mark.parametrize("prop", ["p1", "p2"])
+    @pytest.mark.parametrize("name", LATTICE_GROUPS + WIDE_LATTICE_GROUPS)
+    def test_counted_sections_are_the_walked_ones(self, name, prop):
+        # p1 and p-abelian scans count the sections they do not probe
+        g = lattice_group(name)
+        report = (has_p1 if prop == "p1" else has_p2)(g)
+        if report.holds is True:
+            assert report.counters["sections_checked"] == \
+                sum(1 for _ in g.sections())
 
 
 class TestRegularity:
