@@ -41,10 +41,11 @@ The subgroup lattice of a p-group runs on integer indices over the table:
 each subgroup of order p**(i+1) is one of order p**i extended by a single
 element (cyclic extension), and records as a bitmask the positions of its
 own subgroups in the lattice; the normal subgroups are its G-normal
-members.  Sections H/K are pairs of its subgroups, K read off H's bitmask
-in the same lattice, built once after G/1 is yielded: a section scan
-builds no group for a section, and the sections it does not probe are
-counted per H from the bitmask instead of yielded.
+members.  Sections H/K are pairs of its subgroups: ``sections`` yields
+each H with a mask of the K normal in it, read off H's bitmask in the
+same lattice, built once per scan.  A section scan builds no group for a
+section, probes G/1 before it asks for the lattice, and counts the
+sections it does not probe off the masks.
 
 Determinism contract: ``close`` orders elements by breadth-first layer and
 then by canonical key, so element indices are reproducible across runs and
@@ -54,6 +55,7 @@ elements.  Groups are immutable once built and all queries are pure.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -675,67 +677,42 @@ class FiniteGroup:
                            describe=q_describe, gens=tuple(right),
                            name=f"{self.name}/N{len(n.members)}")
 
-    def sections(self, section_cap: int = 256, walk: bool = True) -> Iterator[
-            tuple["Subgroup", "Subgroup", set[tuple[int, ...]] | None, int]]:
-        """The sections H/K as (H, K, lattice, count): H over all subgroups
-        (largest first), K over the normal subgroups of H (smallest first),
-        both subgroups of G.  Requires |G| <= section_cap.
+    def sections(self, section_cap: int = 256) -> Iterator[
+            tuple["Subgroup", int, list["Subgroup"]]]:
+        """The sections H/K as (H, kernels, lattice), one item per subgroup
+        H of G, largest first.  Requires |G| <= section_cap.
 
-        G/1 comes first, with lattice None, before any lattice exists: a
-        scan that stops there never pays for one.  Then the lattice is built
-        once (``all_subgroups``), and lattice is the set of member tuples of
-        every subgroup of G.  The other G/K follow, K over the G-normal
-        members of that list (``normal_subgroups``), then the normal
-        subgroups of each smaller H, read from it: the K in H are the set
-        bits of ``H.below``, and K is normal in H when it is normal in G,
-        when |H:K| <= p (a maximal subgroup of a p-group is normal), or else
-        when k**h is in K for every generator k of K and h of H.  No section
-        is built as a group; everything runs on G's indices and Cayley
-        table.
-
-        With ``walk`` every section is yielded, each with count 1.  Without
-        it only H/1 is yielded for each H < G, its count the number of
-        sections H/K, which are counted, not walked: the G-normal K and
-        those with |H:K| <= p by one mask over ``H.below``, the others by
-        the generator test.  G/1 then has count 1, and G's other sections
-        follow as one item, (G, its least normal K > 1, lattice, their
-        number).
+        lattice is ``all_subgroups``, built once, and kernels has bit t set
+        when K = lattice[t] is normal in H, so the sections of H are H/K
+        for its set bits, smallest K first.  The K in H are the set bits of
+        ``H.below``, and K is normal in H when it is normal in G (a member
+        of ``normal_subgroups``), when |H:K| <= p (a maximal subgroup of a
+        p-group is normal), or else when k**h is in K for every generator k
+        of K and h of H.  G's kernels leave out K = 1: a scan probes G/1
+        before it asks for a lattice.  No section is built as a group;
+        everything runs on G's indices and Cayley table.
         """
-        n = len(self)
-        if n > section_cap:
-            raise ClosureCapExceeded(n, section_cap)
-        whole, trivial = self.whole_subgroup(), self.trivial_subgroup()
-        yield whole, trivial, None, 1
         subs = self.all_subgroups(section_cap)
-        lattice = {s.members for s in subs}
         normal = self.normal_subgroups(section_cap, subs)
-        if walk:
-            for k in normal[1:]:
-                yield whole, k, lattice, 1
-        elif len(normal) > 1:
-            yield whole, normal[1], lattice, len(normal) - 1
         p, _ = self.p_group_base()
         rows, inv = self.full_table(), self.inverses()
         normal_ids = set(map(id, normal))
         g_normal = sum(1 << t for t, s in enumerate(subs) if id(s) in normal_ids)
-        first_of_order: dict[int, int] = {}  # |K| -> least position of that order
-        for t, s in enumerate(subs):
-            first_of_order.setdefault(len(s), t)
+        orders = [len(s) for s in subs]  # ascending
 
         def normal_in(h: Subgroup, k: Subgroup) -> bool:
             return k.member_set.issuperset([rows[rows[inv[y]][x]][y]
                                             for x in k.gens for y in h.gens])
 
-        for h in sorted(subs, key=lambda s: (-len(s.members), s.members))[1:]:
+        for h in sorted(subs, key=lambda s: (-len(s.members), s.members)):
             # the K in H that are G-normal or have |K| >= |H|/p, so |H:K| <= p
-            free = h.below & (g_normal | -(1 << first_of_order.get(len(h) // p, 0)))
-            if walk:
-                for t in _set_bits(h.below):
-                    if free >> t & 1 or normal_in(h, subs[t]):
-                        yield h, subs[t], lattice, 1
+            kernels = h.below & (g_normal | -(1 << bisect.bisect_left(orders, len(h) // p)))
+            if len(h) == len(self):  # those are all; K = 1 is probed already
+                kernels ^= 1
             else:
-                tested = sum(normal_in(h, subs[t]) for t in _set_bits(h.below ^ free))
-                yield h, trivial, lattice, free.bit_count() + tested
+                kernels |= sum(1 << t for t in _set_bits(h.below ^ kernels)
+                               if normal_in(h, subs[t]))
+            yield h, kernels, subs
 
 
 @dataclass(frozen=True)

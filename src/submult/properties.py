@@ -30,8 +30,8 @@ from .cyclotomic import Spectrum
 from .families import (all_characters, big_cycle, check_basic_order,
                        induced_rep_generators)
 from .groups import (DEFAULT_CLOSURE_CAP, SUBGROUPS_PER_ORDER,
-                     ClosureCapExceeded, FiniteGroup, Subgroup, close,
-                     direct_power, is_prime, least_prime_factor)
+                     ClosureCapExceeded, FiniteGroup, Subgroup, _set_bits,
+                     close, direct_power, is_prime, least_prime_factor)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
                        in_row_span, key_mask, key_order,
                        rotation_difference_image)
@@ -451,56 +451,57 @@ def has_wp2(g: FiniteGroup) -> PropertyReport:
 
 def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
                   power_set: PowerSet, only_h1: bool) -> PropertyReport:
-    """Run the power probe over the sections H/K of g in ``sections``
-    order, G/1 first, counting every section in ``sections_checked``.
+    """Probe the sections H/K of g, counting each in ``sections_checked``:
+    G/1 once, before any lattice, whatever |G| is; then, for each H that
+    ``sections`` yields, the K bits of its mask: all of them for p2 on a
+    group that is not p-abelian, bit 0 (H/1) alone for p1, none for a
+    p-abelian group, whose sections all pass (``_power_failure``).  H/K
+    fails p1 only if H/1 does: once H/1 passes, each level's p**k-th powers
+    of H form a subgroup A, normal in H since conjugation permutes them, so
+    the p**k-th powers of H/K form AK/K.
 
-    With ``only_h1`` (p1) only the sections H/1 are probed: H/1 comes
-    before every H/K, and H/K fails p1 only if H/1 does.  Once H/1 passes,
-    each level's p**k-th powers of H form a subgroup A, normal in H since
-    conjugation permutes them, so the p**k-th powers of H/K form AK/K.  A
-    p-abelian group has no failing section (``_power_failure``).  So the
-    scan walks every section only for p2 on a group that is not p-abelian;
-    otherwise ``sections`` yields H/1 alone and counts the H/K behind it.
-
-    A lattice past ``all_subgroups``' bound gives the report of a group
-    past the section cap: G/1 probed, the rest capped.
+    Above the section cap, or once the lattice passes ``all_subgroups``'
+    bound, the report is G/1's: a failure, or a verdict capped after it.
     """
-    if len(g) > section_cap:
-        base_fail = _power_failure(g, g.whole_subgroup(), g.trivial_subgroup(),
-                                   power_set)
-        if base_fail is not None:
-            k, idx = base_fail
-            witness = {"k": k, "element_index": idx, "element": g.describe(idx),
-                       "section": "the whole group",
-                       "explanation": "the group itself is a failing section"}
-            return PropertyReport(prop, False, witness=witness,
-                                  counters={"sections_checked": 1})
+    h, kernel = g.whole_subgroup(), g.trivial_subgroup()
+    fail, checked = _power_failure(g, h, kernel, power_set), 1
+    if fail is None and len(g) > section_cap:
         return _whole_group_only(prop, f"|G| = {len(g)} exceeds section cap "
                                        f"{section_cap}")
-    checked = 0
+    probed = 0 if g.p_abelian else 1 if only_h1 else -1  # the K bits to probe
+    members = None  # the member tuples of the lattice, for ``_power_failure``
     try:
-        for h, kernel, lattice, count in g.sections(
-                section_cap, walk=not (only_h1 or g.p_abelian)):
-            if only_h1 and len(kernel) > 1:
-                checked += count
-                continue
-            fail = _power_failure(g, h, kernel, power_set, lattice)
+        for h, kernels, lattice in g.sections(section_cap) if fail is None else ():
+            for t in _set_bits(kernels & probed):
+                members = members or {s.members for s in lattice}
+                kernel = lattice[t]
+                fail = _power_failure(g, h, kernel, power_set, members)
+                if fail is not None:
+                    kernels &= (2 << t) - 1  # the sections H/K up to this one
+                    break
+            checked += kernels.bit_count()
             if fail is not None:
-                k, rep = fail
-                witness = {"k": k, "element_index": _coset_rank(g, h, kernel, rep),
-                           "element": {"coset_rep": g.describe(rep)},
-                           "subgroup_order": len(h), "kernel_order": len(kernel),
-                           "subgroup_members": list(h.members),
-                           "explanation": "section fails the power-structure "
-                                          "set/subgroup equality"}
-                return PropertyReport(prop, False, witness=witness,
-                                      counters={"sections_checked": checked + 1})
-            checked += count
-    except ClosureCapExceeded as exc:  # raised right after G/1 passed
+                break
+    except ClosureCapExceeded as exc:  # raised before the first H
         return _whole_group_only(
             prop, f"the subgroup lattice of G exceeds {exc.cap} subgroups "
                   f"({SUBGROUPS_PER_ORDER} x section cap {section_cap})")
-    return PropertyReport(prop, True, counters={"sections_checked": checked})
+    if fail is None:
+        return PropertyReport(prop, True, counters={"sections_checked": checked})
+    k, rep = fail
+    if len(g) > section_cap:
+        witness = {"k": k, "element_index": rep, "element": g.describe(rep),
+                   "section": "the whole group",
+                   "explanation": "the group itself is a failing section"}
+    else:
+        witness = {"k": k, "element_index": _coset_rank(g, h, kernel, rep),
+                   "element": {"coset_rep": g.describe(rep)},
+                   "subgroup_order": len(h), "kernel_order": len(kernel),
+                   "subgroup_members": list(h.members),
+                   "explanation": "section fails the power-structure "
+                                  "set/subgroup equality"}
+    return PropertyReport(prop, False, witness=witness,
+                          counters={"sections_checked": checked})
 
 
 def _whole_group_only(prop: str, cap: str) -> PropertyReport:

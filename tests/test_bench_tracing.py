@@ -1,0 +1,34 @@
+"""The benchmark's tracer (``bench/tracing.py``) still finds every name it
+wraps: a renamed or removed function would otherwise show up only as an
+``absent`` layer in a slow traced run."""
+
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    importlib.import_module("submult.cli")  # binds every traced module
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        yield importlib.import_module("tracing")
+
+
+def test_every_traced_name_resolves(tracing):
+    missing = [(name, module, path)
+               for name, module, path in tracing.SPANS + tracing.COUNTS
+               if tracing._resolve(module, path) is None]
+    assert missing == []
+
+
+def test_generator_layers_are_generator_functions(tracing):
+    spans = {name: (module, path) for name, module, path in tracing.SPANS}
+    assert tracing.GENERATORS <= set(spans)
+    for name in tracing.GENERATORS:
+        _, _, original = tracing._resolve(*spans[name])
+        assert inspect.isgeneratorfunction(original), name

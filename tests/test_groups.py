@@ -320,11 +320,12 @@ class TestSubgroupsAndQuotients:
         assert 1 in orders and 81 in orders
 
     def test_sections_start_with_whole_group(self, h3):
-        first = next(iter(h3.sections()))
-        h, k, lattice, count = first
-        assert len(h) == 27 and len(k) == 1 and count == 1
-        # the whole group's quotients come before the lattice is enumerated
-        assert lattice is None
+        h, kernels, lattice = next(iter(h3.sections()))
+        assert len(h) == 27
+        # G's kernels are its normal subgroups but 1: a scan probes G/1
+        # before it asks for the lattice
+        assert [k.members for t, k in enumerate(lattice) if kernels >> t & 1] \
+            == [s.members for s in h3.normal_subgroups()[1:]]
 
 
 class TestProducts:
@@ -837,6 +838,16 @@ def reference_as_group(g, members, gens):
                                tuple(pos[x] for x in gens) or (pos[g.identity],))
 
 
+def expanded_sections(g):
+    """(H members, K members, |H/K|) of every section of g: G/1, then each
+    K bit of the masks ``FiniteGroup.sections`` yields."""
+    out = [(g.whole_subgroup().members, g.trivial_subgroup().members, len(g))]
+    for h, kernels, lattice in g.sections():
+        out.extend((h.members, k.members, len(h) // len(k))
+                   for t, k in enumerate(lattice) if kernels >> t & 1)
+    return out
+
+
 def reference_sections(g):
     """(H members, K members, |H/K|) in section order, on g's indices."""
     subs = sorted(reference_all_subgroups(g), key=lambda kv: (-len(kv[0]), kv[0]))
@@ -998,9 +1009,7 @@ class TestSubgroupLattice:
     @pytest.mark.parametrize("name", LATTICE_GROUPS)
     def test_sections_match_reference(self, name):
         g = lattice_group(name)
-        got = [(h.members, k.members, len(h) // len(k))
-               for h, k, _, _ in g.sections()]
-        assert got == reference_sections(g)
+        assert expanded_sections(g) == reference_sections(g)
 
 
 class TestLatticeWork:

@@ -384,9 +384,25 @@ class TestSections:
         assert report.holds == "holds-capped"
         assert any("section cap" in cap for cap in report.caps)
 
-    def test_failing_group_detected_even_above_cap(self, w3):
-        report = has_p2(w3, section_cap=16)
-        assert report.holds is False
+    def test_failing_group_detected_even_above_cap(self, w3, monkeypatch):
+        # G/1 is probed once, before any lattice, whatever |G| is: above the
+        # cap and below it the two witness shapes cite the same failure
+        entered = []
+        original = FiniteGroup.sections
+
+        def spy(self, *args, **kwargs):
+            entered.append(len(self))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteGroup, "sections", spy)
+        above, below = has_p2(w3, section_cap=16), has_p2(w3, section_cap=256)
+        assert above.holds is False and below.holds is False
+        assert above.witness["section"] == "the whole group"
+        assert (below.witness["kernel_order"], below.witness["subgroup_order"]) == (1, 81)
+        assert ([above.witness[key] for key in ("k", "element_index")]
+                == [below.witness[key] for key in ("k", "element_index")])
+        assert above.counters == below.counters == {"sections_checked": 1}
+        assert entered == []
 
 
 def literal_power_failure(q, prop):
@@ -522,10 +538,16 @@ class TestSectionOracle:
             assert report == reference_section_report(g, prop)
 
 
+def section_count(g):
+    """G/1 and the set bits of every kernel mask ``FiniteGroup.sections``
+    yields: the number of sections of g."""
+    return 1 + sum(kernels.bit_count() for _, kernels, _ in g.sections())
+
+
 class TestSectionCounts:
     """p1, and p2 on a p-abelian group, probe only some sections and count
     the rest from the lattice's containment masks; the count is that of
-    the sections ``FiniteGroup.sections`` walks."""
+    the sections ``FiniteGroup.sections`` yields."""
 
     @pytest.mark.parametrize("prop", ["p1", "p2"])
     @pytest.mark.parametrize("name", LATTICE_GROUPS + WIDE_LATTICE_GROUPS)
@@ -534,8 +556,19 @@ class TestSectionCounts:
         g = lattice_group(name)
         report = (has_p1 if prop == "p1" else has_p2)(g)
         if report.holds is True:
-            assert report.counters["sections_checked"] == \
-                sum(1 for _ in g.sections())
+            assert report.counters["sections_checked"] == section_count(g)
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: close([MonomialMatrix.identity(1)]), 1),
+        (lambda: close(cyclic_generator(9)), 6),
+    ], ids=["trivial", "c9"])
+    def test_small_groups(self, make, count):
+        # the trivial group has G/1 alone; C9 has 9/1, 9/3, 9/9, 3/1, 3/3, 1/1
+        g = make()
+        assert section_count(g) == count
+        for decide in (has_p1, has_p2):
+            report = decide(g)
+            assert (report.holds, report.counters) == (True, {"sections_checked": count})
 
 
 class TestRegularity:
