@@ -18,7 +18,8 @@ from typing import Any, Callable, Iterator, Sequence
 
 from .config import RunConfig
 from .families import (FAMILIES, FAMILY_TABLE, GroupFamilySpec, build_group,
-                       load_group_file, read_json, write_group_file)
+                       group_file_spec, load_group_file, read_json,
+                       write_group_file)
 from .groups import SUBGROUPS_PER_ORDER, ClosureCapExceeded
 from .monomial import MonomialMatrix
 from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
@@ -158,8 +159,7 @@ def _s_hat(spec: GroupFamilySpec, args: argparse.Namespace) -> PropertyReport:
     one representation it supplies."""
     if spec.carrier == "affine":
         ps = spec.params
-        return has_property_s_hat_basic(int(ps["p"]), int(ps["c"]), int(ps["e"]),
-                                        cap=args.cap)
+        return has_property_s_hat_basic(ps["p"], ps["c"], ps["e"], cap=args.cap)
     return has_property_s_hat_single(build_group(spec, cap=args.cap))
 
 
@@ -227,7 +227,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                    "det": matrix.det().to_json(),
                    "spectrum": matrix.spectrum().to_json()}
     elif "family" in data:
-        spec = load_group_file(args.file)
+        spec = group_file_spec(data, args.file)
         if spec.carrier != "monomial":
             raise ValueError("spectra need a monomial carrier")
         gens = spec.generators

@@ -26,6 +26,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+def json_int(value: object, name: str) -> int:
+    """The one reader of an integer from a file: a JSON integer, as given.
+    A bool, a float (3.0 included), a string or anything else is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CyclotomicUnit:
     """exp(2*pi*i*num/den), normalized so 0 <= num < den and gcd(num, den) = 1.
@@ -70,7 +78,7 @@ class CyclotomicUnit:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclotomicUnit":
-        return cls(int(data["num"]), int(data["den"]))
+        return cls(json_int(data["num"], "num"), json_int(data["den"], "den"))
 
     def __repr__(self) -> str:
         return f"CyclotomicUnit({self.num}, {self.den})"

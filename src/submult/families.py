@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from .cyclotomic import ONE, CyclotomicUnit
+from .cyclotomic import ONE, CyclotomicUnit, json_int
 from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
                      close, is_prime)
 from .monomial import MonomialMatrix
@@ -76,7 +76,7 @@ def diagonal_abelian_generators(m: int, vectors: Sequence[Sequence[int]]
     if any(len(v) != width for v in vectors):
         raise ValueError("all exponent vectors must have the same length")
     omega = CyclotomicUnit(1, m)
-    return [MonomialMatrix.diagonal([omega ** int(c) for c in vec])
+    return [MonomialMatrix.diagonal([omega ** c for c in vec])
             for vec in vectors]
 
 
@@ -282,7 +282,7 @@ def induced_rep_generators(p: int, c: int, e: int,
         raise ValueError(f"character must list {c} exponents")
     m = p ** e
     omega = CyclotomicUnit(1, m)
-    x = [int(v) % m for v in character]
+    x = [v % m for v in character]
     images = []
     for i in range(1, c + 1):
         diag = []
@@ -316,12 +316,11 @@ class Family:
 def _check_prime(params: dict, key: str = "p") -> None:
     # recipes take p <= DEFAULT_CLOSURE_CAP, a fixed limit checked before
     # is_prime so that its trial division stays bounded
-    p = int(params[key])
+    p = params[key]
     if p > DEFAULT_CLOSURE_CAP:
-        raise ValueError(f"recipes take {key} <= {DEFAULT_CLOSURE_CAP}, "
-                         f"got {params[key]}")
+        raise ValueError(f"recipes take {key} <= {DEFAULT_CLOSURE_CAP}, got {p}")
     if not is_prime(p):
-        raise ValueError(f"{key} must be prime, got {params[key]}")
+        raise ValueError(f"{key} must be prime, got {p}")
 
 
 def _check_factors(params: dict) -> None:
@@ -334,7 +333,7 @@ def _check_factors(params: dict) -> None:
 def _check_basic(params: dict, min_c: int = 1) -> None:
     """The basic group's parameters; induced_rep also allows c = 0."""
     _check_prime(params)
-    p, c, e = int(params["p"]), int(params["c"]), int(params["e"])
+    p, c, e = params["p"], params["c"], params["e"]
     if c < min_c or e < 1:
         raise ValueError(f"need c >= {min_c} and e >= 1 (c={c}, e={e})")
     # the builders loop over all p**e exponents; as p >= 2, an e of the
@@ -364,21 +363,37 @@ def _product_generators(params: dict) -> list[MonomialMatrix]:
     return gens
 
 
+def _read_ints(value: object, name: str, depth: int) -> None:
+    """JSON integers nested ``depth`` lists deep, each read by json_int."""
+    if depth == 0:
+        json_int(value, name)
+        return
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, got {value!r}")
+    for i, v in enumerate(value):
+        _read_ints(v, f"{name}[{i}]", depth - 1)
+
+
+# recipe parameter -> how many lists deep its integers are; they are read
+# before the family's check, and the builders take them as given
+INT_PARAMS = {"m": 0, "p": 0, "c": 0, "e": 0, "character": 1, "vectors": 2}
+
+
 # The builders are named inside lambdas, so each call reads the module's
 # current binding (and a wrapper put there sees the call).
 FAMILY_TABLE = {
-    "cyclic": Family(("m",), generators=lambda ps: cyclic_generator(int(ps["m"]))),
-    "heisenberg": Family(("p",), _check_prime, lambda ps: heisenberg_generators(int(ps["p"]))),
-    "wreath_cp_cp": Family(("p",), _check_prime, lambda ps: wreath_generators(int(ps["p"]))),
+    "cyclic": Family(("m",), generators=lambda ps: cyclic_generator(ps["m"])),
+    "heisenberg": Family(("p",), _check_prime, lambda ps: heisenberg_generators(ps["p"])),
+    "wreath_cp_cp": Family(("p",), _check_prime, lambda ps: wreath_generators(ps["p"])),
     "basic": Family(("p", "c", "e"), _check_basic),
     "quaternion8": Family((), generators=lambda ps: quaternion_generators()),
     "dihedral8": Family((), generators=lambda ps: dihedral_generators()),
     "diagonal_abelian": Family(("m", "vectors"), generators=lambda ps:
-                               diagonal_abelian_generators(int(ps["m"]), ps["vectors"])),
+                               diagonal_abelian_generators(ps["m"], ps["vectors"])),
     "direct_product": Family(("factors",), _check_factors, lambda ps: _product_generators(ps)),
     "induced_rep": Family(("p", "c", "e", "character"), lambda ps: _check_basic(ps, min_c=0),
                           lambda ps: induced_rep_generators(
-                              int(ps["p"]), int(ps["c"]), int(ps["e"]), ps["character"])),
+                              ps["p"], ps["c"], ps["e"], ps["character"])),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 
@@ -397,6 +412,9 @@ class GroupFamilySpec:
         missing = [k for k in family.params if k not in self.params]
         if missing:
             raise ValueError(f"missing parameters: {missing}")
+        for key in family.params:
+            if key in INT_PARAMS:
+                _read_ints(self.params[key], key, INT_PARAMS[key])
         family.check(self.params)
 
     @property
@@ -415,7 +433,7 @@ class GroupFamilySpec:
     def from_json(cls, data: dict) -> "GroupFamilySpec":
         try:
             return cls(str(data["family"]), dict(data["params"]))
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError("malformed group recipe: needs \"family\" and "
                              f"\"params\" ({type(exc).__name__}: {exc})") from exc
 
@@ -433,14 +451,14 @@ def build_group(spec: GroupFamilySpec,
     """Closure of a spec into a FiniteGroup (any family)."""
     if spec.carrier == "affine":
         ps = spec.params
-        return basic_group(int(ps["p"]), int(ps["c"]), int(ps["e"]), cap)
+        return basic_group(ps["p"], ps["c"], ps["e"], cap)
     return close(spec.generators, cap, name=spec.family)
 
 
 def group_file_payload(spec: GroupFamilySpec) -> dict:
     if spec.carrier == "affine":
         # a_1 = (e_1, 0) and b = (0, 1), with no AffineContext built
-        c = int(spec.params["c"])
+        c = spec.params["c"]
         gens = [{"v": [1] + [0] * (c - 1), "t": 0}, {"v": [0] * c, "t": 1}]
     else:
         gens = [g.to_json() for g in spec.generators]
@@ -463,15 +481,21 @@ def read_json(path: str | Path) -> Any:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from exc
 
 
-def load_group_file(path: str | Path) -> GroupFamilySpec:
-    """Load a recipe and confirm the stored generators match it."""
-    data = read_json(path)
+def group_file_spec(data: Any, source: str | Path) -> GroupFamilySpec:
+    """The recipe of a parsed group file, once its stored carrier and
+    generators are confirmed to be the recipe's."""
     spec = GroupFamilySpec.from_json(data)
     try:
-        expected = group_file_payload(spec)["generators"]
-    except (LookupError, TypeError, OverflowError) as exc:  # "vectors": 5
+        expected = group_file_payload(spec)
+    except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed group recipe: bad {spec.family} parameters "
                          f"({type(exc).__name__}: {exc})") from exc
-    if data.get("generators") != expected:
-        raise ValueError(f"{path}: stored generators do not match the recipe")
+    for key in ("carrier", "generators"):
+        if data.get(key) != expected[key]:
+            raise ValueError(f"{source}: the recipe does not match its stored {key}")
     return spec
+
+
+def load_group_file(path: str | Path) -> GroupFamilySpec:
+    """Load a recipe and confirm the stored carrier and generators match it."""
+    return group_file_spec(read_json(path), path)

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cyclotomic import ONE, CyclotomicUnit, Spectrum
+from .cyclotomic import ONE, CyclotomicUnit, Spectrum, json_int
 
 
 def _perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
@@ -164,9 +164,11 @@ class MonomialMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "MonomialMatrix":
         try:
-            return cls(int(data["n"]), tuple(int(x) for x in data["perm"]),
+            perm = data["perm"]
+            return cls(json_int(data["n"], "n"),
+                       tuple(json_int(x, f"perm[{j}]") for j, x in enumerate(perm)),
                        tuple(CyclotomicUnit.from_json(e) for e in data["entries"]))
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError("malformed matrix: needs \"n\", \"perm\" and "
                              f"\"entries\" ({type(exc).__name__}: {exc})") from exc
 

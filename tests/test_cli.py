@@ -472,8 +472,12 @@ class TestSpectrum:
         assert data["order"] == 9
         assert len(data["spectrum"]) == 9
 
-    def test_group_file(self, h3_file, capsys):
+    def test_group_file(self, h3_file, capsys, monkeypatch):
+        reads, read_text = [], Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda path, *args, **kwargs:
+                            reads.append(path) or read_text(path, *args, **kwargs))
         assert main(["spectrum", str(h3_file), "--format", "structured"]) == 0
+        assert reads == [h3_file]  # the file is read and parsed once
         data = json.loads(capsys.readouterr().out)
         assert len(data["generators"]) == 2
         assert len(data["generators"][0]["spectrum"]) == 3

@@ -2,8 +2,10 @@
 fuzzed input files, on which the CLI exits 0, 1 or 2 and never raises."""
 
 import contextlib
+import functools
 import io
 import json
+import operator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -188,6 +190,48 @@ def assert_exit_code(path):
             assert main(argv) in (0, 1, 2), argv
 
 
+def group_file(family, params, **changes):
+    """The group file of a valid recipe, its params then updated with
+    ``changes``."""
+    doc = group_file_payload(GroupFamilySpec(family, params))
+    doc["params"].update(changes)
+    return doc
+
+
+def value_at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def integer_paths(doc):
+    """The paths of ``paths`` that end at an integer."""
+    return [path for path in paths(doc) if type(value_at(doc, path)) is int]
+
+
+def documents_with_integers():
+    """A group file of each family with integer parameters (all but
+    quaternion8 and dihedral8), one with nested factors, and a matrix file."""
+    docs = base_documents() + [group_file(family, params) for family, params in (
+        ("wreath_cp_cp", {"p": 3}),
+        ("direct_product", {"factors": [
+            {"family": "heisenberg", "params": {"p": 3}},
+            {"family": "diagonal_abelian", "params": {"m": 2, "vectors": [[1]]}}]}))]
+    docs = [d for d in docs if integer_paths(d)]
+    assert {d.get("family") for d in docs} == \
+        set(families.FAMILIES) - {"quaternion8", "dihedral8"} | {None}
+    return docs
+
+
+@st.composite
+def documents_with_a_non_integer(draw):
+    """A document with one integer replaced by a float, a numeric string or
+    a bool, none of which a JSON integer field accepts."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(documents_with_integers()))))
+    path = draw(st.sampled_from(integer_paths(doc)))
+    value = value_at(doc, path)
+    return set_at(doc, path, draw(st.sampled_from(
+        (3.5, 3.0, float(value), str(value), bool(value), not value))))
+
+
 class TestFuzzedFiles:
     @FUZZ_SETTINGS
     @given(mutated_documents())
@@ -195,6 +239,18 @@ class TestFuzzedFiles:
         path = tmp_path_factory.mktemp("fuzz") / "f.json"
         path.write_text(json.dumps(doc))
         assert_exit_code(path)
+
+    @FUZZ_SETTINGS
+    @given(documents_with_a_non_integer())
+    def test_non_integer_fields_exit_two(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "f.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["spectrum", str(path)], ["check", "s", str(path)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                assert main(argv) == 2, (argv, doc)
+            assert "Traceback" not in err.getvalue()
 
     @FUZZ_SETTINGS
     @given(st.binary(max_size=40) | JSON_VALUES.map(
@@ -240,15 +296,42 @@ class TestFuzzedFiles:
         pytest.param({"n": 1, "perm": [0], "entries": [{"num": 1, "den": -3}]},
                      id="den-negative"),
         pytest.param({"n": 1, "perm": [0], "entries": [5]}, id="entry-int"),
+        # int() reads each of these as the stored recipe's own value
+        *(pytest.param(group_file("heisenberg", {"p": 3}, p=p), id=f"p-{p!r}")
+          for p in (3.5, 3.9, 3.0, "3")),
+        *(pytest.param(group_file("cyclic", {"m": int(m)}, m=m), id=f"m-{m!r}")
+          for m in (3.7, "3", True)),
+        *(pytest.param(group_file("diagonal_abelian", {"m": 3, "vectors": [[1, 0]]},
+                                  vectors=[[v, 0]]), id=f"vector-{v!r}")
+          for v in (1.2, "1")),
+        pytest.param(group_file("induced_rep", {"p": 3, "c": 1, "e": 1, "character": [1]},
+                                character=[1.5]), id="character-1.5"),
+        pytest.param({"n": 1, "perm": [0], "entries": [{"num": 1.5, "den": 3}]},
+                     id="num-1.5"),
+        pytest.param({"n": 1, "perm": [0.7], "entries": [{"num": 1, "den": 3}]},
+                     id="perm-0.7"),
+        pytest.param({"n": "1", "perm": [0], "entries": [{"num": 1, "den": 3}]},
+                     id="n-string"),
+        # a stored carrier that is not the recipe's
+        *(pytest.param({**group_file("heisenberg", {"p": 3}), "carrier": carrier},
+                       id=f"carrier-{carrier!r}") for carrier in ("affine", 5)),
+        pytest.param({k: v for k, v in group_file("heisenberg", {"p": 3}).items()
+                      if k != "carrier"}, id="carrier-missing"),
+        pytest.param({**group_file("basic", {"p": 3, "c": 2, "e": 1}),
+                      "carrier": "monomial"}, id="basic-carrier-monomial"),
         pytest.param([1, 2], id="top-list"), pytest.param(7, id="top-int"),
         pytest.param("perm", id="top-string"), pytest.param(None, id="top-null"),
     ])
     def test_known_malformed_files_exit_two(self, doc, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
-        for argv in (["spectrum", str(path)], ["check", "s", str(path)]):
+        for argv in (["spectrum", str(path)], ["check", "s", str(path)],
+                     ["analyze", str(path)]):
             assert main(argv) == 2, argv
-        assert "Traceback" not in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if argv[0] != "check":  # check puts the error in its report
+                assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_huge_prime_rejected_before_primality_test(self, tmp_path,
                                                         monkeypatch):
