@@ -75,32 +75,36 @@ def _vectors(args: argparse.Namespace) -> list[list[int]]:
     return [_parse_int_list(v) for v in args.vector]
 
 
-# Recipe parameters read from a flag of another name or shape; every other
-# parameter is the integer flag of its own name.
-PARAM_FLAGS = {
-    "vectors": _vectors,
-    "character": lambda args: (None if args.character is None
-                               else _parse_int_list(args.character)),
-    "factors": lambda args: [load_group_file(path).to_json()
-                             for path in args.factor or []],
+# recipe parameter -> (its construct flag, the flag's argparse options, the
+# reader of its value from the parsed arguments, or None for an integer
+# flag of the parameter's own name)
+CONSTRUCT_FLAGS: dict[str, tuple[str, dict, Callable | None]] = {
+    "m": ("--m", {"type": int, "help": "cyclic order / diagonal modulus"}, None),
+    "p": ("--p", {"type": int, "help": "prime"}, None),
+    "c": ("--c", {"type": int, "help": "base rank"}, None),
+    "e": ("--e", {"type": int, "help": "exponent level"}, None),
+    "vectors": ("--vector", {"action": "append", "help": "diagonal exponent "
+                             "vector 'a,b,...' (repeatable)"}, _vectors),
+    "character": ("--character", {"help": "character exponents 'x1,x2,...'"},
+                  lambda args: (None if args.character is None
+                                else _parse_int_list(args.character))),
+    "factors": ("--factor", {"action": "append", "help": "factor group file (repeatable)"},
+                lambda args: [load_group_file(path).to_json()
+                              for path in args.factor or []]),
 }
-
-
-# recipe parameter -> its construct flag
-CONSTRUCT_FLAGS = {"m": "--m", "p": "--p", "c": "--c", "e": "--e",
-                   "vectors": "--vector", "character": "--character",
-                   "factors": "--factor"}
 
 
 def _spec_from_args(args: argparse.Namespace) -> GroupFamilySpec:
     family = FAMILY_TABLE[args.family]
-    extra = [flag for key, flag in CONSTRUCT_FLAGS.items()
+    extra = [flag for key, (flag, _, _) in CONSTRUCT_FLAGS.items()
              if key not in family.params and getattr(args, flag[2:]) is not None]
     if extra:
         raise ValueError(f"construct {args.family} takes no {', '.join(extra)}")
-    params = {key: PARAM_FLAGS[key](args) if key in PARAM_FLAGS else getattr(args, key)
-              for key in family.params}
-    missing = [f"--{key}" for key, value in params.items() if value is None]
+    params = {}
+    for key in family.params:
+        _, _, read = CONSTRUCT_FLAGS[key]
+        params[key] = read(args) if read else getattr(args, key)
+    missing = [CONSTRUCT_FLAGS[key][0] for key, value in params.items() if value is None]
     if missing:
         raise ValueError(f"construct {args.family} needs {', '.join(missing)}")
     return GroupFamilySpec(args.family, params)
@@ -296,15 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_construct = sub.add_parser("construct", help="write a group file")
     p_construct.add_argument("family", choices=FAMILIES)
-    p_construct.add_argument("--m", type=int, help="cyclic order / diagonal modulus")
-    p_construct.add_argument("--p", type=int, help="prime")
-    p_construct.add_argument("--c", type=int, help="base rank")
-    p_construct.add_argument("--e", type=int, help="exponent level")
-    p_construct.add_argument("--vector", action="append",
-                             help="diagonal exponent vector 'a,b,...' (repeatable)")
-    p_construct.add_argument("--character", help="character exponents 'x1,x2,...'")
-    p_construct.add_argument("--factor", action="append",
-                             help="factor group file (repeatable)")
+    for flag, options, _ in CONSTRUCT_FLAGS.values():
+        p_construct.add_argument(flag, **options)
     p_construct.add_argument("--cap", type=int, default=DEFAULTS.closure_cap)
     p_construct.add_argument("-o", "--output", required=True)
     p_construct.set_defaults(func=cmd_construct)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from .groups import DEFAULT_CLOSURE_CAP, DEFAULT_SECTION_CAP
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -14,8 +16,8 @@ class RunConfig:
     seed-independent.  The seed is echoed into every emitted report.
     """
 
-    closure_cap: int = 4096
-    section_cap: int = 256
+    closure_cap: int = DEFAULT_CLOSURE_CAP
+    section_cap: int = DEFAULT_SECTION_CAP
     power_cap: int = 2
     output: str = "text"
     seed: int = 0

@@ -409,9 +409,9 @@ class GroupFamilySpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {FAMILIES}")
         family = FAMILY_TABLE[self.family]
-        missing = [k for k in family.params if k not in self.params]
-        if missing:
-            raise ValueError(f"missing parameters: {missing}")
+        if not isinstance(self.params, dict) or self.params.keys() != set(family.params):
+            raise ValueError(f"{self.family} params must be a JSON object with the keys "
+                             f"{list(family.params)}, got {self.params!r}")
         for key in family.params:
             if key in INT_PARAMS:
                 _read_ints(self.params[key], key, INT_PARAMS[key])
@@ -432,7 +432,7 @@ class GroupFamilySpec:
     @classmethod
     def from_json(cls, data: dict) -> "GroupFamilySpec":
         try:
-            return cls(str(data["family"]), dict(data["params"]))
+            return cls(str(data["family"]), data["params"])
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed group recipe: needs \"family\" and "
                              f"\"params\" ({type(exc).__name__}: {exc})") from exc

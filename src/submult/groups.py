@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 4096
+DEFAULT_SECTION_CAP = 256
 # a subgroup lattice built under an order cap N stops past this many times
 # N subgroups (``FiniteGroup.all_subgroups``)
 SUBGROUPS_PER_ORDER = 128
@@ -292,18 +293,16 @@ class FiniteGroup:
     def power_map(self, m: int) -> Sequence[int]:
         """x -> x**m for every element, cached.
 
-        m is read modulo |G|, since x**|G| = 1, and a negative m through
-        the inverses.  A composite m composes the maps of its least prime
-        factor q and of m/q, x**m = (x**q)**(m/q); for a prime m, x**(m-1)
-        (composed, or x itself for m = 2) is multiplied by x, each product
-        walking x's tree path (``_products``).
+        m is read modulo |G|, since x**|G| = 1, so x**-1 = x**(|G|-1).  A
+        composite m composes the maps of its least prime factor q and of
+        m/q, x**m = (x**q)**(m/q); for a prime m, x**(m-1) (composed, or x
+        itself for m = 2) is multiplied by x, each product walking x's tree
+        path (``_products``).
         """
         cached = self._pow_cache.get(m)
         if cached is None:
             n = len(self)
-            if m < 0:
-                cached = _gather(self.inverses(), self.power_map(-m))
-            elif m >= n:
+            if not 0 <= m < n:
                 cached = self.power_map(m % n)
             elif m <= 1:
                 cached = range(n) if m else [self.identity] * n
@@ -545,7 +544,7 @@ class FiniteGroup:
             classes.append(tuple(sorted(orbit)))
         return classes
 
-    def all_subgroups(self, cap: int = 256) -> list["Subgroup"]:
+    def all_subgroups(self, cap: int = DEFAULT_SECTION_CAP) -> list["Subgroup"]:
         """Every subgroup of a p-group, by order and then members, one order
         p**i at a time by cyclic extension (Holt, Eick and O'Brien, Handbook
         of Computational Group Theory, 2005).
@@ -641,7 +640,7 @@ class FiniteGroup:
             found.extend(layer)
         return found
 
-    def normal_subgroups(self, cap: int = 1024,
+    def normal_subgroups(self, cap: int = DEFAULT_SECTION_CAP,
                          subgroups: list["Subgroup"] | None = None) -> list["Subgroup"]:
         """All normal subgroups of a p-group, by order, then members: the
         members of the whole lattice that conjugation by each generator of G
@@ -677,7 +676,7 @@ class FiniteGroup:
                            describe=q_describe, gens=tuple(right),
                            name=f"{self.name}/N{len(n.members)}")
 
-    def sections(self, section_cap: int = 256) -> Iterator[
+    def sections(self, section_cap: int = DEFAULT_SECTION_CAP) -> Iterator[
             tuple["Subgroup", int, list["Subgroup"]]]:
         """The sections H/K as (H, kernels, lattice), one item per subgroup
         H of G, largest first.  Requires |G| <= section_cap.
@@ -856,6 +855,4 @@ def direct_power(g: FiniteGroup, m: int, cap: int = DEFAULT_CLOSURE_CAP, *,
     """The m-fold direct product of g with itself."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    if len(g) ** m > cap:
-        raise ClosureCapExceeded(len(g) ** m, cap)
     return direct_product(*[g] * m, cap=cap, name=name or f"({g.name})^{m}")

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .cyclotomic import Spectrum
 from .families import (all_characters, big_cycle, check_basic_order,
                        induced_rep_generators)
-from .groups import (DEFAULT_CLOSURE_CAP, SUBGROUPS_PER_ORDER,
+from .groups import (DEFAULT_CLOSURE_CAP, DEFAULT_SECTION_CAP, SUBGROUPS_PER_ORDER,
                      ClosureCapExceeded, FiniteGroup, Subgroup, _set_bits,
                      close, direct_power, is_prime, least_prime_factor)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
@@ -510,13 +510,13 @@ def _whole_group_only(prop: str, cap: str) -> PropertyReport:
                           caps=[f"{cap}; only the group itself was checked"])
 
 
-def has_p2(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
+def has_p2(g: FiniteGroup, *, section_cap: int = DEFAULT_SECTION_CAP) -> PropertyReport:
     """Every section satisfies the wp2 equality (order-dividing sets are
     subgroups); exhaustive below the section cap, capped above it."""
     return _section_scan(g, section_cap, "p2", _order_dividing, only_h1=False)
 
 
-def has_p1(g: FiniteGroup, *, section_cap: int = 256) -> PropertyReport:
+def has_p1(g: FiniteGroup, *, section_cap: int = DEFAULT_SECTION_CAP) -> PropertyReport:
     """Every section has its p**k-th power set equal to the subgroup those
     powers generate; only the sections H/1 need a probe (``_section_scan``)."""
     return _section_scan(g, section_cap, "p1", _power_image, only_h1=True)
@@ -713,15 +713,8 @@ def is_engel(g: FiniteGroup, k: int) -> PropertyReport:
 
 
 def order_submultiplicativity(g: FiniteGroup) -> PropertyReport:
-    """On a monomial group with property (S), |AB| divides max(|A|, |B|)
-    for all pairs.  If the group fails (S) nothing is asserted (vacuous
-    pass)."""
-    if has_property_s(g).holds is False:
-        return PropertyReport(
-            "order-divisibility", True,
-            counters={"pairs_checked": 0, "pairs_evaluated": 0},
-            caps=["vacuous: the closure fails property s, so the "
-                  "divisibility is not asserted"])
+    """Whether |AB| divides max(|A|, |B|) for every pair: a consequence of
+    property (S), which the caller decides."""
     orders = [g.element_order(i) for i in range(len(g))]
     return _pair_report(
         "order-divisibility", g,

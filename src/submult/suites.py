@@ -438,7 +438,7 @@ def suite_t8(config: RunConfig) -> list[CriterionResult]:
         if not is_prime(degree):
             continue
         g = entry.group()
-        if any(el.det() != ONE for el in g.elements):
+        if any(el.det() != ONE for el in entry.gens()):  # det is multiplicative
             continue
         if not is_irreducible(g):
             continue

@@ -209,7 +209,7 @@ class TestFamilyContract:
     def test_foreign_flag_is_refused(self, family, factors, tmp_path, capsys):
         # a flag of a parameter the family lacks is an input error, refused
         # before any factor file is read
-        foreign = [(key, flag) for key, flag in cli.CONSTRUCT_FLAGS.items()
+        foreign = [(key, flag) for key, (flag, _, _) in cli.CONSTRUCT_FLAGS.items()
                    if key not in FAMILY_TABLE[family].params]
         out = tmp_path / "g.json"
         for key, flag in foreign:

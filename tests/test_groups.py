@@ -663,6 +663,21 @@ class TestTreeProducts:
     def test_regularity_groups(self, g):
         self.assert_match_rows(g)
 
+    @KERNEL_SETTINGS
+    @given(monomial_groups())
+    def test_power_map_reads_the_exponent_modulo_the_order(self, g):
+        # the exponents are asked in ascending order, so each negative one
+        # before the map of its residue exists
+        n = len(g)
+        exponents = range(-2 * n, 2 * n + 1)
+        maps = {m: list(g.power_map(m)) for m in exponents}
+        assert maps[-1] == list(g.inverses())
+        rows = g.full_table()
+        for m in exponents:
+            assert maps[m] == maps[m % n], m
+            if m < 2 * n:  # x**(m+1) = x**m x
+                assert maps[m + 1] == [rows[y][x] for x, y in enumerate(maps[m])], m
+
     @pytest.mark.parametrize("make", [
         lambda: close(cyclic_generator(6)), lambda: close(cyclic_generator(1)),
         lambda: direct_product(close(heisenberg_generators(3)),

@@ -319,6 +319,10 @@ class TestFuzzedFiles:
                       if k != "carrier"}, id="carrier-missing"),
         pytest.param({**group_file("basic", {"p": 3, "c": 2, "e": 1}),
                       "carrier": "monomial"}, id="basic-carrier-monomial"),
+        # params must be an object of exactly the family's parameters
+        pytest.param(group_file("heisenberg", {"p": 3}, q=1.5), id="param-foreign"),
+        pytest.param({**group_file("heisenberg", {"p": 3}), "params": [["p", 3]]},
+                     id="params-pairs"),
         pytest.param([1, 2], id="top-list"), pytest.param(7, id="top-int"),
         pytest.param("perm", id="top-string"), pytest.param(None, id="top-null"),
     ])

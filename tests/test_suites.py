@@ -1,4 +1,5 @@
-"""T1's rounding of float eigenvalues to roots of unity."""
+"""T1's rounding of float eigenvalues to roots of unity, the work T7 asks
+of the (S) scan, and T8's determinant test."""
 
 import cmath
 from fractions import Fraction
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from submult.cyclotomic import CyclotomicUnit
+from submult import properties, suites
+from submult.config import RunConfig
+from submult.cyclotomic import ONE, CyclotomicUnit
 from submult.suites import (_nearest_fraction, _round_to_root_of_unity,
-                            _sampled_spectra)
+                            _sampled_spectra, corpus, suite_t7)
 
 # m / 2**j in [-0.5, 0.5], exact in a float for j <= 52
 DYADIC = st.integers(1, 52).flatmap(
@@ -56,3 +59,34 @@ def test_seed0_units_and_residuals():
             worst = max(worst, got[1])
     assert count == 3409
     assert f"{worst:.3e}" == "4.173e-15"
+
+
+def test_t7_scans_s_once_per_group(monkeypatch):
+    """T7 scans (S) once per monomial corpus group, through the entry's
+    cached report, and once per sampled tensor product; order divisibility,
+    asked only of groups known to have (S), scans none."""
+    calls, scan = [], properties.has_property_s
+
+    def counted(g):
+        calls.append(len(g))
+        return scan(g)
+
+    for module in (suites, properties):
+        monkeypatch.setattr(module, "has_property_s", counted)
+    corpus.cache_clear()
+    criteria = suite_t7(RunConfig())
+    assert all(c.passed for c in criteria)
+    tensors = [c for c in criteria if c.name.startswith(("tensor of", "direct product"))]
+    assert len(tensors) == 8
+    monomial = [e for e in corpus().values() if e.is_monomial]
+    assert len(calls) == len(monomial) + len(tensors)
+
+
+@pytest.mark.parametrize("name", [name for name, entry in corpus().items()
+                                  if entry.is_monomial])
+def test_determinant_one_on_generators(name):
+    """The determinant is a homomorphism, so T8's test of its generators
+    answers as a test of every element."""
+    entry = corpus()[name]
+    assert (all(m.det() == ONE for m in entry.gens())
+            == all(el.det() == ONE for el in entry.group().elements))
