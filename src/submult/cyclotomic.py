@@ -34,6 +34,13 @@ def json_int(value: object, name: str) -> int:
     return value
 
 
+def json_object(value: object, keys: Iterable[str], what: str) -> None:
+    """Refuse all but a JSON object with exactly the keys the tool writes."""
+    if not isinstance(value, dict) or value.keys() != set(keys):
+        got = f"the keys {list(value)}" if isinstance(value, dict) else type(value).__name__
+        raise ValueError(f"{what}: needs exactly the keys {list(keys)}, got {got}")
+
+
 @dataclass(frozen=True)
 class CyclotomicUnit:
     """exp(2*pi*i*num/den), normalized so 0 <= num < den and gcd(num, den) = 1.
@@ -78,6 +85,7 @@ class CyclotomicUnit:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclotomicUnit":
+        json_object(data, ("num", "den"), "malformed root of unity")
         return cls(json_int(data["num"], "num"), json_int(data["den"], "den"))
 
     def __repr__(self) -> str:

@@ -11,11 +11,12 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from .cyclotomic import ONE, CyclotomicUnit, json_int
+from .cyclotomic import ONE, CyclotomicUnit, json_int, json_object
 from .groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded, FiniteGroup,
                      close, is_prime)
 from .monomial import MonomialMatrix
@@ -96,8 +97,9 @@ class AffineContext:
     M is the inverse of (I + L), L the index-raising shift, which realizes
     conjugation of the i-th base generator by the extending generator as
     "multiply in the next base generator".  Associativity of the product
-    needs M**(p**e) = I, which holds exactly when c <= p; the constructor
-    verifies it.
+    needs M**(p**e) = I.  As L**c = 0, (I + L)**k is the sum over u < c of
+    C(k, u) L**u, and C(p**e, u) is divisible by p**e for every 0 < u < c
+    exactly when c <= p (Kummer); the constructor requires it.
     """
 
     def __init__(self, p: int, c: int, e: int):
@@ -105,32 +107,20 @@ class AffineContext:
             raise ValueError(f"p must be prime, got {p}")
         if c < 1 or e < 1:
             raise ValueError("c and e must be >= 1")
-        self.p, self.c, self.e = p, c, e
-        self.modulus = p ** e
-        shift_plus = [[(1 if r == col else 0) + (1 if r == col + 1 else 0)
-                       for col in range(c)] for r in range(c)]
-        pows = [self._identity_matrix()]
-        for _ in range(self.modulus - 1):
-            pows.append(self._matmul(pows[-1], shift_plus))
-        if self._matmul(pows[-1], shift_plus) != self._identity_matrix():
+        if c > p:
             raise ValueError(
                 f"shift automorphism order exceeds p**e; need c <= p (c={c}, p={p})")
-        # M**t = (I + L)**(-t) = (I + L)**(modulus - t)
-        self._m_pows = [pows[(self.modulus - t) % self.modulus]
-                        for t in range(self.modulus)]
-
-    def _identity_matrix(self) -> list[list[int]]:
-        return [[int(r == col) for col in range(self.c)] for r in range(self.c)]
-
-    def _matmul(self, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        c, mod = self.c, self.modulus
-        return [[sum(a[r][t] * b[t][col] for t in range(c)) % mod
-                 for col in range(c)] for r in range(c)]
+        self.p, self.c, self.e = p, c, e
+        q = self.modulus = p ** e
+        # M**t = (I + L)**((q - t) mod q): its coefficient of L**u, u < c
+        self._binomials = [[math.comb((q - t) % q, u) % q for u in range(c)]
+                           for t in range(q)]
 
     def apply_m_power(self, t: int, vec: tuple[int, ...]) -> tuple[int, ...]:
-        mat, mod = self._m_pows[t % self.modulus], self.modulus
-        return tuple(sum(row[s] * vec[s] for s in range(self.c)) % mod
-                     for row in mat)
+        """M**t vec, whose coordinate r sums C(k, u) vec[r - u] over u <= r."""
+        coeffs, mod = self._binomials[t % self.modulus], self.modulus
+        return tuple(sum(map(operator.mul, coeffs, vec[r::-1])) % mod
+                     for r in range(self.c))
 
     def pair(self, vec: Sequence[int], t: int) -> "AffinePair":
         return AffinePair(self, tuple(x % self.modulus for x in vec),
@@ -409,9 +399,7 @@ class GroupFamilySpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {FAMILIES}")
         family = FAMILY_TABLE[self.family]
-        if not isinstance(self.params, dict) or self.params.keys() != set(family.params):
-            raise ValueError(f"{self.family} params must be a JSON object with the keys "
-                             f"{list(family.params)}, got {self.params!r}")
+        json_object(self.params, family.params, f"{self.family} params")
         for key in family.params:
             if key in INT_PARAMS:
                 _read_ints(self.params[key], key, INT_PARAMS[key])
@@ -430,12 +418,9 @@ class GroupFamilySpec:
         return {"family": self.family, "params": self.params}
 
     @classmethod
-    def from_json(cls, data: dict) -> "GroupFamilySpec":
-        try:
-            return cls(str(data["family"]), data["params"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError("malformed group recipe: needs \"family\" and "
-                             f"\"params\" ({type(exc).__name__}: {exc})") from exc
+    def from_json(cls, data: Any) -> "GroupFamilySpec":
+        json_object(data, ("family", "params"), "malformed group recipe")
+        return cls(data["family"], data["params"])
 
 
 def build_generators(spec: GroupFamilySpec) -> list[MonomialMatrix]:
@@ -482,16 +467,19 @@ def read_json(path: str | Path) -> Any:
 
 
 def group_file_spec(data: Any, source: str | Path) -> GroupFamilySpec:
-    """The recipe of a parsed group file, once its stored carrier and
-    generators are confirmed to be the recipe's."""
-    spec = GroupFamilySpec.from_json(data)
+    """The recipe of a parsed group file, once the file is confirmed to
+    hold exactly the keys ``group_file_payload`` writes, and the recipe's
+    carrier and generators."""
+    spec = GroupFamilySpec.from_json({key: data[key] for key in ("family", "params")
+                                      if key in data} if isinstance(data, dict) else data)
     try:
         expected = group_file_payload(spec)
     except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed group recipe: bad {spec.family} parameters "
                          f"({type(exc).__name__}: {exc})") from exc
+    json_object(data, expected, f"{source}: malformed group file")
     for key in ("carrier", "generators"):
-        if data.get(key) != expected[key]:
+        if data[key] != expected[key]:
             raise ValueError(f"{source}: the recipe does not match its stored {key}")
     return spec
 

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cyclotomic import ONE, CyclotomicUnit, Spectrum, json_int
+from .cyclotomic import ONE, CyclotomicUnit, Spectrum, json_int, json_object
 
 
 def _perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
@@ -163,14 +163,13 @@ class MonomialMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialMatrix":
+        json_object(data, ("n", "perm", "entries"), "malformed matrix")
         try:
-            perm = data["perm"]
             return cls(json_int(data["n"], "n"),
-                       tuple(json_int(x, f"perm[{j}]") for j, x in enumerate(perm)),
+                       tuple(json_int(x, f"perm[{j}]") for j, x in enumerate(data["perm"])),
                        tuple(CyclotomicUnit.from_json(e) for e in data["entries"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError("malformed matrix: needs \"n\", \"perm\" and "
-                             f"\"entries\" ({type(exc).__name__}: {exc})") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed matrix: perm and entries must be lists ({exc})") from exc
 
 
 def _cycle_key(cycles: list[list[int]], exps: Sequence[int], m: int

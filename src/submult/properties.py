@@ -135,19 +135,19 @@ def _all_pairs_pass(g: FiniteGroup) -> dict[str, int]:
 # -- property (S): submultiplicative spectra -------------------------------------
 
 def _unscaled_reps(g: FiniteGroup, classes: Sequence[tuple[int, ...]],
-                   keys: Sequence[tuple[tuple[int, int], ...]]) -> list[int]:
+                   class_masks: Sequence[int]) -> list[int]:
     """The class representatives r whose (S) rows need reading, ascending:
     those with rep(z*r) >= r for every scalar z = w*I other than I in g,
-    rep(x) the least member of x's class; ``keys`` are the classes' cycle
-    keys, and a scalar's is its n 1-cycles with one exponent.
+    rep(x) the least member of x's class.  A scalar's class mask has one
+    bit, not bit 0, as a finite-order matrix with one eigenvalue is scalar.
 
     z multiplies every eigenvalue of z*r and of z*r*y by w, so the pair
     (z*r, y) fails (S) exactly when (r, y) does, and the row of rep(z*r),
     a conjugate of row z*r, fails exactly when row r does
     (``_pair_report``).  The products z*r are read off the scalars' rows."""
     reps = [cls[0] for cls in classes]
-    scalars = [r for r, key in zip(reps, keys)
-               if key[0] == key[-1] and key[0][0] == 1 and key[0][1]]
+    scalars = [r for r, mask in zip(reps, class_masks)
+               if mask > 1 and mask & mask - 1 == 0]
     if not scalars:
         return reps
     rep = [0] * len(g)
@@ -158,23 +158,34 @@ def _unscaled_reps(g: FiniteGroup, classes: Sequence[tuple[int, ...]],
     return [r for r in reps if all(rep[zr[r]] >= r for zr in moved)]
 
 
-class _SpectralClosure:
-    """A closed monomial group's rows with per-element spectra as
-    int bitmasks over Z/L, L the lcm over the group's distinct cycle keys of
-    l * order(c), l a cycle's length and c its entry product, which every
-    eigenvalue's order divides (``key_order``): bit i of a mask is set when
-    i/L is an eigenvalue.  Masks are built once per distinct cycle key and
-    interned, one id per distinct spectrum: ``masks[sid[x]]`` is x's.
+def _cycle_key_masks(g: FiniteGroup) -> tuple[int, list[int]]:
+    """The spectra of a closed monomial group's conjugacy classes, in
+    ``conjugacy_classes()`` order, as int bitmasks over Z/L (bit i for the
+    eigenvalue i/L), L the lcm over the distinct cycle keys of l * order(c),
+    l a cycle's length and c its entry product (``key_order``).
 
-    A cycle key is read only off each conjugacy class's least member
-    (``FiniteGroup.conjugacy_classes``), whose id the other members share:
-    conjugating a monomial matrix by another relabels its cycles and keeps
-    each cycle's length and entry product.  The least members ascend, so
-    keys first appear in the order an all-elements pass meets them, and
-    the ids and the key set are that pass's.  Keys come from the codes
-    ``close`` kept (``MonomialCodec.cycle_key``), or else off each
-    representative's matrix (``MonomialMatrix.cycle_data``), so no table
-    of the entries' order M is built.
+    One cycle key is read per class, off its least member: conjugating a
+    monomial matrix relabels its cycles and keeps each cycle's length and
+    entry product.  Keys come from the codes ``close`` kept, or else off
+    each representative's matrix, so no table of the entries' order M is
+    built."""
+    classes = g.conjugacy_classes()
+    if isinstance(g.codec, MonomialCodec):
+        m, codes, cycle_key = g.codec.modulus, g.codes, g.codec.cycle_key
+        keys = [(m, cycle_key(codes[cls[0]])) for cls in classes]
+    else:
+        keys = [_element(g, cls[0]).cycle_data() for cls in classes]
+    distinct = dict.fromkeys(keys)
+    modulus = math.lcm(*(key_order(*k) for k in distinct))
+    masks = {k: key_mask(*k, modulus) for k in distinct}
+    return modulus, [masks[k] for k in keys]
+
+
+class _SpectralClosure:
+    """A closed group's rows with per-element spectra, from one int bitmask
+    over Z/``modulus`` per conjugacy class in ``conjugacy_classes()`` order,
+    interned one id per distinct spectrum in order of first appearance:
+    ``masks[sid[x]]`` is x's.
 
     The product set of spectra a and b is the OR of the rotations of mask
     b by the set bits of mask a, built once per (a, b), and the pair (x, y)
@@ -185,25 +196,17 @@ class _SpectralClosure:
     rows need reading (``_unscaled_reps``).  No ``Spectrum`` is built unless
     a pair fails and a witness needs one."""
 
-    def __init__(self, g: FiniteGroup):
-        self.row = g.row
+    def __init__(self, g: FiniteGroup, modulus: int, class_masks: Sequence[int]):
+        self.row, self.modulus = g.row, modulus
         classes = g.conjugacy_classes()
-        if isinstance(g.codec, MonomialCodec):
-            m, codes, cycle_key = g.codec.modulus, g.codes, g.codec.cycle_key
-            keys = [(m, cycle_key(codes[cls[0]])) for cls in classes]
-        else:
-            keys = [_element(g, cls[0]).cycle_data() for cls in classes]
-        distinct = dict.fromkeys(keys)
-        self.modulus = math.lcm(*(key_order(*k) for k in distinct))
-        masks = {k: key_mask(*k, self.modulus) for k in distinct}
-        ids = {m: i for i, m in enumerate(dict.fromkeys(masks.values()))}
+        ids = {m: i for i, m in enumerate(dict.fromkeys(class_masks))}
         self.masks = list(ids)
         self.sid = [0] * len(g)
-        for cls, key in zip(classes, keys):
-            sid = ids[masks[key]]
+        for cls, mask in zip(classes, class_masks):
+            sid = ids[mask]
             for x in cls:
                 self.sid[x] = sid
-        self.rows = _unscaled_reps(g, classes, [key for _, key in keys])
+        self.rows = _unscaled_reps(g, classes, class_masks)
         u = len(self.masks)
         self._left = [a * u for a in self.sid]
         self._good: list[set[int]] = [set() for _ in range(u)]
@@ -259,7 +262,7 @@ def has_property_s(g: FiniteGroup) -> PropertyReport:
     if g.is_abelian():
         return PropertyReport("s", True, counters={
             **_all_pairs_pass(g), "elements_checked": n})
-    sc = _SpectralClosure(g)
+    sc = _SpectralClosure(g, *_cycle_key_masks(g))
 
     def details(i: int, j: int) -> dict:
         k = g.row(i)[j]

@@ -138,6 +138,22 @@ class TestBasicFamily:
         b = g.elements.index(AffineContext(3, 2, 2).extension_generator())
         assert g.element_order(b) == 9
 
+    @pytest.mark.parametrize("p,c,e", [(2, 1, 3), (2, 2, 4), (3, 2, 2), (3, 3, 2),
+                                       (5, 5, 1), (7, 4, 1)])
+    def test_m_power_undone_by_the_shift(self, p, c, e):
+        # M = (I + L)**-1 with L the index-raising shift, so t steps of
+        # v -> v + L v undo M**t, also past t = p**e, where M's powers repeat
+        ctx = AffineContext(p, c, e)
+        q = ctx.modulus
+        vectors = [tuple(int(r == s) for r in range(c)) for s in range(c)]
+        vectors.append(tuple((r + 1) % q for r in range(c)))
+        for t in range(2 * q):
+            for v in vectors:
+                w = ctx.apply_m_power(t, v)
+                for _ in range(t):
+                    w = tuple((w[r] + (w[r - 1] if r else 0)) % q for r in range(c))
+                assert w == v, (t, v)
+
     def test_rejects_oversized_shift(self):
         with pytest.raises(ValueError):
             AffineContext(3, 5, 1)

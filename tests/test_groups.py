@@ -23,8 +23,9 @@ from submult.groups import (DEFAULT_CLOSURE_CAP, ClosureCapExceeded,
                             direct_power, direct_product, is_prime,
                             least_prime_factor)
 from submult.monomial import MonomialCodec, MonomialMatrix, _perm_cycles
-from submult.properties import (_SpectralClosure, has_p1, has_p2, has_property_s,
-                                is_p_abelian, is_regular)
+from submult.properties import (_cycle_key_masks, _SpectralClosure, has_p1,
+                                has_p2, has_property_s, is_p_abelian,
+                                is_regular)
 from submult.suites import corpus
 
 
@@ -1227,7 +1228,7 @@ class TestMonomialCodec:
     def test_interned_spectra(self, gens):
         g = self.assert_paths_agree(gens)
         assume(g is not None)
-        sc = _SpectralClosure(g)
+        sc = _SpectralClosure(g, *_cycle_key_masks(g))
         for i, el in enumerate(g.elements):
             mask = sc.masks[sc.sid[i]]
             assert 0 < mask < 1 << sc.modulus
@@ -1240,7 +1241,7 @@ class TestMonomialCodec:
     def test_product_masks(self, gens):
         g = self.assert_paths_agree(gens)
         assume(g is not None)
-        sc = _SpectralClosure(g)
+        sc = _SpectralClosure(g, *_cycle_key_masks(g))
         spectra = [decode_mask(m, sc.modulus) for m in sc.masks]
         for a, left in enumerate(spectra):
             for b, right in enumerate(spectra):

@@ -2,8 +2,10 @@
 implications between them on the named examples."""
 
 import functools
+import inspect
 import math
 import operator
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -136,7 +138,7 @@ def assert_spectra_per_element(g):
     ``MonomialMatrix.spectrum``, interned in element order, over the
     exponent of the group as modulus, which every eigenvalue's order
     divides."""
-    sc = properties._SpectralClosure(g)
+    sc = properties._SpectralClosure(g, *properties._cycle_key_masks(g))
     elements = g.elements
     assert sc.modulus == math.lcm(*(el.order() for el in elements))
     masks = [functools.reduce(operator.or_, (1 << u.num * (sc.modulus // u.den)
@@ -170,7 +172,7 @@ class TestPerClassSpectra:
         z = CyclotomicUnit(1, 200000)
         g = close([swap(z), MonomialMatrix.diagonal([CyclotomicUnit(1, 2), ONE])])
         assert not isinstance(g.codec, MonomialCodec) and len(g) == 8
-        assert properties._SpectralClosure(g).modulus == 4
+        assert properties._cycle_key_masks(g)[0] == 4
         assert_spectra_per_element(g)
         report = has_property_s(g)
         assert_matches_scan(report, reference_scan(len(g), reference_s(g)))
@@ -189,9 +191,78 @@ class TestPerClassSpectra:
 
         g = close(heisenberg_generators(5))
         monkeypatch.setattr(MonomialCodec, "cycle_key", recording)
-        properties._SpectralClosure(g)
+        properties._cycle_key_masks(g)
         assert keys == [g.codes[c[0]] for c in g.conjugacy_classes()]
         assert len(keys) == 29
+
+
+def coset_action_masks(g, modulus):
+    """The class masks of (S), over Z/modulus, read from the coset action.
+
+    A monomial carrier is the direct sum, over its orbits on basis lines,
+    of Ind_H^G lam, H the stabiliser of a line j and lam(h) the entry h
+    puts on line j (Isaacs, Character Theory of Finite Groups, ch. 5).  An
+    x that cycles the left cosets of H in a cycle of length l from tH, with
+    t**-1 x**l t = h, contributes the l-th roots of lam(h).  Matrices are
+    read only for H and lam; cosets and h come from the Cayley table."""
+    elements, inverses = g.elements, g.inverses()
+    masks = [0] * len(g.conjugacy_classes())
+    lines = set()
+    for j in range(elements[0].n):
+        if j in lines:
+            continue
+        lines |= {el.perm[j] for el in elements}
+        lam = {h: el.entries[j] for h, el in enumerate(elements) if el.perm[j] == j}
+        coset = {}  # element -> the least member of its left coset of H
+        for t in range(len(g)):
+            if t not in coset:
+                coset.update(dict.fromkeys(map(g.row(t).__getitem__, lam), t))
+        transversal = sorted(set(coset.values()))
+        for k, cls in enumerate(g.conjugacy_classes()):
+            x, walked = cls[0], set()
+            for t in transversal:
+                if t in walked:
+                    continue
+                y, l = g.row(x)[t], 1  # y = x**l t
+                while coset[y] != t:
+                    walked.add(coset[y])
+                    y, l = g.row(x)[y], l + 1
+                walked.add(t)
+                root = lam[g.row(inverses[t])[y]]
+                for u in range(l):
+                    value = Fraction(root.num + u * root.den, root.den * l) * modulus
+                    assert value.denominator == 1
+                    masks[k] |= 1 << value.numerator % modulus
+    return masks
+
+
+def assert_coset_action_matches_cycle_keys(g):
+    modulus, masks = properties._cycle_key_masks(g)
+    assert coset_action_masks(g, modulus) == masks
+
+
+class TestCosetActionSpectra:
+    """The per-class masks of (S) have two sources, the cycle keys of the
+    carrier and the coset action of the induced representations it sums;
+    they must agree class by class over the cycle keys' modulus."""
+
+    @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
+                                      if entry.is_monomial])
+    def test_corpus(self, name):
+        assert_coset_action_matches_cycle_keys(corpus()[name].group())
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups(max_order=64))
+    def test_random_groups(self, g):
+        assert_coset_action_matches_cycle_keys(g)
+
+    def test_scan_reads_no_cycle_key(self):
+        # the pair scan takes its masks as given: only _cycle_key_masks
+        # reads cycle keys or asks which codec the group has
+        for reader in (properties._SpectralClosure, properties._unscaled_reps):
+            source = inspect.getsource(reader)
+            for name in ("cycle", "MonomialCodec", "_element"):
+                assert name not in source, (reader.__name__, name)
 
 
 class TestPropertySHat:
@@ -292,7 +363,7 @@ class TestCharacterOrbits:
         assert {y for _, y in orbit} == {1, 2, 4, 5, 7, 8}
 
 
-def all_class_reps(g, classes, keys):
+def all_class_reps(g, classes, class_masks):
     """``_unscaled_reps`` with the scalar skip switched off."""
     return [cls[0] for cls in classes]
 
@@ -339,7 +410,7 @@ class TestScalarRows:
     def test_a_class_closed_under_a_scalar_is_read(self, q8):
         # -1 * diag(i, -i) = diag(-i, i) is conjugate to diag(i, -i), so
         # its row is read; it holds the least failing pair
-        sc = properties._SpectralClosure(q8)
+        sc = properties._SpectralClosure(q8, *properties._cycle_key_masks(q8))
         assert sc.rows == [0, 1, 2, 4]
         assert has_property_s(q8).witness["left_index"] == 1
 

@@ -232,6 +232,28 @@ def documents_with_a_non_integer(draw):
         (3.5, 3.0, float(value), str(value), bool(value), not value))))
 
 
+def documents_of_every_family():
+    """A group file of each family, and a matrix file."""
+    docs = base_documents() + [group_file(family, params) for family, params in (
+        ("wreath_cp_cp", {"p": 3}), ("dihedral8", {}))]
+    assert {d.get("family") for d in docs} == set(families.FAMILIES) | {None}
+    return docs
+
+
+@st.composite
+def documents_with_a_key_added_or_dropped(draw):
+    """A document with one key added to, or dropped from, one of its JSON
+    objects: the tool writes each object with exactly its keys."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(documents_of_every_family()))))
+    objects = [path for path in paths(doc) if isinstance(value_at(doc, path), dict)]
+    obj = value_at(doc, draw(st.sampled_from(objects)))
+    if obj and draw(st.booleans()):
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    else:
+        obj[draw(JSON_KEYS.filter(lambda k: k not in obj))] = draw(JSON_VALUES)
+    return doc
+
+
 class TestFuzzedFiles:
     @FUZZ_SETTINGS
     @given(mutated_documents())
@@ -251,6 +273,21 @@ class TestFuzzedFiles:
                     contextlib.redirect_stderr(err):
                 assert main(argv) == 2, (argv, doc)
             assert "Traceback" not in err.getvalue()
+
+    @FUZZ_SETTINGS
+    @given(documents_with_a_key_added_or_dropped())
+    def test_added_or_dropped_keys_exit_two(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "f.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["spectrum", str(path)], ["check", "s", str(path)],
+                     ["analyze", str(path)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                assert main(argv) == 2, (argv, doc)
+            if argv[0] != "check":  # check puts the error in its report
+                assert err.getvalue().startswith("error: "), (argv, doc)
+                assert err.getvalue().count("\n") == 1, (argv, doc)
 
     @FUZZ_SETTINGS
     @given(st.binary(max_size=40) | JSON_VALUES.map(
@@ -323,6 +360,18 @@ class TestFuzzedFiles:
         pytest.param(group_file("heisenberg", {"p": 3}, q=1.5), id="param-foreign"),
         pytest.param({**group_file("heisenberg", {"p": 3}), "params": [["p", 3]]},
                      id="params-pairs"),
+        # only the keys the tool writes: at the top of a group file, in a
+        # factor recipe, in a matrix and in its entries
+        pytest.param({**group_file("heisenberg", {"p": 3}), "extra": 1},
+                     id="group-file-extra-key"),
+        pytest.param(set_at(group_file("direct_product", {"factors": [
+            {"family": "cyclic", "params": {"m": 2}},
+            {"family": "cyclic", "params": {"m": 3}}]}),
+            ("params", "factors", 1, "extra"), 0), id="factor-extra-key"),
+        pytest.param({"n": 1, "perm": [0], "entries": [{"num": 1, "den": 3}], "more": 2},
+                     id="matrix-extra-key"),
+        pytest.param({"n": 1, "perm": [0], "entries": [{"num": 1, "den": 3, "junk": 0}]},
+                     id="entry-extra-key"),
         pytest.param([1, 2], id="top-list"), pytest.param(7, id="top-int"),
         pytest.param("perm", id="top-string"), pytest.param(None, id="top-null"),
     ])
