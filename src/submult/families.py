@@ -469,7 +469,8 @@ def read_json(path: str | Path) -> Any:
 def group_file_spec(data: Any, source: str | Path) -> GroupFamilySpec:
     """The recipe of a parsed group file, once the file is confirmed to
     hold exactly the keys ``group_file_payload`` writes, and the recipe's
-    carrier and generators."""
+    carrier and generators, compared by ``repr``: a float, a bool or a
+    reordered key is not the stored value the tool writes."""
     spec = GroupFamilySpec.from_json({key: data[key] for key in ("family", "params")
                                       if key in data} if isinstance(data, dict) else data)
     try:
@@ -477,9 +478,11 @@ def group_file_spec(data: Any, source: str | Path) -> GroupFamilySpec:
     except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed group recipe: bad {spec.family} parameters "
                          f"({type(exc).__name__}: {exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{source}: group recipe nested too deeply to build") from exc
     json_object(data, expected, f"{source}: malformed group file")
     for key in ("carrier", "generators"):
-        if data[key] != expected[key]:
+        if repr(data[key]) != repr(expected[key]):
             raise ValueError(f"{source}: the recipe does not match its stored {key}")
     return spec
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, count, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import Spectrum
@@ -31,7 +31,7 @@ from .families import (all_characters, big_cycle, check_basic_order,
                        induced_rep_generators)
 from .groups import (DEFAULT_CLOSURE_CAP, DEFAULT_SECTION_CAP, SUBGROUPS_PER_ORDER,
                      ClosureCapExceeded, FiniteGroup, Subgroup, _set_bits,
-                     close, direct_power, is_prime, least_prime_factor)
+                     close, direct_power, is_prime)
 from .monomial import (MonomialCodec, MonomialMatrix, diagonal_exponents,
                        in_row_span, key_mask, key_order,
                        rotation_difference_image)
@@ -739,72 +739,43 @@ def _degree(g: FiniteGroup) -> int:
     return g.codec.n if isinstance(g.codec, MonomialCodec) else _element(g, g.identity).n
 
 
-def _mobius_totient(q: int) -> tuple[int, int]:
-    """(mu(q), phi(q)) for q >= 1, by trial division."""
-    mu, phi = 1, q
-    while q > 1:
-        p = least_prime_factor(q)
-        mu, phi = -mu, phi // p * (p - 1)
-        q //= p
-        if q % p == 0:
-            mu = 0
-            while q % p == 0:
-                q //= p
-    return mu, phi
+def _fixed_point_count(g: FiniteGroup) -> int:
+    """sum_x |chi(x)|**2 = |G| * <chi, chi>, chi the character of the
+    monomial group g, in integers.
 
-
-def _difference_orders(g: FiniteGroup) -> dict[int, int]:
-    """q -> the number of terms of order q in sum_x |chi(x)|**2 =
-    sum_x sum_(a, b) a / b, a and b the diagonal entries of x at its fixed
-    points.  The entries are read as exponents over Z/M, M the lcm of the
-    generators' entry denominators: off a ``MonomialCodec`` code's ranks, or
-    else off each entry's reduced fraction num/den, with no M-entry table."""
-    if isinstance(g.codec, MonomialCodec):
-        m, exponent = g.codec.modulus, g.codec.exps.__getitem__
-        elements = g.codes  # (perm, ranks), rank r for the exponent exps[r]
-    else:  # the elements are the codes themselves: nothing to decode
-        m = math.lcm(*(e.den for s in g.gens for e in g.elements[s].entries))
-        def exponent(e) -> int:
-            return e.num * (m // e.den)
-        elements = ((el.perm, el.entries) for el in g.elements)
-    fixed_of: dict[tuple[int, ...], list[int]] = {}
-    terms, diffs = 0, []  # the terms a / a, and a - b for a / b and b / a
-    for perm, values in elements:
-        fixed = fixed_of.get(perm)
-        if fixed is None:
-            fixed = fixed_of[perm] = [j for j, i in enumerate(perm) if i == j]
-        if fixed:
-            at = [exponent(values[j]) for j in fixed]
-            terms += len(at)
-            diffs += [a - b for t, a in enumerate(at) for b in at[:t]]
-    counts = {1: terms}
-    for d, c in Counter(diffs).items():
-        q = m // math.gcd(d, m)
-        counts[q] = counts.get(q, 0) + 2 * c
-    return counts
+    With a_i(x) the entry of x at its fixed point i, x -> a_i(x) / a_j(x) is
+    a linear character of the joint stabilizer G_ij of points i and j, so
+    sum_x |chi(x)|**2 = sum_(i, j) sum_(x in G_ij) a_i(x) / a_j(x), and each
+    inner sum is |G_ij| when a_i and a_j agree on G_ij and 0 otherwise
+    (Isaacs, Character Theory of Finite Groups, ch. 2).  The elements are
+    grouped by permutation; a pair whose columns of entries differ on one
+    permutation is split.  Entries are compared as stored: the ranks of a
+    ``MonomialCodec`` code, else the ``CyclotomicUnit``s."""
+    codes = (g.codes if isinstance(g.codec, MonomialCodec)
+             else ((el.perm, el.entries) for el in g.codes))
+    by_perm: defaultdict[tuple[int, ...], list[tuple]] = defaultdict(list)
+    for perm, entries in codes:
+        by_perm[perm].append(entries)
+    gained, split = Counter(), set()  # pair -> |G_ij|; the pairs split
+    for perm, rows in by_perm.items():
+        if fixed := [i for i, j in enumerate(perm) if i == j]:
+            columns = list(zip(*rows))  # column i: entry i of each element
+            pairs = list(product(fixed, repeat=2))
+            gained.update(dict.fromkeys(pairs, len(rows)))
+            split.update((i, j) for i, j in pairs if columns[i] != columns[j])
+    return sum(c for pair, c in gained.items() if pair not in split)
 
 
 def is_irreducible(g: FiniteGroup) -> bool:
     """The character chi of the monomial group g has norm 1, decided in
-    integers: no float, no fraction, no element decoded.
-
-    sum_x |chi(x)|**2 = |G| * <chi, chi> is rational, so it equals its
-    average over the Galois group of the cyclotomic field, where a root of
-    unity of order q averages to mu(q)/phi(q): the Ramanujan sum
-    c_q(1) = mu(q), the sum of the primitive q-th roots, over their number
-    (Hardy and Wright, ch. 16).  Each q divides an element order, hence
-    |G|, so trial division factors it at once.  Scaled by the lcm P of the
-    phi(q), the norm is 1 exactly when sum count_q * mu(q) * P/phi(q) equals
-    |G| * P (Isaacs, Character Theory of Finite Groups, ch. 2).  A degree-1
-    group is irreducible and an abelian one of degree >= 2 reducible
-    outright."""
+    integers by ``_fixed_point_count``: no float, no element decoded.  A
+    degree-1 group is irreducible and an abelian one of degree >= 2
+    reducible outright."""
     if _degree(g) == 1:
         return True
     if g.is_abelian():
         return False
-    terms = [(count, *_mobius_totient(q)) for q, count in _difference_orders(g).items()]
-    scale = math.lcm(*(phi for _, _, phi in terms))
-    return sum(count * mu * (scale // phi) for count, mu, phi in terms) == len(g) * scale
+    return _fixed_point_count(g) == len(g)
 
 
 def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
@@ -831,8 +802,6 @@ def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
                     for el in g.codes)
     if not found:
         raise ValueError("no element is diagonally similar to the standard cycle")
-    if g.p_group_base()[0] != p:
-        raise ValueError("closure is not a p-group for the matrix degree")
     if g.exponent() != p:
         raise ValueError(f"closure has exponent {g.exponent()}, expected {p}")
     if not is_irreducible(g):

@@ -338,6 +338,19 @@ class TestCheck:
         assert main(["construct", *construct, "-o", str(path)]) == 0
         assert main(["check", "irreducible", str(path)]) == code
 
+    @pytest.mark.parametrize("construct, flags, error", [
+        (["heisenberg", "--p", "3"], ["--j", "-1"], "j must be nonnegative"),
+        (["diagonal_abelian", "--m", "2", "--vector", "1,0,0,1"], [],
+         "degree 4 is not prime")], ids=["j-negative", "degree-4"])
+    def test_chi_containment_input_errors(self, construct, flags, error, tmp_path,
+                                          capsys):
+        path = tmp_path / "g.json"
+        assert main(["construct", *construct, "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", "chi-containment", str(path), *flags,
+                     "--format", "structured"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == error
+
     def test_structured_report_round_trips(self, w3_file, capsys):
         main(["check", "s", str(w3_file), "--format", "structured"])
         payload = json.loads(capsys.readouterr().out)
@@ -599,6 +612,28 @@ class TestMalformedInput:
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         assert "nested too deeply" in out + err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["check", "s"], ["spectrum"], ["analyze"],
+        ["construct", "direct_product", "-o", "{tmp}/out.json", "--factor"]],
+        ids=["check-s", "spectrum", "analyze", "construct"])
+    def test_deeply_nested_recipe(self, command, tmp_path, capsys):
+        # JSON that parses, but a recipe too deep to build: an input error
+        recipe = {"family": "cyclic", "params": {"m": 2}}
+        for _ in range(280):
+            recipe = {"family": "direct_product",
+                      "params": {"factors": [recipe, {"family": "cyclic",
+                                                      "params": {"m": 2}}]}}
+        text = json.dumps({**recipe, "carrier": "monomial", "generators": []})
+        json.loads(text)
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        argv = [arg.format(tmp=tmp_path) for arg in command] + [str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "nested too deeply to build" in out + err
         assert not (tmp_path / "out.json").exists()
 
     def test_matrix_file_without_n(self, tmp_path, capsys):

@@ -1594,9 +1594,7 @@ def assert_irreducible_matches_float_norm(g):
     float norm."""
     norm = float_character_norm(g)
     assert is_irreducible(g) is (abs(norm - 1.0) < 1e-6)
-    terms = [(count, *properties._mobius_totient(q))
-             for q, count in properties._difference_orders(g).items()]
-    assert abs(sum(c * mu / phi for c, mu, phi in terms) / len(g) - norm) < 1e-6
+    assert abs(properties._fixed_point_count(g) / len(g) - norm) < 1e-6
 
 
 def swap(z):
@@ -1620,7 +1618,7 @@ class TestIrreducibility:
         def refuse(*args):
             raise AssertionError("character terms counted")
 
-        monkeypatch.setattr(properties, "_difference_orders", refuse)
+        monkeypatch.setattr(properties, "_fixed_point_count", refuse)
         assert not is_irreducible(close([big_cycle(3, 1)]))
         assert not is_irreducible(
             close(diagonal_abelian_generators(4, [[1, 0], [0, 2]])))
@@ -1660,6 +1658,18 @@ class TestIrreducibility:
         assert len(g) == 8 and not isinstance(g.codec, MonomialCodec)
         assert is_irreducible(g) is irreducible
         assert_irreducible_matches_float_norm(g)
+
+    def test_exact_counts(self):
+        # |G| * <chi, chi>: norm 1 for heisenberg3, norm 2 with a trivial
+        # summand, norm 1 for the generic-path dihedral group of order 8
+        h3 = heisenberg_generators(3)
+        assert properties._fixed_point_count(close(h3)) == 27
+        plus = close([a.direct_sum(MonomialMatrix.identity(1)) for a in h3])
+        assert properties._fixed_point_count(plus) == 54
+        z = CyclotomicUnit(1, 5000)
+        d8 = close([swap(z), MonomialMatrix.diagonal([CyclotomicUnit(1, 2), ONE])])
+        assert not isinstance(d8.codec, MonomialCodec)
+        assert properties._fixed_point_count(d8) == 8
 
     def test_decodes_nothing(self, monkeypatch):
         def refuse(*args):

@@ -349,6 +349,12 @@ class TestFuzzedFiles:
                      id="perm-0.7"),
         pytest.param({"n": "1", "perm": [0], "entries": [{"num": 1, "den": 3}]},
                      id="n-string"),
+        # stored generators compare type-strictly: 3.0 is not 3, false not 0
+        pytest.param(set_at(group_file("heisenberg", {"p": 3}),
+                            ("generators", 0, "n"), 3.0), id="generator-n-3.0"),
+        pytest.param(set_at(group_file("heisenberg", {"p": 3}),
+                            ("generators", 0, "entries", 0, "num"), False),
+                     id="generator-num-false"),
         # a stored carrier that is not the recipe's
         *(pytest.param({**group_file("heisenberg", {"p": 3}), "carrier": carrier},
                        id=f"carrier-{carrier!r}") for carrier in ("affine", 5)),
