@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def json_int(value: object, name: str) -> int:
@@ -95,40 +95,21 @@ class CyclotomicUnit:
 ONE = CyclotomicUnit(0, 1)
 
 
-class Spectrum:
-    """Finite set of roots of unity with a canonical (den, num) ordering.
+class Spectrum(frozenset):
+    """Finite set of roots of unity, listed by ``elems`` in the canonical
+    (den, num) order that output uses.  Membership, ``issubset``, equality
+    and hashing are the frozenset's: equality is set equality, so a
+    Spectrum equals any frozenset holding the same values."""
 
-    Duplicates collapse; equality and hashing are structural, so two
-    spectra compare equal exactly when they contain the same values.
-    """
+    __slots__ = ()
 
-    __slots__ = ("elems",)
-
-    def __init__(self, values: Iterable[CyclotomicUnit] = ()):
-        self.elems: tuple[CyclotomicUnit, ...] = tuple(
-            sorted(set(values), key=CyclotomicUnit.sort_key))
-
-    def __iter__(self) -> Iterator[CyclotomicUnit]:
-        return iter(self.elems)
-
-    def __len__(self) -> int:
-        return len(self.elems)
-
-    def __contains__(self, value: CyclotomicUnit) -> bool:
-        return value in set(self.elems)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Spectrum) and self.elems == other.elems
-
-    def __hash__(self) -> int:
-        return hash(self.elems)
-
-    def issubset(self, other: "Spectrum") -> bool:
-        return set(self.elems) <= set(other.elems)
+    @property
+    def elems(self) -> tuple[CyclotomicUnit, ...]:
+        return tuple(sorted(self, key=CyclotomicUnit.sort_key))
 
     def product(self, other: "Spectrum") -> "Spectrum":
         """All pairwise products, collapsed to a set."""
-        return Spectrum(a * b for a in self.elems for b in other.elems)
+        return Spectrum(a * b for a in self for b in other)
 
     def to_json(self) -> list[dict]:
         return [u.to_json() for u in self.elems]

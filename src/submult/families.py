@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import marshal
 import math
 import operator
 from dataclasses import dataclass
@@ -303,14 +304,14 @@ class Family:
     generators: Callable[[dict], list[MonomialMatrix]] | None = None
 
 
-def _check_prime(params: dict, key: str = "p") -> None:
+def _check_prime(params: dict) -> None:
     # recipes take p <= DEFAULT_CLOSURE_CAP, a fixed limit checked before
     # is_prime so that its trial division stays bounded
-    p = params[key]
+    p = params["p"]
     if p > DEFAULT_CLOSURE_CAP:
-        raise ValueError(f"recipes take {key} <= {DEFAULT_CLOSURE_CAP}, got {p}")
+        raise ValueError(f"recipes take p <= {DEFAULT_CLOSURE_CAP}, got {p}")
     if not is_prime(p):
-        raise ValueError(f"{key} must be prime, got {p}")
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _check_factors(params: dict) -> None:
@@ -467,10 +468,10 @@ def read_json(path: str | Path) -> Any:
 
 
 def group_file_spec(data: Any, source: str | Path) -> GroupFamilySpec:
-    """The recipe of a parsed group file, once the file is confirmed to
-    hold exactly the keys ``group_file_payload`` writes, and the recipe's
-    carrier and generators, compared by ``repr``: a float, a bool or a
-    reordered key is not the stored value the tool writes."""
+    """The recipe of a parsed group file, once the file is confirmed to hold
+    exactly the keys ``group_file_payload`` writes and the recipe's carrier
+    and generators, compared as ``marshal.dumps(x, 0)`` bytes (version 0
+    shares no references): a float, a bool or a reordered key is refused."""
     spec = GroupFamilySpec.from_json({key: data[key] for key in ("family", "params")
                                       if key in data} if isinstance(data, dict) else data)
     try:
@@ -482,7 +483,7 @@ def group_file_spec(data: Any, source: str | Path) -> GroupFamilySpec:
         raise ValueError(f"{source}: group recipe nested too deeply to build") from exc
     json_object(data, expected, f"{source}: malformed group file")
     for key in ("carrier", "generators"):
-        if repr(data[key]) != repr(expected[key]):
+        if marshal.dumps(data[key], 0) != marshal.dumps(expected[key], 0):
             raise ValueError(f"{source}: the recipe does not match its stored {key}")
     return spec
 

@@ -716,7 +716,8 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Sorted member indices inside a parent group, plus a generator set.
+    """Sorted member indices inside a parent group, plus a generator set;
+    ``member_set``, the members as a frozenset, is built on first use.
 
     ``subgroup`` keeps each seed that enlarged the subgroup, in turn.  The
     lattice methods of a p-group give a polycyclic sequence, M.gens + (x,)
@@ -728,21 +729,17 @@ class Subgroup:
     members: tuple[int, ...]
     gens: tuple[int, ...]
     below: int = field(default=0, repr=False, compare=False)
-    _member_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_member_set", frozenset(self.members))
-
-    @property
+    @functools.cached_property
     def member_set(self) -> frozenset[int]:
-        return self._member_set
+        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
 
     def is_normal(self) -> bool:
         maps = map(self.parent._conjugation, dict.fromkeys(self.parent.gens))
-        return all(self._member_set.issuperset(map(conj.__getitem__, self.members))
+        return all(self.member_set.issuperset(map(conj.__getitem__, self.members))
                    for conj in maps)
 
     def reduced_gens(self) -> tuple[int, ...]:

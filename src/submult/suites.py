@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .config import RunConfig
 from .cyclotomic import ONE, CyclotomicUnit, Spectrum
@@ -40,7 +40,7 @@ from .properties import (PropertyReport, chi_containment, has_property_s,
 class CorpusEntry:
     name: str
     make_gens: Callable[[], list[MonomialMatrix]] | None
-    make_group: Callable[[], FiniteGroup]
+    make_group: Callable[[], FiniteGroup] | None = None
     _gens: list[MonomialMatrix] | None = field(default=None, repr=False)
     _group: FiniteGroup | None = field(default=None, repr=False)
     _s_report: PropertyReport | None = field(default=None, repr=False)
@@ -57,7 +57,8 @@ class CorpusEntry:
 
     def group(self) -> FiniteGroup:
         if self._group is None:
-            self._group = self.make_group()
+            self._group = (self.make_group() if self.make_group is not None
+                           else close(self.gens(), name=self.name))
         return self._group
 
     def s_report(self) -> PropertyReport:
@@ -69,39 +70,34 @@ class CorpusEntry:
         return self.gens()[0].n
 
 
-def _monomial_entry(name: str, make_gens: Callable[[], list[MonomialMatrix]]
-                    ) -> CorpusEntry:
-    return CorpusEntry(name, make_gens, lambda: close(make_gens(), name=name))
-
-
 @lru_cache(maxsize=1)
 def corpus() -> dict[str, CorpusEntry]:
     """The named group corpus the implication suites range over."""
     entries = [
-        _monomial_entry("cyclic5", lambda: cyclic_generator(5)),
-        _monomial_entry("cyclic8", lambda: cyclic_generator(8)),
-        _monomial_entry("cyclic9", lambda: cyclic_generator(9)),
-        _monomial_entry("cyclic16", lambda: cyclic_generator(16)),
-        _monomial_entry("klein4", lambda: diagonal_abelian_generators(
+        CorpusEntry("cyclic5", lambda: cyclic_generator(5)),
+        CorpusEntry("cyclic8", lambda: cyclic_generator(8)),
+        CorpusEntry("cyclic9", lambda: cyclic_generator(9)),
+        CorpusEntry("cyclic16", lambda: cyclic_generator(16)),
+        CorpusEntry("klein4", lambda: diagonal_abelian_generators(
             2, [[1, 0], [0, 1]])),
-        _monomial_entry("c4xc2", lambda: diagonal_abelian_generators(
+        CorpusEntry("c4xc2", lambda: diagonal_abelian_generators(
             4, [[1, 0], [0, 2]])),
-        _monomial_entry("c2cubed", lambda: diagonal_abelian_generators(
+        CorpusEntry("c2cubed", lambda: diagonal_abelian_generators(
             2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
-        _monomial_entry("c4xc4", lambda: diagonal_abelian_generators(
+        CorpusEntry("c4xc4", lambda: diagonal_abelian_generators(
             4, [[1, 0], [0, 1]])),
-        _monomial_entry("c3xc3", lambda: diagonal_abelian_generators(
+        CorpusEntry("c3xc3", lambda: diagonal_abelian_generators(
             3, [[1, 2, 0], [0, 1, 2]])),
-        _monomial_entry("bigcycle9", lambda: [big_cycle(3, 2)]),
-        _monomial_entry("quaternion8", quaternion_generators),
-        _monomial_entry("dihedral8", dihedral_generators),
-        _monomial_entry("wreath2", lambda: wreath_generators(2)),
-        _monomial_entry("heisenberg3", lambda: heisenberg_generators(3)),
-        _monomial_entry("heisenberg5", lambda: heisenberg_generators(5)),
-        _monomial_entry("wreath3", lambda: wreath_generators(3)),
-        _monomial_entry("induced_b321", lambda: induced_rep_generators(
+        CorpusEntry("bigcycle9", lambda: [big_cycle(3, 2)]),
+        CorpusEntry("quaternion8", quaternion_generators),
+        CorpusEntry("dihedral8", dihedral_generators),
+        CorpusEntry("wreath2", lambda: wreath_generators(2)),
+        CorpusEntry("heisenberg3", lambda: heisenberg_generators(3)),
+        CorpusEntry("heisenberg5", lambda: heisenberg_generators(5)),
+        CorpusEntry("wreath3", lambda: wreath_generators(3)),
+        CorpusEntry("induced_b321", lambda: induced_rep_generators(
             3, 2, 1, (0, 1))),
-        _monomial_entry("induced_b521", lambda: induced_rep_generators(
+        CorpusEntry("induced_b521", lambda: induced_rep_generators(
             5, 2, 1, (0, 1))),
         CorpusEntry("basic_b321", None, lambda: basic_group(3, 2, 1)),
         CorpusEntry("basic_b521", None, lambda: basic_group(5, 2, 1)),
@@ -146,15 +142,6 @@ class SuiteResult:
                 "passed": self.passed, "elapsed_seconds": round(self.elapsed, 3),
                 "criteria": [{"name": c.name, "passed": c.passed,
                               "detail": c.detail} for c in self.criteria]}
-
-
-class _Suite:
-    def __init__(self) -> None:
-        self.criteria: list[CriterionResult] = []
-
-    def check(self, name: str, passed: bool, detail: str = "") -> bool:
-        self.criteria.append(CriterionResult(name, bool(passed), detail))
-        return bool(passed)
 
 
 # -- T1: exact spectra against the floating eigensolver ------------------------------
@@ -229,7 +216,7 @@ def _sampled_spectra(seed: int) -> list[tuple[MonomialMatrix, int, list[complex]
     return samples
 
 
-def suite_t1(config: RunConfig) -> list[CriterionResult]:
+def suite_t1(config: RunConfig) -> Iterator[CriterionResult]:
     """Exact spectra of 500 seeded random monomial matrices equal the dense
     float eigensolver output after nearest-root-of-unity rounding."""
     try:
@@ -238,23 +225,21 @@ def suite_t1(config: RunConfig) -> list[CriterionResult]:
         raise OracleUnavailable(
             "suite T1 checks spectra against numpy's eigensolver and numpy "
             "is not installed: pip install 'submult[oracle]'") from exc
-    suite = _Suite()
     mismatches = 0
     worst = 0.0
     for m, p, eigs in samples:
-        exact = set(m.spectrum())
         rounded = set()
         for lam in eigs:
             unit, residual = _round_to_root_of_unity(lam, m.n * p * p)
             worst = max(worst, residual)
             rounded.add(unit)
-        if rounded != exact:
+        if rounded != m.spectrum():
             mismatches += 1
-    suite.check("500 sampled spectra match the float eigensolver",
-                mismatches == 0, f"mismatches={mismatches}, seed={config.seed}")
-    suite.check("max rounding residual below 1e-8", worst < 1e-8,
-                f"residual={worst:.3e}")
-    return suite.criteria
+    yield CriterionResult("500 sampled spectra match the float eigensolver",
+                          mismatches == 0,
+                          f"mismatches={mismatches}, seed={config.seed}")
+    yield CriterionResult("max rounding residual below 1e-8", worst < 1e-8,
+                          f"residual={worst:.3e}")
 
 
 # -- T2: the order-8 counterexamples and abelian 2-groups ----------------------------
@@ -271,103 +256,93 @@ def _witness_replays(report: PropertyReport) -> bool:
             and not spectrum.issubset(prod))
 
 
-def suite_t2(config: RunConfig) -> list[CriterionResult]:
+def suite_t2(config: RunConfig) -> Iterator[CriterionResult]:
     """Nonabelian 2-groups of order 8 fail property (s) with replayable
     witnesses; the corpus abelian 2-groups of order <= 16 pass."""
-    suite = _Suite()
     for name in ("quaternion8", "dihedral8"):
         report = corpus()[name].s_report()
-        suite.check(f"{name} fails property s", report.holds is False)
-        suite.check(f"{name} witness replays", report.holds is False
-                    and _witness_replays(report))
+        yield CriterionResult(f"{name} fails property s", report.holds is False)
+        yield CriterionResult(f"{name} witness replays", report.holds is False
+                              and _witness_replays(report))
     rotation = MonomialMatrix.diagonal([CyclotomicUnit(1, 4),
                                         CyclotomicUnit(3, 4)])
     swap = MonomialMatrix(2, (1, 0), (ONE, ONE))
     product_spec = rotation.spectrum().product(swap.spectrum())
     rs_spec = (rotation * swap).spectrum()
-    suite.check("dihedral pair: sigma(rs) = {1,-1} outside sigma(r)sigma(s) = {i,-i}",
-                rs_spec == Spectrum([ONE, CyclotomicUnit(1, 2)])
-                and product_spec == Spectrum([CyclotomicUnit(1, 4),
-                                              CyclotomicUnit(3, 4)])
-                and not rs_spec.issubset(product_spec))
+    yield CriterionResult(
+        "dihedral pair: sigma(rs) = {1,-1} outside sigma(r)sigma(s) = {i,-i}",
+        rs_spec == Spectrum([ONE, CyclotomicUnit(1, 2)])
+        and product_spec == Spectrum([CyclotomicUnit(1, 4), CyclotomicUnit(3, 4)])
+        and not rs_spec.issubset(product_spec))
     for name in ABELIAN_2GROUPS_LE16:
         entry = corpus()[name]
         order = len(entry.group())
         report = entry.s_report()
-        suite.check(f"{name} (abelian 2-group, order {order}) has property s",
-                    order <= 16 and report.holds is True)
-    return suite.criteria
+        yield CriterionResult(f"{name} (abelian 2-group, order {order}) has property s",
+                              order <= 16 and report.holds is True)
 
 
 # -- T3: exponent-p groups of degree p pass exhaustively ------------------------------
 
-def suite_t3(config: RunConfig) -> list[CriterionResult]:
+def suite_t3(config: RunConfig) -> Iterator[CriterionResult]:
     """The order-27 and order-125 exponent-p monomial groups pass property
     (s) on every ordered pair."""
-    suite = _Suite()
     for name, order in (("heisenberg3", 27), ("heisenberg5", 125)):
         entry = corpus()[name]
         report = entry.s_report()
-        suite.check(f"{name} has property s", report.holds is True)
-        suite.check(f"{name} scan is exhaustive ({order}^2 pairs)",
-                    report.counters.get("pairs_checked") == order * order,
-                    f"pairs={report.counters.get('pairs_checked')}")
-    return suite.criteria
+        yield CriterionResult(f"{name} has property s", report.holds is True)
+        yield CriterionResult(f"{name} scan is exhaustive ({order}^2 pairs)",
+                              report.counters.get("pairs_checked") == order * order,
+                              f"pairs={report.counters.get('pairs_checked')}")
 
 
 # -- T4: the wreath-product counterexample chain -------------------------------------
 
-def suite_t4(config: RunConfig) -> list[CriterionResult]:
+def suite_t4(config: RunConfig) -> Iterator[CriterionResult]:
     """The degree-3 wreath product: order 81, class 3, exponent 9; fails
     wp2, regularity and property (s)."""
-    suite = _Suite()
     entry = corpus()["wreath3"]
     g = entry.group()
-    suite.check("order 81", len(g) == 81, f"order={len(g)}")
-    suite.check("class 3", g.nilpotency_class() == 3)
-    suite.check("exponent 9", g.exponent() == 9)
-    suite.check("fails wp2", has_wp2(g).holds is False)
-    suite.check("fails regularity", is_regular(g).holds is False)
-    suite.check("fails property s", entry.s_report().holds is False)
-    return suite.criteria
+    yield CriterionResult("order 81", len(g) == 81, f"order={len(g)}")
+    yield CriterionResult("class 3", g.nilpotency_class() == 3)
+    yield CriterionResult("exponent 9", g.exponent() == 9)
+    yield CriterionResult("fails wp2", has_wp2(g).holds is False)
+    yield CriterionResult("fails regularity", is_regular(g).holds is False)
+    yield CriterionResult("fails property s", entry.s_report().holds is False)
 
 
 # -- T5: induced-representation family of the basic groups ---------------------------
 
-def suite_t5(config: RunConfig) -> list[CriterionResult]:
+def suite_t5(config: RunConfig) -> Iterator[CriterionResult]:
     """For the basic split extensions at (p, c, e) = (3, 2, 1) and
     (5, 2, 1): every induced representation passes (s), the group satisfies
     the (p-1)-fold Engel identity, and the class is at most p - 1."""
-    suite = _Suite()
     for p, name in ((3, "basic_b321"), (5, "basic_b521")):
         report = has_property_s_hat_basic(p, 2, 1)
-        suite.check(f"all induced representations of B_{p}(2,1) pass s",
-                    report.holds is True,
-                    f"reps={report.counters.get('reps_checked')}")
+        yield CriterionResult(f"all induced representations of B_{p}(2,1) pass s",
+                              report.holds is True,
+                              f"reps={report.counters.get('reps_checked')}")
         g = corpus()[name].group()
-        suite.check(f"B_{p}(2,1) satisfies the {p - 1}-Engel identity",
-                    is_engel(g, p - 1).holds is True)
+        yield CriterionResult(f"B_{p}(2,1) satisfies the {p - 1}-Engel identity",
+                              is_engel(g, p - 1).holds is True)
         klass = g.nilpotency_class()
-        suite.check(f"class of B_{p}(2,1) is at most {p - 1}",
-                    klass <= p - 1, f"class={klass}")
-    return suite.criteria
+        yield CriterionResult(f"class of B_{p}(2,1) is at most {p - 1}",
+                              klass <= p - 1, f"class={klass}")
 
 
 # -- T6: exponent-vector containment and the image filtration -------------------------
 
-def suite_t6(config: RunConfig) -> list[CriterionResult]:
+def suite_t6(config: RunConfig) -> Iterator[CriterionResult]:
     """Diagonal exponent vectors of the lower central terms stay inside the
     rotation-difference images, whose dimensions step down by one."""
-    suite = _Suite()
     for p, name in ((3, "heisenberg3"), (5, "heisenberg5")):
         report = chi_containment(corpus()[name].group())
-        suite.check(f"{name}: containment at every level up to the class",
-                    report.holds is True,
-                    f"levels={report.counters.get('levels_checked')}")
+        yield CriterionResult(f"{name}: containment at every level up to the class",
+                              report.holds is True,
+                              f"levels={report.counters.get('levels_checked')}")
         dims = [len(rotation_difference_image(p, j)) for j in range(p + 1)]
-        suite.check(f"p={p}: image dimensions are p-j",
-                    dims == [p - j for j in range(p)] + [0], f"dims={dims}")
-    return suite.criteria
+        yield CriterionResult(f"p={p}: image dimensions are p-j",
+                              dims == [p - j for j in range(p)] + [0], f"dims={dims}")
 
 
 # -- T7: implications across the corpus ----------------------------------------------
@@ -379,27 +354,27 @@ def _tensor_generators(a: Sequence[MonomialMatrix], b: Sequence[MonomialMatrix]
     return [g.tensor(ib) for g in a] + [ia.tensor(h) for h in b]
 
 
-def suite_t7(config: RunConfig) -> list[CriterionResult]:
+def suite_t7(config: RunConfig) -> Iterator[CriterionResult]:
     """Corpus-wide implications: (s) forces wp2 and order divisibility;
     tensor products of (s)-passing pairs pass; sampled representations of
     direct products of s-hat-evidence groups pass."""
-    suite = _Suite()
     entries = corpus()
-    suite.check("corpus holds at least 12 groups", len(entries) >= 12,
-                f"corpus={len(entries)}")
+    yield CriterionResult("corpus holds at least 12 groups", len(entries) >= 12,
+                          f"corpus={len(entries)}")
     monomial = [e for e in entries.values() if e.is_monomial]
     s_passers = [e for e in monomial if e.s_report().holds is True]
-    suite.check("corpus has s-passing and s-failing members",
-                0 < len(s_passers) < len(monomial),
-                f"passers={len(s_passers)}/{len(monomial)}")
+    yield CriterionResult("corpus has s-passing and s-failing members",
+                          0 < len(s_passers) < len(monomial),
+                          f"passers={len(s_passers)}/{len(monomial)}")
     for entry in monomial:
         if entry.s_report().holds is True:
-            suite.check(f"s => wp2 for {entry.name}",
-                        has_wp2(entry.group()).holds is True)
+            yield CriterionResult(f"s => wp2 for {entry.name}",
+                                  has_wp2(entry.group()).holds is True)
             divisibility = order_submultiplicativity(entry.group())
-            suite.check(f"s => |AB| divides max(|A|,|B|) for {entry.name}",
-                        divisibility.holds is True
-                        and divisibility.counters.get("pairs_checked", 0) > 0)
+            yield CriterionResult(
+                f"s => |AB| divides max(|A|,|B|) for {entry.name}",
+                divisibility.holds is True
+                and divisibility.counters.get("pairs_checked", 0) > 0)
     rng = random.Random(config.seed)
     eligible = [(a, b) for a in s_passers for b in s_passers
                 if a.degree() * b.degree() <= 36
@@ -408,9 +383,9 @@ def suite_t7(config: RunConfig) -> list[CriterionResult]:
     for a, b in sample:
         gens = _tensor_generators(a.gens(), b.gens())
         report = has_property_s(close(gens))
-        suite.check(f"tensor of {a.name} and {b.name} keeps property s",
-                    report.holds is True,
-                    f"order={report.counters.get('elements_checked')}")
+        yield CriterionResult(f"tensor of {a.name} and {b.name} keeps property s",
+                              report.holds is True,
+                              f"order={report.counters.get('elements_checked')}")
     # the s-hat evidence of one supplied representation
     # (``has_property_s_hat_single``) passes exactly when (S) holds on it,
     # so its passers are ``s_passers`` and their pairs ``eligible``
@@ -418,18 +393,16 @@ def suite_t7(config: RunConfig) -> list[CriterionResult]:
     for a, b in product_sample:
         gens = _tensor_generators(a.gens(), b.gens())
         report = has_property_s(close(gens))
-        suite.check(
+        yield CriterionResult(
             f"direct product {a.name} x {b.name}: sampled representation keeps s",
             report.holds is True)
-    return suite.criteria
 
 
 # -- T8: determinant-one equivalences at prime degree ---------------------------------
 
-def suite_t8(config: RunConfig) -> list[CriterionResult]:
+def suite_t8(config: RunConfig) -> Iterator[CriterionResult]:
     """Irreducible determinant-1 corpus closures of prime degree p with
     property (s) have exponent exactly p."""
-    suite = _Suite()
     covered = 0
     for entry in corpus().values():
         if not entry.is_monomial:
@@ -445,12 +418,11 @@ def suite_t8(config: RunConfig) -> list[CriterionResult]:
         if entry.s_report().holds is not True:
             continue
         covered += 1
-        suite.check(f"{entry.name}: irreducible det-1 degree {degree} with s "
-                    f"has exponent {degree}", g.exponent() == degree,
-                    f"exponent={g.exponent()}")
-    suite.check("at least two groups exercise the equivalence", covered >= 2,
-                f"covered={covered}")
-    return suite.criteria
+        yield CriterionResult(f"{entry.name}: irreducible det-1 degree {degree} with s "
+                              f"has exponent {degree}", g.exponent() == degree,
+                              f"exponent={g.exponent()}")
+    yield CriterionResult("at least two groups exercise the equivalence", covered >= 2,
+                          f"covered={covered}")
 
 
 # -- T9: regularity against a definitional oracle -------------------------------------
@@ -604,11 +576,10 @@ def regular_first_failure_by_definition(g: FiniteGroup
     return least
 
 
-def suite_t9(config: RunConfig) -> list[CriterionResult]:
+def suite_t9(config: RunConfig) -> Iterator[CriterionResult]:
     """Regularity decisions agree with the definitional oracle on every
     corpus group of order <= 243, and the square of the order-27 basic
     group is regular (capped direct-power evidence)."""
-    suite = _Suite()
     for entry in corpus().values():
         g = entry.group()
         if len(g) > 243:
@@ -621,18 +592,18 @@ def suite_t9(config: RunConfig) -> list[CriterionResult]:
             w = report.witness or {}
             agrees = agrees and (w.get("left_index"), w.get("right_index")) == oracle
             detail += f", witness={oracle}"
-        suite.check(f"oracle agreement for {entry.name}", agrees, detail)
+        yield CriterionResult(f"oracle agreement for {entry.name}", agrees, detail)
     b321 = corpus()["basic_b321"].group()
     evidence = is_v_regular_bounded(b321, config.power_cap,
                                     cap=config.closure_cap)
-    suite.check("square of B_3(2,1) (order 729) gives capped direct-power "
-                "regularity evidence", evidence.holds == "holds-capped"
-                and evidence.counters.get("powers_checked") == config.power_cap,
-                f"holds={evidence.holds}")
-    return suite.criteria
+    yield CriterionResult(
+        "square of B_3(2,1) (order 729) gives capped direct-power regularity evidence",
+        evidence.holds == "holds-capped"
+        and evidence.counters.get("powers_checked") == config.power_cap,
+        f"holds={evidence.holds}")
 
 
-SUITES: dict[str, tuple[str, Callable[[RunConfig], list[CriterionResult]]]] = {
+SUITES: dict[str, tuple[str, Callable[[RunConfig], Iterator[CriterionResult]]]] = {
     "T1": ("spectrum oracle", suite_t1),
     "T2": ("order-8 counterexamples and abelian 2-groups", suite_t2),
     "T3": ("exponent-p groups pass exhaustively", suite_t3),
@@ -651,7 +622,7 @@ def run_suite(name: str, config: RunConfig | None = None) -> SuiteResult:
     config = config or RunConfig()
     title, fn = SUITES[name]
     start = time.perf_counter()
-    criteria = fn(config)
+    criteria = list(fn(config))
     return SuiteResult(name, title, criteria, time.perf_counter() - start)
 
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
 
@@ -128,6 +130,66 @@ class TestSpectrum:
     def test_json_round_trip(self):
         s = roots_of_unity(5)
         assert Spectrum(map(CyclotomicUnit.from_json, s.to_json())) == s
+
+
+class SortedTupleSpectrum:
+    """Reference spectrum: the sorted tuple of its distinct values, ordered
+    by (den, num), with membership and containment by tuple scans."""
+
+    def __init__(self, values):
+        self.elems = tuple(sorted(set(values), key=lambda u: (u.den, u.num)))
+
+    def __contains__(self, value):
+        return any(value == u for u in self.elems)
+
+    def issubset(self, other):
+        return all(u in other for u in self.elems)
+
+    def product(self, other):
+        return SortedTupleSpectrum(a * b for a in self.elems for b in other.elems)
+
+    def to_json(self):
+        return [{"num": u.num, "den": u.den} for u in self.elems]
+
+    def __repr__(self):
+        return "Spectrum({" + ", ".join(f"{u.num}/{u.den}" for u in self.elems) + "})"
+
+
+# small denominators, so that draws share values and products collide
+units = st.builds(CyclotomicUnit, st.integers(-12, 12), st.integers(1, 12))
+
+
+class TestSpectrumContract:
+    """Spectrum keeps the sorted-tuple contract that witness JSON reads:
+    ``elems[0]`` and the order ``to_json`` writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(units, max_size=8), ys=st.lists(units, max_size=8),
+           value=units, data=st.data())
+    def test_matches_sorted_tuple_reference(self, xs, ys, value, data):
+        a, b = Spectrum(xs), Spectrum(ys)
+        ra, rb = SortedTupleSpectrum(xs), SortedTupleSpectrum(ys)
+        assert a.elems == ra.elems
+        assert a.to_json() == ra.to_json()
+        assert repr(a) == repr(ra)
+        for u in (value, *xs, *ys):
+            assert (u in a) == (u in ra)
+        sub = Spectrum(xs[:data.draw(st.integers(0, len(xs)))])
+        for left, right in ((a, b), (b, a), (sub, a), (a, sub)):
+            ref = SortedTupleSpectrum(left).issubset(SortedTupleSpectrum(right))
+            assert left.issubset(right) == ref
+        product = a.product(b)
+        assert type(product) is Spectrum
+        assert product.elems == ra.product(rb).elems
+        assert (a == b) == (ra.elems == rb.elems)
+        # the same values in any order and with duplicates: an equal spectrum
+        again = Spectrum(data.draw(st.permutations(xs + ys + xs)))
+        assert again == Spectrum(ys + xs)
+        assert again.elems == SortedTupleSpectrum(xs + ys).elems
+        assert Spectrum(data.draw(st.permutations(xs + xs))) == a
+        assert hash(Spectrum(reversed(xs))) == hash(a)
+        # equality is set equality
+        assert a == frozenset(xs)
 
 
 class TestRootFamilies:

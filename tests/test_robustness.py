@@ -202,6 +202,12 @@ def value_at(doc, path):
     return functools.reduce(operator.getitem, path, doc)
 
 
+def key_first(doc, path, key):
+    """``doc`` with the object at ``path`` listing ``key`` first."""
+    obj = value_at(doc, path)
+    return set_at(doc, path, {key: obj[key], **obj})
+
+
 def integer_paths(doc):
     """The paths of ``paths`` that end at an integer."""
     return [path for path in paths(doc) if type(value_at(doc, path)) is int]
@@ -355,6 +361,9 @@ class TestFuzzedFiles:
         pytest.param(set_at(group_file("heisenberg", {"p": 3}),
                             ("generators", 0, "entries", 0, "num"), False),
                      id="generator-num-false"),
+        # and so does key order: the first generator lists perm before n
+        pytest.param(key_first(group_file("heisenberg", {"p": 3}), ("generators", 0),
+                               "perm"), id="generator-perm-before-n"),
         # a stored carrier that is not the recipe's
         *(pytest.param({**group_file("heisenberg", {"p": 3}), "carrier": carrier},
                        id=f"carrier-{carrier!r}") for carrier in ("affine", 5)),

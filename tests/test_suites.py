@@ -74,7 +74,7 @@ def test_t7_scans_s_once_per_group(monkeypatch):
     for module in (suites, properties):
         monkeypatch.setattr(module, "has_property_s", counted)
     corpus.cache_clear()
-    criteria = suite_t7(RunConfig())
+    criteria = list(suite_t7(RunConfig()))
     assert all(c.passed for c in criteria)
     tensors = [c for c in criteria if c.name.startswith(("tensor of", "direct product"))]
     assert len(tensors) == 8
