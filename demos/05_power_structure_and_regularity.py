@@ -27,7 +27,7 @@ for name, g in (("heisenberg3", h3), ("wreath3", w3)):
 
 print("\nsection scan (all H/K with H a subgroup, K normal in H):")
 print("  heisenberg3 p2:", has_p2(h3).holds,
-      has_p2(h3).counters)
+      has_p2(h3).counters, "(3-abelian: passes by the law)")
 print("  wreath3     p2:", has_p2(w3).holds, "(fails at the top section)")
 
 print("\nregularity:")

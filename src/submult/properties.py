@@ -456,12 +456,12 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
                   power_set: PowerSet, only_h1: bool) -> PropertyReport:
     """Probe the sections H/K of g, counting each in ``sections_checked``:
     G/1 once, before any lattice, whatever |G| is; then, for each H that
-    ``sections`` yields, the K bits of its mask: all of them for p2 on a
-    group that is not p-abelian, bit 0 (H/1) alone for p1, none for a
-    p-abelian group, whose sections all pass (``_power_failure``).  H/K
-    fails p1 only if H/1 does: once H/1 passes, each level's p**k-th powers
-    of H form a subgroup A, normal in H since conjugation permutes them, so
-    the p**k-th powers of H/K form AK/K.
+    ``sections`` yields, the K bits of its mask: all of them for p2, bit 0
+    (H/1) alone for p1.  H/K fails p1 only if H/1 does: once H/1 passes,
+    each level's p**k-th powers of H form a subgroup A, normal in H since
+    conjugation permutes them, so the p**k-th powers of H/K form AK/K.
+    A p-abelian g passes by the law after G/1, with no lattice: each of its
+    sections is p-abelian, so both power sets are subgroups there (Hall).
 
     Above the section cap, or once the lattice passes ``all_subgroups``'
     bound, the report is G/1's: a failure, or a verdict capped after it.
@@ -471,7 +471,10 @@ def _section_scan(g: FiniteGroup, section_cap: int, prop: str,
     if fail is None and len(g) > section_cap:
         return _whole_group_only(prop, f"|G| = {len(g)} exceeds section cap "
                                        f"{section_cap}")
-    probed = 0 if g.p_abelian else 1 if only_h1 else -1  # the K bits to probe
+    if g.p_abelian:
+        return PropertyReport(prop, True, counters={"sections_checked": 1,
+                                                    "p_abelian": 1})
+    probed = 1 if only_h1 else -1  # the K bits to probe
     members = None  # the member tuples of the lattice, for ``_power_failure``
     try:
         for h, kernels, lattice in g.sections(section_cap) if fail is None else ():
@@ -515,13 +518,15 @@ def _whole_group_only(prop: str, cap: str) -> PropertyReport:
 
 def has_p2(g: FiniteGroup, *, section_cap: int = DEFAULT_SECTION_CAP) -> PropertyReport:
     """Every section satisfies the wp2 equality (order-dividing sets are
-    subgroups); exhaustive below the section cap, capped above it."""
+    subgroups): by the law on a p-abelian group, else exhaustive below the
+    section cap; capped above it (``_section_scan``)."""
     return _section_scan(g, section_cap, "p2", _order_dividing, only_h1=False)
 
 
 def has_p1(g: FiniteGroup, *, section_cap: int = DEFAULT_SECTION_CAP) -> PropertyReport:
     """Every section has its p**k-th power set equal to the subgroup those
-    powers generate; only the sections H/1 need a probe (``_section_scan``)."""
+    powers generate: by the law on a p-abelian group, else by a probe of the
+    sections H/1 alone; capped above the section cap (``_section_scan``)."""
     return _section_scan(g, section_cap, "p1", _power_image, only_h1=True)
 
 

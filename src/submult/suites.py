@@ -16,8 +16,8 @@ from __future__ import annotations
 import cmath
 import random
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
@@ -41,33 +41,27 @@ class CorpusEntry:
     name: str
     make_gens: Callable[[], list[MonomialMatrix]] | None
     make_group: Callable[[], FiniteGroup] | None = None
-    _gens: list[MonomialMatrix] | None = field(default=None, repr=False)
-    _group: FiniteGroup | None = field(default=None, repr=False)
-    _s_report: PropertyReport | None = field(default=None, repr=False)
 
     @property
     def is_monomial(self) -> bool:
         return self.make_gens is not None
 
+    @cached_property
     def gens(self) -> list[MonomialMatrix]:
-        if self._gens is None:
-            assert self.make_gens is not None
-            self._gens = self.make_gens()
-        return self._gens
+        assert self.make_gens is not None
+        return self.make_gens()
 
+    @cached_property
     def group(self) -> FiniteGroup:
-        if self._group is None:
-            self._group = (self.make_group() if self.make_group is not None
-                           else close(self.gens(), name=self.name))
-        return self._group
+        return (self.make_group() if self.make_group is not None
+                else close(self.gens, name=self.name))
 
+    @cached_property
     def s_report(self) -> PropertyReport:
-        if self._s_report is None:
-            self._s_report = has_property_s(self.group())
-        return self._s_report
+        return has_property_s(self.group)
 
     def degree(self) -> int:
-        return self.gens()[0].n
+        return self.gens[0].n
 
 
 @lru_cache(maxsize=1)
@@ -260,7 +254,7 @@ def suite_t2(config: RunConfig) -> Iterator[CriterionResult]:
     """Nonabelian 2-groups of order 8 fail property (s) with replayable
     witnesses; the corpus abelian 2-groups of order <= 16 pass."""
     for name in ("quaternion8", "dihedral8"):
-        report = corpus()[name].s_report()
+        report = corpus()[name].s_report
         yield CriterionResult(f"{name} fails property s", report.holds is False)
         yield CriterionResult(f"{name} witness replays", report.holds is False
                               and _witness_replays(report))
@@ -276,8 +270,8 @@ def suite_t2(config: RunConfig) -> Iterator[CriterionResult]:
         and not rs_spec.issubset(product_spec))
     for name in ABELIAN_2GROUPS_LE16:
         entry = corpus()[name]
-        order = len(entry.group())
-        report = entry.s_report()
+        order = len(entry.group)
+        report = entry.s_report
         yield CriterionResult(f"{name} (abelian 2-group, order {order}) has property s",
                               order <= 16 and report.holds is True)
 
@@ -289,7 +283,7 @@ def suite_t3(config: RunConfig) -> Iterator[CriterionResult]:
     (s) on every ordered pair."""
     for name, order in (("heisenberg3", 27), ("heisenberg5", 125)):
         entry = corpus()[name]
-        report = entry.s_report()
+        report = entry.s_report
         yield CriterionResult(f"{name} has property s", report.holds is True)
         yield CriterionResult(f"{name} scan is exhaustive ({order}^2 pairs)",
                               report.counters.get("pairs_checked") == order * order,
@@ -302,13 +296,13 @@ def suite_t4(config: RunConfig) -> Iterator[CriterionResult]:
     """The degree-3 wreath product: order 81, class 3, exponent 9; fails
     wp2, regularity and property (s)."""
     entry = corpus()["wreath3"]
-    g = entry.group()
+    g = entry.group
     yield CriterionResult("order 81", len(g) == 81, f"order={len(g)}")
     yield CriterionResult("class 3", g.nilpotency_class() == 3)
     yield CriterionResult("exponent 9", g.exponent() == 9)
     yield CriterionResult("fails wp2", has_wp2(g).holds is False)
     yield CriterionResult("fails regularity", is_regular(g).holds is False)
-    yield CriterionResult("fails property s", entry.s_report().holds is False)
+    yield CriterionResult("fails property s", entry.s_report.holds is False)
 
 
 # -- T5: induced-representation family of the basic groups ---------------------------
@@ -322,7 +316,7 @@ def suite_t5(config: RunConfig) -> Iterator[CriterionResult]:
         yield CriterionResult(f"all induced representations of B_{p}(2,1) pass s",
                               report.holds is True,
                               f"reps={report.counters.get('reps_checked')}")
-        g = corpus()[name].group()
+        g = corpus()[name].group
         yield CriterionResult(f"B_{p}(2,1) satisfies the {p - 1}-Engel identity",
                               is_engel(g, p - 1).holds is True)
         klass = g.nilpotency_class()
@@ -336,7 +330,7 @@ def suite_t6(config: RunConfig) -> Iterator[CriterionResult]:
     """Diagonal exponent vectors of the lower central terms stay inside the
     rotation-difference images, whose dimensions step down by one."""
     for p, name in ((3, "heisenberg3"), (5, "heisenberg5")):
-        report = chi_containment(corpus()[name].group())
+        report = chi_containment(corpus()[name].group)
         yield CriterionResult(f"{name}: containment at every level up to the class",
                               report.holds is True,
                               f"levels={report.counters.get('levels_checked')}")
@@ -362,15 +356,15 @@ def suite_t7(config: RunConfig) -> Iterator[CriterionResult]:
     yield CriterionResult("corpus holds at least 12 groups", len(entries) >= 12,
                           f"corpus={len(entries)}")
     monomial = [e for e in entries.values() if e.is_monomial]
-    s_passers = [e for e in monomial if e.s_report().holds is True]
+    s_passers = [e for e in monomial if e.s_report.holds is True]
     yield CriterionResult("corpus has s-passing and s-failing members",
                           0 < len(s_passers) < len(monomial),
                           f"passers={len(s_passers)}/{len(monomial)}")
     for entry in monomial:
-        if entry.s_report().holds is True:
+        if entry.s_report.holds is True:
             yield CriterionResult(f"s => wp2 for {entry.name}",
-                                  has_wp2(entry.group()).holds is True)
-            divisibility = order_submultiplicativity(entry.group())
+                                  has_wp2(entry.group).holds is True)
+            divisibility = order_submultiplicativity(entry.group)
             yield CriterionResult(
                 f"s => |AB| divides max(|A|,|B|) for {entry.name}",
                 divisibility.holds is True
@@ -378,10 +372,10 @@ def suite_t7(config: RunConfig) -> Iterator[CriterionResult]:
     rng = random.Random(config.seed)
     eligible = [(a, b) for a in s_passers for b in s_passers
                 if a.degree() * b.degree() <= 36
-                and len(a.group()) * len(b.group()) <= 1024]
+                and len(a.group) * len(b.group) <= 1024]
     sample = rng.sample(eligible, min(5, len(eligible)))
     for a, b in sample:
-        gens = _tensor_generators(a.gens(), b.gens())
+        gens = _tensor_generators(a.gens, b.gens)
         report = has_property_s(close(gens))
         yield CriterionResult(f"tensor of {a.name} and {b.name} keeps property s",
                               report.holds is True,
@@ -391,7 +385,7 @@ def suite_t7(config: RunConfig) -> Iterator[CriterionResult]:
     # so its passers are ``s_passers`` and their pairs ``eligible``
     product_sample = rng.sample(eligible, min(3, len(eligible)))
     for a, b in product_sample:
-        gens = _tensor_generators(a.gens(), b.gens())
+        gens = _tensor_generators(a.gens, b.gens)
         report = has_property_s(close(gens))
         yield CriterionResult(
             f"direct product {a.name} x {b.name}: sampled representation keeps s",
@@ -410,12 +404,12 @@ def suite_t8(config: RunConfig) -> Iterator[CriterionResult]:
         degree = entry.degree()
         if not is_prime(degree):
             continue
-        g = entry.group()
-        if any(el.det() != ONE for el in entry.gens()):  # det is multiplicative
+        g = entry.group
+        if any(el.det() != ONE for el in entry.gens):  # det is multiplicative
             continue
         if not is_irreducible(g):
             continue
-        if entry.s_report().holds is not True:
+        if entry.s_report.holds is not True:
             continue
         covered += 1
         yield CriterionResult(f"{entry.name}: irreducible det-1 degree {degree} with s "
@@ -581,7 +575,7 @@ def suite_t9(config: RunConfig) -> Iterator[CriterionResult]:
     corpus group of order <= 243, and the square of the order-27 basic
     group is regular (capped direct-power evidence)."""
     for entry in corpus().values():
-        g = entry.group()
+        g = entry.group
         if len(g) > 243:
             continue
         report = is_regular(g)
@@ -593,7 +587,7 @@ def suite_t9(config: RunConfig) -> Iterator[CriterionResult]:
             agrees = agrees and (w.get("left_index"), w.get("right_index")) == oracle
             detail += f", witness={oracle}"
         yield CriterionResult(f"oracle agreement for {entry.name}", agrees, detail)
-    b321 = corpus()["basic_b321"].group()
+    b321 = corpus()["basic_b321"].group
     evidence = is_v_regular_bounded(b321, config.power_cap,
                                     cap=config.closure_cap)
     yield CriterionResult(

@@ -869,6 +869,16 @@ def expanded_sections(g):
     return out
 
 
+def section_count(g):
+    """G/1 and the set bits of every kernel mask ``FiniteGroup.sections``
+    yields: the number of sections of g."""
+    return 1 + sum(kernels.bit_count() for _, kernels, _ in g.sections())
+
+
+# the counters of a p1 or p2 pass by the law on a p-abelian group: G/1 alone
+LAW_COUNTERS = {"sections_checked": 1, "p_abelian": 1}
+
+
 def reference_sections(g):
     """(H members, K members, |H/K|) in section order, on g's indices."""
     subs = sorted(reference_all_subgroups(g), key=lambda kv: (-len(kv[0]), kv[0]))
@@ -982,28 +992,35 @@ class TestSubgroupLattice:
         assert len(subs) == count
         # every subgroup of an abelian group is normal
         assert g.normal_subgroups() == subs
+        assert section_count(g) == elementary_abelian_sections(r, p)
+        # an abelian group is p-abelian: p1 and p2 pass by the law
         for decide in (has_p1, has_p2):
             report = decide(g)
-            assert report.holds is True
-            assert report.counters["sections_checked"] == \
-                elementary_abelian_sections(r, p)
+            assert (report.holds, report.counters) == (True, LAW_COUNTERS)
 
     def test_c2_7_exhaustive(self):
-        # 29,212 subgroups and 2,379,348 sections, within the default caps
+        # 29,212 subgroups and 2,379,348 sections, within the default caps;
+        # p2 passes by the law, as C2^7 is abelian
         g = lattice_group.__wrapped__("c2^7")
         assert len(g.all_subgroups()) == elementary_abelian_subgroups(7, 2) == 29212
+        assert section_count(g) == elementary_abelian_sections(7, 2) == 2379348
         report = has_p2(g)
-        assert (report.holds, report.caps) == (True, [])
-        assert report.counters["sections_checked"] == \
-            elementary_abelian_sections(7, 2) == 2379348
+        assert (report.holds, report.counters, report.caps) == (True, LAW_COUNTERS, [])
 
     def test_c2_8_lattice_capped(self):
-        # 417,199 subgroups: the lattice stops past 128 * 256 of them, and
-        # the scan reports the whole group checked, the rest capped
+        # C2^8 has 417,199 subgroups: the lattice stops past 128 * 256 of
+        # them, yet p1 passes by the law, building none
         g = lattice_group.__wrapped__("c2^8")
         assert elementary_abelian_subgroups(8, 2) == 417199
         with pytest.raises(ClosureCapExceeded, match="cap 32768 .*subgroups"):
             g.all_subgroups()
+        report = has_p1(g)
+        assert (report.holds, report.counters, report.caps) == (True, LAW_COUNTERS, [])
+        # D8 x C2^5, also of order 256, is not 2-abelian: its lattice stops
+        # at the same bound, and the scan reports the whole group checked,
+        # the rest capped
+        g = direct_product(lattice_group("d8"), lattice_group("c2^5"))
+        assert len(g) == 256 and not g.p_abelian
         report = has_p1(g)
         assert report.holds == "holds-capped"
         assert report.counters == {"sections_checked": 1}
@@ -1444,7 +1461,7 @@ class TestMetabelian:
 
     @pytest.mark.parametrize("name", sorted(corpus()))
     def test_corpus_groups(self, name):
-        self.assert_matches_reference(corpus()[name].group())
+        self.assert_matches_reference(corpus()[name].group)
 
     def test_order_729(self):
         self.assert_matches_reference(basic_group(3, 2, 2))

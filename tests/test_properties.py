@@ -11,11 +11,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
-from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, WIDE_LATTICE_GROUPS,
-                         engel_bracket, group_from_carriers, lattice_group,
-                         monomial_groups, reference_all_subgroups,
+from test_groups import (KERNEL_SETTINGS, LATTICE_GROUPS, LAW_COUNTERS,
+                         WIDE_LATTICE_GROUPS, engel_bracket, group_from_carriers,
+                         lattice_group, monomial_groups, reference_all_subgroups,
                          reference_as_group, reference_normal_subgroups,
-                         regularity_groups)
+                         regularity_groups, section_count)
 
 from submult import properties
 from submult.cyclotomic import ONE, CyclotomicUnit, Spectrum
@@ -152,7 +152,7 @@ class TestPerClassSpectra:
     @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
                                       if entry.is_monomial])
     def test_corpus(self, name):
-        assert_spectra_per_element(corpus()[name].group())
+        assert_spectra_per_element(corpus()[name].group)
 
     @KERNEL_SETTINGS
     @given(monomial_groups(max_order=64))
@@ -249,7 +249,7 @@ class TestCosetActionSpectra:
     @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
                                       if entry.is_monomial])
     def test_corpus(self, name):
-        assert_coset_action_matches_cycle_keys(corpus()[name].group())
+        assert_coset_action_matches_cycle_keys(corpus()[name].group)
 
     @KERNEL_SETTINGS
     @given(monomial_groups(max_order=64))
@@ -388,7 +388,7 @@ class TestScalarRows:
     @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
                                       if entry.is_monomial])
     def test_corpus(self, name):
-        assert_scalar_skip_keeps_the_scan(corpus()[name].group())
+        assert_scalar_skip_keeps_the_scan(corpus()[name].group)
 
     @KERNEL_SETTINGS
     @given(monomial_groups(max_order=64))
@@ -397,8 +397,8 @@ class TestScalarRows:
 
     def test_tensor_product_skips_rows(self):
         entries = corpus()
-        g = close(_tensor_generators(entries["c4xc2"].gens(),
-                                     entries["heisenberg5"].gens()))
+        g = close(_tensor_generators(entries["c4xc2"].gens,
+                                     entries["heisenberg5"].gens))
         report, scanned = assert_scalar_skip_keeps_the_scan(g)
         assert report.holds is True and len(g) == 1000
         # one row per orbit of the scalars on the 232 classes: the least
@@ -440,8 +440,13 @@ class TestSections:
             assert has_p2(g).holds is True
             assert has_p1(g).holds is True
 
-    def test_heisenberg_p2_exhaustive(self, h3):
+    def test_heisenberg_p2_exhaustive(self, h3, monkeypatch):
+        # h3 is 3-abelian, so p2 passes by the law; with the law switched
+        # off, the scan of every section passes too
         report = has_p2(h3)
+        assert (report.holds, report.counters) == (True, LAW_COUNTERS)
+        monkeypatch.setattr(FiniteGroup, "p_abelian", False)
+        report = has_p2(close(heisenberg_generators(3)))
         assert report.holds is True
         assert report.counters["sections_checked"] > 1
 
@@ -525,6 +530,19 @@ def reference_section_report(g, prop):
             "counters": {"sections_checked": checked}, "caps": []}
 
 
+def assert_literal_report(g, prop):
+    """The p1 or p2 report of g is ``reference_section_report``'s, but for
+    the counters of a pass by the law on a p-abelian g: G/1 alone, where
+    the literal report counts every section (``section_count``)."""
+    report = (has_p1 if prop == "p1" else has_p2)(g).to_json()
+    literal = reference_section_report(g, prop)
+    if g.p_abelian:
+        assert report["counters"] == LAW_COUNTERS
+        assert literal["counters"] == {"sections_checked": section_count(g)}
+        report["counters"] = literal["counters"]
+    assert report == literal
+
+
 def block_product(left, right):
     """Closure of block-diagonal generators, as ``construct direct_product``
     builds a product of two monomial group files."""
@@ -557,9 +575,7 @@ class TestSectionOracle:
     @pytest.mark.parametrize("prop", ["p1", "p2"])
     @pytest.mark.parametrize("name", LATTICE_GROUPS)
     def test_lattice_groups(self, name, prop):
-        g = lattice_group(name)
-        decide = has_p1 if prop == "p1" else has_p2
-        assert decide(g).to_json() == reference_section_report(g, prop)
+        assert_literal_report(lattice_group(name), prop)
 
     @pytest.mark.parametrize("prop", ["p1", "p2"])
     @pytest.mark.parametrize("name", list(SECTION_FAILURES))
@@ -603,42 +619,48 @@ class TestSectionOracle:
                 with pytest.raises(ValueError, match="not a p-group"):
                     decide(g)
             return
-        for prop, decide in (("p1", has_p1), ("p2", has_p2)):
-            report = decide(g).to_json()
-            event(f"{prop} holds: {report['holds']}")
-            assert report == reference_section_report(g, prop)
-
-
-def section_count(g):
-    """G/1 and the set bits of every kernel mask ``FiniteGroup.sections``
-    yields: the number of sections of g."""
-    return 1 + sum(kernels.bit_count() for _, kernels, _ in g.sections())
+        event(f"p-abelian: {g.p_abelian}")
+        for prop in ("p1", "p2"):
+            assert_literal_report(g, prop)
 
 
 class TestSectionCounts:
-    """p1, and p2 on a p-abelian group, probe only some sections and count
-    the rest from the lattice's containment masks; the count is that of
-    the sections ``FiniteGroup.sections`` yields."""
+    """p1 probes only some sections and counts the rest from the lattice's
+    containment masks; the count is that of the sections
+    ``FiniteGroup.sections`` yields.  A p-abelian group passes by the law,
+    counting G/1 alone; with the law switched off its scan counts every
+    section too."""
 
     @pytest.mark.parametrize("prop", ["p1", "p2"])
     @pytest.mark.parametrize("name", LATTICE_GROUPS + WIDE_LATTICE_GROUPS)
-    def test_counted_sections_are_the_walked_ones(self, name, prop):
-        # p1 and p-abelian scans count the sections they do not probe
+    def test_counted_sections_are_the_walked_ones(self, name, prop, monkeypatch):
+        # p1 counts the sections it does not probe
+        decide = has_p1 if prop == "p1" else has_p2
         g = lattice_group(name)
-        report = (has_p1 if prop == "p1" else has_p2)(g)
+        count = section_count(g)
+        if g.p_abelian:
+            assert decide(g).counters == LAW_COUNTERS
+            monkeypatch.setattr(FiniteGroup, "p_abelian", False)
+            g = lattice_group.__wrapped__(name)
+        report = decide(g)
         if report.holds is True:
-            assert report.counters["sections_checked"] == section_count(g)
+            assert report.counters["sections_checked"] == count
 
     @pytest.mark.parametrize("make, count", [
         (lambda: close([MonomialMatrix.identity(1)]), 1),
         (lambda: close(cyclic_generator(9)), 6),
     ], ids=["trivial", "c9"])
-    def test_small_groups(self, make, count):
-        # the trivial group has G/1 alone; C9 has 9/1, 9/3, 9/9, 3/1, 3/3, 1/1
+    def test_small_groups(self, make, count, monkeypatch):
+        # the trivial group has G/1 alone; C9 has 9/1, 9/3, 9/9, 3/1, 3/3, 1/1.
+        # Both are p-abelian: the law counts G/1 alone, the scan every section
         g = make()
         assert section_count(g) == count
         for decide in (has_p1, has_p2):
             report = decide(g)
+            assert (report.holds, report.counters) == (True, LAW_COUNTERS)
+        monkeypatch.setattr(FiniteGroup, "p_abelian", False)
+        for decide in (has_p1, has_p2):
+            report = decide(make())
             assert (report.holds, report.counters) == (True, {"sections_checked": count})
 
 
@@ -778,7 +800,7 @@ def reference_regular_failure(g):
 def corpus_regular_failure(name):
     """``reference_regular_failure`` of a corpus group, scanned once a
     session: two oracle tests read it per group."""
-    return reference_regular_failure(corpus()[name].group())
+    return reference_regular_failure(corpus()[name].group)
 
 
 class TestPairDerived:
@@ -1092,7 +1114,7 @@ class TestRegularityOracle:
 
     @pytest.mark.parametrize("name", sorted(corpus()))
     def test_corpus(self, name):
-        g = corpus()[name].group()
+        g = corpus()[name].group
         if len(g) > 243:
             pytest.skip("T9 checks corpus groups of order <= 243")
         assert (regular_first_failure_by_definition(g)
@@ -1141,7 +1163,7 @@ class TestRegularityOracle:
 
     @pytest.mark.parametrize("name", sorted(corpus()))
     def test_reads_only_the_table(self, name):
-        g = corpus()[name].group()
+        g = corpus()[name].group
         if len(g) > 243:
             pytest.skip("T9 checks corpus groups of order <= 243")
         assert g.identity == 0  # _TableOnly's identity
@@ -1268,6 +1290,13 @@ FAST_PATH_GROUPS = {
     "q8": lambda: close(quaternion_generators()),
 }
 FAST_PATH_DECIDERS = (is_p_abelian, is_regular, has_wp2, has_p1, has_p2)
+# p-abelian groups that the benchmark's p1 and p2 requests ask besides b321:
+# B_5(2,1) and an induced representation of B_3(2,1) times C3
+LAW_GROUPS = {
+    "b521": lambda: basic_group(5, 2, 1),
+    "irxc3": lambda: block_product(induced_rep_generators(3, 2, 1, [0, 1]),
+                                   cyclic_generator(3)),
+}
 
 
 class TestPAbelianGenerators:
@@ -1277,7 +1306,7 @@ class TestPAbelianGenerators:
 
     @pytest.mark.parametrize("name", sorted(corpus()))
     def test_corpus(self, name):
-        g = corpus()[name].group()
+        g = corpus()[name].group
         assert g.p_abelian is definitional_p_abelian(g)
 
     @KERNEL_SETTINGS
@@ -1293,22 +1322,26 @@ class TestPAbelianGenerators:
 
     @pytest.mark.parametrize("name", FAST_PATH_GROUPS)
     def test_reports_match_the_scans(self, name, monkeypatch):
-        # verdict, witness, pairs_checked and sections_checked are the
-        # scans'; only pairs_evaluated may fall
+        # verdict, witness and pairs_checked are the scans'; only
+        # pairs_evaluated may fall, and p1 and p2 by the law count G/1
+        # alone where the scan counts every section
         def compared(report):
             data = report.to_json()
             data["counters"].pop("pairs_evaluated", None)
+            if data["counters"] == LAW_COUNTERS:
+                data["counters"] = {"sections_checked": section_count(group)}
             return data
 
+        group = FAST_PATH_GROUPS[name]()
         fast = [decide(FAST_PATH_GROUPS[name]()) for decide in FAST_PATH_DECIDERS]
         monkeypatch.setattr(FiniteGroup, "p_abelian", False)
         scanned = [decide(FAST_PATH_GROUPS[name]()) for decide in FAST_PATH_DECIDERS]
         assert [compared(r) for r in fast] == [compared(r) for r in scanned]
 
-    @pytest.mark.parametrize("name", ["h3xc9", "b321", "h5"])
+    @pytest.mark.parametrize("name", ["h3xc9", "b321", "h5", "b521", "irxc3"])
     def test_p_abelian_groups_evaluate_no_pair_and_probe_no_section(
             self, name, monkeypatch):
-        g = FAST_PATH_GROUPS[name]()
+        g = {**FAST_PATH_GROUPS, **LAW_GROUPS}[name]()
         assert g.p_abelian is True
 
         def refuse(*args, **kwargs):
@@ -1323,8 +1356,13 @@ class TestPAbelianGenerators:
             assert report.counters["pairs_evaluated"] == 0
         monkeypatch.undo()
         monkeypatch.setattr(FiniteGroup, "subgroup", refuse)
-        for decide in (has_wp2, has_p1, has_p2):
-            assert decide(g).holds is not False
+        assert has_wp2(g).holds is True
+        # p1 and p2 pass by the law and build no lattice
+        for method in ("all_subgroups", "normal_subgroups", "sections"):
+            monkeypatch.setattr(FiniteGroup, method, refuse)
+        for decide in (has_p1, has_p2):
+            report = decide(g)
+            assert (report.holds, report.counters) == (True, LAW_COUNTERS)
 
 
 def record_commutator_subgroups(monkeypatch):
@@ -1627,7 +1665,7 @@ class TestIrreducibility:
     @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
                                       if entry.is_monomial])
     def test_corpus_matches_float_norm(self, name):
-        assert_irreducible_matches_float_norm(corpus()[name].group())
+        assert_irreducible_matches_float_norm(corpus()[name].group)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_induced_reps_match_float_norm(self, p):

@@ -88,5 +88,5 @@ def test_determinant_one_on_generators(name):
     """The determinant is a homomorphism, so T8's test of its generators
     answers as a test of every element."""
     entry = corpus()[name]
-    assert (all(m.det() == ONE for m in entry.gens())
-            == all(el.det() == ONE for el in entry.group().elements))
+    assert (all(m.det() == ONE for m in entry.gens)
+            == all(el.det() == ONE for el in entry.group.elements))
