@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from .config import RunConfig
@@ -30,6 +29,7 @@ from .properties import (PropertyReport, chi_containment, has_p1, has_p2,
 from .suites import SUITES, OracleUnavailable, run_suites
 
 DEFAULTS = RunConfig()
+COMMANDS: dict[str, argparse.ArgumentParser] = {}  # name -> parser, by build_parser
 
 
 def _text_lines(data: Any, prefix: str = "") -> Iterator[str]:
@@ -55,7 +55,8 @@ def _text_lines(data: Any, prefix: str = "") -> Iterator[str]:
 def _write(text: str, out: str | None) -> None:
     """Every command's output: written to the file ``out``, or to stdout."""
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with open(out, "wb") as f:
+            f.write(f"{text}\n".encode())
     else:
         print(text)
 
@@ -290,8 +291,8 @@ def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: ``parse_args`` fills a
-    fresh namespace on every call, so calls share no state."""
+    """The argument parser, built once per process, its subcommands' in
+    ``COMMANDS``: ``parse_args`` fills a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="submult",
         description="Exact monomial matrix p-groups: constructions, spectra "
@@ -332,11 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"suite names ({', '.join(sorted(SUITES))}) or 'all'")
     _add_options(p_verify, "--cap", "--powers", "--seed")
     p_verify.set_defaults(func=cmd_verify)
+    COMMANDS.update(sub.choices)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run a command line (default ``sys.argv[1:]``): a subcommand's parser takes its
+    arguments; the full parser, its messages and exit codes, anything else."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, extra = build_parser(), True
+    if argv and (command := COMMANDS.get(argv[0])):
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ClosureCapExceeded, ValueError, OSError, OracleUnavailable) as exc:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .groups import DEFAULT_CLOSURE_CAP, DEFAULT_SECTION_CAP
 
@@ -30,4 +30,4 @@ class RunConfig:
             raise ValueError("output must be 'text' or 'structured'")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields, in order: all plain values

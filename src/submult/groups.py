@@ -6,11 +6,11 @@ indices.  Carriers are opaque to it: monomial matrices, affine pairs,
 index tuples (direct products) or parent indices (quotients) all work;
 the group only describes them through ``describe``.
 
-Every builder hands over those permutations.  ``close`` records them while
-closing, on integer codes that sort as the elements' keys where the carrier
-offers a codec (``MonomialCodec``, ``AffineCodec``), and its group decodes
-elements on first read, ``describe`` one element; quotients and direct
-products read them off their parents' products and keep plain elements.
+Every builder hands over those permutations.  ``close`` closes on codes
+that sort as the elements' keys where the carrier offers a codec
+(``MonomialCodec``, ``AffineCodec``), and its group decodes elements on
+first read, ``describe`` one element; quotients and direct products read
+the permutations off their parents' products and keep plain elements.
 
 Products come from the permutations alone, along a breadth-first spanning
 tree from the identity on which each element y is x*g for its parent x and
@@ -109,7 +109,7 @@ class FiniteGroup:
 
     def __init__(self, elements: list, right: dict[int, list[int]],
                  identity: int, *, describe: Callable[[Any], Any],
-                 gens: tuple[int, ...], name: str = ""):
+                 gens: tuple[int, ...], name: str = "", rows: dict | None = None):
         self.codes = list(elements)  # the elements, or close's codes
         self.codec = None  # set by close: then codes decode to the elements
         self._right = right  # generator index -> the list x -> x*g
@@ -121,6 +121,7 @@ class FiniteGroup:
         # ``full_table`` completes it and keeps it as ``_table``
         self._rows: list[list[int] | None] | None = None
         self._table: list[list[int]] | None = None
+        self._gen_rows = rows or {}  # generator index -> its row, if the builder has it
         self._left_gathers: dict[int, Callable] = {}  # g -> read a row through row g
         self._inv: list[int] | None = None  # built by inverses
         self._pow_cache: dict[int, Sequence[int]] = {}
@@ -229,11 +230,11 @@ class FiniteGroup:
         """Row x of the Cayley table, j -> x*j, kept in the row store.
 
         The store starts with the identity row and each generator's row,
-        filled along the tree (``_row``).  A missing row y = x*g on the tree
-        is gathered whole, since y*j = x*(g*j): row x read through row g, in
-        one ``itemgetter`` call, after row x itself when that is missing
-        too.  So a decider that reads only the rows of class representatives
-        pays for those rows and their tree ancestors, not for n**2 entries.
+        handed over or filled along the tree (``_row``).  A missing row y =
+        x*g on the tree is gathered whole, since y*j = x*(g*j): row x read
+        through row g, in one ``itemgetter`` call, after row x itself when
+        that is missing too.  So a decider reading only the rows of class
+        representatives pays for those and their tree ancestors, not n**2.
         """
         rows, pending = self._rows or self._seed_rows(), []
         while rows[x] is None:
@@ -249,7 +250,7 @@ class FiniteGroup:
         for each generator g the gather that reads a row through row g."""
         rows: list[list[int] | None] = [None] * len(self)
         for g in self._right:
-            rows[g] = self._row(g)
+            rows[g] = self._gen_rows.get(g) or self._row(g)
         rows[self.identity] = list(range(len(self)))  # a list: a range reads slower
         self._left_gathers = {g: operator.itemgetter(*rows[g]) for g in self._right}
         self._rows = rows
@@ -769,6 +770,20 @@ class _CarrierCodec:
     key = staticmethod(lambda x: x.key())
 
 
+def _right_perms(left: list[list[int]], gens: Sequence[int]) -> list[list[int]]:
+    """x -> x*s for each generator s from the left permutations x -> g*x of a
+    closure indexed by BFS layer from 0: on a tree of steps y = g*x, y*s = g*(x*s)."""
+    seen = [True] + [False] * (len(left[0]) - 1)
+    perms = [[s] * len(seen) for s in gens]
+    for x in range(len(seen)):
+        for lp in left:
+            if not seen[y := lp[x]]:
+                seen[y] = True
+                for r in perms:
+                    r[y] = lp[r[x]]
+    return perms
+
+
 def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
           name: str = "") -> FiniteGroup:
     """Breadth-first closure of carrier elements under multiplication.
@@ -777,15 +792,16 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
     sorted by canonical key.  Raises ClosureCapExceeded past the cap.
 
     The loop multiplies codes: a carrier's ``closure_codec(gens, cap)``
-    (``MonomialCodec``: ``(perm, ranks)``, unless M passes the cap;
+    (``MonomialCodec``: one ``bytes`` per matrix, unless M passes the cap;
     ``AffineCodec``: ``V*q + t``, refused when the order of the pairs'
     extension passes the cap), codes that sort as their keys (``codec.key``
     is None), else the carriers themselves, which must then hash as their
-    keys.  The group keeps the
-    codes and decodes ``elements`` on first read, so a decider that reads
-    only indices and the table decodes nothing.  The index of x*g is recorded
-    for every x and generator g, and these right-multiplication permutations
-    go to the group: its ``full_table`` multiplies no carrier.
+    keys.  The group keeps the codes and decodes ``elements`` on first
+    read, so a decider that reads only indices and the table decodes
+    nothing.  The index of x*g is recorded for every x and generator g, or
+    of g*x, the generators' rows, where the codec has ``left`` (one
+    ``bytes.translate``; layer k is the words of length k either way), and
+    the right permutations derived from them (``_right_perms``).
     """
     gens = list(generators)
     if not gens:
@@ -794,23 +810,26 @@ def close(generators: Sequence[Any], cap: int = DEFAULT_CLOSURE_CAP, *,
         raise ValueError("incompatible generators: mixed carriers")
     codec = (gens[0].closure_codec(gens, cap) if hasattr(gens[0], "closure_codec")
              else None) or _CarrierCodec
-    steps = [codec.right(codec.encode(g)) for g in gens]
+    left = hasattr(codec, "left")  # each step maps a layer to its products with g
+    steps = [codec.left(c) if left else functools.partial(map, codec.right(c))
+             for c in map(codec.encode, gens)]
     codes = [codec.encode(gens[0].identity_like())]
     index, layer = {codes[0]: 0}, list(codes)
-    right: list[list[int]] = [[] for _ in gens]  # right[t][x]: x * gens[t]
+    perms: list[list[int]] = [[] for _ in gens]  # perms[t][x]: gens[t]*x, or x*gens[t]
     while layer:
-        products = [step(x) for x in layer for step in steps]
-        layer = sorted({y for y in products if y not in index}, key=codec.key)
-        for y in layer:
-            index[y] = len(codes)
-            codes.append(y)
-            if len(codes) > cap:
-                raise ClosureCapExceeded(len(codes), cap)
-        for t, perm in enumerate(right):
-            perm.extend(map(index.__getitem__, products[t::len(gens)]))
-    gen_index = tuple(index[codec.encode(g)] for g in gens)
+        products = [list(step(layer)) for step in steps]
+        layer = sorted(set().union(*products).difference(index), key=codec.key)
+        if len(codes) + len(layer) > cap:
+            raise ClosureCapExceeded(cap + 1, cap)
+        index.update(zip(layer, itertools.count(len(codes))))
+        codes += layer
+        for perm, ys in zip(perms, products):
+            perm.extend(map(index.__getitem__, ys))
+    gen_index = tuple(perm[0] for perm in perms)  # g*1 = 1*g
+    right = _right_perms(perms, gen_index) if left else perms
     group = FiniteGroup(codes, dict(zip(gen_index, right)), 0,
-                        describe=lambda e: e.to_json(), gens=gen_index, name=name)
+                        describe=lambda e: e.to_json(), gens=gen_index, name=name,
+                        rows=dict(zip(gen_index, perms)) if left else None)
     group.codec = codec
     return group
 

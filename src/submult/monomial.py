@@ -15,10 +15,10 @@ i.e. the reduced fractions (a + b*t) / (b*l).  No floats enter this path;
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import ONE, CyclotomicUnit, Spectrum, json_int, json_object
 
@@ -94,8 +94,8 @@ class MonomialMatrix:
 
     @staticmethod
     def closure_codec(gens: Sequence["MonomialMatrix"], cap: int) -> "MonomialCodec | None":
-        """None when M passes the cap: the codec's tables have M entries, and
-        a swap with entries z and 1/z has order 2 for every root z."""
+        """None when M passes the cap: the codec's tables have n*(M+1) entries,
+        and a swap with entries z and 1/z has order 2 for every root z."""
         m = math.lcm(*(e.den for g in gens for e in g.entries))
         return MonomialCodec(gens) if m <= cap else None
 
@@ -179,14 +179,16 @@ def _cycle_key(cycles: list[list[int]], exps: Sequence[int], m: int
 
 
 class MonomialCodec:
-    """Integer codes for the monomial matrices that ``gens`` generate: their
-    entries are M-th roots of unity, M the lcm of the generators' entry
-    denominators.  A matrix is ``(perm, ranks)``, entry j
-    exp(2*pi*i*exps[ranks[j]]/M), ``exps`` the exponents 0..M-1 ordered by
-    the reduced (num, den) of e/M, so codes sort as ``MonomialMatrix.key()``
-    (``key`` is None).  An l-cycle with exponent sum s has eigenvalues
-    (s + M*t) / (M*l), so ``cycle_key``, the sorted (l, s mod M), fixes the
-    spectrum."""
+    """Codes for the monomial matrices that ``gens`` generate, with entries
+    exp(2*pi*i*e/M), M the lcm of the generators' entry denominators and
+    ``exps`` the e in 0..M-1 ordered by the reduced (num, den) of e/M.  A
+    code is the permutation, then per column j the rank byte n + perm[j]*M
+    + r, r the rank of its entry in ``exps``, tagged with its row: bytes,
+    or a tuple when n*(M+1) > 256.  Codes sort as ``MonomialMatrix.key()``
+    (``key`` is None); g*x for g = (pi, a) maps i to pi(i) and n + i*M + r
+    to n + pi(i)*M + the rank of exps[r] + a_i, one ``bytes.translate``
+    (``left``).  An l-cycle with exponent sum s has eigenvalues
+    (s + M*t) / (M*l), so ``cycle_key``, the sorted (l, s mod M), fixes the spectrum."""
 
     key = None
 
@@ -196,36 +198,45 @@ class MonomialCodec:
             raise ValueError(f"dimension mismatch: {sorted({g.n for g in gens})}")
         m = self.modulus = math.lcm(*(e.den for g in gens for e in g.entries))
         exps = self.exps = sorted(range(m), key=lambda e: (e // (g := math.gcd(e, m)), m // g))
-        rank = self._rank = sorted(range(m), key=exps.__getitem__)  # exponent -> rank
-        # a -> the table rank r -> rank of exps[r] + exps[a], built once per a
-        self._shift = functools.cache(lambda a: [rank[(e + exps[a]) % m] for e in exps])
+        self._rank = sorted(range(m), key=exps.__getitem__)  # exponent -> rank
         self._cycles: dict[tuple[int, ...], list[list[int]]] = {}
 
-    def encode(self, g: MonomialMatrix) -> tuple:
-        m, rank = self.modulus, self._rank
-        return g.perm, tuple(rank[e.num * (m // e.den)] for e in g.entries)
+    def encode(self, g: MonomialMatrix) -> Sequence[int]:
+        n, m, rank = self.n, self.modulus, self._rank
+        code = (*g.perm, *(n + i * m + rank[e.num * (m // e.den)]
+                           for i, e in zip(g.perm, g.entries)))
+        return bytes(code) if n * (m + 1) <= 256 else code
 
-    def right(self, code: tuple) -> Callable[[tuple], tuple]:
-        """x -> x*g on codes, g given by its code."""
-        perm, ranks = code
-        # a one-index itemgetter returns a scalar, a one-entry slice a tuple
-        gather = operator.itemgetter(*perm) if self.n > 1 else operator.itemgetter(slice(1))
-        if not any(ranks):  # all entries 1 (rank 0): a permutation matrix
-            return lambda x: (gather(x[0]), gather(x[1]))
-        shifts, getitem = [self._shift(a) for a in ranks], operator.getitem
-        if perm == tuple(range(self.n)):  # a diagonal matrix
-            return lambda x: (x[0], tuple(map(getitem, shifts, x[1])))
-        return lambda x: (gather(x[0]), tuple(map(getitem, shifts, gather(x[1]))))
+    def split(self, code: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
+        n = self.n  # the permutation and the ranks, of the code's type
+        return code[:n], (code[n:].translate(self._ranks) if isinstance(code, bytes)
+                          else tuple((v - n) % self.modulus for v in code[n:]))
+
+    @functools.cached_property
+    def _ranks(self) -> bytes:  # byte value -> its rank, for bytes.translate
+        return bytes([0] * self.n + list(range(self.modulus)) * self.n).ljust(256, b"\0")
+
+    def left(self, code: Sequence[int]) -> Callable[[Iterable], Iterator]:
+        """xs -> the codes of g*x, g given by its code: one table over the values."""
+        n, m, exps, rank = self.n, self.modulus, self.exps, self._rank
+        perm, ranks = self.split(code)
+        table = [*perm, *(n + perm[i] * m + rank[(e + exps[r]) % m]
+                          for i, r in enumerate(ranks) for e in exps)]
+        if isinstance(code, bytes):
+            tab = bytes(table).ljust(256, b"\0")
+            return lambda xs: map(bytes.translate, xs, itertools.repeat(tab))
+        return lambda xs: (tuple(map(table.__getitem__, x)) for x in xs)
 
     @functools.cached_property
     def _units(self) -> list[CyclotomicUnit]:  # rank -> unit, shared by decoded entries
         return [CyclotomicUnit(e, self.modulus) for e in self.exps]
 
-    def decode(self, code: tuple) -> MonomialMatrix:
-        return MonomialMatrix(self.n, code[0], tuple(map(self._units.__getitem__, code[1])))
+    def decode(self, code: Sequence[int]) -> MonomialMatrix:
+        perm, ranks = self.split(code)
+        return MonomialMatrix(self.n, perm, tuple(map(self._units.__getitem__, ranks)))
 
-    def cycle_key(self, code: tuple) -> tuple[tuple[int, int], ...]:
-        perm, ranks = code
+    def cycle_key(self, code: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        perm, ranks = self.split(code)
         cycles = self._cycles.get(perm) or self._cycles.setdefault(perm, _perm_cycles(perm))
         return _cycle_key(cycles, list(map(self.exps.__getitem__, ranks)), self.modulus)
 

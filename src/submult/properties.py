@@ -756,7 +756,7 @@ def _fixed_point_count(g: FiniteGroup) -> int:
     grouped by permutation; a pair whose columns of entries differ on one
     permutation is split.  Entries are compared as stored: the ranks of a
     ``MonomialCodec`` code, else the ``CyclotomicUnit``s."""
-    codes = (g.codes if isinstance(g.codec, MonomialCodec)
+    codes = (map(g.codec.split, g.codes) if isinstance(g.codec, MonomialCodec)
              else ((el.perm, el.entries) for el in g.codes))
     by_perm: defaultdict[tuple[int, ...], list[tuple]] = defaultdict(list)
     for perm, entries in codes:
@@ -800,7 +800,8 @@ def chi_containment(g: FiniteGroup, j: int | None = None) -> PropertyReport:
         raise ValueError(f"degree {p} is not prime")
     cycle_perm, cycle_key = big_cycle(p, 1).perm, ((p, 0),)
     if isinstance(g.codec, MonomialCodec):
-        found = any(code[0] == cycle_perm and g.codec.cycle_key(code) == cycle_key
+        found = any(tuple(g.codec.split(code)[0]) == cycle_perm
+                    and g.codec.cycle_key(code) == cycle_key
                     for code in g.codes)
     else:
         found = any(el.perm == cycle_perm and el.cycle_data()[1] == cycle_key

@@ -544,6 +544,68 @@ def test_options_only_where_read(argv, capsys):
 
 
 
+class TestArgvDispatch:
+    """``main`` hands a known subcommand's arguments to that subcommand's
+    parser alone and falls back to the full parser otherwise: every argv
+    gives the exit code, output and namespace of the full parser."""
+
+    ARGVS = {
+        "construct": ["construct", "cyclic", "--m", "3", "-o", "c3.json"],
+        "analyze": ["analyze", "g.json", "--cap", "64"],
+        "check": ["check", "engel", "g.json", "--k", "2", "--format", "structured"],
+        "spectrum": ["spectrum", "m.json", "-o", "out.txt"],
+        "verify": ["verify", "T1", "T2", "--seed", "3"],
+        "verify-all": ["verify"],
+        "after-double-dash": ["check", "s", "--", "g.json"],
+        "missing-positional": ["check", "s"],
+        "missing-required": ["construct", "cyclic", "--m", "3"],
+        "bad-choice": ["check", "t", "g.json"],
+        "bad-family": ["construct", "nope", "-o", "x.json"],
+        "bad-type": ["check", "s", "g.json", "--cap", "many"],
+        "unknown-command": ["frobnicate", "g.json"],
+        "no-command": [],
+        "option-first": ["--format", "text", "check", "s", "g.json"],
+        "extra-argument": ["check", "s", "g.json", "extra"],
+        "extra-option": ["analyze", "g.json", "--bogus"],
+        "help": ["-h"],
+        "check-help": ["check", "-h"],
+        "verify-help": ["verify", "T1", "--help"],
+    }
+
+    @pytest.fixture()
+    def recorded(self):
+        """Each subcommand's ``func`` replaced by one that records the
+        namespace it is called with and returns 0."""
+        cli.build_parser()
+        seen = []
+        originals = {name: sub.get_default("func") for name, sub in cli.COMMANDS.items()}
+        for sub in cli.COMMANDS.values():
+            sub.set_defaults(func=lambda args: seen.append(args) or 0)
+        yield seen
+        for name, func in originals.items():
+            cli.COMMANDS[name].set_defaults(func=func)
+
+    @staticmethod
+    def outcome(call, capsys):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize("name", sorted(ARGVS))
+    def test_same_as_full_parser(self, name, recorded, capsys):
+        argv = self.ARGVS[name]
+        full, full_io = self.outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+        result, io = self.outcome(lambda: main(argv), capsys)
+        assert io == full_io
+        if isinstance(full, tuple):
+            assert result == full and not recorded
+        else:
+            assert result == 0 and recorded == [full]
+            assert full.command == argv[0]
+
+
 class TestTrivialGroup:
     """The order-1 group is a p-group for every prime: every power and
     pair identity holds on it."""

@@ -26,7 +26,7 @@ from submult.monomial import MonomialCodec, MonomialMatrix, _perm_cycles
 from submult.properties import (_cycle_key_masks, _SpectralClosure, has_p1,
                                 has_p2, has_property_s, is_p_abelian,
                                 is_regular)
-from submult.suites import corpus
+from submult.suites import _tensor_generators, corpus
 
 
 def brute_commutator_members(g, a_members, b_members):
@@ -1275,7 +1275,11 @@ class TestMonomialCodec:
             ONE, CyclotomicUnit(1, 3), CyclotomicUnit(1, 9)]
         # codes hold ranks in that order: exps lists 0, 3, 1, ... by (num, den)
         assert g.codec.exps[:3] == [0, 3, 1]
-        assert g.codes[1][1] == (1,) and g.codes[2][1] == (2,)
+        # a code is the permutation, then each column's rank byte
+        # n + row*M + rank: here 1 + 0*9 + rank
+        assert g.codes[1] == bytes([0, 2]) and g.codes[2] == bytes([0, 3])
+        assert g.codec.split(g.codes[1]) == (bytes([0]), bytes([1]))
+        assert g.codec.split(g.codes[2]) == (bytes([0]), bytes([2]))
 
     def test_modulus_past_cap_takes_generic_path(self):
         # a swap with entries z and 1/z is a diagonal conjugate of the plain
@@ -1305,6 +1309,54 @@ class TestMonomialCodec:
             bare = group_from_carriers(g.elements, g.identity, g.gens)
             assert bare.codec is None
             assert has_property_s(bare).to_json() == has_property_s(g).to_json()
+
+
+def assert_closure_matches_generic(gens, cap=DEFAULT_CLOSURE_CAP):
+    """The coded closure of ``gens``, built from left products on
+    ``MonomialCodec`` codes, against the generic path on the same matrices,
+    built from right products of the carriers: the same elements in the
+    same order, the same right-multiplication permutations and the same
+    generator rows.  Codes are bytes when their n(M+1) values fit one."""
+    coded = close(gens, cap)
+    generic = close([Wrapped(m) for m in gens], cap)
+    assert isinstance(coded.codec, MonomialCodec) and generic.codec is _CarrierCodec
+    assert len(coded) == len(generic)
+    assert coded.elements == [w.m for w in generic.elements]
+    assert coded._right == generic._right and coded.gens == generic.gens
+    assert coded._gen_rows == {g: generic.row(g) for g in generic.gens}
+    fits = coded.codec.n * (coded.codec.modulus + 1) <= 256
+    assert {type(c) for c in coded.codes} == {bytes if fits else tuple}
+    return coded
+
+
+class TestLeftClosure:
+    """``close`` on monomial matrices steps by left products and derives
+    the right-multiplication permutations; the generic path steps by right
+    products.  Both must give the same group."""
+
+    @pytest.mark.parametrize("name", [name for name, entry in corpus().items()
+                                      if entry.is_monomial])
+    def test_corpus(self, name):
+        assert_closure_matches_generic(corpus()[name].gens)
+
+    @KERNEL_SETTINGS
+    @given(monomial_groups())
+    def test_random_groups(self, g):
+        assert_closure_matches_generic([g.elements[i] for i in g.gens])
+
+    def test_t7_degree_27_tensor_products(self):
+        passers = [e for e in corpus().values()
+                   if e.is_monomial and e.s_report.holds is True]
+        pairs = [(a, b) for a in passers for b in passers
+                 if a.degree() * b.degree() == 27 and len(a.group) * len(b.group) <= 1024]
+        assert len(pairs) == 8  # degree 3 times bigcycle9, both ways
+        for a, b in pairs:
+            assert_closure_matches_generic(_tensor_generators(a.gens, b.gens))
+
+    def test_tuple_codes(self):
+        # n(M+1) = 301 values do not fit a byte
+        g = assert_closure_matches_generic(cyclic_generator(300))
+        assert len(g) == 300 and type(g.codes[0]) is tuple
 
 
 def bfs_layers(g):

@@ -13,12 +13,14 @@ import inspect
 import textwrap
 
 import pytest
+from test_groups import assert_closure_matches_generic
 from test_properties import (SECTION_FAILURES, definitional_p_abelian,
                              reference_section_report)
 
-from submult import properties
+from submult import groups, properties
 from submult.families import cyclic_generator
 from submult.groups import FiniteGroup, close, direct_product
+from submult.monomial import MonomialCodec
 from submult.properties import has_p1, has_p2
 from submult.suites import corpus
 
@@ -62,6 +64,15 @@ def products_p_abelian_is_definitional():
             assert g.p_abelian is definitional_p_abelian(g)
 
 
+def closures_match_generic():
+    # the monomial corpus groups up to order 27; heisenberg3 and
+    # induced_b321 are not diagonal, so a rank byte read in the wrong row,
+    # or a right permutation derived in the wrong order, shows
+    for entry in corpus().values():
+        if entry.is_monomial and len(entry.group) <= 27:
+            assert_closure_matches_generic(entry.gens)
+
+
 ONE_GENERATOR = ("self._right.items()", "list(self._right.items())[:1]")
 
 MUTANTS = [
@@ -74,6 +85,10 @@ MUTANTS = [
                      "identity at each of its generators"))),
     pytest.param(FiniteGroup, "p_abelian", *ONE_GENERATOR,
                  products_p_abelian_is_definitional, id="p-abelian-one-generator"),
+    pytest.param(groups, "_right_perms", "r[y] = lp[r[x]]", "r[y] = r[lp[x]]",
+                 closures_match_generic, id="right-perms-factors-swapped"),
+    pytest.param(MonomialCodec, "left", "n + perm[i] * m", "n + i * m",
+                 closures_match_generic, id="rank-bytes-tagged-by-column"),
 ]
 
 
